@@ -2,7 +2,7 @@
 
     dimer-nm <experiment|preset> [--config PATH] [--out PATH]
              [--f V] [--fock N] [--dt V] [--tmax V] [--eps V]
-             [--horizon V] [--workers N] [--observable X] [--model X]
+             [--horizon V] [--observable X] [--model X]
 
 The positional argument is an experiment name (evolve, steady, nmm,
 sweep, eq8check, convergence) or a shipped preset (fig1, fig2, fig3,
@@ -17,7 +17,14 @@ from dataclasses import replace
 from importlib import resources
 
 from .errors import ConfigError, DimerNMError
-from .harness import EXPERIMENTS, RunConfig, parse_config, run_experiment, write_outputs
+from .harness import (
+    EXPERIMENTS,
+    RunConfig,
+    load_config,
+    parse_config,
+    run_experiment,
+    write_outputs,
+)
 
 PRESETS = ("fig1", "fig2", "fig3", "eq8")
 
@@ -44,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tmax", type=float, help="trace end time override")
     parser.add_argument("--eps", type=float, help="intermediate-map step override")
     parser.add_argument("--horizon", type=float, help="memory-measure horizon override")
-    parser.add_argument("--workers", type=int, help="parallel worker count")
     parser.add_argument("--observable", help="evolve: inversion | logneg | both")
     parser.add_argument("--model", help="auto | symmetric | full | global")
     return parser
@@ -61,7 +67,7 @@ def config_from_args(args) -> RunConfig:
             f"expected one of {EXPERIMENTS + PRESETS}"
         )
     if args.config:
-        cfg = parse_config(open_text(args.config), base=cfg)
+        cfg = load_config(args.config, base=cfg)
         if args.experiment in EXPERIMENTS and cfg.experiment != args.experiment:
             cfg = replace(cfg, experiment=args.experiment)
 
@@ -78,8 +84,6 @@ def config_from_args(args) -> RunConfig:
         overrides["eps"] = args.eps
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.observable is not None:
         overrides["observable"] = args.observable
     if args.model is not None:
@@ -87,14 +91,6 @@ def config_from_args(args) -> RunConfig:
     if args.out is not None:
         overrides["out"] = args.out
     return replace(cfg, **overrides)
-
-
-def open_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:

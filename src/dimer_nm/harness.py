@@ -10,7 +10,6 @@ the fully resolved configuration and derived quantities.
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -65,7 +64,6 @@ class RunConfig:
     eps: float = 0.01
     horizon: float = 0.0  # 0 = 20 / gamma_eff
     fock_list: str = "3,4"  # convergence experiment
-    workers: int = 0  # 0 = one per f value, capped at the cpu count
     out: str = ""  # output basename; empty = experiment name
 
 
@@ -126,13 +124,14 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, base: RunConfig = None) -> RunConfig:
+    """Read a config file, applied on top of ``base`` when given."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, base=base)
 
 
 def _parse_float_list(raw: str, what: str):
@@ -197,19 +196,6 @@ def initial_state(model):
 def gamma_eff_of(cfg: RunConfig) -> float:
     """Site-1 effective dephasing rate; invariant along the f family."""
     return effective_dephasing_rate(cfg.g1, cfg.kappa1)
-
-
-def _workers(cfg: RunConfig, n_tasks: int) -> int:
-    if cfg.workers > 0:
-        return cfg.workers
-    return max(1, min(n_tasks, os.cpu_count() or 1))
-
-
-def _parallel(cfg, fn, items):
-    if len(items) == 1:
-        return [fn(items[0])]
-    with ThreadPoolExecutor(max_workers=_workers(cfg, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------- CSV
@@ -282,7 +268,7 @@ def run_trace(cfg: RunConfig, observable: str):
         )
         return traj.times, traj.observables[obs]
 
-    results = _parallel(cfg, work, fs)
+    results = [work(f) for f in fs]
     times = results[0][0]
     for t_other, _ in results[1:]:
         if not np.allclose(t_other, times, rtol=0, atol=1e-12):
@@ -304,21 +290,29 @@ def run_trace(cfg: RunConfig, observable: str):
     return render_csv(header, rows), render_meta(cfg, derived)
 
 
-def _steady_row(cfg: RunConfig, f: float):
+def _markov_baseline_logneg(cfg: RunConfig) -> float:
+    """Steady log negativity of the memoryless baseline at gamma_eff.
+
+    The baseline depends on f only through gamma_eff, which the f family
+    holds fixed, so one solve serves a whole sweep.
+    """
+    mk = build_markovian_dephasing_model(gamma_eff_of(cfg), base_params(cfg))
+    mk_red = entanglement.reduce_to_dimer(steady_state(mk).rho, mk.dims, mk.basis)
+    return entanglement.log_negativity(mk_red)
+
+
+def _steady_row(cfg: RunConfig, f: float, mk_logneg: float):
     p = apply_f(f, base_params(cfg))
     m = model_for(cfg, f)
     red = entanglement.reduce_to_dimer(steady_state(m).rho, m.dims, m.basis)
     overlap = entanglement.singlet_overlap(red)
     logneg = entanglement.log_negativity(red)
     eq8 = steady_state_dd_closed_form(p) if p.is_symmetric else float("nan")
-
-    gamma = effective_dephasing_rate(p.g1, p.kappa1)
-    mk = build_markovian_dephasing_model(gamma, p)
-    mk_red = entanglement.reduce_to_dimer(steady_state(mk).rho, mk.dims, mk.basis)
-    mk_logneg = entanglement.log_negativity(mk_red)
     return [overlap, eq8, logneg, overlap, mk_logneg]
 
 
+# rho_dd_nullspace and singlet_overlap_ss are one number (the singlet
+# population of the steady state), kept twice so the header stays stable
 _STEADY_COLS = [
     "rho_dd_nullspace", "rho_dd_eq8", "logneg_ss",
     "singlet_overlap_ss", "logneg_markov_baseline",
@@ -327,7 +321,8 @@ _STEADY_COLS = [
 
 def run_steady_sweep(cfg: RunConfig):
     fs = resolve_f_values(cfg)
-    rows = _parallel(cfg, lambda f: [f] + _steady_row(cfg, f), fs)
+    mk_logneg = _markov_baseline_logneg(cfg)
+    rows = [[f] + _steady_row(cfg, f, mk_logneg) for f in fs]
     derived = {"experiment": "steady", "gamma_eff": gamma_eff_of(cfg)}
     return render_csv(["f"] + _STEADY_COLS, rows), render_meta(cfg, derived)
 
@@ -355,14 +350,12 @@ def run_nmm_sweep(cfg: RunConfig):
     gamma = gamma_eff_of(cfg)
     horizon = cfg.horizon if cfg.horizon > 0 else 20.0 / gamma
 
-    results = _parallel(cfg, lambda f: _nmm_row(cfg, f, horizon, gamma), fs)
-    rows, notes = [], []
-    for f, (row, note) in zip(fs, results):
+    rows = []
+    for f in fs:
+        row, note = _nmm_row(cfg, f, horizon, gamma)
         rows.append([f] + row)
         if note:
-            notes.append(note)
-    for note in notes:
-        print(f"nmm: {note}", file=sys.stderr)
+            print(f"nmm: {note}", file=sys.stderr)
     derived = {
         "experiment": "nmm", "gamma_eff": gamma,
         "horizon_requested": horizon, "eps": cfg.eps,
@@ -376,14 +369,11 @@ def run_sweep(cfg: RunConfig):
     gamma = gamma_eff_of(cfg)
     horizon = cfg.horizon if cfg.horizon > 0 else 20.0 / gamma
 
-    def work(f):
-        row, note = _nmm_row(cfg, f, horizon, gamma)
-        return _steady_row(cfg, f) + row, note
-
-    results = _parallel(cfg, work, fs)
+    mk_logneg = _markov_baseline_logneg(cfg)
     rows = []
-    for f, (row, note) in zip(fs, results):
-        rows.append([f] + row)
+    for f in fs:
+        row, note = _nmm_row(cfg, f, horizon, gamma)
+        rows.append([f] + _steady_row(cfg, f, mk_logneg) + row)
         if note:
             print(f"sweep: {note}", file=sys.stderr)
     header = ["f"] + _STEADY_COLS + _NMM_COLS
@@ -412,7 +402,7 @@ def run_eq8check(cfg: RunConfig):
         err = abs(dd - eq8)
         return [f, dd, eq8, err, err / abs(eq8)]
 
-    rows = _parallel(cfg, work, fs)
+    rows = [work(f) for f in fs]
     header = ["f", "rho_dd_nullspace", "rho_dd_eq8", "abs_error", "rel_error"]
     derived = {"experiment": "eq8check", "n_fock_forced": 2}
     return render_csv(header, rows), render_meta(cfg, derived)
@@ -443,7 +433,7 @@ def run_convergence(cfg: RunConfig):
 
     tasks = [("fock", nf, base_dt) for nf in focks]
     tasks += [("dt", cfg.n_fock, base_dt / (2 ** i)) for i in range(2)]
-    results = _parallel(cfg, lambda t: measure(t[1], t[2]), tasks)
+    results = [measure(nf, dt) for _, nf, dt in tasks]
 
     rows, prev_block, prev_val = [], None, None
     for (block, nf, dt), (logneg, nmax) in zip(tasks, results):

@@ -31,6 +31,7 @@ from .model import LindbladModel, environment_state
 
 COND_MAX = 1e10
 TRACE_PRESERVATION_TOL = 1e-6
+_CHUNK = 1024  # grid points per stacked LAPACK call; bounds the working set
 
 # vec index of the sector basis matrix E_ij = |i><j| (column stacking)
 _TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0])
@@ -161,18 +162,21 @@ def apply_map(superop, rho):
 
 
 def choi_matrix(superop):
-    """Choi state of a sector map (column-stacking vec convention).
+    """Choi state of a sector map, or of each map in a stack (..., 4, 4).
 
-    Index gymnastics: the map element <r| E(|r'><c'|) |c> sits at
-    [r + 2c, r' + 2c'], and the Choi entry C[(r,i),(r',j)] needs
-    <r|E(|i><j|)|r'> / 2. Hermitized before return; trace 1 for a
-    trace-preserving map.
+    Column-stacking vec convention. Index gymnastics: the map element
+    <r| E(|r'><c'|) |c> sits at [r + 2c, r' + 2c'], and the Choi entry
+    C[(r,i),(r',j)] needs <r|E(|i><j|)|r'> / 2. Hermitized before
+    return; trace 1 for a trace-preserving map.
     """
     e = np.asarray(superop, dtype=complex)
-    if e.shape != (4, 4):
+    if e.shape[-2:] != (4, 4):
         raise DimerNMError(f"sector map must be 4x4, got {e.shape}")
-    c = (e.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2) / 2.0).reshape(4, 4)
-    return opalg.hermitize(c)
+    lead = e.shape[:-2]
+    k = len(lead)
+    c = e.reshape(lead + (2, 2, 2, 2)).transpose(
+        tuple(range(k)) + (k + 1, k + 3, k, k + 2))
+    return opalg.hermitize((c / 2.0).reshape(lead + (4, 4)))
 
 
 def g_of_t(family: DynamicalMapFamily, t: float, eps=None) -> float:
@@ -204,27 +208,49 @@ class NMResult:
     horizon_warning: bool
 
 
+def _rates(family, lo, hi):
+    """(g before the clip at 0, invertible mask) for grid points lo..hi-1.
+
+    A map with a non-finite entry counts as singular, as its condition
+    estimate is inf on the per-point path.
+    """
+    a = family.maps[lo:hi]
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    cond = np.full(hi - lo, np.inf)
+    cond[finite] = opalg.condition_numbers(a[finite])
+    ok = ~(cond > COND_MAX)
+    g = np.zeros(hi - lo)
+    if ok.any():
+        # E A = B  =>  A^T E^T = B^T
+        et = opalg.solve_linear_stack(
+            a[ok].transpose(0, 2, 1), family.maps[lo + 1:hi + 1][ok].transpose(0, 2, 1))
+        choi = choi_matrix(et.transpose(0, 2, 1))
+        g[ok] = (opalg.trace_norms(choi) - 1.0) / family.eps
+    return g, ok
+
+
 def nm_measure(family: DynamicalMapFamily, gamma_eff=None,
                warn_factor: float = 5.0) -> NMResult:
-    """Integrate g over the family's grid into I and D = I / (1 + I)."""
+    """Integrate g over the family's grid into I and D = I / (1 + I).
+
+    The grid is taken in chunks of _CHUNK points, each as stacked LAPACK
+    calls.
+    """
     ts = family.times
     eps = family.eps
-    raw_t, raw_g, skipped = [], [], []
-    for n in range(len(family) - 1):
-        try:
-            e = _intermediate(family, n, 1)
-        except SingularMapError:
-            skipped.append(float(ts[n]))
-            continue
-        val = (opalg.trace_norm(choi_matrix(e)) - 1.0) / eps
-        raw_t.append(ts[n] + eps / 2.0)
-        raw_g.append(max(0.0, val))
-    if not raw_t:
+    n_points = len(family) - 1
+    g = np.empty(n_points)
+    ok = np.empty(n_points, dtype=bool)
+    for lo in range(0, n_points, _CHUNK):
+        hi = min(lo + _CHUNK, n_points)
+        g[lo:hi], ok[lo:hi] = _rates(family, lo, hi)
+    if not ok.any():
         raise DimerNMError("no invertible intermediate map anywhere on the grid")
 
-    tv = np.asarray(raw_t)
-    gv = np.asarray(raw_g)
-    mids = ts[:-1] + eps / 2.0
+    starts = ts[:-1]
+    tv = starts[ok] + eps / 2.0
+    gv = np.where(g > 0.0, g, 0.0)[ok]  # max(0, g), as g_of_t clips
+    mids = starts + eps / 2.0
     grid = mids[mids <= tv[-1] + 1e-12]
     series = np.interp(grid, tv, gv)
     integral = float(np.trapezoid(series, grid))
@@ -234,7 +260,7 @@ def nm_measure(family: DynamicalMapFamily, gamma_eff=None,
     return NMResult(
         times=grid, g=series, integral=integral, d_nm=d_nm, eps=eps,
         horizon=horizon, requested_horizon=float(ts[-1]),
-        skipped_times=tuple(skipped), horizon_warning=warning,
+        skipped_times=tuple(float(t) for t in starts[~ok]), horizon_warning=warning,
     )
 
 

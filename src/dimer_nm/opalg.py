@@ -28,8 +28,9 @@ def _as_complex(a):
     return np.ascontiguousarray(np.asarray(a, dtype=complex))
 
 
-def _check_square(a, name="operator"):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def _check_square(a, name="operator", stacked=False):
+    """Require one square matrix, or with ``stacked`` a stack (..., n, n)."""
+    if not (a.ndim >= 2 if stacked else a.ndim == 2) or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
 
 
@@ -47,20 +48,30 @@ def hermiticity_defect(a) -> float:
     return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
 
 
+def _dagger(a):
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def hermitize(a):
-    """Return the Hermitian part ``(A + A^dag) / 2``."""
+    """Return the Hermitian part ``(A + A^dag) / 2`` of a matrix or of each
+    matrix in a stack (..., n, n)."""
     a = _as_complex(a)
-    _check_square(a)
-    return (a + a.conj().T) / 2.0
+    _check_square(a, stacked=True)
+    return (a + _dagger(a)) / 2.0
 
 
 def _require_hermitian(a, name):
-    defect = hermiticity_defect(a)
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if defect > HERMITICITY_RTOL * max(scale, 1e-300):
+    """Reject the first matrix of a stack whose defect exceeds the tolerance."""
+    if not a.size:
+        return
+    defect = np.abs(a - _dagger(a)).max(axis=(-2, -1)).ravel()
+    scale = np.abs(a).max(axis=(-2, -1)).ravel()
+    bad = defect > HERMITICITY_RTOL * np.maximum(scale, 1e-300)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise NonHermitianError(
-            f"{name} requires Hermitian input: defect {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} * max|A| = {HERMITICITY_RTOL * scale:.3e}"
+            f"{name} requires Hermitian input: defect {defect[k]:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.0e} * max|A| = {HERMITICITY_RTOL * scale[k]:.3e}"
         )
 
 
@@ -159,8 +170,18 @@ def trace_norm(a) -> float:
     """
     a = _as_complex(a)
     _check_square(a)
+    return float(trace_norms(a))
+
+
+def trace_norms(a):
+    """:func:`trace_norm` of each matrix in a stack (..., n, n).
+
+    A LinAlgError of the eigensolver propagates.
+    """
+    a = _as_complex(a)
+    _check_square(a, stacked=True)
     _require_hermitian(a, "trace_norm")
-    return float(np.abs(np.linalg.eigvalsh(hermitize(a))).sum())
+    return np.abs(np.linalg.eigvalsh(hermitize(a))).sum(axis=-1)
 
 
 def solve_linear(a, b):
@@ -180,26 +201,63 @@ def solve_linear(a, b):
         raise SingularSystemError(
             "linear system is singular", cond=_cond_estimate(a)
         ) from exc
-    resid = float(np.linalg.norm(a @ x - b))
-    bound = SOLVE_RESIDUAL_RTOL * (
-        float(np.linalg.norm(a)) * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
-    )
-    if not np.isfinite(resid) or resid > bound:
-        raise SingularSystemError(
-            f"solve residual {resid:.3e} exceeds bound {bound:.3e}",
-            cond=_cond_estimate(a),
-        )
+    _check_residual(a, x, b)
     return x
+
+
+def solve_linear_stack(a, b):
+    """Solve ``A_k X_k = B_k`` for stacks a (k, n, n) and b (k, n, m).
+
+    Every system gets :func:`solve_linear`'s residual check, and the
+    first one to fail, or an exactly singular one, raises
+    SingularSystemError.
+    """
+    a = _as_complex(a)
+    _check_square(a, "coefficient matrix", stacked=True)
+    b = np.asarray(b, dtype=complex)
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("a linear system in the stack is singular",
+                                  cond=math.inf) from exc
+    _check_residual(a, x, b, axis=(-2, -1))
+    return x
+
+
+def _check_residual(a, x, b, axis=None):
+    """Residual bound of solve_linear, per system when ``axis`` is given."""
+    resid = np.ravel(np.linalg.norm(a @ x - b, axis=axis))
+    bound = np.ravel(SOLVE_RESIDUAL_RTOL * (
+        np.linalg.norm(a, axis=axis) * np.linalg.norm(x, axis=axis)
+        + np.linalg.norm(b, axis=axis)
+    ))
+    bad = ~np.isfinite(resid) | (resid > bound)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularSystemError(
+            f"solve residual {resid[k]:.3e} exceeds bound {bound[k]:.3e}",
+            cond=_cond_estimate(a if axis is None else a[k]),
+        )
+
+
+def condition_numbers(a):
+    """Two-norm condition estimates of a matrix or a stack (..., n, n).
+
+    inf where the smallest singular value is 0 or non-finite. A
+    LinAlgError of the SVD propagates.
+    """
+    s = np.linalg.svd(_as_complex(a), compute_uv=False)
+    smin = s[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[..., 0] / smin
+    return np.where((smin == 0.0) | ~np.isfinite(smin), np.inf, cond)
 
 
 def _cond_estimate(a) -> float:
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        return float(condition_numbers(a))
     except np.linalg.LinAlgError:
         return math.inf
-    if s[-1] == 0.0 or not np.isfinite(s[-1]):
-        return math.inf
-    return float(s[0] / s[-1])
 
 
 def condition_number(a) -> float:

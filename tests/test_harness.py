@@ -81,6 +81,20 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.experiment == "eq8check"
 
+    def test_load_from_file_over_base(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("f_list = 0.1\n")
+        cfg = load_config(str(path), base=RunConfig(experiment="steady", n_fock=4))
+        assert (cfg.experiment, cfg.n_fock, cfg.f_list) == ("steady", 4, "0.1")
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_config(str(tmp_path / "absent.cfg"))
+
+    def test_removed_workers_key_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config("workers = 2\n")
+
 
 class TestFValues:
     def test_explicit_list_sorted(self):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import dimer_nm
 from dimer_nm import kernels, opalg
 from dimer_nm.dynamics import liouvillian_matrix, rk4_transfer_matrix
 from dimer_nm.harness import initial_state
@@ -80,7 +81,10 @@ class TestBackends:
 
 class TestBackendSelection:
     def test_environment_forces_fallback(self):
-        env = dict(os.environ, DIMER_NM_PURE_PYTHON="1")
+        # the child imports the same dimer_nm as this process, installed or not
+        pkg_root = os.path.dirname(os.path.dirname(dimer_nm.__file__))
+        path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, DIMER_NM_PURE_PYTHON="1", PYTHONPATH=path)
         out = subprocess.run(
             [sys.executable, "-c",
              "from dimer_nm import kernels; print(kernels.active_backend())"],

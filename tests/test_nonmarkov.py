@@ -6,8 +6,13 @@ import pytest
 from dimer_nm import opalg
 from dimer_nm.dynamics import integrate
 from dimer_nm.entanglement import reduce_to_dimer
-from dimer_nm.errors import DimerNMError, NumericalDriftError, SingularMapError
-from dimer_nm.harness import initial_state
+from dimer_nm.errors import (
+    DimerNMError,
+    NumericalDriftError,
+    SingularMapError,
+    SingularSystemError,
+)
+from dimer_nm.harness import RunConfig, run_nmm_sweep
 from dimer_nm.model import (
     ModelParams,
     apply_f,
@@ -265,3 +270,84 @@ class TestNMMeasure:
         coarse = nm_for_model(model, eps=0.01, horizon=horizon)
         fine = nm_for_model(model, eps=0.005, horizon=horizon)
         assert fine.integral == pytest.approx(coarse.integral, rel=0.05)
+
+
+def per_point_measure(family):
+    """nm_measure rebuilt from intermediate_map and choi_matrix, one point at a time."""
+    eps = family.eps
+    raw_t, raw_g, skipped = [], [], []
+    for t in family.times[:-1]:
+        try:
+            e = intermediate_map(family, float(t))
+        except SingularMapError:
+            skipped.append(float(t))
+            continue
+        raw_t.append(t + eps / 2.0)
+        raw_g.append(max(0.0, (opalg.trace_norm(choi_matrix(e)) - 1.0) / eps))
+    mids = family.times[:-1] + eps / 2.0
+    grid = mids[mids <= raw_t[-1] + 1e-12]
+    integral = float(np.trapezoid(np.interp(grid, raw_t, raw_g), grid))
+    return integral, tuple(skipped)
+
+
+def with_map(family, n, m):
+    maps = family.maps.copy()
+    maps[n] = m
+    return DynamicalMapFamily(times=family.times, maps=maps, eps=family.eps,
+                              basis=family.basis)
+
+
+class TestBatchedParity:
+    """The chunked, stacked nm_measure against the per-point path."""
+
+    def assert_parity(self, fam):
+        integral, skipped = per_point_measure(fam)
+        res = nm_measure(fam)
+        assert res.skipped_times == skipped
+        assert res.integral == pytest.approx(integral, rel=1e-12, abs=0.0)
+
+    def test_tomography_fixture(self, family_f01):
+        self.assert_parity(family_f01[1])
+
+    def test_dephasing_families(self):
+        ts = 0.005 * np.arange(3000)
+        self.assert_parity(dephasing_family(0.5 + 0.4 * np.cos(2.0 * ts), 0.005))
+        # coherences decay past the COND_MAX cut-off near t = 11.5
+        fam = dephasing_family(np.exp(-2.0 * ts), 0.005)
+        self.assert_parity(fam)
+        assert 0 < len(nm_measure(fam).skipped_times) < len(fam) // 2
+
+    def test_singular_interior_family(self):
+        lams = [1.0, 0.5, 0.5, 0.5, 0.5, 1e-30, 0.5, 0.5, 0.5]
+        self.assert_parity(dephasing_family(lams, 0.1))
+
+    def test_spans_several_chunks_with_singular_points(self):
+        ts = 0.01 * np.arange(2500)
+        lams = 0.5 + 0.4 * np.cos(3.0 * ts)
+        lams[[0, 1023, 1024, 2047, 2400]] = 1e-30
+        self.assert_parity(dephasing_family(lams, 0.01))
+
+    def test_leading_nan_map_counts_as_singular(self, family_f01):
+        fam = with_map(family_f01[1], 0, np.full((4, 4), np.nan))
+        self.assert_parity(fam)
+        assert nm_measure(fam).skipped_times[0] == 0.0
+
+    def test_interior_nan_map_raises_like_per_point(self, family_f01):
+        fam = with_map(family_f01[1], 50, np.full((4, 4), np.nan))
+        with pytest.raises(SingularSystemError):
+            per_point_measure(fam)
+        with pytest.raises(SingularSystemError):
+            nm_measure(fam)
+
+    def test_residual_failure_raises(self, family_f01, monkeypatch):
+        monkeypatch.setattr(opalg, "SOLVE_RESIDUAL_RTOL", 0.0)
+        with pytest.raises(SingularSystemError) as exc:
+            nm_measure(family_f01[1])
+        assert not isinstance(exc.value, SingularMapError)
+
+    def test_residual_failure_becomes_nan_row(self, monkeypatch):
+        monkeypatch.setattr(opalg, "SOLVE_RESIDUAL_RTOL", 0.0)
+        cfg = RunConfig(experiment="nmm", f_list="0.1", eps=0.05, horizon=5.0)
+        csv_text, _ = run_nmm_sweep(cfg)
+        row = csv_text.splitlines()[1].split(",")
+        assert row[1] == "nan" and row[2] == "nan"

@@ -270,6 +270,42 @@ class TestSolveLinear:
         assert "condition" in str(exc.value)
 
 
+class TestStacked:
+    """Stacked variants agree with the one-matrix calls, matrix by matrix."""
+
+    def test_match_one_matrix_calls(self):
+        rng = np.random.default_rng(29)
+        a = 4.0 * np.eye(4) + (
+            rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        )
+        b = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        x = opalg.solve_linear_stack(a, b)
+        for k in range(5):
+            assert np.array_equal(x[k], opalg.solve_linear(a[k], b[k]))
+        a[2] = 0.0
+        assert list(opalg.condition_numbers(a)) == [opalg.condition_number(m) for m in a]
+        assert opalg.condition_numbers(a)[2] == np.inf
+        h = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        assert list(opalg.trace_norms(h)) == [opalg.trace_norm(m) for m in h]
+
+    def test_rejects_any_non_hermitian_matrix(self):
+        stack = np.stack([np.eye(3, dtype=complex), opalg.make_destroy(3)])
+        with pytest.raises(NonHermitianError):
+            opalg.trace_norms(stack)
+
+    def test_residual_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(opalg, "SOLVE_RESIDUAL_RTOL", 0.0)
+        rng = np.random.default_rng(30)
+        a = 4.0 * np.eye(6) + rng.standard_normal((3, 6, 6))
+        with pytest.raises(SingularSystemError):
+            opalg.solve_linear_stack(a, rng.standard_normal((3, 6, 2)))
+
+    def test_exactly_singular_system_raises(self):
+        a = np.stack([np.eye(3), np.zeros((3, 3))])
+        with pytest.raises(SingularSystemError):
+            opalg.solve_linear_stack(a, np.ones((2, 3, 1)))
+
+
 class TestVecConvention:
     def test_column_stacking(self):
         rng = np.random.default_rng(27)
