@@ -201,7 +201,7 @@ def solve_linear(a, b):
         raise SingularSystemError(
             "linear system is singular", cond=_cond_estimate(a)
         ) from exc
-    _check_residual(a, x, b)
+    check_residual(a, x, b)
     return x
 
 
@@ -220,23 +220,30 @@ def solve_linear_stack(a, b):
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("a linear system in the stack is singular",
                                   cond=math.inf) from exc
-    _check_residual(a, x, b, axis=(-2, -1))
+    check_residual(a, x, b, axis=(-2, -1))
     return x
 
 
-def _check_residual(a, x, b, axis=None):
-    """Residual bound of solve_linear, per system when ``axis`` is given."""
+def check_residual(a, x, b, axis=None, a_norm=None):
+    """Raise SingularSystemError unless ``A x = b`` meets the bound of
+    :func:`solve_linear`, per system when ``axis`` is given.
+
+    ``a`` may be a scipy sparse matrix when its Frobenius norm is passed
+    as ``a_norm``; the error then carries no condition estimate.
+    """
     resid = np.ravel(np.linalg.norm(a @ x - b, axis=axis))
+    dense = a_norm is None
+    if dense:
+        a_norm = np.linalg.norm(a, axis=axis)
     bound = np.ravel(SOLVE_RESIDUAL_RTOL * (
-        np.linalg.norm(a, axis=axis) * np.linalg.norm(x, axis=axis)
-        + np.linalg.norm(b, axis=axis)
+        a_norm * np.linalg.norm(x, axis=axis) + np.linalg.norm(b, axis=axis)
     ))
     bad = ~np.isfinite(resid) | (resid > bound)
     if bad.any():
         k = int(np.argmax(bad))
         raise SingularSystemError(
             f"solve residual {resid[k]:.3e} exceeds bound {bound[k]:.3e}",
-            cond=_cond_estimate(a if axis is None else a[k]),
+            cond=_cond_estimate(a if axis is None else a[k]) if dense else None,
         )
 
 

@@ -1,15 +1,19 @@
 """Master-equation integration, the superoperator form, and steady states."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dimer_nm import opalg
+from dimer_nm import dynamics, opalg
 from dimer_nm.dynamics import (
+    MAX_SUPEROP_DIM,
     QuantumState,
     expectation,
     integrate,
     liouvillian_matrix,
     rhs,
+    sparse_generator,
     steady_state,
     suggest_dt,
 )
@@ -19,9 +23,11 @@ from dimer_nm.errors import (
     DimerNMError,
     NonUniqueSteadyStateError,
     NumericalDriftError,
+    SingularSystemError,
 )
 from dimer_nm.harness import initial_state
 from dimer_nm.model import (
+    LindbladModel,
     ModelParams,
     apply_f,
     build_full_model,
@@ -45,6 +51,31 @@ def random_density(rng, d):
 
 def symmetric_model(f, **kwargs):
     return build_symmetric_model(apply_f(f, ModelParams.symmetric(**kwargs)))
+
+
+def asymmetric_full_model(n_fock, f=0.1, g1=None):
+    """Full model with g2 = 2 g1, dims (2, n_fock, n_fock)."""
+    p = ModelParams.symmetric(n_fock=n_fock)
+    g1 = p.g1 if g1 is None else g1
+    return build_full_model(apply_f(f, dataclasses.replace(p, g1=g1, g2=2.0 * g1)))
+
+
+def kron_generator(model):
+    """The dense np.kron formula that generator_triplets replaced."""
+    eye = np.eye(model.dim, dtype=complex)
+    h = model.h_eff
+    lmat = -1j * np.kron(eye, h) + 1j * np.kron(h.conj(), eye)
+    for op, rate in model.jumps:
+        lmat += rate * np.kron(op.conj(), op)
+    return lmat
+
+
+def random_matrix(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+FORCE_DENSE = 10 ** 9  # SPARSE_STEADY_MIN_DIM values that force one path
+FORCE_SPARSE = 0
 
 
 class TestRhs:
@@ -112,6 +143,31 @@ class TestLiouvillianMatrix:
         assert m.dim == 72
         with pytest.raises(DimensionError):
             liouvillian_matrix(m)
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("n_fock", [None, 3], ids=["symmetric_d6", "full_d18"])
+    def test_densified_triplets_match_kron_formula_and_rhs(self, n_fock):
+        m = symmetric_model(0.1) if n_fock is None else asymmetric_full_model(n_fock)
+        lmat = liouvillian_matrix(m)
+        assert np.max(np.abs(lmat - kron_generator(m))) <= 1e-15 * np.max(np.abs(lmat))
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            rho = random_matrix(rng, m.dim)
+            direct = rhs(m, rho)
+            via_matrix = opalg.unvec(lmat @ opalg.vec(rho))
+            assert np.max(np.abs(via_matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_sparse_matvec_matches_rhs_beyond_dense_guard(self):
+        m = asymmetric_full_model(6)
+        assert m.dim == 72 > MAX_SUPEROP_DIM
+        gen = sparse_generator(m.h_eff, m.jumps)
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            rho = random_matrix(rng, m.dim)
+            direct = rhs(m, rho)
+            via_matrix = opalg.unvec(gen @ opalg.vec(rho))
+            assert np.max(np.abs(via_matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 class TestIntegrate:
@@ -239,6 +295,68 @@ class TestSteadyState:
         assert abs(np.trace(ss.rho) - 1.0) < 1e-12
         assert opalg.hermiticity_defect(ss.rho) < 1e-12
         assert np.linalg.eigvalsh(ss.rho).min() >= -1e-8
+
+
+class TestSparseSteadyState:
+    @pytest.mark.parametrize("f", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("dim", [6, 18, 32])
+    def test_deflated_sigma_matches_dense_svd(self, monkeypatch, dim, f):
+        m = symmetric_model(f) if dim == 6 else asymmetric_full_model({18: 3, 32: 4}[dim], f)
+        assert m.dim == dim
+        sigma = np.linalg.svd(liouvillian_matrix(m), compute_uv=False)[-2]
+        monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_SPARSE)
+        # the sparse sigma_{n-1} lies within 1e-8 relative of the dense one
+        # exactly when it clears the lower bracket and fails the upper one
+        monkeypatch.setattr(dynamics, "DEGENERACY_TOL", sigma * (1.0 - 1e-8))
+        steady_state(m)
+        monkeypatch.setattr(dynamics, "DEGENERACY_TOL", sigma * (1.0 + 1e-8))
+        with pytest.raises(NonUniqueSteadyStateError):
+            steady_state(m)
+
+    @pytest.mark.parametrize("n_fock", [None, 3], ids=["symmetric_d6", "full_d18"])
+    def test_matches_dense_path(self, monkeypatch, n_fock):
+        m = symmetric_model(0.1) if n_fock is None else asymmetric_full_model(n_fock)
+        monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_DENSE)
+        dense = steady_state(m).rho
+        monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_SPARSE)
+        sparse = steady_state(m).rho
+        assert np.max(np.abs(dense - sparse)) <= 1e-12
+
+    @pytest.mark.parametrize("n_fock, min_dim", [(3, FORCE_DENSE), (3, FORCE_SPARSE), (5, None)],
+                             ids=["d18_dense", "d18_sparse", "d50_default"])
+    def test_non_unique_on_both_paths(self, monkeypatch, n_fock, min_dim):
+        # g1 = g2 = 0 decouples the dimer, whose unitary exchange leaves
+        # both of its eigenprojectors stationary
+        if min_dim is not None:
+            monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", min_dim)
+        with pytest.raises(NonUniqueSteadyStateError):
+            steady_state(asymmetric_full_model(n_fock, g1=0.0))
+
+    @pytest.mark.parametrize("min_dim", [FORCE_DENSE, FORCE_SPARSE], ids=["dense", "sparse"])
+    def test_residual_failure_raises(self, monkeypatch, min_dim):
+        monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", min_dim)
+        monkeypatch.setattr(opalg, "SOLVE_RESIDUAL_RTOL", 0.0)
+        with pytest.raises(SingularSystemError):
+            steady_state(asymmetric_full_model(3))
+
+    @pytest.mark.parametrize("min_dim", [FORCE_DENSE, FORCE_SPARSE], ids=["dense", "sparse"])
+    def test_non_finite_generator_raises_typed_error(self, monkeypatch, min_dim):
+        m = asymmetric_full_model(3)
+        bad = LindbladModel(h_eff=np.full_like(m.h_eff, np.nan), jumps=m.jumps,
+                            dims=m.dims, basis=m.basis)
+        monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", min_dim)
+        with pytest.raises(DimerNMError):
+            steady_state(bad)
+
+    def test_unconverged_uniqueness_test_raises_typed_error(self, monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(sla, "svds", no_convergence)
+        with pytest.raises(DimerNMError):
+            steady_state(asymmetric_full_model(3))
 
 
 class TestExpectation:

@@ -1,4 +1,4 @@
-"""Backend parity for the direct RK4 stepper."""
+"""The density-matrix RK4 stepper adapter, and scipy staying out of import."""
 
 import os
 import subprocess
@@ -25,21 +25,9 @@ def run_backend(stepper, model, rho0, dt, n_steps):
 
 
 class TestBackends:
-    def test_reference_always_available(self):
-        assert "reference" in kernels.available_backends()
-
-    def test_backends_agree(self):
-        model = paper_model()
-        rho0 = initial_state(model)
-        results = {
-            name: run_backend(stepper, model, rho0, 1e-3, 500)
-            for name, stepper in kernels.available_backends().items()
-        }
-        if len(results) < 2:
-            pytest.skip("compiled backend not built")
-        ref = results.pop("reference")
-        for name, out in results.items():
-            assert np.max(np.abs(out - ref)) <= 1e-12, name
+    def test_sparse_is_the_only_backend(self):
+        assert kernels.active_backend() == "sparse"
+        assert kernels.available_backends() == {"sparse": kernels.rk4_lindblad_steps}
 
     def test_deterministic(self):
         model = paper_model()
@@ -79,20 +67,30 @@ class TestBackends:
             assert out[1, 1].real == pytest.approx(np.cos(1.0) ** 2, abs=1e-6), name
 
 
-class TestBackendSelection:
-    def test_environment_forces_fallback(self):
-        # the child imports the same dimer_nm as this process, installed or not
+class TestImport:
+    def test_no_scipy_until_a_sparse_path_runs(self):
+        # scipy costs start-up time and resident memory, so importing the
+        # package and running small dense work must not load it
         pkg_root = os.path.dirname(os.path.dirname(dimer_nm.__file__))
         path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, DIMER_NM_PURE_PYTHON="1", PYTHONPATH=path)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from dimer_nm import kernels; print(kernels.active_backend())"],
-            capture_output=True, text=True, env=env, check=True,
+        script = (
+            "import sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import dimer_nm\n"
+            "from dimer_nm import cli, kernels\n"
+            "from dimer_nm.harness import initial_state\n"
+            "from dimer_nm.model import ModelParams, apply_f, build_symmetric_model\n"
+            "print(loaded())\n"
+            "m = build_symmetric_model(apply_f(0.1, ModelParams.symmetric()))\n"
+            "dimer_nm.steady_state(m)\n"
+            "dimer_nm.integrate(m, initial_state(m), 1.0, method='aggregated')\n"
+            "print(loaded())\n"
+            "dimer_nm.integrate(m, initial_state(m), 0.01, method='direct')\n"
+            "print(bool(loaded()))\n"
         )
-        assert out.stdout.strip() == "reference"
-
-    def test_compiled_preferred_when_built(self):
-        if "speedup" not in kernels.available_backends():
-            pytest.skip("compiled backend not built")
-        assert kernels.active_backend() == "speedup"
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), check=True,
+        )
+        assert out.stdout.split("\n")[:3] == ["[]", "[]", "True"]
