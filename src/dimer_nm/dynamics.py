@@ -20,6 +20,10 @@ Two interchangeable fixed-step RK4 engines:
 Both produce identical trajectories to rounding; tests pin the
 equivalence at 1e-10.
 
+Each numerical decision of a trajectory is made here once: the step size
+(:func:`suggest_dt`), the state validity rule (:func:`_defects`) and the
+observables, which :func:`integrate` takes over the stored stack at once.
+
 scipy is imported lazily, only by the direct engine and by the sparse
 steady-state solve, so ``import dimer_nm`` and small dense runs do not
 pay for it.
@@ -41,7 +45,9 @@ from .errors import (
 from .model import LindbladModel
 
 MAX_SUPEROP_DIM = 64
+BASE_DT = 1e-3  # base RK4 step in dimer units, before stiff rates shrink it
 TRACE_ABORT_TOL = 1e-6
+_CHECK_BLOCK = 512  # stored states per validity check; bounds its temporaries
 DEGENERACY_TOL = 1e-10
 # steady_state solves Hilbert dimensions below this densely (full SVD,
 # LAPACK solve) and from it on with a sparse LU. Measured per solve on 2
@@ -67,16 +73,24 @@ class QuantumState:
             )
 
     def validate(self, trace_tol=1e-9, herm_tol=1e-10, eig_floor=-1e-8):
-        tr = complex(np.trace(self.rho))
-        if abs(tr - 1.0) > trace_tol:
-            raise NumericalDriftError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        defect = opalg.hermiticity_defect(self.rho)
-        if defect > herm_tol:
-            raise NumericalDriftError(f"Hermiticity defect {defect:.3e}")
-        evals = np.linalg.eigvalsh(opalg.hermitize(self.rho))
-        if evals[0] < eig_floor:
-            raise NumericalDriftError(f"negative population {evals[0]:.3e}")
+        trace, herm, low = (float(x) for x in _defects(self.rho))
+        if trace > trace_tol:
+            raise NumericalDriftError(f"trace deviates from 1 by {trace:.3e}")
+        if herm > herm_tol:
+            raise NumericalDriftError(f"Hermiticity defect {herm:.3e}")
+        if low < eig_floor:
+            raise NumericalDriftError(f"negative population {low:.3e}")
         return self
+
+
+def _defects(rho):
+    """|tr rho - 1|, Hermiticity defect and lowest eigenvalue of a state or
+    of each state in a stack (..., d, d). A state with a non-finite entry
+    counts as the zero matrix with trace defect inf, failing every check."""
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    rho = np.where(finite[..., None, None], rho, 0.0)
+    trace = np.where(finite, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0), np.inf)
+    return trace, opalg.hermiticity_defect(rho), np.linalg.eigvalsh(opalg.hermitize(rho))[..., 0]
 
 
 @dataclass
@@ -207,51 +221,40 @@ def rk4_steps(gen, v, dt: float, n_steps: int):
     return v
 
 
-def suggest_dt(model: LindbladModel) -> float:
+def suggest_dt(model: LindbladModel, base: float = BASE_DT) -> float:
     """Step size heuristic tied to the fastest damping channel.
 
-    1e-3 in dimer units, shrunk once the largest jump rate exceeds the
-    reference linewidth scale (rate 40 in these units); stiff overdamped
-    modes then get proportionally finer steps.
+    The base step (BASE_DT unless the caller sets one), shrunk once the
+    largest jump rate exceeds the reference linewidth scale (rate 40 in
+    dimer units); stiff overdamped modes then get proportionally finer steps.
     """
     max_rate = max((rate for _, rate in model.jumps), default=0.0)
-    return 1e-3 / max(1.0, max_rate / 40.0)
+    return base / max(1.0, max_rate / 40.0)
 
 
-_SECTOR_OBSERVABLES = ("inversion", "log_negativity", "singlet_overlap")
-
-
-def _mode_numbers(model: LindbladModel):
-    """Embedded number operator for each mode slot."""
-    ops = []
-    for slot, d in enumerate(model.dims):
-        if slot == 0:
-            continue
-        a = opalg.make_destroy(d)
-        ops.append(opalg.embed(a.conj().T @ a, slot, model.dims))
-    return ops
-
-
-def expectation(state, op) -> float:
-    """Real expectation value tr(op rho); rejects residual imaginary parts."""
+def expectation(state, op):
+    """Real expectation value tr(op rho) of a state or of each state in a
+    stack (..., d, d); rejects residual imaginary parts."""
     rho = getattr(state, "rho", state)
-    val = complex(np.einsum("ij,ji->", np.asarray(op), np.asarray(rho)))
-    if abs(val.imag) > 1e-10:
-        raise DimerNMError(f"expectation has imaginary part {val.imag:.3e}")
+    val = np.einsum("ij,...ji->...", np.asarray(op), np.asarray(rho))
+    if np.any(np.abs(val.imag) > 1e-10):
+        raise DimerNMError(f"expectation has imaginary part {np.abs(val.imag).max():.3e}")
     return val.real
 
 
 def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
-              store_every: int = 10, observables=None, method: str = "auto",
-              validate: bool = True) -> Trajectory:
+              store_every: int = 10, observables=None, method: str = "auto") -> Trajectory:
     """Fixed-step RK4 evolution from rho0 over [0, t_end].
 
-    States are stored every ``store_every`` steps (plus the final step).
-    Aborts with NumericalDriftError if the trace drifts by more than
-    1e-6 at any stored point, reporting the step size to shrink.
+    dt defaults to :func:`suggest_dt`. States are stored every
+    ``store_every`` steps (plus the final step) and checked by
+    :func:`_defects`, _CHECK_BLOCK at a time. A trace drift beyond 1e-6,
+    or a non-finite state, raises NumericalDriftError naming the first
+    such time and the step size to shrink.
 
     observables: names from {inversion, log_negativity, singlet_overlap,
-    mode_excitation}; default is all that apply to the model.
+    mode_excitation}, each taken over the whole stored stack; default is
+    all that apply to the model.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = model.dim
@@ -295,55 +298,48 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     times = dt_eff * np.asarray(marks, dtype=float)
     states = np.stack(states)
 
-    max_trace, max_herm, min_eig = 0.0, 0.0, np.inf
-    for idx in range(states.shape[0]):
-        drift = abs(complex(np.trace(states[idx])) - 1.0)
-        max_trace = max(max_trace, drift)
-        # a diverged step can overflow to nan, which compares False
-        if not math.isfinite(drift) or drift > TRACE_ABORT_TOL:
-            raise NumericalDriftError(
-                f"trace drifted by {drift:.3e} at t={times[idx]:.6g} "
-                f"(dt={dt_eff:.3e}); reduce the step size"
-            )
-        if validate:
-            max_herm = max(max_herm, opalg.hermiticity_defect(states[idx]))
-            evals = np.linalg.eigvalsh(opalg.hermitize(states[idx]))
-            min_eig = min(min_eig, float(evals[0]))
+    trace, herm, low = np.concatenate([
+        _defects(states[lo:lo + _CHECK_BLOCK])
+        for lo in range(0, states.shape[0], _CHECK_BLOCK)], axis=1)
+    drifted = np.flatnonzero(trace > TRACE_ABORT_TOL)
+    if drifted.size:
+        k = drifted[0]
+        raise NumericalDriftError(
+            f"trace drifted by {trace[k]:.3e} at t={times[k]:.6g} "
+            f"(dt={dt_eff:.3e}); reduce the step size"
+        )
 
     if observables is None:
-        observables = _SECTOR_OBSERVABLES + (
-            ("mode_excitation",) if len(model.dims) > 1 else ()
-        )
-    obs = {name: np.empty(states.shape[0]) for name in observables}
-    number_ops = _mode_numbers(model) if "mode_excitation" in obs else []
-    if "mode_excitation" in obs and not number_ops:
-        raise DimerNMError("mode_excitation requires a model with mode slots")
-    for idx in range(states.shape[0]):
-        reduced = entanglement.reduce_to_dimer(states[idx], model.dims, model.basis)
-        site = entanglement.basis_change(reduced, "site").rho
-        for name in observables:
-            if name == "inversion":
-                obs[name][idx] = (site[1, 1] - site[0, 0]).real
-            elif name == "log_negativity":
-                obs[name][idx] = entanglement.log_negativity(reduced)
-            elif name == "singlet_overlap":
-                obs[name][idx] = entanglement.singlet_overlap(reduced)
-            elif name == "mode_excitation":
-                # occupation of the most excited physical oscillator;
-                # model.mode_weight converts collective-mode quanta
-                obs[name][idx] = model.mode_weight * max(
-                    expectation(states[idx], op) for op in number_ops
-                )
-            else:
-                raise DimerNMError(f"unknown observable {name!r}")
+        observables = ("inversion", "log_negativity", "singlet_overlap") + (
+            ("mode_excitation",) if len(model.dims) > 1 else ())
+    reduced = entanglement.reduce_to_dimer(states, model.dims, model.basis)
+    obs = {}
+    for name in observables:
+        if name == "inversion":
+            site = entanglement.basis_change(reduced, "site").rho
+            obs[name] = (site[:, 1, 1] - site[:, 0, 0]).real
+        elif name == "log_negativity":
+            obs[name] = entanglement.log_negativity(reduced)
+        elif name == "singlet_overlap":
+            obs[name] = entanglement.singlet_overlap(reduced)
+        elif name == "mode_excitation":
+            if len(model.dims) < 2:
+                raise DimerNMError("mode_excitation requires a model with mode slots")
+            # occupation of the most excited physical oscillator;
+            # model.mode_weight converts collective-mode quanta
+            numbers = [opalg.embed(np.diag(np.arange(d, dtype=complex)), slot, model.dims)
+                       for slot, d in enumerate(model.dims) if slot]
+            obs[name] = model.mode_weight * np.max([expectation(states, n) for n in numbers], axis=0)
+        else:
+            raise DimerNMError(f"unknown observable {name!r}")
 
     diagnostics = {
         "dt": dt_eff,
         "n_steps": n_steps,
         "method": method,
-        "max_trace_defect": max_trace,
-        "max_hermiticity_defect": max_herm,
-        "min_eigenvalue": None if not validate else min_eig,
+        "max_trace_defect": float(trace.max()),
+        "max_hermiticity_defect": float(herm.max()),
+        "min_eigenvalue": float(low.min()),
     }
     return Trajectory(times=times, states=states, dims=model.dims,
                       basis=model.basis, observables=obs, diagnostics=diagnostics)
@@ -366,17 +362,19 @@ def steady_state(model: LindbladModel) -> QuantumState:
     values of L with 0 replaced by c. An exactly singular bordered
     matrix means a degenerate kernel and raises
     NonUniqueSteadyStateError too; a solve that misses opalg's residual
-    bound raises SingularSystemError.
+    bound, or a generator with a non-finite entry, raises
+    SingularSystemError.
     """
+    parts = [model.h_eff, [rate for _, rate in model.jumps]] + [op for op, _ in model.jumps]
+    if not all(np.isfinite(a).all() for a in parts):
+        raise SingularSystemError("the generator has non-finite entries")
     if model.dim < SPARSE_STEADY_MIN_DIM:
         x = _steady_vec_dense(model)
     else:
         x = _steady_vec_sparse(model)
     rho = opalg.hermitize(opalg.unvec(x))
     rho /= np.trace(rho).real
-    state = QuantumState(rho=rho, dims=model.dims)
-    state.validate(trace_tol=1e-12, herm_tol=1e-12, eig_floor=-1e-8)
-    return state
+    return QuantumState(rho=rho, dims=model.dims).validate(trace_tol=1e-12, herm_tol=1e-12)
 
 
 def _non_unique(sigma):

@@ -5,6 +5,9 @@ space carried either in the site basis [|01>, |10>] or the delocalized
 basis [|u>, |d>] with u/d = (|01> +/- |10>)/sqrt(2). Quantities that are
 basis-sensitive (the inter-site coherence entering the negativity) are
 always evaluated after rotating to the site basis.
+
+The reduction, the basis change and the three observables also take a
+stack of states (rho of shape (..., 2, 2)) and act on each.
 """
 
 import math
@@ -19,20 +22,21 @@ from .model import DELOCALIZE, DELOCALIZED_BASIS, SITE_BASIS
 
 @dataclass(frozen=True)
 class DimerState:
-    """2x2 sector density matrix plus the basis tag it is expressed in."""
+    """2x2 sector density matrix (or a stack of them) plus its basis tag."""
 
     rho: np.ndarray
     basis: str
 
     def __post_init__(self):
-        if self.rho.shape != (2, 2):
+        if self.rho.shape[-2:] != (2, 2):
             raise DimensionError(f"dimer state must be 2x2, got {self.rho.shape}")
         if self.basis not in (SITE_BASIS, DELOCALIZED_BASIS):
             raise DimerNMError(f"unknown basis tag {self.basis!r}")
 
 
 def reduce_to_dimer(rho, dims, basis: str) -> DimerState:
-    """Trace out every mode slot, keeping the sector (slot 0)."""
+    """Trace out every mode slot of a state or of a stack (..., d, d) of
+    them, keeping the sector (slot 0)."""
     dims = tuple(int(d) for d in dims)
     if not dims or dims[0] != 2:
         raise DimensionError(f"slot 0 must be the 2-dimensional sector, got dims {dims}")
@@ -57,19 +61,19 @@ def _site_rho(state: DimerState) -> np.ndarray:
     return basis_change(state, SITE_BASIS).rho
 
 
-def site_coherence(state: DimerState) -> complex:
+def site_coherence(state: DimerState):
     """Inter-site coherence <01|rho|10>, the quantity negativity feeds on."""
-    return complex(_site_rho(state)[0, 1])
+    return _site_rho(state)[..., 0, 1]
 
 
-def log_negativity(state: DimerState) -> float:
+def log_negativity(state: DimerState):
     """Logarithmic negativity of the dimer.
 
     On the one-excitation sector the partial transpose has a single
     negative eigenvalue controlled by the inter-site coherence c, giving
     the closed form log2(1 + 2|c|).
     """
-    return math.log2(1.0 + 2.0 * abs(site_coherence(state)))
+    return np.log2(1.0 + 2.0 * np.abs(site_coherence(state)))
 
 
 def embed_two_qubit(state: DimerState) -> np.ndarray:
@@ -96,10 +100,10 @@ def log_negativity_via_partial_transpose(state: DimerState) -> float:
     return math.log2(opalg.trace_norm(pt))
 
 
-def singlet_overlap(state: DimerState) -> float:
+def singlet_overlap(state: DimerState):
     """Population of the antisymmetric eigenstate |d> = (|01> - |10>)/sqrt(2)."""
     dstate = basis_change(state, DELOCALIZED_BASIS)
-    val = dstate.rho[1, 1]
-    if abs(val.imag) > 1e-10:
-        raise DimerNMError(f"overlap has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    val = dstate.rho[..., 1, 1]
+    if np.any(np.abs(val.imag) > 1e-10):
+        raise DimerNMError(f"overlap has imaginary part {np.abs(val.imag).max():.3e}")
+    return val.real

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import entanglement, opalg
 from ._version import __version__
-from .dynamics import integrate, steady_state
+from .dynamics import BASE_DT, integrate, steady_state, suggest_dt
 from .errors import ConfigError, DimerNMError
 from .model import (
     DELOCALIZE,
@@ -34,7 +34,6 @@ from .model import (
 from .nonmarkov import nm_for_model
 
 EXPERIMENTS = ("evolve", "steady", "nmm", "sweep", "eq8check", "convergence")
-_BASE_DT = 1e-3
 
 
 @dataclass
@@ -59,7 +58,7 @@ class RunConfig:
     n_points: int = 15
     log_spaced: bool = True
     t_end: float = 50.0
-    dt: float = 0.0  # 0 = automatic step policy
+    dt: float = 0.0  # base step; 0 = dynamics.BASE_DT
     store_every: int = 10  # steps at the base step size
     eps: float = 0.01
     horizon: float = 0.0  # 0 = 20 / gamma_eff
@@ -239,18 +238,28 @@ _OBS_KEY = {"inversion": "inversion", "logneg": "log_negativity"}
 
 
 def _trace_grid(cfg: RunConfig):
-    base_dt = cfg.dt if cfg.dt > 0 else _BASE_DT
+    base_dt = cfg.dt if cfg.dt > 0 else BASE_DT
     store_dt = cfg.store_every * base_dt
     n_blocks = max(1, math.ceil(cfg.t_end / store_dt - 1e-9))
     return base_dt, store_dt, n_blocks * store_dt
+
+
+def _integrate_on_grid(m, base_dt, store_dt, t_end, observables):
+    """Integrate from the initial state, storing every store_dt.
+
+    The run steps at suggest_dt of m from base_dt, rounded to a whole
+    number of steps per storage interval, so stiff runs step finer.
+    """
+    sub = max(1, round(store_dt / suggest_dt(m, base_dt)))
+    return integrate(m, initial_state(m), t_end, dt=store_dt / sub, store_every=sub,
+                     observables=observables)
 
 
 def run_trace(cfg: RunConfig, observable: str):
     """Time traces of one sector observable, one column per f.
 
     The stored time grid is shared across f: store_every counts steps at
-    the base step size, and overdamped f > 1 runs take proportionally
-    finer steps within the same storage interval.
+    the base step size (see _integrate_on_grid).
     """
     if observable not in _OBS_KEY:
         raise ConfigError(f"unknown trace observable {observable!r}")
@@ -259,13 +268,7 @@ def run_trace(cfg: RunConfig, observable: str):
     base_dt, store_dt, t_end = _trace_grid(cfg)
 
     def work(f):
-        m = model_for(cfg, f)
-        dt_f = base_dt if f <= 1 else base_dt / f
-        sub = max(1, round(store_dt / dt_f))
-        traj = integrate(
-            m, initial_state(m), t_end, dt=store_dt / sub, store_every=sub,
-            observables=(obs,), method="auto",
-        )
+        traj = _integrate_on_grid(model_for(cfg, f), base_dt, store_dt, t_end, (obs,))
         return traj.times, traj.observables[obs]
 
     results = [work(f) for f in fs]
@@ -275,10 +278,7 @@ def run_trace(cfg: RunConfig, observable: str):
             raise DimerNMError("trace runs disagree on the stored time grid")
 
     header = ["t"] + [f"{observable}_f={_f_label(f)}" for f in fs]
-    rows = [
-        [times[i]] + [res[1][i] for res in results]
-        for i in range(times.shape[0])
-    ]
+    rows = np.column_stack([times] + [vals for _, vals in results])
     derived = {
         "experiment": "evolve",
         "observable": observable,
@@ -421,13 +421,8 @@ def run_convergence(cfg: RunConfig):
     base_dt, store_dt, t_end = _trace_grid(cfg)
 
     def measure(n_fock, dt):
-        m = model_for(cfg, f, n_fock=n_fock)
-        dt_f = dt if f <= 1 else dt / f
-        sub = max(1, round(store_dt / dt_f))
-        traj = integrate(
-            m, initial_state(m), t_end, dt=store_dt / sub, store_every=sub,
-            observables=("log_negativity", "mode_excitation"), method="auto",
-        )
+        traj = _integrate_on_grid(model_for(cfg, f, n_fock=n_fock), dt, store_dt, t_end,
+                                  ("log_negativity", "mode_excitation"))
         return (traj.observables["log_negativity"][-1],
                 float(traj.observables["mode_excitation"].max()))
 

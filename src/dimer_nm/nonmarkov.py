@@ -31,6 +31,9 @@ from .model import LindbladModel, environment_state
 
 COND_MAX = 1e10
 TRACE_PRESERVATION_TOL = 1e-6
+# nm_measure warns when the effective horizon falls short of this many
+# relaxation times 1 / gamma_eff
+HORIZON_WARN_FACTOR = 5.0
 _CHUNK = 1024  # grid points per stacked LAPACK call; bounds the working set
 
 # vec index of the sector basis matrix E_ij = |i><j| (column stacking)
@@ -64,8 +67,7 @@ def uniform_grid(horizon: float, eps: float) -> np.ndarray:
     return eps * np.arange(n + 1, dtype=float)
 
 
-def map_tomography(model: LindbladModel, t_grid, dt=None,
-                   env_state=None) -> DynamicalMapFamily:
+def map_tomography(model: LindbladModel, t_grid, dt=None) -> DynamicalMapFamily:
     """Reconstruct Lambda(t, 0) by evolving the four sector basis matrices.
 
     Each basis matrix is tensored with the model's environment state
@@ -84,14 +86,9 @@ def map_tomography(model: LindbladModel, t_grid, dt=None,
     if eps <= 0 or not np.allclose(spac, eps, rtol=1e-9, atol=0.0):
         raise DimerNMError("t_grid must be uniform")
 
-    if env_state is None:
-        env_state = environment_state(model)
+    env_state = environment_state(model)
     denv = env_state.shape[0]
     d = 2 * denv
-    if d != model.dim:
-        raise DimerNMError(
-            f"environment state of dimension {denv} does not match dims {model.dims}"
-        )
 
     # stacked initial conditions: column i + 2j holds vec(E_ij kron env)
     v = np.zeros((d * d, 4), dtype=complex)
@@ -193,8 +190,8 @@ class NMResult:
 
     times/g: the interpolated g series on intermediate-map midpoints up
     to the last invertible time. horizon is that effective limit;
-    horizon_warning flags an effective horizon shorter than the
-    relaxation-time multiple requested via gamma_eff.
+    horizon_warning flags an effective horizon shorter than
+    HORIZON_WARN_FACTOR relaxation times 1 / gamma_eff.
     """
 
     times: np.ndarray
@@ -229,8 +226,7 @@ def _rates(family, lo, hi):
     return g, ok
 
 
-def nm_measure(family: DynamicalMapFamily, gamma_eff=None,
-               warn_factor: float = 5.0) -> NMResult:
+def nm_measure(family: DynamicalMapFamily, gamma_eff=None) -> NMResult:
     """Integrate g over the family's grid into I and D = I / (1 + I).
 
     The grid is taken in chunks of _CHUNK points, each as stacked LAPACK
@@ -256,7 +252,7 @@ def nm_measure(family: DynamicalMapFamily, gamma_eff=None,
     integral = float(np.trapezoid(series, grid))
     d_nm = integral / (1.0 + integral)
     horizon = float(grid[-1] + eps / 2.0)
-    warning = bool(gamma_eff) and horizon < warn_factor / float(gamma_eff or 1.0)
+    warning = bool(gamma_eff) and horizon < HORIZON_WARN_FACTOR / float(gamma_eff or 1.0)
     return NMResult(
         times=grid, g=series, integral=integral, d_nm=d_nm, eps=eps,
         horizon=horizon, requested_horizon=float(ts[-1]),

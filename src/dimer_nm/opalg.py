@@ -34,18 +34,20 @@ def _check_square(a, name="operator", stacked=False):
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
 
 
-def _check_dims(a, dims, name="operator"):
+def _check_dims(a, dims, name="operator", stacked=False):
+    """Require (d, d), or with ``stacked`` (..., d, d), for d = prod(dims)."""
     d = int(np.prod(dims))
-    if a.shape != (d, d):
+    if (a.shape[-2:] if stacked else a.shape) != (d, d):
         raise DimensionError(
             f"{name} shape {a.shape} does not match dims {tuple(dims)} (product {d})"
         )
 
 
-def hermiticity_defect(a) -> float:
-    """Largest entry of ``|A - A^dag|``; zero for exactly Hermitian input."""
+def hermiticity_defect(a):
+    """Largest entry of ``|A - A^dag|`` of a matrix, or of each matrix in
+    a stack (..., n, n); zero for exactly Hermitian input."""
     a = np.asarray(a)
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    return np.abs(a - _dagger(a)).max(axis=(-2, -1), initial=0.0)
 
 
 def _dagger(a):
@@ -64,7 +66,7 @@ def _require_hermitian(a, name):
     """Reject the first matrix of a stack whose defect exceeds the tolerance."""
     if not a.size:
         return
-    defect = np.abs(a - _dagger(a)).max(axis=(-2, -1)).ravel()
+    defect = np.ravel(hermiticity_defect(a))
     scale = np.abs(a).max(axis=(-2, -1)).ravel()
     bad = defect > HERMITICITY_RTOL * np.maximum(scale, 1e-300)
     if bad.any():
@@ -113,25 +115,27 @@ def make_destroy(n_fock: int):
 
 
 def partial_trace(rho, dims, keep):
-    """Trace out every slot not listed in ``keep``.
+    """Trace out every slot not listed in ``keep``, of a state or of each
+    state in a stack (..., d, d).
 
     The result is ordered by the original slot order of the kept
     subsystems regardless of the order given in ``keep``.
     """
     dims = tuple(int(d) for d in dims)
     rho = _as_complex(rho)
-    _check_dims(rho, dims, "state")
+    _check_dims(rho, dims, "state", stacked=True)
     keep = sorted(set(int(k) for k in keep))
     if keep and not (0 <= keep[0] and keep[-1] < len(dims)):
         raise DimensionError(f"keep={keep} outside dims of length {len(dims)}")
     n = len(dims)
-    t = rho.reshape(dims + dims)
+    lead = rho.shape[:-2]
+    t = rho.reshape(lead + dims + dims)
     ndim_left = n
     for slot in sorted((i for i in range(n) if i not in keep), reverse=True):
-        t = np.trace(t, axis1=slot, axis2=slot + ndim_left)
+        t = np.trace(t, axis1=len(lead) + slot, axis2=len(lead) + slot + ndim_left)
         ndim_left -= 1
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return np.ascontiguousarray(t.reshape(d_keep, d_keep))
+    return np.ascontiguousarray(t.reshape(lead + (d_keep, d_keep)))
 
 
 def partial_transpose(rho, dims, slot: int):

@@ -7,17 +7,20 @@ import pytest
 
 from dimer_nm import dynamics, opalg
 from dimer_nm.dynamics import (
+    BASE_DT,
     MAX_SUPEROP_DIM,
+    TRACE_ABORT_TOL,
     QuantumState,
     expectation,
     integrate,
     liouvillian_matrix,
     rhs,
+    rk4_transfer_matrix,
     sparse_generator,
     steady_state,
     suggest_dt,
 )
-from dimer_nm.entanglement import reduce_to_dimer, singlet_overlap
+from dimer_nm.entanglement import log_negativity, reduce_to_dimer, singlet_overlap
 from dimer_nm.errors import (
     DimensionError,
     DimerNMError,
@@ -234,6 +237,46 @@ class TestIntegrate:
             integrate(m, initial_state(m), 0.3, dt=0.01, observables=[])
         assert "dt" in str(exc.value)
 
+    def test_drift_error_names_the_first_drifting_time(self):
+        # just past the RK4 stability limit (fastest rate 8000) the trace
+        # error grows about 2 % per step and first exceeds the tolerance
+        # beyond the first check block, well before anything overflows
+        m = symmetric_model(100.0)
+        n_steps, t_end = 2500, 2500 * 3.5e-4
+        p = rk4_transfer_matrix(liouvillian_matrix(m), t_end / n_steps)
+        v = opalg.vec(initial_state(m))
+        trace_row = opalg.vec(np.eye(m.dim)).conj()
+        first = None
+        for k in range(1, n_steps + 1):
+            v = p @ v
+            if first is None and abs(trace_row @ v - 1.0) > TRACE_ABORT_TOL:
+                first = k
+        assert dynamics._CHECK_BLOCK < first < n_steps
+        with pytest.raises(NumericalDriftError) as exc:
+            integrate(m, initial_state(m), t_end, dt=t_end / n_steps, store_every=1,
+                      observables=[], method="aggregated")
+        assert f"at t={first * t_end / n_steps:.6g} " in str(exc.value)
+
+    def test_stacked_observables_match_per_state(self):
+        m = asymmetric_full_model(3)
+        traj = integrate(m, initial_state(m), 1.0, store_every=100)
+        assert set(traj.observables) == {
+            "inversion", "log_negativity", "singlet_overlap", "mode_excitation"}
+        numbers = [opalg.embed(opalg.make_destroy(3).conj().T @ opalg.make_destroy(3),
+                               slot, m.dims) for slot in (1, 2)]
+        for k, rho in enumerate(traj.states):
+            red = reduce_to_dimer(rho, m.dims, m.basis)
+            assert traj.observables["inversion"][k] == (red.rho[1, 1] - red.rho[0, 0]).real
+            assert traj.observables["log_negativity"][k] == log_negativity(red)
+            assert traj.observables["singlet_overlap"][k] == singlet_overlap(red)
+            assert traj.observables["mode_excitation"][k] == pytest.approx(
+                max(expectation(rho, n) for n in numbers), abs=1e-14)
+
+    def test_unknown_observable_rejected(self):
+        m = symmetric_model(0.1)
+        with pytest.raises(DimerNMError):
+            integrate(m, initial_state(m), 0.1, observables=("purity",))
+
     def test_rejects_bad_inputs(self):
         m = symmetric_model(0.1)
         with pytest.raises(DimensionError):
@@ -258,6 +301,15 @@ class TestSuggestDt:
     def test_overdamped_shrinks(self):
         assert suggest_dt(symmetric_model(100.0)) == pytest.approx(1e-5)
         assert suggest_dt(symmetric_model(2.0)) == pytest.approx(5e-4)
+
+    def test_scales_a_given_base_step(self):
+        assert suggest_dt(symmetric_model(0.1), BASE_DT) == suggest_dt(symmetric_model(0.1))
+        assert suggest_dt(symmetric_model(0.1), 2e-3) == pytest.approx(2e-3)
+        assert suggest_dt(symmetric_model(100.0), 5e-4) == pytest.approx(5e-6)
+        # the rule reads the model's rates, not f: a linewidth of 2000 at
+        # f = 1 gives mode damping 4000, a hundred times the reference
+        stiff = build_symmetric_model(ModelParams.symmetric(g=10.0, kappa=2000.0))
+        assert suggest_dt(stiff) == pytest.approx(1e-5)
 
 
 class TestSteadyState:
@@ -342,11 +394,14 @@ class TestSparseSteadyState:
     @pytest.mark.parametrize("min_dim", [FORCE_DENSE, FORCE_SPARSE], ids=["dense", "sparse"])
     def test_non_finite_generator_raises_typed_error(self, monkeypatch, min_dim):
         m = asymmetric_full_model(3)
-        bad = LindbladModel(h_eff=np.full_like(m.h_eff, np.nan), jumps=m.jumps,
-                            dims=m.dims, basis=m.basis)
         monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", min_dim)
-        with pytest.raises(DimerNMError):
-            steady_state(bad)
+        nan_h = LindbladModel(h_eff=np.full_like(m.h_eff, np.nan), jumps=m.jumps,
+                              dims=m.dims, basis=m.basis)
+        inf_rate = LindbladModel(h_eff=m.h_eff, jumps=m.jumps[:-1] + ((m.jumps[-1][0], np.inf),),
+                                 dims=m.dims, basis=m.basis)
+        for bad in (nan_h, inf_rate):
+            with pytest.raises(SingularSystemError):
+                steady_state(bad)
 
     def test_unconverged_uniqueness_test_raises_typed_error(self, monkeypatch):
         from scipy.sparse import linalg as sla
@@ -378,6 +433,17 @@ class TestExpectation:
         with pytest.raises(DimerNMError):
             expectation(rho, skew + np.eye(3))
 
+    def test_stack_matches_per_state(self):
+        rng = np.random.default_rng(36)
+        stack = np.stack([random_density(rng, 4) for _ in range(5)])
+        op = random_hermitian(rng, 4)
+        out = expectation(stack, op)
+        assert out.shape == (5,)
+        for k in range(5):
+            assert out[k] == pytest.approx(expectation(stack[k], op), abs=1e-14)
+        with pytest.raises(DimerNMError):
+            expectation(stack, op + 1j * opalg.make_destroy(4))
+
 
 class TestQuantumState:
     def test_validates_invariants(self):
@@ -391,6 +457,13 @@ class TestQuantumState:
         bad_pos = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(DimerNMError):
             QuantumState(bad_pos, (2,)).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, value):
+        rho = np.eye(2, dtype=complex) / 2.0
+        rho[0, 1] = value
+        with pytest.raises(NumericalDriftError):
+            QuantumState(rho, (2,)).validate()
 
     def test_rejects_dims_mismatch(self):
         with pytest.raises(DimensionError):

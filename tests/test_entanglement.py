@@ -196,3 +196,58 @@ class TestDimerStateValidation:
         rho = np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, 0.5]], dtype=complex)
         c = site_coherence(DimerState(rho, "site"))
         assert c == pytest.approx(0.2 - 0.1j)
+
+
+class TestStacks:
+    """Every observable of a stack (..., 2, 2) equals it state by state."""
+
+    @staticmethod
+    def stack(seed, basis):
+        rng = np.random.default_rng(seed)
+        rho = np.stack([random_sector_state(rng) for _ in range(12)]).reshape(3, 4, 2, 2)
+        return DimerState(rho, basis)
+
+    @pytest.mark.parametrize("basis", ["site", "delocalized"])
+    def test_log_negativity_matches_pipeline_per_state(self, basis):
+        state = self.stack(60, basis)
+        out = log_negativity(state)
+        assert out.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            single = DimerState(state.rho[idx], basis)
+            assert out[idx] == log_negativity(single)
+            assert abs(out[idx] - log_negativity_via_partial_transpose(single)) <= 1e-10
+
+    @pytest.mark.parametrize("basis", ["site", "delocalized"])
+    def test_overlap_coherence_and_basis_change_per_state(self, basis):
+        state = self.stack(61, basis)
+        overlap = singlet_overlap(state)
+        coherence = site_coherence(state)
+        rotated = basis_change(state, "site" if basis == "delocalized" else "delocalized")
+        for idx in np.ndindex(3, 4):
+            single = DimerState(state.rho[idx], basis)
+            assert overlap[idx] == singlet_overlap(single)
+            assert coherence[idx] == site_coherence(single)
+            assert np.array_equal(rotated.rho[idx], basis_change(single, rotated.basis).rho)
+
+    def test_reduce_to_dimer_per_state(self):
+        rng = np.random.default_rng(62)
+        full = np.stack([
+            opalg.kron(random_sector_state(rng), np.diag(rng.random(3)).astype(complex))
+            for _ in range(5)
+        ])
+        out = reduce_to_dimer(full, (2, 3), "site")
+        assert out.rho.shape == (5, 2, 2)
+        for k in range(5):
+            assert np.array_equal(out.rho[k], reduce_to_dimer(full[k], (2, 3), "site").rho)
+
+    def test_imaginary_overlap_in_a_stack_rejected(self):
+        rho = np.stack([SINGLET_SITE, SINGLET_SITE])
+        rho[1] = rho[1] + 1e-6j * np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DimerNMError):
+            singlet_overlap(DimerState(rho, "site"))
+
+    def test_stack_of_wrong_shape_rejected(self):
+        with pytest.raises(DimensionError):
+            DimerState(np.zeros((4, 3, 3), dtype=complex), "site")
+        with pytest.raises(DimensionError):
+            DimerState(np.zeros(4, dtype=complex), "site")

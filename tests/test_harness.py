@@ -252,6 +252,24 @@ class TestConvergence:
         assert dt_delta < 1e-6
 
 
+class TestStiffTraces:
+    def test_stiff_linewidth_takes_finer_steps(self):
+        # kappa = 2000 at f = 1 damps the modes at rate 4000, a hundred
+        # times the reference rate: at the base step RK4 is unstable, so
+        # the run has to take dynamics.suggest_dt's finer steps
+        cfg = parse_config("experiment=evolve\nkappa1=2000\nkappa2=2000\n"
+                           "g1=10\ng2=10\nf_list=1\nt_end=1\n")
+        outputs = run_experiment(cfg)
+        assert sorted(outputs) == ["evolve_inversion.csv", "evolve_logneg.csv"]
+        for name, (csv_text, _) in outputs.items():
+            _, rows = csv_rows(csv_text)
+            assert len(rows) == 101
+            values = np.array([float(r[1]) for r in rows])
+            assert np.all(np.isfinite(values))
+            lo = -1.0 if "inversion" in name else 0.0
+            assert np.all((lo <= values) & (values <= 1.0))
+
+
 class TestExperimentOutputs:
     def test_evolve_writes_both_observables(self, tmp_path):
         cfg = RunConfig(experiment="evolve", f_list="0.1", t_end=0.2,

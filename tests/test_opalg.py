@@ -146,6 +146,16 @@ class TestPartialTrace:
     def test_rejects_bad_dims(self):
         with pytest.raises(DimensionError):
             opalg.partial_trace(np.eye(5), (2, 3), {0})
+        with pytest.raises(DimensionError):
+            opalg.partial_trace(np.zeros((4, 5, 5)), (2, 3), {0})
+
+    @pytest.mark.parametrize("keep", [{0}, {1}, {0, 2}, {1, 2}, set()])
+    def test_stack_matches_per_state(self, keep):
+        rng = np.random.default_rng(19)
+        stack = np.stack([random_density(rng, 12) for _ in range(6)]).reshape(2, 3, 12, 12)
+        out = opalg.partial_trace(stack, (2, 3, 2), keep)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], opalg.partial_trace(stack[idx], (2, 3, 2), keep))
 
 
 class TestPartialTranspose:
@@ -332,6 +342,17 @@ class TestHermitize:
         fixed = opalg.hermitize(bad)
         assert opalg.hermiticity_defect(fixed) < 1e-16
         assert opalg.hermiticity_defect(bad) > 1e-4
+
+    def test_defect_of_a_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(58)
+        stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        stack[2] = opalg.hermitize(stack[2])
+        out = opalg.hermiticity_defect(stack)
+        assert out.shape == (5,)
+        assert out[2] == 0.0
+        for k in range(5):
+            assert out[k] == opalg.hermiticity_defect(stack[k])
+        assert opalg.hermiticity_defect(np.zeros((0, 0))) == 0.0
 
     def test_condition_number(self):
         a = np.diag([1.0, 1e-3])
