@@ -20,9 +20,15 @@ Two interchangeable fixed-step RK4 engines:
 Both produce identical trajectories to rounding; tests pin the
 equivalence at 1e-10.
 
-Each numerical decision of a trajectory is made here once: the step size
-(:func:`suggest_dt`), the state validity rule (:func:`_defects`) and the
-observables, which :func:`integrate` takes over the stored stack at once.
+Every trajectory, an :func:`integrate` run or the map tomography of
+:mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
+about it is made once: the step size (:func:`suggest_dt`), the number of
+steps over an interval (:func:`steps_over`, the fewest whole steps with
+none longer than the step size), the engine and its stride loop
+(:func:`propagate`), the trace-drift abort (:func:`check_drift`), the
+state validity rule (:func:`_defects`, with the eigenvalue floor
+EIG_FLOOR) and the observables, which :func:`integrate` takes over the
+stored stack at once.
 
 scipy is imported lazily, only by the direct engine and by the sparse
 steady-state solve, so ``import dimer_nm`` and small dense runs do not
@@ -47,6 +53,7 @@ from .model import LindbladModel
 MAX_SUPEROP_DIM = 64
 BASE_DT = 1e-3  # base RK4 step in dimer units, before stiff rates shrink it
 TRACE_ABORT_TOL = 1e-6
+EIG_FLOOR = -1e-8  # lowest eigenvalue a valid state may have
 _CHECK_BLOCK = 512  # stored states per validity check; bounds its temporaries
 DEGENERACY_TOL = 1e-10
 # steady_state solves Hilbert dimensions below this densely (full SVD,
@@ -72,7 +79,7 @@ class QuantumState:
                 f"state shape {self.rho.shape} does not match dims {self.dims}"
             )
 
-    def validate(self, trace_tol=1e-9, herm_tol=1e-10, eig_floor=-1e-8):
+    def validate(self, trace_tol=1e-9, herm_tol=1e-10, eig_floor=EIG_FLOOR):
         trace, herm, low = (float(x) for x in _defects(self.rho))
         if trace > trace_tol:
             raise NumericalDriftError(f"trace deviates from 1 by {trace:.3e}")
@@ -232,6 +239,67 @@ def suggest_dt(model: LindbladModel, base: float = BASE_DT) -> float:
     return base / max(1.0, max_rate / 40.0)
 
 
+def steps_over(interval: float, dt: float) -> int:
+    """Fewest whole steps spanning interval with none longer than dt.
+
+    At least one. An interval within 1e-9 steps of a whole multiple of dt
+    counts as that multiple, so rounding in interval / dt adds no step.
+    """
+    return max(1, math.ceil(interval / dt - 1e-9))
+
+
+def propagate(model: LindbladModel, v, dt: float, marks, keep=None, method: str = "auto"):
+    """Fixed-step RK4 from v, sampled at the step counts in marks.
+
+    v is vec(rho) or a matrix whose columns are vectorized states; marks
+    is a sequence (a list or a range) of step counts increasing from 0.
+    Returns (stack, engine): stack[k] holds v, or keep @ v, after
+    marks[k] steps, and engine is the one used. ``auto`` takes the
+    aggregated engine for d <= MAX_SUPEROP_DIM and at least 100 steps,
+    the direct one otherwise. The transfer matrix (or the CSR generator)
+    is built once; each stride between marks is one power of it (or that
+    many CSR steps).
+    """
+    if method == "auto":
+        method = "aggregated" if (model.dim <= MAX_SUPEROP_DIM and marks[-1] >= 100) else "direct"
+    if method not in ("aggregated", "direct"):
+        raise DimerNMError(f"unknown integration method {method!r}")
+
+    if method == "aggregated":
+        p = rk4_transfer_matrix(liouvillian_matrix(model), dt)
+    else:
+        gen = sparse_generator(model.h_eff, model.jumps)
+
+    v = np.asarray(v, dtype=complex)
+    first = v if keep is None else keep @ v
+    stack = np.empty((len(marks),) + first.shape, dtype=complex)
+    stack[0] = first
+    # one operator per run of equal strides keeps the loop to a product
+    # and a store per mark
+    strides = np.diff(marks)
+    starts = np.flatnonzero(np.diff(strides, prepend=0))
+    for lo, hi in zip(starts, [*starts[1:], strides.size]):
+        stride = int(strides[lo])
+        g = np.linalg.matrix_power(p, stride) if method == "aggregated" else None
+        for k in range(lo + 1, hi + 1):
+            v = g @ v if g is not None else rk4_steps(gen, v, dt, stride)
+            stack[k] = v if keep is None else keep @ v
+    return stack, method
+
+
+def check_drift(defect, times, dt: float):
+    """Raise NumericalDriftError at the first time where the trace defect
+    exceeds TRACE_ABORT_TOL or is not finite."""
+    defect = np.asarray(defect)
+    drifted = np.flatnonzero(~(defect <= TRACE_ABORT_TOL))
+    if drifted.size:
+        k = drifted[0]
+        raise NumericalDriftError(
+            f"trace drifted by {defect[k]:.3e} at t={times[k]:.6g} "
+            f"(dt={dt:.3e}); reduce the step size"
+        )
+
+
 def expectation(state, op):
     """Real expectation value tr(op rho) of a state or of each state in a
     stack (..., d, d); rejects residual imaginary parts."""
@@ -246,11 +314,14 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
               store_every: int = 10, observables=None, method: str = "auto") -> Trajectory:
     """Fixed-step RK4 evolution from rho0 over [0, t_end].
 
-    dt defaults to :func:`suggest_dt`. States are stored every
-    ``store_every`` steps (plus the final step) and checked by
-    :func:`_defects`, _CHECK_BLOCK at a time. A trace drift beyond 1e-6,
-    or a non-finite state, raises NumericalDriftError naming the first
-    such time and the step size to shrink.
+    dt defaults to :func:`suggest_dt`; the run takes
+    :func:`steps_over` (t_end, dt) equal steps through :func:`propagate`.
+    States are stored every ``store_every`` steps (plus the final step)
+    and checked by :func:`_defects`, _CHECK_BLOCK at a time. A trace
+    drift beyond TRACE_ABORT_TOL or a non-finite state
+    (:func:`check_drift`), and failing that a lowest eigenvalue below
+    EIG_FLOOR, raises NumericalDriftError naming the first such time and
+    the step size to shrink.
 
     observables: names from {inversion, log_negativity, singlet_overlap,
     mode_excitation}, each taken over the whole stored stack; default is
@@ -264,7 +335,7 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         raise DimerNMError(f"t_end must be positive, got {t_end}")
     if dt is None or dt <= 0:
         dt = suggest_dt(model)
-    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
+    n_steps = steps_over(t_end, dt)
     dt_eff = t_end / n_steps
     store_every = max(1, int(store_every))
 
@@ -272,40 +343,20 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     if marks[-1] != n_steps:
         marks.append(n_steps)
 
-    if method == "auto":
-        method = "aggregated" if (d <= MAX_SUPEROP_DIM and n_steps >= 100) else "direct"
-    if method not in ("aggregated", "direct"):
-        raise DimerNMError(f"unknown integration method {method!r}")
-
-    if method == "aggregated":
-        p = rk4_transfer_matrix(liouvillian_matrix(model), dt_eff)
-        g = np.linalg.matrix_power(p, store_every)
-
-        def advance(v, stride):
-            return (g if stride == store_every else np.linalg.matrix_power(p, stride)) @ v
-    else:
-        gen = sparse_generator(model.h_eff, model.jumps)
-
-        def advance(v, stride):
-            return rk4_steps(gen, v, dt_eff, stride)
-
-    states = [rho0.copy()]
-    v = opalg.vec(rho0)
-    for prev, mark in zip(marks, marks[1:]):
-        v = advance(v, mark - prev)
-        states.append(opalg.unvec(v))
-
+    vecs, method = propagate(model, opalg.vec(rho0), dt_eff, marks, method=method)
+    # vec is column stacking, so each row of vecs is a transposed state
+    states = np.ascontiguousarray(vecs.reshape(-1, d, d).transpose(0, 2, 1))
     times = dt_eff * np.asarray(marks, dtype=float)
-    states = np.stack(states)
 
     trace, herm, low = np.concatenate([
         _defects(states[lo:lo + _CHECK_BLOCK])
         for lo in range(0, states.shape[0], _CHECK_BLOCK)], axis=1)
-    drifted = np.flatnonzero(trace > TRACE_ABORT_TOL)
-    if drifted.size:
-        k = drifted[0]
+    check_drift(trace, times, dt_eff)
+    negative = np.flatnonzero(low < EIG_FLOOR)
+    if negative.size:
+        k = negative[0]
         raise NumericalDriftError(
-            f"trace drifted by {trace[k]:.3e} at t={times[k]:.6g} "
+            f"lowest eigenvalue {low[k]:.3e} at t={times[k]:.6g} "
             f"(dt={dt_eff:.3e}); reduce the step size"
         )
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import entanglement, opalg
 from ._version import __version__
-from .dynamics import BASE_DT, integrate, steady_state, suggest_dt
+from .dynamics import BASE_DT, integrate, steady_state, steps_over, suggest_dt
 from .errors import ConfigError, DimerNMError
 from .model import (
     DELOCALIZE,
@@ -237,39 +237,44 @@ def _f_label(f: float) -> str:
 _OBS_KEY = {"inversion": "inversion", "logneg": "log_negativity"}
 
 
+def _base_dt(cfg: RunConfig) -> float:
+    return cfg.dt if cfg.dt > 0 else BASE_DT
+
+
 def _trace_grid(cfg: RunConfig):
-    base_dt = cfg.dt if cfg.dt > 0 else BASE_DT
+    base_dt = _base_dt(cfg)
     store_dt = cfg.store_every * base_dt
-    n_blocks = max(1, math.ceil(cfg.t_end / store_dt - 1e-9))
-    return base_dt, store_dt, n_blocks * store_dt
+    return base_dt, store_dt, steps_over(cfg.t_end, store_dt) * store_dt
 
 
 def _integrate_on_grid(m, base_dt, store_dt, t_end, observables):
     """Integrate from the initial state, storing every store_dt.
 
-    The run steps at suggest_dt of m from base_dt, rounded to a whole
-    number of steps per storage interval, so stiff runs step finer.
+    Each storage interval takes the fewest whole steps with none longer
+    than suggest_dt of m from base_dt, so stiff runs step finer.
     """
-    sub = max(1, round(store_dt / suggest_dt(m, base_dt)))
+    sub = steps_over(store_dt, suggest_dt(m, base_dt))
     return integrate(m, initial_state(m), t_end, dt=store_dt / sub, store_every=sub,
                      observables=observables)
 
 
-def run_trace(cfg: RunConfig, observable: str):
-    """Time traces of one sector observable, one column per f.
+def _traces(cfg: RunConfig, observables):
+    """{observable: (csv, meta)}: time traces of the sector observables,
+    one column per f, all from one integration per f.
 
     The stored time grid is shared across f: store_every counts steps at
     the base step size (see _integrate_on_grid).
     """
-    if observable not in _OBS_KEY:
-        raise ConfigError(f"unknown trace observable {observable!r}")
-    obs = _OBS_KEY[observable]
+    for observable in observables:
+        if observable not in _OBS_KEY:
+            raise ConfigError(f"unknown trace observable {observable!r}")
+    keys = tuple(_OBS_KEY[o] for o in observables)
     fs = resolve_f_values(cfg)
     base_dt, store_dt, t_end = _trace_grid(cfg)
 
     def work(f):
-        traj = _integrate_on_grid(model_for(cfg, f), base_dt, store_dt, t_end, (obs,))
-        return traj.times, traj.observables[obs]
+        traj = _integrate_on_grid(model_for(cfg, f), base_dt, store_dt, t_end, keys)
+        return traj.times, traj.observables
 
     results = [work(f) for f in fs]
     times = results[0][0]
@@ -277,17 +282,25 @@ def run_trace(cfg: RunConfig, observable: str):
         if not np.allclose(t_other, times, rtol=0, atol=1e-12):
             raise DimerNMError("trace runs disagree on the stored time grid")
 
-    header = ["t"] + [f"{observable}_f={_f_label(f)}" for f in fs]
-    rows = np.column_stack([times] + [vals for _, vals in results])
-    derived = {
-        "experiment": "evolve",
-        "observable": observable,
-        "f_values": ",".join(_f_label(f) for f in fs),
-        "gamma_eff": gamma_eff_of(cfg),
-        "store_dt": store_dt,
-        "t_end_effective": t_end,
-    }
-    return render_csv(header, rows), render_meta(cfg, derived)
+    outputs = {}
+    for observable, key in zip(observables, keys):
+        header = ["t"] + [f"{observable}_f={_f_label(f)}" for f in fs]
+        rows = np.column_stack([times] + [obs[key] for _, obs in results])
+        derived = {
+            "experiment": "evolve",
+            "observable": observable,
+            "f_values": ",".join(_f_label(f) for f in fs),
+            "gamma_eff": gamma_eff_of(cfg),
+            "store_dt": store_dt,
+            "t_end_effective": t_end,
+        }
+        outputs[observable] = render_csv(header, rows), render_meta(cfg, derived)
+    return outputs
+
+
+def run_trace(cfg: RunConfig, observable: str):
+    """Time traces of one sector observable, one column per f."""
+    return _traces(cfg, (observable,))[observable]
 
 
 def _markov_baseline_logneg(cfg: RunConfig) -> float:
@@ -330,7 +343,8 @@ def run_steady_sweep(cfg: RunConfig):
 def _nmm_row(cfg: RunConfig, f: float, horizon: float, gamma: float):
     try:
         m = model_for(cfg, f)
-        res = nm_for_model(m, eps=cfg.eps, horizon=horizon, gamma_eff=gamma)
+        res = nm_for_model(m, eps=cfg.eps, horizon=horizon,
+                           dt=suggest_dt(m, _base_dt(cfg)), gamma_eff=gamma)
     except DimerNMError as exc:
         nan = float("nan")
         return [nan, nan, cfg.eps, horizon, nan], f"f={_f_label(f)}: {exc}"
@@ -447,14 +461,8 @@ def run_experiment(cfg: RunConfig) -> dict:
     if base.endswith(".csv"):
         base = base[:-4]
     if cfg.experiment == "evolve":
-        outputs = {}
-        if cfg.observable in ("inversion", "both"):
-            outputs[f"{base}_inversion.csv"] = run_trace(cfg, "inversion")
-        if cfg.observable in ("logneg", "both"):
-            outputs[f"{base}_logneg.csv"] = run_trace(cfg, "logneg")
-        if not outputs:
-            raise ConfigError(f"unknown observable {cfg.observable!r}")
-        return outputs
+        wanted = tuple(_OBS_KEY) if cfg.observable == "both" else (cfg.observable,)
+        return {f"{base}_{o}.csv": out for o, out in _traces(cfg, wanted).items()}
     runner = {
         "steady": run_steady_sweep,
         "nmm": run_nmm_sweep,

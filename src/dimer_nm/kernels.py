@@ -1,10 +1,10 @@
 """Density-matrix entry point of the direct RK4 stepper.
 
-``integrate``'s direct engine builds the generator once as a scipy CSR
-matrix and steps vec(rho) with :func:`dynamics.rk4_steps`. This adapter
-runs the same stepper from h_eff and the jumps for callers that hold a
-density matrix; it builds the generator on every call. There is one
-backend, ``"sparse"``.
+The direct engine of :func:`dynamics.propagate` builds the generator
+once as a scipy CSR matrix and steps vec(rho) with
+:func:`dynamics.rk4_steps`. This adapter runs the same stepper from
+h_eff and the jumps for callers that hold a density matrix; it builds
+the generator on every call. There is one backend, ``"sparse"``.
 """
 
 from . import dynamics, opalg

@@ -17,20 +17,23 @@ Map inversion degrades as Lambda becomes singular (strong damping kills
 coherences); times where the condition number exceeds COND_MAX are
 skipped and recorded, g is interpolated across interior gaps, and the
 integral is truncated at the last invertible time.
+
+The tomography is a trajectory like any other: it is stepped, and its
+step count and trace-drift abort are decided, by :mod:`dimer_nm.dynamics`
+(:func:`dynamics.propagate`, :func:`dynamics.steps_over`,
+:func:`dynamics.check_drift`), on either engine and at any dimension.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import opalg
-from .dynamics import liouvillian_matrix, rk4_transfer_matrix, suggest_dt
-from .errors import DimerNMError, NumericalDriftError, SingularMapError
+from .dynamics import check_drift, propagate, steps_over, suggest_dt
+from .errors import DimerNMError, SingularMapError
 from .model import LindbladModel, environment_state
 
 COND_MAX = 1e10
-TRACE_PRESERVATION_TOL = 1e-6
 # nm_measure warns when the effective horizon falls short of this many
 # relaxation times 1 / gamma_eff
 HORIZON_WARN_FACTOR = 5.0
@@ -63,7 +66,7 @@ def uniform_grid(horizon: float, eps: float) -> np.ndarray:
     """Grid [0, eps, ..., n eps] covering the horizon."""
     if eps <= 0 or horizon <= 0:
         raise DimerNMError("horizon and eps must be positive")
-    n = max(2, math.ceil(horizon / eps - 1e-9))
+    n = max(2, steps_over(horizon, eps))
     return eps * np.arange(n + 1, dtype=float)
 
 
@@ -73,8 +76,12 @@ def map_tomography(model: LindbladModel, t_grid, dt=None) -> DynamicalMapFamily:
     Each basis matrix is tensored with the model's environment state
     (vacuum, or the thermal diagonal for n_th > 0) and the four
     vectorized initial conditions are propagated together as the columns
-    of one matrix, so the whole tomography is a single batched
-    propagation. Aborts if any map fails trace preservation beyond 1e-6.
+    of one matrix through :func:`dynamics.propagate`, so the whole
+    tomography is a single batched propagation on either engine, with no
+    dimension cap. Each eps takes :func:`dynamics.steps_over` steps of at
+    most dt (default :func:`dynamics.suggest_dt`). Aborts through
+    :func:`dynamics.check_drift` at the first map that fails trace
+    preservation.
     """
     if model.dims[0] != 2:
         raise DimerNMError("tomography expects the 2-dimensional sector at slot 0")
@@ -107,26 +114,11 @@ def map_tomography(model: LindbladModel, t_grid, dt=None) -> DynamicalMapFamily:
 
     if dt is None or dt <= 0:
         dt = suggest_dt(model)
-    steps_per = max(1, math.ceil(eps / dt - 1e-9))
+    steps_per = steps_over(eps, dt)
     sub_dt = eps / steps_per
-    prop = np.linalg.matrix_power(
-        rk4_transfer_matrix(liouvillian_matrix(model), sub_dt), steps_per
-    )
-
-    n_times = t_grid.shape[0]
-    maps = np.empty((n_times, 4, 4), dtype=complex)
-    maps[0] = red @ v
-    for n in range(1, n_times):
-        v = prop @ v
-        maps[n] = red @ v
-
-    worst = float(np.abs(_TRACE_VEC @ maps - _TRACE_VEC).max())
-    # a diverged propagation can overflow to nan, which compares False
-    if not math.isfinite(worst) or worst > TRACE_PRESERVATION_TOL:
-        raise NumericalDriftError(
-            f"tomography violates trace preservation by {worst:.3e}; "
-            f"reduce dt (currently {sub_dt:.3e})"
-        )
+    marks = range(0, steps_per * t_grid.shape[0], steps_per)
+    maps, _ = propagate(model, v, sub_dt, marks, keep=red)
+    check_drift(np.abs(_TRACE_VEC @ maps - _TRACE_VEC).max(axis=-1), t_grid, sub_dt)
     return DynamicalMapFamily(times=t_grid, maps=maps, eps=eps, basis=model.basis)
 
 

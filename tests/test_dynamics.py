@@ -8,16 +8,20 @@ import pytest
 from dimer_nm import dynamics, opalg
 from dimer_nm.dynamics import (
     BASE_DT,
+    EIG_FLOOR,
     MAX_SUPEROP_DIM,
     TRACE_ABORT_TOL,
     QuantumState,
+    check_drift,
     expectation,
     integrate,
     liouvillian_matrix,
+    propagate,
     rhs,
     rk4_transfer_matrix,
     sparse_generator,
     steady_state,
+    steps_over,
     suggest_dt,
 )
 from dimer_nm.entanglement import log_negativity, reduce_to_dimer, singlet_overlap
@@ -257,6 +261,44 @@ class TestIntegrate:
                       observables=[], method="aggregated")
         assert f"at t={first * t_end / n_steps:.6g} " in str(exc.value)
 
+    def test_negative_eigenvalue_aborts_while_the_trace_holds(self):
+        # at this step the f = 100 model sits on the RK4 stability edge:
+        # the traceless part of the state grows until its lowest
+        # eigenvalue reaches -3e8, while the trace stays within
+        # TRACE_ABORT_TOL, so only the eigenvalue floor catches it
+        m = symmetric_model(100.0)
+        dt, n_steps = 3.5e-4, 1800
+        p = rk4_transfer_matrix(liouvillian_matrix(m), dt)
+        v = opalg.vec(initial_state(m))
+        trace_row = opalg.vec(np.eye(m.dim)).conj()
+        first = None
+        for k in range(1, n_steps + 1):
+            v = p @ v
+            assert abs(trace_row @ v - 1.0) <= TRACE_ABORT_TOL
+            low = np.linalg.eigvalsh(opalg.hermitize(opalg.unvec(v)))[0]
+            if first is None and low < EIG_FLOOR:
+                first = k
+        assert first is not None and low < -1.0
+        with pytest.raises(NumericalDriftError) as exc:
+            integrate(m, initial_state(m), n_steps * dt, dt=dt, store_every=1,
+                      observables=[], method="aggregated")
+        assert str(exc.value).startswith("lowest eigenvalue")
+        assert f"at t={first * dt:.6g} " in str(exc.value)
+
+    def test_validate_and_integrate_share_the_eigenvalue_floor(self):
+        m = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
+        below = np.diag([1.0 - 2 * EIG_FLOOR, 2 * EIG_FLOOR]).astype(complex)
+        above = np.diag([1.0 - EIG_FLOOR / 2, EIG_FLOOR / 2]).astype(complex)
+        with pytest.raises(NumericalDriftError):
+            QuantumState(rho=below, dims=(2,)).validate()
+        with pytest.raises(NumericalDriftError) as exc:
+            integrate(m, below, 1.0, observables=[])
+        assert "at t=0 " in str(exc.value)
+        QuantumState(rho=above, dims=(2,)).validate()
+        # exchange keeps the spectrum and dephasing mixes, so the lowest
+        # eigenvalue never falls below its start
+        assert integrate(m, above, 1.0, observables=[]).diagnostics["min_eigenvalue"] >= EIG_FLOOR
+
     def test_stacked_observables_match_per_state(self):
         m = asymmetric_full_model(3)
         traj = integrate(m, initial_state(m), 1.0, store_every=100)
@@ -291,6 +333,94 @@ class TestIntegrate:
         with pytest.raises(DimerNMError):
             integrate(m, np.eye(2, dtype=complex) / 2, 1.0,
                       observables=("mode_excitation",))
+
+
+class TestStepsOver:
+    def test_whole_multiples_take_no_extra_step(self):
+        # the quotients land just off the integer, on either side:
+        # 2.9999999999999996, 3.0000000000000004, 6.000000000000001,
+        # 999.9999999999999
+        assert steps_over(0.3, 0.1) == 3
+        assert steps_over(3 * 0.1, 0.1) == 3
+        assert steps_over(3 * 0.1, 0.05) == 6
+        assert steps_over(10 * 1e-3, 1e-5) == 1000
+        assert steps_over(1.0, 0.1) == 10
+
+    def test_any_excess_takes_one_more_step(self):
+        assert steps_over(1e-3, 1e-3 / 1.4) == 2
+        assert steps_over(1.0 + 1e-6, 0.1) == 11
+
+    def test_at_least_one_step(self):
+        assert steps_over(1e-12, 1.0) == 1
+        assert steps_over(0.0, 1.0) == 1
+
+    def test_fewest_steps_none_longer_than_dt(self):
+        rng = np.random.default_rng(41)
+        for interval, dt in rng.uniform(1e-4, 1.0, size=(200, 2)):
+            n = steps_over(interval, dt)
+            assert interval / n <= dt * (1 + 1e-8)
+            assert n == 1 or interval / (n - 1) > dt
+
+
+class TestCheckDrift:
+    def test_within_tolerance_passes(self):
+        check_drift(np.array([0.0, TRACE_ABORT_TOL]), np.array([0.0, 1.0]), 0.1)
+
+    def test_names_the_first_time_over_tolerance(self):
+        with pytest.raises(NumericalDriftError) as exc:
+            check_drift(np.array([0.0, 2e-6, 5e-6]), np.array([0.0, 0.5, 1.0]), 0.1)
+        assert "by 2.000e-06 at t=0.5 (dt=1.000e-01)" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_counts_as_drift(self, bad):
+        with pytest.raises(NumericalDriftError) as exc:
+            check_drift(np.array([0.0, bad, 1.0]), np.array([0.0, 0.5, 1.0]), 0.1)
+        assert "at t=0.5 " in str(exc.value)
+
+
+class TestPropagate:
+    def test_marks_count_steps_and_keep_projects(self):
+        m = symmetric_model(0.1)
+        v0 = opalg.vec(initial_state(m))
+        marks = [0, 3, 10, 12]
+        stack, engine = propagate(m, v0, 1e-3, marks, method="aggregated")
+        assert engine == "aggregated"
+        assert stack.shape == (4, m.dim ** 2) and stack.flags.c_contiguous
+        p = rk4_transfer_matrix(liouvillian_matrix(m), 1e-3)
+        for k, mark in enumerate(marks):
+            expect = np.linalg.matrix_power(p, mark) @ v0
+            assert np.max(np.abs(stack[k] - expect)) <= 1e-14
+        keep = np.random.default_rng(43).standard_normal((3, m.dim ** 2))
+        kept, _ = propagate(m, v0, 1e-3, marks, keep=keep, method="aggregated")
+        assert kept.shape == (4, 3)
+        assert np.max(np.abs(kept - stack @ keep.T)) <= 1e-13
+
+    def test_engines_agree_on_columns(self):
+        m = symmetric_model(0.1)
+        rng = np.random.default_rng(44)
+        v0 = rng.standard_normal((m.dim ** 2, 2)) + 1j * rng.standard_normal((m.dim ** 2, 2))
+        marks = range(0, 500, 100)
+        direct, engine = propagate(m, v0, 1e-3, marks, method="direct")
+        assert engine == "direct"
+        aggregated, _ = propagate(m, v0, 1e-3, marks, method="aggregated")
+        assert direct.shape == (5, m.dim ** 2, 2)
+        assert np.max(np.abs(direct - aggregated)) <= 1e-10 * np.max(np.abs(v0))
+        single, _ = propagate(m, v0[:, 1], 1e-3, marks, method="direct")
+        assert np.max(np.abs(direct[..., 1] - single)) <= 1e-13
+
+    def test_auto_engine_rule(self):
+        m = symmetric_model(0.1)
+        v0 = opalg.vec(initial_state(m))
+        assert propagate(m, v0, 1e-3, [0, 50, 99])[1] == "direct"
+        assert propagate(m, v0, 1e-3, [0, 100])[1] == "aggregated"
+        big = asymmetric_full_model(6)
+        assert big.dim > MAX_SUPEROP_DIM
+        assert propagate(big, opalg.vec(initial_state(big)), 1e-3, [0, 100])[1] == "direct"
+
+    def test_rejects_unknown_engine(self):
+        m = symmetric_model(0.1)
+        with pytest.raises(DimerNMError):
+            propagate(m, opalg.vec(initial_state(m)), 1e-3, [0, 1], method="leapfrog")
 
 
 class TestSuggestDt:

@@ -6,12 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from dimer_nm import cli
+from dimer_nm import cli, harness
+from dimer_nm.dynamics import integrate, suggest_dt
 from dimer_nm.errors import ConfigError
 from dimer_nm.harness import (
     RunConfig,
     count_envelope_maxima,
     load_config,
+    model_for,
     parse_config,
     render_csv,
     render_meta,
@@ -25,6 +27,21 @@ from dimer_nm.harness import (
     serialize_config,
     write_outputs,
 )
+from dimer_nm.nonmarkov import nm_for_model
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """(model, trajectory) of every integrate call the harness makes."""
+    calls = []
+
+    def spy(model, *args, **kwargs):
+        traj = integrate(model, *args, **kwargs)
+        calls.append((model, traj))
+        return traj
+
+    monkeypatch.setattr(harness, "integrate", spy)
+    return calls
 
 
 def csv_rows(text: str):
@@ -181,6 +198,26 @@ class TestTraceRuns:
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigError):
             run_trace(RunConfig(), "purity")
+        with pytest.raises(ConfigError):
+            run_experiment(RunConfig(observable="purity"))
+
+    def test_both_observables_integrate_each_f_once(self, integrate_calls):
+        cfg = RunConfig(experiment="evolve", f_list="0.1, 2", t_end=0.3)
+        outputs = run_experiment(cfg)
+        assert len(integrate_calls) == 2
+        assert outputs == {"evolve_inversion.csv": run_trace(cfg, "inversion"),
+                           "evolve_logneg.csv": run_trace(cfg, "logneg")}
+
+    @pytest.mark.parametrize("f", [1.4, 100.0])
+    @pytest.mark.parametrize("store_every", [1, 3])
+    def test_no_step_longer_than_suggest_dt(self, integrate_calls, f, store_every):
+        # at f = 1.4 suggest_dt is 1e-3 / 1.4, so a storage interval of
+        # one or three base steps is not a whole number of steps
+        cfg = RunConfig(experiment="evolve", f_list=str(f), t_end=0.05,
+                        store_every=store_every)
+        run_trace(cfg, "inversion")
+        (model, traj), = integrate_calls
+        assert traj.diagnostics["dt"] <= suggest_dt(model) * (1 + 1e-12)
 
 
 class TestSteadySweep:
@@ -231,6 +268,15 @@ class TestNmmSweep:
         assert row["skipped_times_count"] == 0
         # 5/J is far below the relaxation horizon, so a note is emitted
         assert "horizon" in capsys.readouterr().err
+
+    def test_dt_key_sets_the_tomography_step(self):
+        cfg = RunConfig(experiment="nmm", f_list="0.1", eps=0.05, horizon=2.0, dt=0.025)
+        _, rows = csv_rows(run_nmm_sweep(cfg)[0])
+        m = model_for(cfg, 0.1)
+        coarse = nm_for_model(m, eps=0.05, horizon=2.0, dt=suggest_dt(m, 0.025))
+        fine = nm_for_model(m, eps=0.05, horizon=2.0)
+        assert float(rows[0][2]) == pytest.approx(coarse.integral, rel=1e-11)
+        assert coarse.integral != pytest.approx(fine.integral, rel=1e-9)
 
 
 class TestConvergence:

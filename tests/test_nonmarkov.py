@@ -1,9 +1,11 @@
 """Dynamical-map tomography, intermediate maps, and the memory measure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dimer_nm import opalg
+from dimer_nm import dynamics, opalg
 from dimer_nm.dynamics import integrate
 from dimer_nm.entanglement import reduce_to_dimer
 from dimer_nm.errors import (
@@ -16,6 +18,7 @@ from dimer_nm.harness import RunConfig, run_nmm_sweep
 from dimer_nm.model import (
     ModelParams,
     apply_f,
+    build_full_model,
     build_markovian_dephasing_model,
     build_symmetric_model,
 )
@@ -51,6 +54,12 @@ def dephasing_family(lams, eps: float) -> DynamicalMapFamily:
 
 def symmetric_model(f, **kwargs):
     return build_symmetric_model(apply_f(f, ModelParams.symmetric(**kwargs)))
+
+
+def asymmetric_full_model(n_fock, f=0.1):
+    """Full model with g2 = 2 g1, dims (2, n_fock, n_fock)."""
+    p = ModelParams.symmetric(n_fock=n_fock)
+    return build_full_model(apply_f(f, dataclasses.replace(p, g2=2.0 * p.g1)))
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +145,31 @@ class TestTomography:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborts_on_unstable_step(self):
         model = symmetric_model(100.0)
-        with pytest.raises(NumericalDriftError):
+        with pytest.raises(NumericalDriftError) as exc:
             map_tomography(model, uniform_grid(1.0, 0.1), dt=0.01)
+        assert "(dt=1.000e-02); reduce the step size" in str(exc.value)
+
+
+class TestTomographyEngines:
+    def test_direct_matches_aggregated(self, monkeypatch):
+        model = asymmetric_full_model(3)
+        assert model.dim == 18
+        grid = uniform_grid(2.0, 0.05)
+        aggregated = map_tomography(model, grid)
+        # with the dense cap below d the aggregated engine cannot run
+        # (liouvillian_matrix would raise), so auto takes the direct one
+        monkeypatch.setattr(dynamics, "MAX_SUPEROP_DIM", 4)
+        direct = map_tomography(model, grid)
+        assert np.max(np.abs(direct.maps - aggregated.maps)) <= 1e-10
+
+    def test_beyond_the_dense_cap_is_trace_preserving(self):
+        model = asymmetric_full_model(6)
+        assert model.dim == 72 > dynamics.MAX_SUPEROP_DIM
+        fam = map_tomography(model, uniform_grid(0.1, 0.05))
+        tvec = np.array([1.0, 0.0, 0.0, 1.0])
+        assert np.abs(tvec @ fam.maps - tvec).max() <= 1e-12
+        assert np.allclose(fam.maps[0], np.eye(4), atol=1e-14)
+        assert not np.allclose(fam.maps[-1], np.eye(4), atol=1e-3)
 
 
 class TestIntermediateMap:
