@@ -41,6 +41,7 @@ from .nonmarkov import (
     map_tomography,
     nm_for_model,
     nm_measure,
+    nm_sweep,
 )
 
 __all__ = [
@@ -55,5 +56,5 @@ __all__ = [
     "build_markovian_dephasing_model", "build_symmetric_model",
     "effective_dephasing_rate", "steady_state_dd_closed_form",
     "DynamicalMapFamily", "NMResult", "choi_matrix", "g_of_t",
-    "intermediate_map", "map_tomography", "nm_for_model", "nm_measure",
+    "intermediate_map", "map_tomography", "nm_for_model", "nm_measure", "nm_sweep",
 ]

@@ -12,6 +12,7 @@ flags override both. Exit codes: 0 ok, 2 configuration error,
 """
 
 import argparse
+import logging
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -95,6 +96,12 @@ def config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the package's notes (a failed or short-horizon f of a sweep) go to
+    # stderr as bare lines
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    log = logging.getLogger("dimer_nm")
+    log.addHandler(handler)
     try:
         cfg = config_from_args(args)
         written = write_outputs(run_experiment(cfg))
@@ -104,6 +111,8 @@ def main(argv=None) -> int:
     except DimerNMError as exc:
         print(f"dimer-nm: numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
     for path in written:
         print(path)
     return 0

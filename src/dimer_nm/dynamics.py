@@ -24,8 +24,10 @@ Every trajectory, an :func:`integrate` run or the map tomography of
 :mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
 about it is made once: the step size (:func:`suggest_dt`), the number of
 steps over an interval (:func:`steps_over`, the fewest whole steps with
-none longer than the step size), the engine and its stride loop
-(:func:`propagate`), the trace-drift abort (:func:`check_drift`), the
+none longer than the step size), the engine (:func:`engine_for`) and its
+stride loop (:func:`propagate`, which steps a stack of models together,
+one stacked product per mark, and hands the samples over in blocks of
+_CHUNK marks), the trace-drift abort (:func:`check_drift`), the
 state validity rule (:func:`_defects`, with the eigenvalue floor
 EIG_FLOOR) and the observables, which :func:`integrate` takes over the
 stored stack at once.
@@ -55,6 +57,7 @@ BASE_DT = 1e-3  # base RK4 step in dimer units, before stiff rates shrink it
 TRACE_ABORT_TOL = 1e-6
 EIG_FLOOR = -1e-8  # lowest eigenvalue a valid state may have
 _CHECK_BLOCK = 512  # stored states per validity check; bounds its temporaries
+_CHUNK = 1024  # marks per block propagate hands over; bounds its working set
 DEGENERACY_TOL = 1e-10
 # steady_state solves Hilbert dimensions below this densely (full SVD,
 # LAPACK solve) and from it on with a sparse LU. Measured per solve on 2
@@ -248,43 +251,108 @@ def steps_over(interval: float, dt: float) -> int:
     return max(1, math.ceil(interval / dt - 1e-9))
 
 
-def propagate(model: LindbladModel, v, dt: float, marks, keep=None, method: str = "auto"):
-    """Fixed-step RK4 from v, sampled at the step counts in marks.
+def engine_for(model: LindbladModel, n_steps: int, method: str = "auto") -> str:
+    """The engine :func:`propagate` steps model with over n_steps steps.
 
-    v is vec(rho) or a matrix whose columns are vectorized states; marks
-    is a sequence (a list or a range) of step counts increasing from 0.
-    Returns (stack, engine): stack[k] holds v, or keep @ v, after
-    marks[k] steps, and engine is the one used. ``auto`` takes the
-    aggregated engine for d <= MAX_SUPEROP_DIM and at least 100 steps,
-    the direct one otherwise. The transfer matrix (or the CSR generator)
-    is built once; each stride between marks is one power of it (or that
-    many CSR steps).
+    ``auto`` takes the aggregated engine for d <= MAX_SUPEROP_DIM and at
+    least 100 steps, the direct one otherwise.
     """
     if method == "auto":
-        method = "aggregated" if (model.dim <= MAX_SUPEROP_DIM and marks[-1] >= 100) else "direct"
+        method = "aggregated" if (model.dim <= MAX_SUPEROP_DIM and n_steps >= 100) else "direct"
     if method not in ("aggregated", "direct"):
         raise DimerNMError(f"unknown integration method {method!r}")
+    return method
 
-    if method == "aggregated":
-        p = rk4_transfer_matrix(liouvillian_matrix(model), dt)
-    else:
-        gen = sparse_generator(model.h_eff, model.jumps)
 
-    v = np.asarray(v, dtype=complex)
-    first = v if keep is None else keep @ v
-    stack = np.empty((len(marks),) + first.shape, dtype=complex)
-    stack[0] = first
-    # one operator per run of equal strides keeps the loop to a product
-    # and a store per mark
-    strides = np.diff(marks)
-    starts = np.flatnonzero(np.diff(strides, prepend=0))
-    for lo, hi in zip(starts, [*starts[1:], strides.size]):
-        stride = int(strides[lo])
-        g = np.linalg.matrix_power(p, stride) if method == "aggregated" else None
-        for k in range(lo + 1, hi + 1):
-            v = g @ v if g is not None else rk4_steps(gen, v, dt, stride)
-            stack[k] = v if keep is None else keep @ v
-    return stack, method
+def propagate(models, v, dts, marks, keep=None, method: str = "auto"):
+    """Fixed-step RK4 of a stack of models, handed over in blocks of marks.
+
+    The models share dims. Model i starts from v[i], vec(rho) or a matrix
+    whose columns are vectorized states, takes steps of dts[i], and is
+    sampled after each of the marks[i] step counts, increasing from 0;
+    every marks[i] has the same length. Yields (lo, block, live) for
+    blocks of at most _CHUNK marks: block[i, j] holds model i's v, or
+    keep @ v, at mark lo + j. Each block is a view of a buffer that the
+    next block overwrites, so the caller copies what it keeps. Clearing
+    live[i] before the next block stops model i; its rows of later
+    blocks are nan.
+
+    Each model takes :func:`engine_for` its last mark. The transfer
+    matrix (or the CSR generator) is built once per model, and each
+    stride between marks is one power of it (or that many CSR steps).
+    The aggregated models advance together, one stacked product per
+    mark, which runs each model's product exactly as a stack of one would.
+    """
+    n = len(models)
+    if any(m.dims != models[0].dims for m in models):
+        raise DimensionError("propagate stacks models of equal dims only")
+    engines = [engine_for(m, int(mk[-1]), method) for m, mk in zip(models, marks)]
+    # the marks where any model's stride changes, and every model's
+    # stride from there; one model at a time bounds the temporaries
+    n_marks = len(marks[0])
+    change = np.zeros(n_marks - 1, dtype=bool)
+    change[:1] = True
+    for mk in marks:
+        strides = np.diff(mk)
+        change[1:] |= strides[1:] != strides[:-1]
+    at = np.flatnonzero(change)
+    runs = dict(zip(at.tolist(), np.array([np.diff(mk)[at] for mk in marks]).T))
+
+    v = np.array(v, dtype=complex)
+    # aggregated models: transfer matrices and states as stacks, with a
+    # trailing column axis on vectors so each product stays a matrix product
+    agg = [i for i in range(n) if engines[i] == "aggregated"]
+    p = [rk4_transfer_matrix(liouvillian_matrix(models[i]), dts[i]) for i in agg]
+    va = v[agg][..., None] if v.ndim == 2 else v[agg]
+    direct = {i: (sparse_generator(models[i].h_eff, models[i].jumps), v[i], None)
+              for i in range(n) if engines[i] == "direct"}
+
+    def out(x):
+        return x if keep is None else keep @ x
+
+    # one mark-major buffer for all blocks holds the aggregated rows, which
+    # are the whole block unless a model steps directly or has been stopped
+    shape = out(v[0]).shape
+    size = min(_CHUNK, n_marks)
+    buf = np.empty((size, len(agg)) + out(va[:1]).shape[1:], dtype=complex)
+    block = None if len(agg) == n else np.empty((n, size) + shape, dtype=complex)
+    live = np.ones(n, dtype=bool)
+    g = None
+    for lo in range(0, n_marks, _CHUNK):
+        kept = live[agg]
+        if not kept.all():
+            va, buf, p = va[kept], buf[:, kept], [q for q, k in zip(p, kept) if k]
+            g = None if g is None else g[kept]
+            agg = [i for i, k in zip(agg, kept) if k]
+            block = np.empty((n, size) + shape, dtype=complex)
+        direct = {i: state for i, state in direct.items() if live[i]}
+        m = min(_CHUNK, n_marks - lo)
+        if lo == 0:
+            buf[0] = out(va)
+            for i, (_, x, _) in direct.items():
+                block[i, 0] = out(x)
+        # mark k is reached by stepping stride k - 1 from mark k - 1
+        if agg:
+            for k in range(max(lo, 1), lo + m):
+                if k - 1 in runs:
+                    g = np.stack([np.linalg.matrix_power(q, int(runs[k - 1][i]))
+                                  for q, i in zip(p, agg)])
+                va = g @ va
+                buf[k - lo] = va if keep is None else keep @ va
+        for i, (gen, x, stride) in direct.items():
+            for k in range(max(lo, 1), lo + m):
+                if k - 1 in runs:
+                    stride = int(runs[k - 1][i])
+                x = rk4_steps(gen, x, dts[i], stride)
+                block[i, k - lo] = out(x)
+            direct[i] = gen, x, stride
+        rows = buf[:m].swapaxes(0, 1).reshape((len(agg), m) + shape)
+        if block is None:
+            yield lo, rows, live
+        else:
+            block[~live] = np.nan
+            block[agg, :m] = rows
+            yield lo, block[:, :m], live
 
 
 def check_drift(defect, times, dt: float):
@@ -343,9 +411,11 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     if marks[-1] != n_steps:
         marks.append(n_steps)
 
-    vecs, method = propagate(model, opalg.vec(rho0), dt_eff, marks, method=method)
-    # vec is column stacking, so each row of vecs is a transposed state
-    states = np.ascontiguousarray(vecs.reshape(-1, d, d).transpose(0, 2, 1))
+    method = engine_for(model, n_steps, method)
+    states = np.empty((len(marks), d, d), dtype=complex)
+    for lo, block, _ in propagate([model], [opalg.vec(rho0)], [dt_eff], [marks], method=method):
+        # vec is column stacking, so each row of block[0] is a transposed state
+        states[lo:lo + block.shape[1]] = block[0].reshape(-1, d, d).transpose(0, 2, 1)
     times = dt_eff * np.asarray(marks, dtype=float)
 
     trace, herm, low = np.concatenate([

@@ -7,9 +7,9 @@ are byte-identical. Each CSV gets a '<name>.csv.meta' companion holding
 the fully resolved configuration and derived quantities.
 """
 
+import logging
 import math
 import os
-import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,7 +31,9 @@ from .model import (
     environment_state,
     steady_state_dd_closed_form,
 )
-from .nonmarkov import nm_for_model
+from .nonmarkov import nm_sweep
+
+log = logging.getLogger(__name__)
 
 EXPERIMENTS = ("evolve", "steady", "nmm", "sweep", "eq8check", "convergence")
 
@@ -340,14 +342,33 @@ def run_steady_sweep(cfg: RunConfig):
     return render_csv(["f"] + _STEADY_COLS, rows), render_meta(cfg, derived)
 
 
-def _nmm_row(cfg: RunConfig, f: float, horizon: float, gamma: float):
+def _nmm_rows(cfg: RunConfig, fs, horizon: float, gamma: float):
+    """(memory-measure columns, note or None) per f.
+
+    Every f whose model builds runs in one :func:`nm_sweep`; an f that
+    fails, or a sweep that fails as a whole, gives nan columns and a note.
+    """
+    rows, models = [None] * len(fs), {}
+    for k, f in enumerate(fs):
+        try:
+            models[k] = model_for(cfg, f)
+        except DimerNMError as exc:
+            rows[k] = _nmm_row(cfg, f, exc, horizon, gamma)
     try:
-        m = model_for(cfg, f)
-        res = nm_for_model(m, eps=cfg.eps, horizon=horizon,
-                           dt=suggest_dt(m, _base_dt(cfg)), gamma_eff=gamma)
+        swept = nm_sweep(list(models.values()), eps=cfg.eps, horizon=horizon,
+                         dts=[suggest_dt(m, _base_dt(cfg)) for m in models.values()],
+                         gamma_eff=gamma)
     except DimerNMError as exc:
+        swept = [exc] * len(models)
+    for k, res in zip(models, swept):
+        rows[k] = _nmm_row(cfg, fs[k], res, horizon, gamma)
+    return rows
+
+
+def _nmm_row(cfg: RunConfig, f: float, res, horizon: float, gamma: float):
+    if isinstance(res, DimerNMError):
         nan = float("nan")
-        return [nan, nan, cfg.eps, horizon, nan], f"f={_f_label(f)}: {exc}"
+        return [nan, nan, cfg.eps, horizon, nan], f"f={_f_label(f)}: {res}"
     note = None
     if res.horizon_warning:
         note = (f"f={_f_label(f)}: effective horizon {res.horizon:.4g} is short "
@@ -365,11 +386,10 @@ def run_nmm_sweep(cfg: RunConfig):
     horizon = cfg.horizon if cfg.horizon > 0 else 20.0 / gamma
 
     rows = []
-    for f in fs:
-        row, note = _nmm_row(cfg, f, horizon, gamma)
+    for f, (row, note) in zip(fs, _nmm_rows(cfg, fs, horizon, gamma)):
         rows.append([f] + row)
         if note:
-            print(f"nmm: {note}", file=sys.stderr)
+            log.warning("nmm: %s", note)
     derived = {
         "experiment": "nmm", "gamma_eff": gamma,
         "horizon_requested": horizon, "eps": cfg.eps,
@@ -385,11 +405,10 @@ def run_sweep(cfg: RunConfig):
 
     mk_logneg = _markov_baseline_logneg(cfg)
     rows = []
-    for f in fs:
-        row, note = _nmm_row(cfg, f, horizon, gamma)
+    for f, (row, note) in zip(fs, _nmm_rows(cfg, fs, horizon, gamma)):
         rows.append([f] + _steady_row(cfg, f, mk_logneg) + row)
         if note:
-            print(f"sweep: {note}", file=sys.stderr)
+            log.warning("sweep: %s", note)
     header = ["f"] + _STEADY_COLS + _NMM_COLS
     derived = {
         "experiment": "sweep", "gamma_eff": gamma,

@@ -22,6 +22,14 @@ The tomography is a trajectory like any other: it is stepped, and its
 step count and trace-drift abort are decided, by :mod:`dimer_nm.dynamics`
 (:func:`dynamics.propagate`, :func:`dynamics.steps_over`,
 :func:`dynamics.check_drift`), on either engine and at any dimension.
+
+A sweep over models of one dims, an f grid say, is one stacked
+propagation (:func:`nm_sweep`): each grid step advances every model with
+one stacked product, and each block of _CHUNK maps goes, per model,
+through the drift check and the rates before the next block is stepped,
+so no model's whole map family is held. Every model gets exactly the
+numbers it gets alone; :func:`map_tomography` and :func:`nm_for_model`
+are the same path on a stack of one.
 """
 
 from dataclasses import dataclass
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalg
-from .dynamics import check_drift, propagate, steps_over, suggest_dt
+from .dynamics import _CHUNK, check_drift, propagate, steps_over, suggest_dt
 from .errors import DimerNMError, SingularMapError
 from .model import LindbladModel, environment_state
 
@@ -37,7 +45,6 @@ COND_MAX = 1e10
 # nm_measure warns when the effective horizon falls short of this many
 # relaxation times 1 / gamma_eff
 HORIZON_WARN_FACTOR = 5.0
-_CHUNK = 1024  # grid points per stacked LAPACK call; bounds the working set
 
 # vec index of the sector basis matrix E_ij = |i><j| (column stacking)
 _TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0])
@@ -83,8 +90,6 @@ def map_tomography(model: LindbladModel, t_grid, dt=None) -> DynamicalMapFamily:
     :func:`dynamics.check_drift` at the first map that fails trace
     preservation.
     """
-    if model.dims[0] != 2:
-        raise DimerNMError("tomography expects the 2-dimensional sector at slot 0")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.shape[0] < 2 or t_grid[0] != 0.0:
         raise DimerNMError("t_grid must start at 0 and carry at least two points")
@@ -93,33 +98,51 @@ def map_tomography(model: LindbladModel, t_grid, dt=None) -> DynamicalMapFamily:
     if eps <= 0 or not np.allclose(spac, eps, rtol=1e-9, atol=0.0):
         raise DimerNMError("t_grid must be uniform")
 
-    env_state = environment_state(model)
-    denv = env_state.shape[0]
-    d = 2 * denv
+    maps = np.empty((t_grid.shape[0], 4, 4), dtype=complex)
+    (sub_dt,), blocks = _tomography([model], t_grid, eps, [dt])
+    for lo, block, _ in blocks:
+        _check_maps(block[0], t_grid[lo:], sub_dt)
+        maps[lo:lo + block.shape[1]] = block[0]
+    return DynamicalMapFamily(times=t_grid, maps=maps, eps=eps, basis=model.basis)
 
-    # stacked initial conditions: column i + 2j holds vec(E_ij kron env)
-    v = np.zeros((d * d, 4), dtype=complex)
-    for j in range(2):
-        for i in range(2):
-            e_ij = np.zeros((2, 2), dtype=complex)
-            e_ij[i, j] = 1.0
-            v[:, i + 2 * j] = opalg.vec(opalg.kron(e_ij, env_state))
+
+def _tomography(models, t_grid, eps, dts):
+    """(sub-steps, blocks): the sector maps of each model on t_grid, one stack.
+
+    blocks is :func:`dynamics.propagate`'s, with block[i, k] the map
+    Lambda(t_grid[lo + k], 0) of model i, not yet drift-checked. Model i
+    takes steps_over(eps, dts[i]) steps per eps, dts[i] defaulting to
+    suggest_dt of the model.
+    """
+    if any(m.dims[0] != 2 for m in models):
+        raise DimerNMError("tomography expects the 2-dimensional sector at slot 0")
+    # initial conditions per model: column i + 2j holds vec(E_ij kron env),
+    # E_ij = |i><j| being the unvec of unit vector i + 2j
+    v = []
+    for model in models:
+        env_state = environment_state(model)
+        v.append(np.stack([opalg.vec(opalg.kron(opalg.unvec(e), env_state))
+                           for e in np.eye(4)], axis=1))
 
     # reduction matrix: vec(full) -> vec(partial trace over the modes)
+    denv = int(np.prod(models[0].dims[1:]))
+    d = 2 * denv
     red = np.zeros((4, d * d))
     for j in range(2):
         for i in range(2):
             for k in range(denv):
                 red[i + 2 * j, (j * denv + k) * d + (i * denv + k)] = 1.0
 
-    if dt is None or dt <= 0:
-        dt = suggest_dt(model)
-    steps_per = steps_over(eps, dt)
-    sub_dt = eps / steps_per
-    marks = range(0, steps_per * t_grid.shape[0], steps_per)
-    maps, _ = propagate(model, v, sub_dt, marks, keep=red)
-    check_drift(np.abs(_TRACE_VEC @ maps - _TRACE_VEC).max(axis=-1), t_grid, sub_dt)
-    return DynamicalMapFamily(times=t_grid, maps=maps, eps=eps, basis=model.basis)
+    steps = [steps_over(eps, dt if dt is not None and dt > 0 else suggest_dt(model))
+             for model, dt in zip(models, dts)]
+    marks = [range(0, s * t_grid.shape[0], s) for s in steps]
+    sub_dts = [eps / s for s in steps]
+    return sub_dts, propagate(models, v, sub_dts, marks, keep=red)
+
+
+def _check_maps(maps, times, sub_dt):
+    """check_drift on the trace preservation of a run of sector maps."""
+    check_drift(np.abs(_TRACE_VEC @ maps - _TRACE_VEC).max(axis=-1), times, sub_dt)
 
 
 def _intermediate(family: DynamicalMapFamily, n: int, steps: int):
@@ -197,44 +220,32 @@ class NMResult:
     horizon_warning: bool
 
 
-def _rates(family, lo, hi):
-    """(g before the clip at 0, invertible mask) for grid points lo..hi-1.
+def _rates(maps, eps):
+    """(g before the clip at 0, invertible mask) of the intermediate maps
+    between consecutive maps of a run, len(maps) - 1 points.
 
     A map with a non-finite entry counts as singular, as its condition
     estimate is inf on the per-point path.
     """
-    a = family.maps[lo:hi]
+    a = maps[:-1]
     finite = np.isfinite(a).all(axis=(-2, -1))
-    cond = np.full(hi - lo, np.inf)
+    cond = np.full(a.shape[0], np.inf)
     cond[finite] = opalg.condition_numbers(a[finite])
     ok = ~(cond > COND_MAX)
-    g = np.zeros(hi - lo)
+    g = np.zeros(a.shape[0])
     if ok.any():
         # E A = B  =>  A^T E^T = B^T
         et = opalg.solve_linear_stack(
-            a[ok].transpose(0, 2, 1), family.maps[lo + 1:hi + 1][ok].transpose(0, 2, 1))
+            a[ok].transpose(0, 2, 1), maps[1:][ok].transpose(0, 2, 1))
         choi = choi_matrix(et.transpose(0, 2, 1))
-        g[ok] = (opalg.trace_norms(choi) - 1.0) / family.eps
+        g[ok] = (opalg.trace_norms(choi) - 1.0) / eps
     return g, ok
 
 
-def nm_measure(family: DynamicalMapFamily, gamma_eff=None) -> NMResult:
-    """Integrate g over the family's grid into I and D = I / (1 + I).
-
-    The grid is taken in chunks of _CHUNK points, each as stacked LAPACK
-    calls.
-    """
-    ts = family.times
-    eps = family.eps
-    n_points = len(family) - 1
-    g = np.empty(n_points)
-    ok = np.empty(n_points, dtype=bool)
-    for lo in range(0, n_points, _CHUNK):
-        hi = min(lo + _CHUNK, n_points)
-        g[lo:hi], ok[lo:hi] = _rates(family, lo, hi)
+def _measure(ts, eps, g, ok, gamma_eff):
+    """NMResult from the raw rates g and invertible mask ok on grid ts."""
     if not ok.any():
         raise DimerNMError("no invertible intermediate map anywhere on the grid")
-
     starts = ts[:-1]
     tv = starts[ok] + eps / 2.0
     gv = np.where(g > 0.0, g, 0.0)[ok]  # max(0, g), as g_of_t clips
@@ -252,8 +263,71 @@ def nm_measure(family: DynamicalMapFamily, gamma_eff=None) -> NMResult:
     )
 
 
+def nm_measure(family: DynamicalMapFamily, gamma_eff=None) -> NMResult:
+    """Integrate g over the family's grid into I and D = I / (1 + I).
+
+    The grid is taken in chunks of _CHUNK points, each as stacked LAPACK
+    calls.
+    """
+    n_points = len(family) - 1
+    g = np.empty(n_points)
+    ok = np.empty(n_points, dtype=bool)
+    for lo in range(0, n_points, _CHUNK):
+        hi = min(lo + _CHUNK, n_points)
+        g[lo:hi], ok[lo:hi] = _rates(family.maps[lo:hi + 1], family.eps)
+    return _measure(family.times, family.eps, g, ok, gamma_eff)
+
+
+def nm_sweep(models, eps: float, horizon: float, dts=None, gamma_eff=None):
+    """Tomography plus measure over [0, horizon] for a stack of models.
+
+    The models share dims; their tomography is one stacked propagation
+    (:func:`dynamics.propagate`), and each block of maps goes, per model,
+    through the drift check and the rates before the next is stepped, so
+    no model's whole map family is held. dts[i] is model i's step bound
+    (default :func:`dynamics.suggest_dt`). Returns an iterator with one
+    entry per model, in order: its NMResult, built when reached, or the
+    DimerNMError that stopped it. An error drops only that model from
+    the stack; the others run as they would alone.
+    """
+    t_grid = uniform_grid(horizon, eps)
+    n = len(models)
+    if not n:
+        return iter(())
+    sub_dts, blocks = _tomography(models, t_grid, eps, [None] * n if dts is None else dts)
+    g = np.empty((n, t_grid.shape[0] - 1))
+    ok = np.empty((n, t_grid.shape[0] - 1), dtype=bool)
+    errors = [None] * n
+    last = [None] * n  # each model's last map of the previous block
+    for lo, block, live in blocks:
+        at = max(lo - 1, 0)  # first grid point the block completes
+        for i in np.flatnonzero(live):
+            maps = block[i] if lo == 0 else np.concatenate([last[i], block[i]])
+            try:
+                _check_maps(block[i], t_grid[lo:], sub_dts[i])
+                g[i, at:at + len(maps) - 1], ok[i, at:at + len(maps) - 1] = _rates(maps, eps)
+            except DimerNMError as exc:
+                errors[i] = exc
+                live[i] = False
+            last[i] = block[i, -1:].copy()
+
+    def entries():
+        for i, res in enumerate(errors):
+            if res is None:
+                try:
+                    res = _measure(t_grid, eps, g[i], ok[i], gamma_eff)
+                except DimerNMError as exc:
+                    res = exc
+            yield res
+
+    return entries()
+
+
 def nm_for_model(model: LindbladModel, eps: float, horizon: float,
                  dt=None, gamma_eff=None) -> NMResult:
-    """Tomography plus measure over [0, horizon] in one call."""
-    fam = map_tomography(model, uniform_grid(horizon, eps), dt=dt)
-    return nm_measure(fam, gamma_eff=gamma_eff)
+    """Tomography plus measure over [0, horizon] in one call: :func:`nm_sweep`
+    on a stack of one, raising its error."""
+    (res,) = nm_sweep([model], eps, horizon, dts=[dt], gamma_eff=gamma_eff)
+    if isinstance(res, DimerNMError):
+        raise res
+    return res

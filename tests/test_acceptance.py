@@ -23,6 +23,7 @@ from dimer_nm.entanglement import (
     reduce_to_dimer,
     singlet_overlap,
 )
+from dimer_nm.errors import DimerNMError
 from dimer_nm.harness import count_envelope_maxima, initial_state
 from dimer_nm.model import (
     FParametrization,
@@ -34,7 +35,7 @@ from dimer_nm.model import (
     steady_state_dd_closed_form,
 )
 from dimer_nm.nonmarkov import apply_map, choi_matrix, map_tomography, \
-    nm_for_model, uniform_grid
+    nm_for_model, nm_sweep, uniform_grid
 from dimer_nm import opalg
 
 GAMMA_EFF = 0.1
@@ -78,16 +79,14 @@ def dnm_sweep():
     """RHP degree over the figure's f grid plus the deep-Markovian point."""
     horizon = 20.0 / GAMMA_EFF
     fs = list(np.geomspace(0.0035, 3.6554, 15))
-    ds = []
-    for f in fs:
-        model = build_symmetric_model(_symmetric(f))
-        res = nm_for_model(model, eps=0.01, horizon=horizon,
-                           gamma_eff=GAMMA_EFF)
-        assert not res.horizon_warning
-        ds.append(res.d_nm)
-    deep = nm_for_model(build_symmetric_model(_symmetric(100.0)),
-                        eps=0.01, horizon=horizon, gamma_eff=GAMMA_EFF)
-    return fs, ds, deep.d_nm
+    # one stacked sweep; each entry equals its nm_for_model run bit for bit
+    models = [build_symmetric_model(_symmetric(f)) for f in fs + [100.0]]
+    results = list(nm_sweep(models, eps=0.01, horizon=horizon, gamma_eff=GAMMA_EFF))
+    for res in results:
+        if isinstance(res, DimerNMError):
+            raise res
+    assert not any(res.horizon_warning for res in results[:-1])
+    return fs, [res.d_nm for res in results[:-1]], results[-1].d_nm
 
 
 @pytest.fixture(scope="module")

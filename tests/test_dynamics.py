@@ -13,6 +13,7 @@ from dimer_nm.dynamics import (
     TRACE_ABORT_TOL,
     QuantumState,
     check_drift,
+    engine_for,
     expectation,
     integrate,
     liouvillian_matrix,
@@ -378,20 +379,26 @@ class TestCheckDrift:
         assert "at t=0.5 " in str(exc.value)
 
 
+def propagated(model, v0, dt, marks, **kwargs):
+    """propagate on a stack of one, its blocks joined."""
+    return np.concatenate([block[0].copy() for _, block, _ in
+                           propagate([model], [v0], [dt], [marks], **kwargs)])
+
+
 class TestPropagate:
     def test_marks_count_steps_and_keep_projects(self):
         m = symmetric_model(0.1)
         v0 = opalg.vec(initial_state(m))
         marks = [0, 3, 10, 12]
-        stack, engine = propagate(m, v0, 1e-3, marks, method="aggregated")
-        assert engine == "aggregated"
-        assert stack.shape == (4, m.dim ** 2) and stack.flags.c_contiguous
+        assert engine_for(m, marks[-1], "aggregated") == "aggregated"
+        stack = propagated(m, v0, 1e-3, marks, method="aggregated")
+        assert stack.shape == (4, m.dim ** 2)
         p = rk4_transfer_matrix(liouvillian_matrix(m), 1e-3)
         for k, mark in enumerate(marks):
             expect = np.linalg.matrix_power(p, mark) @ v0
             assert np.max(np.abs(stack[k] - expect)) <= 1e-14
         keep = np.random.default_rng(43).standard_normal((3, m.dim ** 2))
-        kept, _ = propagate(m, v0, 1e-3, marks, keep=keep, method="aggregated")
+        kept = propagated(m, v0, 1e-3, marks, keep=keep, method="aggregated")
         assert kept.shape == (4, 3)
         assert np.max(np.abs(kept - stack @ keep.T)) <= 1e-13
 
@@ -400,27 +407,87 @@ class TestPropagate:
         rng = np.random.default_rng(44)
         v0 = rng.standard_normal((m.dim ** 2, 2)) + 1j * rng.standard_normal((m.dim ** 2, 2))
         marks = range(0, 500, 100)
-        direct, engine = propagate(m, v0, 1e-3, marks, method="direct")
-        assert engine == "direct"
-        aggregated, _ = propagate(m, v0, 1e-3, marks, method="aggregated")
+        assert engine_for(m, marks[-1], "direct") == "direct"
+        direct = propagated(m, v0, 1e-3, marks, method="direct")
+        aggregated = propagated(m, v0, 1e-3, marks, method="aggregated")
         assert direct.shape == (5, m.dim ** 2, 2)
         assert np.max(np.abs(direct - aggregated)) <= 1e-10 * np.max(np.abs(v0))
-        single, _ = propagate(m, v0[:, 1], 1e-3, marks, method="direct")
+        single = propagated(m, v0[:, 1], 1e-3, marks, method="direct")
         assert np.max(np.abs(direct[..., 1] - single)) <= 1e-13
 
     def test_auto_engine_rule(self):
         m = symmetric_model(0.1)
-        v0 = opalg.vec(initial_state(m))
-        assert propagate(m, v0, 1e-3, [0, 50, 99])[1] == "direct"
-        assert propagate(m, v0, 1e-3, [0, 100])[1] == "aggregated"
+        assert engine_for(m, 99) == "direct"
+        assert engine_for(m, 100) == "aggregated"
         big = asymmetric_full_model(6)
         assert big.dim > MAX_SUPEROP_DIM
-        assert propagate(big, opalg.vec(initial_state(big)), 1e-3, [0, 100])[1] == "direct"
+        assert engine_for(big, 100) == "direct"
 
     def test_rejects_unknown_engine(self):
         m = symmetric_model(0.1)
         with pytest.raises(DimerNMError):
-            propagate(m, opalg.vec(initial_state(m)), 1e-3, [0, 1], method="leapfrog")
+            engine_for(m, 1, "leapfrog")
+        with pytest.raises(DimerNMError):
+            next(propagate([m], [opalg.vec(initial_state(m))], [1e-3], [[0, 1]],
+                           method="leapfrog"))
+
+    def test_blocks_hold_at_most_chunk_marks(self):
+        m = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
+        v0 = opalg.vec(np.eye(2) / 2.0)
+        n_marks = 2 * dynamics._CHUNK + 5
+        starts, sizes = [], []
+        for lo, block, _ in propagate([m], [v0], [1e-3], [range(n_marks)]):
+            starts.append(lo)
+            sizes.append(block.shape[1])
+        assert max(sizes) <= dynamics._CHUNK
+        assert sum(sizes) == n_marks
+        assert starts == list(np.cumsum([0] + sizes[:-1]))
+
+    def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch):
+        # different steps, strides and engines in one stack, over several
+        # blocks and a stride change, each model as it runs alone
+        monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        models = [symmetric_model(f) for f in (0.01, 1.0, 100.0)]
+        dts = [1e-3, 5e-4, 1e-5]
+        marks = [[0] + list(range(3, 57, 3)) + [61], list(range(0, 40, 2)),
+                 list(range(0, 200, 10))]
+        rng = np.random.default_rng(45)
+        v0 = rng.standard_normal((3, models[0].dim ** 2, 4)) + 0j
+        keep = rng.standard_normal((4, models[0].dim ** 2))
+        assert [engine_for(m, mk[-1]) for m, mk in zip(models, marks)] == \
+            ["direct", "direct", "aggregated"]
+        for method in ("auto", "aggregated"):
+            stacked = np.concatenate([block.copy() for _, block, _ in propagate(
+                models, v0, dts, marks, keep=keep, method=method)], axis=1)
+            for i in range(3):
+                alone = propagated(models[i], v0[i], dts[i], marks[i], keep=keep,
+                                   method=method)
+                assert np.array_equal(stacked[i], alone)
+                p = rk4_transfer_matrix(liouvillian_matrix(models[i]), dts[i])
+                expect = [keep @ np.linalg.matrix_power(p, mark) @ v0[i] for mark in marks[i]]
+                assert np.max(np.abs(stacked[i] - expect)) <= 1e-10 * np.max(np.abs(expect))
+
+    def test_cleared_live_stops_a_model(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CHUNK", 4)
+        models = [symmetric_model(f) for f in (0.1, 1.0, 10.0)]
+        v0 = np.stack([opalg.vec(initial_state(m)) for m in models])
+        marks = [range(0, 1200, 100)] * 3
+        blocks = []
+        for lo, block, live in propagate(models, v0, [1e-3] * 3, marks):
+            blocks.append(block.copy())
+            live[1] = False
+        assert np.isfinite(blocks[0]).all()
+        for block in blocks[1:]:
+            assert np.isnan(block[1]).all() and np.isfinite(block[[0, 2]]).all()
+        joined = np.concatenate(blocks, axis=1)
+        for i in (0, 2):
+            assert np.array_equal(joined[i], propagated(models[i], v0[i], 1e-3, marks[i]))
+
+    def test_rejects_models_of_different_dims(self):
+        small, big = symmetric_model(0.1), symmetric_model(0.1, n_fock=4)
+        vs = [opalg.vec(initial_state(m)) for m in (small, big)]
+        with pytest.raises(DimensionError):
+            next(propagate([small, big], vs, [1e-3] * 2, [[0, 100]] * 2))
 
 
 class TestSuggestDt:

@@ -256,7 +256,7 @@ class TestEq8Check:
 
 
 class TestNmmSweep:
-    def test_columns_and_ranges(self, capsys):
+    def test_columns_and_ranges(self, caplog):
         cfg = RunConfig(experiment="nmm", f_list="0.1", eps=0.05, horizon=5.0)
         csv_text, _ = run_nmm_sweep(cfg)
         header, rows = csv_rows(csv_text)
@@ -267,7 +267,7 @@ class TestNmmSweep:
         assert row["eps"] == pytest.approx(0.05)
         assert row["skipped_times_count"] == 0
         # 5/J is far below the relaxation horizon, so a note is emitted
-        assert "horizon" in capsys.readouterr().err
+        assert "horizon" in caplog.text
 
     def test_dt_key_sets_the_tomography_step(self):
         cfg = RunConfig(experiment="nmm", f_list="0.1", eps=0.05, horizon=2.0, dt=0.025)
@@ -401,3 +401,11 @@ class TestCli:
                          "--out", str(tmp_path / "blowup")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_sweep_notes_reach_stderr_as_bare_lines(self, tmp_path, capsys):
+        for _ in range(2):  # the handler is attached once per run, not stacked
+            code = cli.main(["nmm", "--f", "0.1", "--eps", "0.05", "--horizon", "5",
+                             "--out", str(tmp_path / "short")])
+            assert code == 0
+            assert capsys.readouterr().err == (
+                "nmm: f=0.1: effective horizon 5 is short relative to 1/gamma_eff=10\n")

@@ -71,7 +71,8 @@ class TestImport:
     def test_no_scipy_until_a_sparse_path_runs(self):
         # scipy costs start-up time and resident memory, so importing the
         # package and running small dense work (the memory measure of the
-        # symmetric model included) must not load it
+        # symmetric model, alone and as a stacked sweep, included) must not
+        # load it
         pkg_root = os.path.dirname(os.path.dirname(dimer_nm.__file__))
         path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
         script = (
@@ -82,12 +83,15 @@ class TestImport:
             "from dimer_nm import cli, kernels\n"
             "from dimer_nm.harness import initial_state\n"
             "from dimer_nm.model import ModelParams, apply_f, build_symmetric_model\n"
-            "from dimer_nm.nonmarkov import map_tomography, nm_measure, uniform_grid\n"
+            "from dimer_nm.nonmarkov import map_tomography, nm_measure, nm_sweep, uniform_grid\n"
             "print(loaded())\n"
             "m = build_symmetric_model(apply_f(0.1, ModelParams.symmetric()))\n"
             "dimer_nm.steady_state(m)\n"
             "dimer_nm.integrate(m, initial_state(m), 1.0, method='aggregated')\n"
             "nm_measure(map_tomography(m, uniform_grid(2.0, 0.05)))\n"
+            "fs = (0.1, 1.0, 3.6554)\n"
+            "ms = [build_symmetric_model(apply_f(f, ModelParams.symmetric())) for f in fs]\n"
+            "assert all(r.d_nm >= 0.0 for r in nm_sweep(ms, 0.05, 6.0))\n"
             "print(loaded())\n"
             "dimer_nm.integrate(m, initial_state(m), 0.01, method='direct')\n"
             "print(bool(loaded()))\n"

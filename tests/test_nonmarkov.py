@@ -14,6 +14,7 @@ from dimer_nm.errors import (
     SingularMapError,
     SingularSystemError,
 )
+from dimer_nm import harness
 from dimer_nm.harness import RunConfig, run_nmm_sweep
 from dimer_nm.model import (
     ModelParams,
@@ -31,6 +32,7 @@ from dimer_nm.nonmarkov import (
     map_tomography,
     nm_for_model,
     nm_measure,
+    nm_sweep,
     uniform_grid,
 )
 
@@ -383,3 +385,70 @@ class TestBatchedParity:
         csv_text, _ = run_nmm_sweep(cfg)
         row = csv_text.splitlines()[1].split(",")
         assert row[1] == "nan" and row[2] == "nan"
+
+
+SWEEP_FS = (0.01, 1.0, 3.6554, 100.0)  # 10, 27, 37 and 1000 steps per eps of 0.01
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.g, b.g)
+    assert a.integral == b.integral and a.d_nm == b.d_nm
+    assert a.horizon == b.horizon
+    assert a.skipped_times == b.skipped_times
+
+
+class TestSweep:
+    """nm_sweep: one stacked tomography, streamed block by block into the rates."""
+
+    def test_bit_identical_to_solo_runs(self):
+        # 1201 grid points: two blocks, so the rate at the block seam runs
+        # on the map carried over from the first
+        models = [symmetric_model(f) for f in SWEEP_FS]
+        swept = list(nm_sweep(models, eps=0.01, horizon=12.0, gamma_eff=GAMMA_EFF))
+        for model, res in zip(models, swept):
+            alone = nm_for_model(model, eps=0.01, horizon=12.0, gamma_eff=GAMMA_EFF)
+            assert_same_result(res, alone)
+            family = nm_measure(map_tomography(model, uniform_grid(12.0, 0.01)),
+                                gamma_eff=GAMMA_EFF)
+            assert_same_result(res, family)
+
+    def test_failing_model_drops_alone(self):
+        models = [symmetric_model(f) for f in SWEEP_FS]
+        broken = dataclasses.replace(models[1], h_eff=np.full_like(models[1].h_eff, np.nan))
+        swept = list(nm_sweep([models[0], broken] + models[2:], eps=0.01, horizon=12.0))
+        assert isinstance(swept[1], NumericalDriftError)
+        with pytest.raises(NumericalDriftError) as exc:
+            nm_for_model(broken, eps=0.01, horizon=12.0)
+        assert str(swept[1]) == str(exc.value)
+        for i in (0, 2, 3):
+            assert_same_result(swept[i], nm_for_model(models[i], eps=0.01, horizon=12.0))
+
+    def test_failing_f_is_a_nan_row_with_its_note(self, monkeypatch, caplog):
+        cfg = RunConfig(experiment="nmm", f_list="0.01,1,3.6554", eps=0.05, horizon=12.0)
+        clean = run_nmm_sweep(cfg)[0].splitlines()
+        build = harness.model_for
+
+        def model_for(cfg, f, n_fock=None):
+            m = build(cfg, f, n_fock)
+            return dataclasses.replace(m, h_eff=m.h_eff * np.nan) if f == 1.0 else m
+
+        monkeypatch.setattr(harness, "model_for", model_for)
+        caplog.clear()
+        broken = run_nmm_sweep(cfg)[0].splitlines()
+        assert broken[1] == clean[1] and broken[3] == clean[3]
+        assert broken[2].split(",")[1:3] == ["nan", "nan"]
+        assert "nmm: f=1: trace drifted by nan" in caplog.text
+
+    def test_sweep_level_error_fills_every_row(self, caplog):
+        cfg = RunConfig(experiment="nmm", f_list="0.1,1", eps=-0.01, horizon=2.0)
+        rows = [line.split(",") for line in run_nmm_sweep(cfg)[0].splitlines()[1:]]
+        assert [row[1] for row in rows] == ["nan", "nan"]
+        assert caplog.text.count("horizon and eps must be positive") == 2
+
+    def test_no_model_builds(self, caplog):
+        cfg = RunConfig(experiment="nmm", model="symmetric", g2=2.0, f_list="0.1,1",
+                        eps=0.05, horizon=2.0)
+        rows = [line.split(",") for line in run_nmm_sweep(cfg)[0].splitlines()[1:]]
+        assert [row[1] for row in rows] == ["nan", "nan"]
+        assert caplog.text.count("nmm: f=") == 2
