@@ -16,7 +16,14 @@ Memoryless dynamics gives g identically zero.
 Map inversion degrades as Lambda becomes singular (strong damping kills
 coherences); times where the condition number exceeds COND_MAX are
 skipped and recorded, g is interpolated across interior gaps, and the
-integral is truncated at the last invertible time.
+integral is truncated at the last invertible time. The batched rates
+place each map on its side of COND_MAX with the Frobenius estimate
+est = ||A||_F ||A^-1||_F, from one stacked inverse per chunk; for a
+4 x 4 map cond <= est <= 4 cond. Only the maps it leaves undecided,
+about 2.4 % of a fig2 run, take the SVD (:func:`opalg.condition_numbers`),
+so the mask is the one an SVD of every map gives. The per-point path
+(:func:`intermediate_map`, :func:`g_of_t`) takes the SVD at every map
+and serves as an independent check.
 
 The tomography is a trajectory like any other: it is stepped, and its
 step count and trace-drift abort are decided, by :mod:`dimer_nm.dynamics`
@@ -42,6 +49,12 @@ from .errors import DimerNMError, SingularMapError
 from .model import LindbladModel, environment_state
 
 COND_MAX = 1e10
+# Relative slack of the Frobenius screen's two cut-offs (_invertible).
+# The screen's estimate and the SVD's condition number each carry about
+# 1e-5 relative rounding at cond <= 4 COND_MAX (machine epsilon times
+# cond); the slack stays a hundredfold above it, so a map the screen
+# places on one side of COND_MAX is on the same side for the SVD.
+_SCREEN_SLACK = 1e-3
 # nm_measure warns when the effective horizon falls short of this many
 # relaxation times 1 / gamma_eff
 HORIZON_WARN_FACTOR = 5.0
@@ -127,7 +140,7 @@ def _tomography(models, t_grid, eps, dts):
     # reduction matrix: vec(full) -> vec(partial trace over the modes)
     denv = int(np.prod(models[0].dims[1:]))
     d = 2 * denv
-    red = np.zeros((4, d * d))
+    red = np.zeros((4, d * d), dtype=complex)
     for j in range(2):
         for i in range(2):
             for k in range(denv):
@@ -220,18 +233,51 @@ class NMResult:
     horizon_warning: bool
 
 
+def _invertible(a):
+    """Mask of the maps in a stack (k, 4, 4) with cond(A) <= COND_MAX.
+
+    Equal to ~(opalg.condition_numbers(a) > COND_MAX), with a map that
+    has a non-finite entry counting as singular, as its condition
+    estimate is inf on the per-point path. For a 4 x 4 map the Frobenius
+    estimate est = ||A||_F ||A^-1||_F brackets the two-norm condition
+    number, cond <= est <= 4 cond, so one stacked inverse decides every
+    map with est <= COND_MAX (1 - _SCREEN_SLACK), invertible, or
+    est > 4 COND_MAX (1 + _SCREEN_SLACK), singular. The SVD decides the
+    rest: the maps in between, those whose est overflows or is nan, and
+    the whole stack when the inverse finds an exactly singular map.
+    """
+    ok = np.zeros(a.shape[0], dtype=bool)
+    idx = np.flatnonzero(np.isfinite(a).all(axis=(-2, -1)))
+    b = a[idx]
+    try:
+        inv = np.linalg.inv(b)
+    except np.linalg.LinAlgError:  # an exactly singular map: the SVD takes them all
+        pass
+    else:
+        with np.errstate(over="ignore"):
+            na = (b.real ** 2 + b.imag ** 2).sum(axis=(-2, -1))
+            ni = (inv.real ** 2 + inv.imag ** 2).sum(axis=(-2, -1))
+            est2 = na * ni
+        low = est2 <= (COND_MAX * (1.0 - _SCREEN_SLACK)) ** 2
+        # est >= 2, so a squared norm that underflows far enough to lose
+        # accuracy makes the other overflow: only a finite est2 is accurate
+        high = np.isfinite(est2) & (est2 > (4.0 * COND_MAX * (1.0 + _SCREEN_SLACK)) ** 2)
+        ok[idx[low]] = True
+        idx = idx[~(low | high)]
+    if idx.size:
+        ok[idx] = ~(opalg.condition_numbers(a[idx]) > COND_MAX)
+    return ok
+
+
 def _rates(maps, eps):
     """(g before the clip at 0, invertible mask) of the intermediate maps
     between consecutive maps of a run, len(maps) - 1 points.
 
-    A map with a non-finite entry counts as singular, as its condition
-    estimate is inf on the per-point path.
+    The mask is :func:`_invertible`'s: a Frobenius-norm screen, with the
+    SVD for the maps it cannot place on one side of COND_MAX.
     """
     a = maps[:-1]
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    cond = np.full(a.shape[0], np.inf)
-    cond[finite] = opalg.condition_numbers(a[finite])
-    ok = ~(cond > COND_MAX)
+    ok = _invertible(a)
     g = np.zeros(a.shape[0])
     if ok.any():
         # E A = B  =>  A^T E^T = B^T
@@ -259,7 +305,7 @@ def _measure(ts, eps, g, ok, gamma_eff):
     return NMResult(
         times=grid, g=series, integral=integral, d_nm=d_nm, eps=eps,
         horizon=horizon, requested_horizon=float(ts[-1]),
-        skipped_times=tuple(float(t) for t in starts[~ok]), horizon_warning=warning,
+        skipped_times=tuple(starts[~ok].tolist()), horizon_warning=warning,
     )
 
 

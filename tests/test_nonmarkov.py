@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dimer_nm import dynamics, opalg
+from dimer_nm import dynamics, nonmarkov, opalg
 from dimer_nm.dynamics import integrate
 from dimer_nm.entanglement import reduce_to_dimer
 from dimer_nm.errors import (
@@ -385,6 +385,121 @@ class TestBatchedParity:
         csv_text, _ = run_nmm_sweep(cfg)
         row = csv_text.splitlines()[1].split(",")
         assert row[1] == "nan" and row[2] == "nan"
+
+
+def svd_mask(maps):
+    """The per-point path's verdict on each map: cond(A) <= COND_MAX by the
+    SVD, a non-finite map counting as singular."""
+    return np.array([not opalg.condition_number(m) > nonmarkov.COND_MAX for m in maps])
+
+
+def spy_svd(monkeypatch):
+    """The size of each stack opalg.condition_numbers sees from now on."""
+    seen = []
+    svd = opalg.condition_numbers
+    monkeypatch.setattr(opalg, "condition_numbers", lambda a: seen.append(len(a)) or svd(a))
+    return seen
+
+
+def screened(maps, monkeypatch):
+    """(mask, number of maps the SVD saw) of the batched conditioning test."""
+    seen = spy_svd(monkeypatch)
+    try:
+        mask = nonmarkov._invertible(np.asarray(maps))
+    finally:
+        monkeypatch.undo()
+    return mask, sum(seen)
+
+
+def maps_with_spectrum(spec, n=64, seed=71):
+    """n maps U diag(spec) V^dag with Haar-random unitaries U, V."""
+    rng = np.random.default_rng(seed)
+
+    def unitaries():
+        z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+        return np.linalg.qr(z)[0]
+
+    return (unitaries() * np.asarray(spec, dtype=float)) @ unitaries().conj().transpose(0, 2, 1)
+
+
+def spectra(c):
+    """Singular values with cond c. est = ||A||_F ||A^-1||_F is about
+    sqrt(3) c for the first two, c + 2 for the third, the least a 4 x 4
+    map reaches, and 2 c for the fourth, the most it reaches at large c."""
+    return {
+        "one_small": [1.0, 1.0, 1.0, 1.0 / c],
+        "one_large": [1.0, 1.0 / c, 1.0 / c, 1.0 / c],
+        "geometric": [1.0, c ** -0.5, c ** -0.5, 1.0 / c],
+        "two_small": [1.0, 1.0, 1.0 / c, 1.0 / c],
+    }
+
+
+class TestInvertibleScreen:
+    """The Frobenius screen behind the batched mask against the SVD."""
+
+    @pytest.mark.parametrize("rel", [-1e-7, 1e-7])
+    @pytest.mark.parametrize("kind", ["one_small", "one_large", "geometric", "two_small"])
+    def test_at_cond_max(self, kind, rel, monkeypatch):
+        # the SVD's own rounding (about 1e-6 here) puts some maps on each
+        # side of COND_MAX, so every one must reach it
+        maps = maps_with_spectrum(spectra(nonmarkov.COND_MAX * (1.0 + rel))[kind])
+        mask, n_svd = screened(maps, monkeypatch)
+        assert np.array_equal(mask, svd_mask(maps))
+        assert n_svd == len(maps)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_at_the_screens_edges(self, side, monkeypatch):
+        # est = c + 2 (geometric) at the lower cut-off, est = 2 c
+        # (two_small) at the upper one; outside the band the SVD sees none
+        s = nonmarkov._SCREEN_SLACK
+        low = nonmarkov.COND_MAX * (1.0 - s) * (1.0 + side * 1e-4)
+        high = 2.0 * nonmarkov.COND_MAX * (1.0 + s) * (1.0 - side * 1e-4)
+        maps = np.concatenate([maps_with_spectrum(spectra(low)["geometric"]),
+                               maps_with_spectrum(spectra(high)["two_small"])])
+        mask, n_svd = screened(maps, monkeypatch)
+        assert np.array_equal(mask, svd_mask(maps))
+        assert mask[:64].all() and not mask[64:].any()
+        assert n_svd == (len(maps) if side == 1 else 0)
+
+    def test_exactly_singular_map_sends_the_stack_to_the_svd(self, monkeypatch):
+        maps = maps_with_spectrum([1.0, 0.5, 0.2, 0.1], n=8)
+        maps[3, :, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(maps)
+        mask, n_svd = screened(maps, monkeypatch)
+        assert np.array_equal(mask, svd_mask(maps))
+        assert not mask[3] and mask.sum() == 7
+        assert n_svd == 8
+
+    def test_overflowing_norms_go_to_the_svd(self, monkeypatch):
+        # inverse entries of 1e300, and a well-conditioned map whose own
+        # squared norm overflows or underflows; no overflow warning escapes
+        maps = np.stack([np.diag([1.0, 1.0, 1.0, 1e-300]),
+                         np.diag([1.0, 1e-300, 1.0, 1.0])[[1, 3, 0, 2]],
+                         1e160 * np.eye(4), 1e-160 * np.eye(4), np.eye(4)]).astype(complex)
+        mask, n_svd = screened(maps, monkeypatch)
+        assert np.array_equal(mask, svd_mask(maps))
+        assert mask.tolist() == [False, False, True, True, True]
+        assert n_svd == 4
+
+    def test_nan_map_is_singular_without_the_svd(self, monkeypatch):
+        maps = maps_with_spectrum([1.0, 0.5, 0.2, 0.1], n=4)
+        maps[1, 2, 0] = np.nan
+        maps[2] = np.inf
+        mask, n_svd = screened(maps, monkeypatch)
+        assert np.array_equal(mask, svd_mask(maps))
+        assert mask.tolist() == [True, False, False, True]
+        assert n_svd == 0
+
+    def test_svd_sees_few_points_of_a_fig2_run(self, monkeypatch):
+        # f = 1 at fig2's eps over 100 / J crosses the cut-off near t = 59
+        model = symmetric_model(1.0)
+        seen = spy_svd(monkeypatch)
+        res = nm_for_model(model, eps=0.01, horizon=100.0)
+        assert 1000 < len(res.skipped_times) and res.horizon < 60.0
+        assert 0 < sum(seen) < 0.05 * 10_000
+        monkeypatch.setattr(nonmarkov, "_invertible", svd_mask)
+        assert_same_result(res, nm_for_model(model, eps=0.01, horizon=100.0))
 
 
 SWEEP_FS = (0.01, 1.0, 3.6554, 100.0)  # 10, 27, 37 and 1000 steps per eps of 0.01
