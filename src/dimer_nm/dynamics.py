@@ -5,20 +5,24 @@ The master-equation generator is built in one place,
 superoperator. :func:`liouvillian_matrix` densifies them for small
 models; the sparse consumers wrap them in scipy CSR/CSC matrices.
 
-Two interchangeable fixed-step RK4 engines:
+Two engines, chosen by the Hilbert dimension alone (:func:`engine_for`):
 
-* ``direct``      steps vec(rho) with CSR matvecs on the generator
-                  (:func:`rk4_steps`), about 11 nonzeros per row, so it
-                  has no dimension cap.
-* ``aggregated``  builds the one-step RK4 transfer matrix of the dense
-                  generator and raises it to the store stride, so a
-                  whole store interval is one matvec. This is still
-                  exactly fixed-step RK4 (the transfer matrix is the RK4
-                  stability polynomial of the generator, not a matrix
-                  exponential), just amortized.
+* ``aggregated``  for d <= MAX_SUPEROP_DIM: builds the one-step RK4
+                  transfer matrix of the dense generator and raises it
+                  to the store stride, so a whole store interval is one
+                  matvec. This is exactly fixed-step RK4 (the transfer
+                  matrix is the RK4 stability polynomial of the
+                  generator, not a matrix exponential), just amortized.
+* ``direct``      above it: applies the exact propagator exp(L tau) to
+                  vec(rho) with scipy's ``expm_multiply`` on the CSR
+                  generator (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+                  488 (2011)), one call per run of equal strides. The
+                  generator has about 11 nonzeros per row, so the engine
+                  has no dimension cap, and its states do not depend on
+                  the step size, which only places the marks.
 
-Both produce identical trajectories to rounding; tests pin the
-equivalence at 1e-10.
+The two differ by the aggregated engine's RK4 error, about 1e-12 at
+f <= 0.1 and the base step; tests pin the agreement at 1e-10.
 
 Every trajectory, an :func:`integrate` run or the map tomography of
 :mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
@@ -26,15 +30,16 @@ about it is made once: the step size (:func:`suggest_dt`), the number of
 steps over an interval (:func:`steps_over`, the fewest whole steps with
 none longer than the step size), the engine (:func:`engine_for`) and its
 stride loop (:func:`propagate`, which steps a stack of models together,
-one stacked product per mark, and hands the samples over in blocks of
-_CHUNK marks), the trace-drift abort (:func:`check_drift`), the
-state validity rule (:func:`_defects`, with the eigenvalue floor
-EIG_FLOOR) and the observables, which :func:`integrate` takes over the
-stored stack at once.
+on the aggregated engine one stacked product per mark, and hands the
+samples over in blocks of _CHUNK marks), the trace-drift abort
+(:func:`check_drift`), the state validity rule (:func:`_defects`, with
+the eigenvalue floor EIG_FLOOR) and the observables, which
+:func:`integrate` takes over the stored stack at once.
 
 scipy is imported lazily, only by the direct engine and by the sparse
-steady-state solve, so ``import dimer_nm`` and small dense runs do not
-pay for it.
+steady-state solve, so ``import dimer_nm`` and the dense runs (every
+trajectory up to MAX_SUPEROP_DIM, steady states below
+SPARSE_STEADY_MIN_DIM) do not pay for it.
 """
 
 import math
@@ -124,7 +129,7 @@ def rhs(model: LindbladModel, rho):
 
     rho_dot = -i (h_eff rho - rho h_eff^dag) + sum rate L rho L^dag.
     :func:`generator_triplets` encodes exactly this map, and both engines
-    step it; tests pin the two against each other.
+    propagate it; tests pin the two against each other.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (model.dim, model.dim):
@@ -213,24 +218,6 @@ def rk4_transfer_matrix(lmat, dt: float):
     return eye + hl @ t
 
 
-def rk4_steps(gen, v, dt: float, n_steps: int):
-    """Advance v by n_steps of fixed-step RK4 under v' = gen v.
-
-    gen is any matrix with ``@`` (scipy sparse or dense). Each step is the
-    transfer polynomial of :func:`rk4_transfer_matrix` in Horner form,
-    four matvecs. Returns a new array; v is not modified.
-    """
-    stages = [(dt / k) * gen for k in (4.0, 3.0, 2.0, 1.0)]
-    v = np.array(v, dtype=complex)
-    for _ in range(int(n_steps)):
-        w = v
-        for stage in stages:
-            w = stage @ w
-            w += v
-        v = w
-    return v
-
-
 def suggest_dt(model: LindbladModel, base: float = BASE_DT) -> float:
     """Step size heuristic tied to the fastest damping channel.
 
@@ -251,25 +238,26 @@ def steps_over(interval: float, dt: float) -> int:
     return max(1, math.ceil(interval / dt - 1e-9))
 
 
-def engine_for(model: LindbladModel, n_steps: int, method: str = "auto") -> str:
-    """The engine :func:`propagate` steps model with over n_steps steps.
+def engine_for(model: LindbladModel, method: str = "auto") -> str:
+    """The engine :func:`propagate` runs model on.
 
-    ``auto`` takes the aggregated engine for d <= MAX_SUPEROP_DIM and at
-    least 100 steps, the direct one otherwise.
+    ``auto`` takes the aggregated engine for d <= MAX_SUPEROP_DIM and the
+    direct one above it, so the choice depends on the dimension alone and
+    the models of a stack, which share dims, share one engine.
     """
     if method == "auto":
-        method = "aggregated" if (model.dim <= MAX_SUPEROP_DIM and n_steps >= 100) else "direct"
+        method = "aggregated" if model.dim <= MAX_SUPEROP_DIM else "direct"
     if method not in ("aggregated", "direct"):
         raise DimerNMError(f"unknown integration method {method!r}")
     return method
 
 
 def propagate(models, v, dts, marks, keep=None, method: str = "auto"):
-    """Fixed-step RK4 of a stack of models, handed over in blocks of marks.
+    """Propagate a stack of models, handed over in blocks of marks.
 
     The models share dims. Model i starts from v[i], vec(rho) or a matrix
-    whose columns are vectorized states, takes steps of dts[i], and is
-    sampled after each of the marks[i] step counts, increasing from 0;
+    whose columns are vectorized states, and is sampled at the times
+    dts[i] * marks[i], the marks being step counts increasing from 0;
     every marks[i] has the same length. Yields (lo, block, live) for
     blocks of at most _CHUNK marks: block[i, j] holds model i's v, or
     keep @ v, at mark lo + j. Each block is a view of a buffer that the
@@ -277,16 +265,43 @@ def propagate(models, v, dts, marks, keep=None, method: str = "auto"):
     live[i] before the next block stops model i; its rows of later
     blocks are nan.
 
-    Each model takes :func:`engine_for` its last mark. The transfer
-    matrix (or the CSR generator) is built once per model, and each
-    stride between marks is one power of it (or that many CSR steps).
-    The aggregated models advance together, one stacked product per
-    mark, which runs each model's product exactly as a stack of one would.
+    All models run on the one engine :func:`engine_for` gives. Each
+    model runs exactly as it would in a stack of one.
     """
     n = len(models)
     if any(m.dims != models[0].dims for m in models):
         raise DimensionError("propagate stacks models of equal dims only")
-    engines = [engine_for(m, int(mk[-1]), method) for m, mk in zip(models, marks)]
+    engine = engine_for(models[0], method)
+    v = np.array(v, dtype=complex)
+    # a trailing column axis on vectors keeps every product a matrix product
+    x = v[..., None] if v.ndim == 2 else v
+    shape = v.shape[1:] if keep is None else (len(keep),) + v.shape[2:]
+    live = np.ones(n, dtype=bool)
+    blocks = _aggregated if engine == "aggregated" else _direct
+    block = None
+    for lo, idx, rows in blocks(models, x, dts, marks, keep, live):
+        rows = rows.reshape(rows.shape[:2] + shape)
+        if len(idx) == n:
+            yield lo, rows, live
+            continue
+        # rows holds the models still live; the stopped ones read nan
+        m = rows.shape[1]
+        if block is None:
+            block = np.empty((n, min(_CHUNK, len(marks[0]))) + shape, dtype=complex)
+        block[~live, :m] = np.nan
+        block[idx, :m] = rows
+        yield lo, block[:, :m], live
+
+
+def _aggregated(models, x, dts, marks, keep, live):
+    """The aggregated engine's blocks for :func:`propagate`: (lo, models
+    stepped, their rows).
+
+    The transfer matrix is built once per model, and each stride between
+    marks is one power of it. The models advance together, one stacked
+    product per mark, which runs each model's product exactly as a stack
+    of one would; a new power is taken where any model's stride changes.
+    """
     # the marks where any model's stride changes, and every model's
     # stride from there; one model at a time bounds the temporaries
     n_marks = len(marks[0])
@@ -297,62 +312,70 @@ def propagate(models, v, dts, marks, keep=None, method: str = "auto"):
         change[1:] |= strides[1:] != strides[:-1]
     at = np.flatnonzero(change)
     runs = dict(zip(at.tolist(), np.array([np.diff(mk)[at] for mk in marks]).T))
-
-    v = np.array(v, dtype=complex)
-    # aggregated models: transfer matrices and states as stacks, with a
-    # trailing column axis on vectors so each product stays a matrix product
-    agg = [i for i in range(n) if engines[i] == "aggregated"]
-    p = [rk4_transfer_matrix(liouvillian_matrix(models[i]), dts[i]) for i in agg]
-    va = v[agg][..., None] if v.ndim == 2 else v[agg]
-    direct = {i: (sparse_generator(models[i].h_eff, models[i].jumps), v[i], None)
-              for i in range(n) if engines[i] == "direct"}
-
-    def out(x):
-        return x if keep is None else keep @ x
-
-    # one mark-major buffer for all blocks holds the aggregated rows, which
-    # are the whole block unless a model steps directly or has been stopped
-    shape = out(v[0]).shape
-    size = min(_CHUNK, n_marks)
-    buf = np.empty((size, len(agg)) + out(va[:1]).shape[1:], dtype=complex)
-    block = None if len(agg) == n else np.empty((n, size) + shape, dtype=complex)
-    live = np.ones(n, dtype=bool)
+    idx = np.arange(len(models))
+    p = [rk4_transfer_matrix(liouvillian_matrix(m), dt) for m, dt in zip(models, dts)]
+    # one mark-major buffer for all blocks
+    buf = np.empty((min(_CHUNK, n_marks),) + _kept(keep, x).shape, dtype=complex)
     g = None
     for lo in range(0, n_marks, _CHUNK):
-        kept = live[agg]
+        kept = live[idx]
         if not kept.all():
-            va, buf, p = va[kept], buf[:, kept], [q for q, k in zip(p, kept) if k]
+            x, buf, p = x[kept], buf[:, kept], [q for q, k in zip(p, kept) if k]
             g = None if g is None else g[kept]
-            agg = [i for i, k in zip(agg, kept) if k]
-            block = np.empty((n, size) + shape, dtype=complex)
-        direct = {i: state for i, state in direct.items() if live[i]}
+            idx = idx[kept]
         m = min(_CHUNK, n_marks - lo)
         if lo == 0:
-            buf[0] = out(va)
-            for i, (_, x, _) in direct.items():
-                block[i, 0] = out(x)
+            buf[0] = _kept(keep, x)
         # mark k is reached by stepping stride k - 1 from mark k - 1
-        if agg:
-            for k in range(max(lo, 1), lo + m):
-                if k - 1 in runs:
-                    g = np.stack([np.linalg.matrix_power(q, int(runs[k - 1][i]))
-                                  for q, i in zip(p, agg)])
-                va = g @ va
-                buf[k - lo] = va if keep is None else keep @ va
-        for i, (gen, x, stride) in direct.items():
-            for k in range(max(lo, 1), lo + m):
-                if k - 1 in runs:
-                    stride = int(runs[k - 1][i])
-                x = rk4_steps(gen, x, dts[i], stride)
-                block[i, k - lo] = out(x)
-            direct[i] = gen, x, stride
-        rows = buf[:m].swapaxes(0, 1).reshape((len(agg), m) + shape)
-        if block is None:
-            yield lo, rows, live
-        else:
-            block[~live] = np.nan
-            block[agg, :m] = rows
-            yield lo, block[:, :m], live
+        for k in range(max(lo, 1), lo + m):
+            if k - 1 in runs:
+                g = np.stack([np.linalg.matrix_power(q, int(s))
+                              for q, s in zip(p, runs[k - 1][idx])])
+            x = g @ x
+            buf[k - lo] = _kept(keep, x)
+        yield lo, idx, buf[:m].swapaxes(0, 1)
+
+
+def _direct(models, x, dts, marks, keep, live):
+    """The direct engine's blocks for :func:`propagate`: (lo, models
+    stepped, their rows).
+
+    Each model's CSR generator is built once. Within a block, each run of
+    marks that model i reaches by equal strides is one ``expm_multiply``
+    call on the grid of those marks. The runs split at model i's own
+    stride changes and at the block bounds only, so the model gets the
+    same bits as in a stack of one.
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    gens = [sparse_generator(m.h_eff, m.jumps) for m in models]
+    x = list(x)
+    strides = [np.diff(mk) for mk in marks]
+    n, n_marks = len(models), len(marks[0])
+    buf = np.empty((n, min(_CHUNK, n_marks)) + _kept(keep, x[0]).shape, dtype=complex)
+    for lo in range(0, n_marks, _CHUNK):
+        idx = np.flatnonzero(live)
+        m = min(_CHUNK, n_marks - lo)
+        for i in idx:
+            if lo == 0:
+                buf[i, 0] = _kept(keep, x[i])
+            # mark k is reached by stepping the stride at k - 1 from mark
+            # k - 1; [k0 + a, k0 + b) is a run of marks of one stride
+            k0 = max(lo, 1)
+            st = strides[i][k0 - 1:lo + m - 1]
+            cuts = np.flatnonzero(st[1:] != st[:-1]) + 1
+            for a, b in zip([0, *cuts], [*cuts, len(st)]):
+                if b == a:
+                    continue
+                xs = expm_multiply(gens[i], x[i], start=0.0, stop=(b - a) * st[a] * dts[i],
+                                   num=b - a + 1, endpoint=True)
+                x[i] = xs[-1]
+                buf[i, k0 - lo + a:k0 - lo + b] = _kept(keep, xs[1:])
+        yield lo, idx, buf[idx, :m] if len(idx) < n else buf[:, :m]
+
+
+def _kept(keep, x):
+    return x if keep is None else keep @ x
 
 
 def check_drift(defect, times, dt: float):
@@ -380,10 +403,11 @@ def expectation(state, op):
 
 def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
               store_every: int = 10, observables=None, method: str = "auto") -> Trajectory:
-    """Fixed-step RK4 evolution from rho0 over [0, t_end].
+    """Evolution from rho0 over [0, t_end] through :func:`propagate`.
 
     dt defaults to :func:`suggest_dt`; the run takes
-    :func:`steps_over` (t_end, dt) equal steps through :func:`propagate`.
+    :func:`steps_over` (t_end, dt) equal steps, fixed-step RK4 on the
+    aggregated engine and marks of the exact propagator on the direct one.
     States are stored every ``store_every`` steps (plus the final step)
     and checked by :func:`_defects`, _CHECK_BLOCK at a time. A trace
     drift beyond TRACE_ABORT_TOL or a non-finite state
@@ -411,7 +435,7 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     if marks[-1] != n_steps:
         marks.append(n_steps)
 
-    method = engine_for(model, n_steps, method)
+    method = engine_for(model, method)
     states = np.empty((len(marks), d, d), dtype=complex)
     for lo, block, _ in propagate([model], [opalg.vec(rho0)], [dt_eff], [marks], method=method):
         # vec is column stacking, so each row of block[0] is a transposed state

@@ -1,11 +1,15 @@
-"""Density-matrix entry point of the direct RK4 stepper.
+"""Density-matrix RK4 stepper on the CSR generator.
 
-The direct engine of :func:`dynamics.propagate` builds the generator
-once as a scipy CSR matrix and steps vec(rho) with
-:func:`dynamics.rk4_steps`. This adapter runs the same stepper from
-h_eff and the jumps for callers that hold a density matrix; it builds
-the generator on every call. There is one backend, ``"sparse"``.
+No engine of :func:`dynamics.propagate` steps this way any more: the
+aggregated engine raises the dense RK4 transfer matrix
+(:func:`dynamics.rk4_transfer_matrix`) to each stride, and the direct
+engine applies the exact propagator. This stepper builds the generator
+as a scipy CSR matrix on every call and takes the same RK4 update as
+CSR matvecs, for callers that hold a density matrix. There is one
+backend, ``"sparse"``.
 """
+
+import numpy as np
 
 from . import dynamics, opalg
 
@@ -22,6 +26,18 @@ def available_backends() -> dict:
 
 
 def rk4_lindblad_steps(rho, h_eff, jump_ops, rates, dt, n_steps):
-    """Advance rho by n_steps of fixed-step RK4; returns a new array."""
+    """Advance rho by n_steps of fixed-step RK4; returns a new array.
+
+    Each step is the transfer polynomial of
+    :func:`dynamics.rk4_transfer_matrix` in Horner form, four matvecs.
+    """
     gen = dynamics.sparse_generator(h_eff, zip(jump_ops, rates))
-    return opalg.unvec(dynamics.rk4_steps(gen, opalg.vec(rho), dt, n_steps))
+    stages = [(dt / k) * gen for k in (4.0, 3.0, 2.0, 1.0)]
+    v = np.array(opalg.vec(rho), dtype=complex)
+    for _ in range(int(n_steps)):
+        w = v
+        for stage in stages:
+            w = stage @ w
+            w += v
+        v = w
+    return opalg.unvec(v)

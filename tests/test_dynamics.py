@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dimer_nm import dynamics, opalg
 from dimer_nm.dynamics import (
@@ -390,7 +391,7 @@ class TestPropagate:
         m = symmetric_model(0.1)
         v0 = opalg.vec(initial_state(m))
         marks = [0, 3, 10, 12]
-        assert engine_for(m, marks[-1], "aggregated") == "aggregated"
+        assert engine_for(m, "aggregated") == "aggregated"
         stack = propagated(m, v0, 1e-3, marks, method="aggregated")
         assert stack.shape == (4, m.dim ** 2)
         p = rk4_transfer_matrix(liouvillian_matrix(m), 1e-3)
@@ -407,7 +408,7 @@ class TestPropagate:
         rng = np.random.default_rng(44)
         v0 = rng.standard_normal((m.dim ** 2, 2)) + 1j * rng.standard_normal((m.dim ** 2, 2))
         marks = range(0, 500, 100)
-        assert engine_for(m, marks[-1], "direct") == "direct"
+        assert engine_for(m, "direct") == "direct"
         direct = propagated(m, v0, 1e-3, marks, method="direct")
         aggregated = propagated(m, v0, 1e-3, marks, method="aggregated")
         assert direct.shape == (5, m.dim ** 2, 2)
@@ -416,17 +417,21 @@ class TestPropagate:
         assert np.max(np.abs(direct[..., 1] - single)) <= 1e-13
 
     def test_auto_engine_rule(self):
+        # the dimension alone decides: aggregated up to the dense cap,
+        # direct above it, for a short run as for a long one
         m = symmetric_model(0.1)
-        assert engine_for(m, 99) == "direct"
-        assert engine_for(m, 100) == "aggregated"
-        big = asymmetric_full_model(6)
-        assert big.dim > MAX_SUPEROP_DIM
-        assert engine_for(big, 100) == "direct"
+        at_cap, over_cap = symmetric_model(0.1, n_fock=32), symmetric_model(0.1, n_fock=33)
+        assert at_cap.dim == MAX_SUPEROP_DIM < over_cap.dim
+        assert [engine_for(x) for x in (m, at_cap, over_cap, asymmetric_full_model(6))] == \
+            ["aggregated", "aggregated", "direct", "direct"]
+        for t_end in (1e-3, 0.05, 5.0):  # 1, 50 and 5000 steps
+            traj = integrate(m, initial_state(m), t_end, observables=[])
+            assert traj.diagnostics["method"] == "aggregated"
 
     def test_rejects_unknown_engine(self):
         m = symmetric_model(0.1)
         with pytest.raises(DimerNMError):
-            engine_for(m, 1, "leapfrog")
+            engine_for(m, "leapfrog")
         with pytest.raises(DimerNMError):
             next(propagate([m], [opalg.vec(initial_state(m))], [1e-3], [[0, 1]],
                            method="leapfrog"))
@@ -444,8 +449,11 @@ class TestPropagate:
         assert starts == list(np.cumsum([0] + sizes[:-1]))
 
     def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch):
-        # different steps, strides and engines in one stack, over several
-        # blocks and a stride change, each model as it runs alone
+        # different steps and strides in one stack, over several blocks
+        # and stride changes, each model as it runs alone, on either
+        # engine; the direct engine splits a model's runs at its own
+        # stride changes only, so model 0's change at its last mark must
+        # not split the others' runs
         monkeypatch.setattr(dynamics, "_CHUNK", 7)
         models = [symmetric_model(f) for f in (0.01, 1.0, 100.0)]
         dts = [1e-3, 5e-4, 1e-5]
@@ -454,17 +462,19 @@ class TestPropagate:
         rng = np.random.default_rng(45)
         v0 = rng.standard_normal((3, models[0].dim ** 2, 4)) + 0j
         keep = rng.standard_normal((4, models[0].dim ** 2))
-        assert [engine_for(m, mk[-1]) for m, mk in zip(models, marks)] == \
-            ["direct", "direct", "aggregated"]
-        for method in ("auto", "aggregated"):
+        oracles = {
+            "aggregated": lambda m, dt, mark: np.linalg.matrix_power(
+                rk4_transfer_matrix(liouvillian_matrix(m), dt), mark),
+            "direct": lambda m, dt, mark: expm(liouvillian_matrix(m) * (dt * mark)),
+        }
+        for method, oracle in oracles.items():
             stacked = np.concatenate([block.copy() for _, block, _ in propagate(
                 models, v0, dts, marks, keep=keep, method=method)], axis=1)
             for i in range(3):
                 alone = propagated(models[i], v0[i], dts[i], marks[i], keep=keep,
                                    method=method)
                 assert np.array_equal(stacked[i], alone)
-                p = rk4_transfer_matrix(liouvillian_matrix(models[i]), dts[i])
-                expect = [keep @ np.linalg.matrix_power(p, mark) @ v0[i] for mark in marks[i]]
+                expect = [keep @ oracle(models[i], dts[i], mark) @ v0[i] for mark in marks[i]]
                 assert np.max(np.abs(stacked[i] - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_cleared_live_stops_a_model(self, monkeypatch):
@@ -472,22 +482,72 @@ class TestPropagate:
         models = [symmetric_model(f) for f in (0.1, 1.0, 10.0)]
         v0 = np.stack([opalg.vec(initial_state(m)) for m in models])
         marks = [range(0, 1200, 100)] * 3
-        blocks = []
-        for lo, block, live in propagate(models, v0, [1e-3] * 3, marks):
-            blocks.append(block.copy())
-            live[1] = False
-        assert np.isfinite(blocks[0]).all()
-        for block in blocks[1:]:
-            assert np.isnan(block[1]).all() and np.isfinite(block[[0, 2]]).all()
-        joined = np.concatenate(blocks, axis=1)
-        for i in (0, 2):
-            assert np.array_equal(joined[i], propagated(models[i], v0[i], 1e-3, marks[i]))
+        for method in ("aggregated", "direct"):
+            blocks = []
+            for lo, block, live in propagate(models, v0, [1e-3] * 3, marks, method=method):
+                blocks.append(block.copy())
+                live[1] = False
+            assert np.isfinite(blocks[0]).all()
+            for block in blocks[1:]:
+                assert np.isnan(block[1]).all() and np.isfinite(block[[0, 2]]).all()
+            joined = np.concatenate(blocks, axis=1)
+            for i in (0, 2):
+                assert np.array_equal(joined[i], propagated(models[i], v0[i], 1e-3, marks[i],
+                                                            method=method))
 
     def test_rejects_models_of_different_dims(self):
         small, big = symmetric_model(0.1), symmetric_model(0.1, n_fock=4)
         vs = [opalg.vec(initial_state(m)) for m in (small, big)]
         with pytest.raises(DimensionError):
             next(propagate([small, big], vs, [1e-3] * 2, [[0, 100]] * 2))
+
+
+class TestExactPropagator:
+    """The direct engine is exp(L t) v, whatever the step size."""
+
+    @pytest.mark.parametrize("n_fock", [None, 3], ids=["symmetric_d6", "full_d18"])
+    def test_propagate_matches_dense_exponential(self, n_fock):
+        m = symmetric_model(0.1) if n_fock is None else asymmetric_full_model(n_fock)
+        lmat = liouvillian_matrix(m)
+        rng = np.random.default_rng(46)
+        v0 = rng.standard_normal((m.dim ** 2, 4)) + 1j * rng.standard_normal((m.dim ** 2, 4))
+        marks = [0, 40, 80, 120, 300, 480, 660, 700]  # stride changes mid-run
+        stack = propagated(m, v0, 1e-3, marks, method="direct")
+        for k, mark in enumerate(marks):
+            expect = expm(lmat * (1e-3 * mark)) @ v0
+            assert np.max(np.abs(stack[k] - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("n_fock", [None, 3], ids=["symmetric_d6", "full_d18"])
+    def test_integrate_matches_dense_exponential(self, n_fock):
+        m = symmetric_model(1.0) if n_fock is None else asymmetric_full_model(n_fock, f=1.0)
+        lmat = liouvillian_matrix(m)
+        rho0 = initial_state(m)
+        traj = integrate(m, rho0, 2.0, store_every=100, observables=[], method="direct")
+        assert traj.diagnostics["method"] == "direct"
+        for t, rho in zip(traj.times, traj.states):
+            expect = opalg.unvec(expm(lmat * t) @ opalg.vec(rho0))
+            assert np.max(np.abs(rho - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_step_size_does_not_move_the_states(self):
+        # the d = 72 trace of the full model, at dt and at dt / 2; the
+        # step size only places the marks. The run does not depend on
+        # numpy's global random state either, which scipy's norm
+        # estimates draw from.
+        m = asymmetric_full_model(6)
+        assert engine_for(m) == "direct"
+        rho0 = initial_state(m)
+        coarse = integrate(m, rho0, 2.0, dt=1e-3, store_every=100, observables=[])
+        fine = integrate(m, rho0, 2.0, dt=5e-4, store_every=200, observables=[])
+        assert coarse.diagnostics["method"] == fine.diagnostics["method"] == "direct"
+        assert np.allclose(coarse.times, fine.times, rtol=0, atol=1e-15)
+        assert np.max(np.abs(coarse.states - fine.states)) <= 1e-13
+        saved = np.random.get_state()
+        try:
+            np.random.seed(47)
+            again = integrate(m, rho0, 2.0, dt=1e-3, store_every=100, observables=[])
+        finally:
+            np.random.set_state(saved)
+        assert np.array_equal(again.states, coarse.states)
 
 
 class TestSuggestDt:

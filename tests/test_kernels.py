@@ -71,7 +71,8 @@ class TestImport:
     def test_no_scipy_until_a_sparse_path_runs(self):
         # scipy costs start-up time and resident memory, so importing the
         # package and running small dense work (the memory measure of the
-        # symmetric model, alone and as a stacked sweep, included) must not
+        # symmetric model, alone and as a stacked sweep, and a 50-step
+        # trace on the engine the dimension picks, included) must not
         # load it
         pkg_root = os.path.dirname(os.path.dirname(dimer_nm.__file__))
         path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
@@ -92,6 +93,7 @@ class TestImport:
             "fs = (0.1, 1.0, 3.6554)\n"
             "ms = [build_symmetric_model(apply_f(f, ModelParams.symmetric())) for f in fs]\n"
             "assert all(r.d_nm >= 0.0 for r in nm_sweep(ms, 0.05, 6.0))\n"
+            "dimer_nm.integrate(m, initial_state(m), 0.05)\n"
             "print(loaded())\n"
             "dimer_nm.integrate(m, initial_state(m), 0.01, method='direct')\n"
             "print(bool(loaded()))\n"
