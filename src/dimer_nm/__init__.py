@@ -7,7 +7,6 @@ from .entanglement import (
     DimerState,
     basis_change,
     log_negativity,
-    log_negativity_via_partial_transpose,
     reduce_to_dimer,
     singlet_overlap,
 )
@@ -36,8 +35,6 @@ from .nonmarkov import (
     DynamicalMapFamily,
     NMResult,
     choi_matrix,
-    g_of_t,
-    intermediate_map,
     map_tomography,
     nm_for_model,
     nm_measure,
@@ -46,8 +43,8 @@ from .nonmarkov import (
 
 __all__ = [
     "__version__",
-    "DimerState", "basis_change", "log_negativity",
-    "log_negativity_via_partial_transpose", "reduce_to_dimer", "singlet_overlap",
+    "DimerState", "basis_change", "log_negativity", "reduce_to_dimer",
+    "singlet_overlap",
     "QuantumState", "Trajectory", "expectation", "integrate",
     "liouvillian_matrix", "steady_state",
     "RunConfig", "parse_config", "run_experiment", "serialize_config",
@@ -55,6 +52,6 @@ __all__ = [
     "build_full_model", "build_global_mode_model",
     "build_markovian_dephasing_model", "build_symmetric_model",
     "effective_dephasing_rate", "steady_state_dd_closed_form",
-    "DynamicalMapFamily", "NMResult", "choi_matrix", "g_of_t",
-    "intermediate_map", "map_tomography", "nm_for_model", "nm_measure", "nm_sweep",
+    "DynamicalMapFamily", "NMResult", "choi_matrix", "map_tomography",
+    "nm_for_model", "nm_measure", "nm_sweep",
 ]

@@ -124,30 +124,15 @@ class Trajectory:
         return QuantumState(rho=self.states[-1], dims=self.dims)
 
 
-def rhs(model: LindbladModel, rho):
-    """Master-equation right-hand side (reference formula).
-
-    rho_dot = -i (h_eff rho - rho h_eff^dag) + sum rate L rho L^dag.
-    :func:`generator_triplets` encodes exactly this map, and both engines
-    propagate it; tests pin the two against each other.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (model.dim, model.dim):
-        raise DimensionError(
-            f"state shape {rho.shape} does not match model dims {model.dims}"
-        )
-    h = model.h_eff
-    out = -1j * (h @ rho - rho @ h.conj().T)
-    for op, rate in model.jumps:
-        out += rate * (op @ rho @ op.conj().T)
-    return out
-
-
 def generator_triplets(h_eff, jumps):
     """COO triplets ``(rows, cols, vals)`` of the vectorized generator.
 
-    Column stacking maps A rho B to kron(B.T, A) vec(rho), so :func:`rhs`
-    becomes -i kron(I, h) + i kron(h*, I) + sum rate kron(L*, L). Each
+    The master equation is
+    rho_dot = -i (h_eff rho - rho h_eff^dag) + sum rate L rho L^dag;
+    tests pin the generator against this formula applied directly
+    (``tests/oracles.py``). Column stacking maps A rho B to
+    kron(B.T, A) vec(rho), so the equation becomes
+    -i kron(I, h) + i kron(h*, I) + sum rate kron(L*, L). Each
     Kronecker term is expanded over the nonzeros of its two factors.
     Entries may repeat a (row, col) position and are to be summed.
     ``jumps`` is an iterable of (operator, rate) pairs. numpy only.

@@ -10,7 +10,6 @@ The reduction, the basis change and the three observables also take a
 stack of states (rho of shape (..., 2, 2)) and act on each.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,30 +73,6 @@ def log_negativity(state: DimerState):
     the closed form log2(1 + 2|c|).
     """
     return np.log2(1.0 + 2.0 * np.abs(site_coherence(state)))
-
-
-def embed_two_qubit(state: DimerState) -> np.ndarray:
-    """Lift the sector state to the full 4-dimensional two-site space.
-
-    Sector entries [|01>, |10>] land on indices 1 and 2 of the
-    lexicographic two-qubit basis; the 0- and 2-excitation populations
-    are zero by construction.
-    """
-    rho = _site_rho(state)
-    out = np.zeros((4, 4), dtype=complex)
-    out[1:3, 1:3] = rho
-    return out
-
-
-def log_negativity_via_partial_transpose(state: DimerState) -> float:
-    """Reference pipeline: embed, partially transpose site 1, trace norm.
-
-    Slower than :func:`log_negativity` but makes no structural
-    assumption; the two must agree to near machine precision.
-    """
-    rho4 = embed_two_qubit(state)
-    pt = opalg.partial_transpose(rho4, (2, 2), slot=0)
-    return math.log2(opalg.trace_norm(pt))
 
 
 def singlet_overlap(state: DimerState):

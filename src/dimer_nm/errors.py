@@ -30,14 +30,6 @@ class SingularSystemError(DimerNMError):
         self.cond = cond
 
 
-class SingularMapError(SingularSystemError):
-    """Dynamical map is not invertible at the reported time."""
-
-    def __init__(self, t, cond=None):
-        super().__init__(f"dynamical map singular at t={t:.6g}", cond=cond)
-        self.t = t
-
-
 class NonUniqueSteadyStateError(DimerNMError):
     """Generator kernel is degenerate; the steady state is not unique."""
 

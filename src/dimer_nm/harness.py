@@ -67,6 +67,23 @@ class RunConfig:
     fock_list: str = "3,4"  # convergence experiment
     out: str = ""  # output basename; empty = experiment name
 
+    def __post_init__(self):
+        # every way a config is made (defaults, a file, CLI flags through
+        # replace) passes here
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for key, low, closed in _LOWER_BOUNDS:
+            val = getattr(self, key)
+            if not (val >= low if closed else val > low):  # nan fails too
+                raise ConfigError(f"{key} must be {'>=' if closed else '>'} {low}, got {val!r}")
+
+
+# (key, lower bound, whether the bound itself is allowed); dt = 0 and
+# horizon = 0 mean "default"
+_LOWER_BOUNDS = (
+    ("n_fock", 2, True), ("n_points", 1, True), ("store_every", 1, True),
+    ("t_end", 0.0, False), ("eps", 0.0, False), ("dt", 0.0, True), ("horizon", 0.0, True),
+)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOL_TRUE = {"true", "1", "yes", "on"}
@@ -107,10 +124,7 @@ def parse_config(text: str, base: RunConfig = None) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         updates[key] = _parse_value(key, raw)
-    cfg = replace(cfg, **updates)
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    return cfg
+    return replace(cfg, **updates)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -298,11 +312,6 @@ def _traces(cfg: RunConfig, observables):
         }
         outputs[observable] = render_csv(header, rows), render_meta(cfg, derived)
     return outputs
-
-
-def run_trace(cfg: RunConfig, observable: str):
-    """Time traces of one sector observable, one column per f."""
-    return _traces(cfg, (observable,))[observable]
 
 
 def _markov_baseline_logneg(cfg: RunConfig) -> float:

@@ -20,10 +20,11 @@ integral is truncated at the last invertible time. The batched rates
 place each map on its side of COND_MAX with the Frobenius estimate
 est = ||A||_F ||A^-1||_F, from one stacked inverse per chunk; for a
 4 x 4 map cond <= est <= 4 cond. Only the maps it leaves undecided,
-about 2.4 % of a fig2 run, take the SVD (:func:`opalg.condition_numbers`),
-so the mask is the one an SVD of every map gives. The per-point path
-(:func:`intermediate_map`, :func:`g_of_t`) takes the SVD at every map
-and serves as an independent check.
+about 2.4 % of a fig2 run, take the SVD (:func:`opalg.condition_number`),
+so the mask is the one an SVD of every map gives. A per-point path
+that takes the SVD at every map, inverts one map at a time and clips
+each rate at 0 lives in the test suite (``tests/oracles.py``) and
+serves as an independent check.
 
 The tomography is a trajectory like any other: it is stepped, and its
 step count and trace-drift abort are decided, by :mod:`dimer_nm.dynamics`
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import opalg
 from .dynamics import _CHUNK, check_drift, propagate, steps_over, suggest_dt
-from .errors import DimerNMError, SingularMapError
+from .errors import DimerNMError
 from .model import LindbladModel, environment_state
 
 COND_MAX = 1e10
@@ -74,12 +75,6 @@ class DynamicalMapFamily:
 
     def __len__(self):
         return self.times.shape[0]
-
-    def index_of(self, t: float) -> int:
-        n = round(t / self.eps)
-        if not (0 <= n < len(self)) or abs(t - n * self.eps) > 1e-9 * max(1.0, abs(t)):
-            raise DimerNMError(f"t={t} is not on the tomography grid (eps={self.eps})")
-        return n
 
 
 def uniform_grid(horizon: float, eps: float) -> np.ndarray:
@@ -158,34 +153,6 @@ def _check_maps(maps, times, sub_dt):
     check_drift(np.abs(_TRACE_VEC @ maps - _TRACE_VEC).max(axis=-1), times, sub_dt)
 
 
-def _intermediate(family: DynamicalMapFamily, n: int, steps: int):
-    a = family.maps[n]
-    b = family.maps[n + steps]
-    cond = opalg.condition_number(a)
-    if cond > COND_MAX:
-        raise SingularMapError(float(family.times[n]), cond=cond)
-    # E A = B  =>  A^T E^T = B^T
-    return opalg.solve_linear(a.T, b.T).T
-
-
-def intermediate_map(family: DynamicalMapFamily, t: float, eps=None):
-    """E(t + eps, t) by inverting the map up to t. eps defaults to the grid step."""
-    if eps is None:
-        eps = family.eps
-    steps = round(eps / family.eps)
-    if steps < 1 or abs(eps - steps * family.eps) > 1e-9 * eps:
-        raise DimerNMError(f"eps={eps} is not a multiple of the grid step {family.eps}")
-    n = family.index_of(t)
-    if n + steps >= len(family):
-        raise DimerNMError(f"t + eps = {t + eps} falls past the tomography horizon")
-    return _intermediate(family, n, steps)
-
-
-def apply_map(superop, rho):
-    """Act with a vectorized map on a sector density matrix."""
-    return opalg.unvec(np.asarray(superop) @ opalg.vec(rho))
-
-
 def choi_matrix(superop):
     """Choi state of a sector map, or of each map in a stack (..., 4, 4).
 
@@ -202,14 +169,6 @@ def choi_matrix(superop):
     c = e.reshape(lead + (2, 2, 2, 2)).transpose(
         tuple(range(k)) + (k + 1, k + 3, k, k + 2))
     return opalg.hermitize((c / 2.0).reshape(lead + (4, 4)))
-
-
-def g_of_t(family: DynamicalMapFamily, t: float, eps=None) -> float:
-    """CP-violation rate of the intermediate map starting at t."""
-    if eps is None:
-        eps = family.eps
-    e = intermediate_map(family, t, eps)
-    return max(0.0, (opalg.trace_norm(choi_matrix(e)) - 1.0) / eps)
 
 
 @dataclass(frozen=True)
@@ -236,11 +195,11 @@ class NMResult:
 def _invertible(a):
     """Mask of the maps in a stack (k, 4, 4) with cond(A) <= COND_MAX.
 
-    Equal to ~(opalg.condition_numbers(a) > COND_MAX), with a map that
+    Equal to ~(opalg.condition_number(a) > COND_MAX), with a map that
     has a non-finite entry counting as singular, as its condition
-    estimate is inf on the per-point path. For a 4 x 4 map the Frobenius
-    estimate est = ||A||_F ||A^-1||_F brackets the two-norm condition
-    number, cond <= est <= 4 cond, so one stacked inverse decides every
+    estimate is inf. For a 4 x 4 map the Frobenius estimate
+    est = ||A||_F ||A^-1||_F brackets the two-norm condition number,
+    cond <= est <= 4 cond, so one stacked inverse decides every
     map with est <= COND_MAX (1 - _SCREEN_SLACK), invertible, or
     est > 4 COND_MAX (1 + _SCREEN_SLACK), singular. The SVD decides the
     rest: the maps in between, those whose est overflows or is nan, and
@@ -265,7 +224,7 @@ def _invertible(a):
         ok[idx[low]] = True
         idx = idx[~(low | high)]
     if idx.size:
-        ok[idx] = ~(opalg.condition_numbers(a[idx]) > COND_MAX)
+        ok[idx] = ~(opalg.condition_number(a[idx]) > COND_MAX)
     return ok
 
 
@@ -281,10 +240,9 @@ def _rates(maps, eps):
     g = np.zeros(a.shape[0])
     if ok.any():
         # E A = B  =>  A^T E^T = B^T
-        et = opalg.solve_linear_stack(
-            a[ok].transpose(0, 2, 1), maps[1:][ok].transpose(0, 2, 1))
+        et = opalg.solve_linear(a[ok].transpose(0, 2, 1), maps[1:][ok].transpose(0, 2, 1))
         choi = choi_matrix(et.transpose(0, 2, 1))
-        g[ok] = (opalg.trace_norms(choi) - 1.0) / eps
+        g[ok] = (opalg.trace_norm(choi) - 1.0) / eps
     return g, ok
 
 
@@ -294,7 +252,7 @@ def _measure(ts, eps, g, ok, gamma_eff):
         raise DimerNMError("no invertible intermediate map anywhere on the grid")
     starts = ts[:-1]
     tv = starts[ok] + eps / 2.0
-    gv = np.where(g > 0.0, g, 0.0)[ok]  # max(0, g), as g_of_t clips
+    gv = np.where(g > 0.0, g, 0.0)[ok]  # max(0, g)
     mids = starts + eps / 2.0
     grid = mids[mids <= tv[-1] + 1e-12]
     series = np.interp(grid, tv, gv)

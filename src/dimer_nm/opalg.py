@@ -34,10 +34,10 @@ def _check_square(a, name="operator", stacked=False):
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
 
 
-def _check_dims(a, dims, name="operator", stacked=False):
-    """Require (d, d), or with ``stacked`` (..., d, d), for d = prod(dims)."""
+def _check_dims(a, dims, name="operator"):
+    """Require a stack (..., d, d), or one (d, d), for d = prod(dims)."""
     d = int(np.prod(dims))
-    if (a.shape[-2:] if stacked else a.shape) != (d, d):
+    if a.shape[-2:] != (d, d):
         raise DimensionError(
             f"{name} shape {a.shape} does not match dims {tuple(dims)} (product {d})"
         )
@@ -123,7 +123,7 @@ def partial_trace(rho, dims, keep):
     """
     dims = tuple(int(d) for d in dims)
     rho = _as_complex(rho)
-    _check_dims(rho, dims, "state", stacked=True)
+    _check_dims(rho, dims, "state")
     keep = sorted(set(int(k) for k in keep))
     if keep and not (0 <= keep[0] and keep[-1] < len(dims)):
         raise DimensionError(f"keep={keep} outside dims of length {len(dims)}")
@@ -138,83 +138,32 @@ def partial_trace(rho, dims, keep):
     return np.ascontiguousarray(t.reshape(lead + (d_keep, d_keep)))
 
 
-def partial_transpose(rho, dims, slot: int):
-    """Transpose one tensor slot in place, leaving the others untouched."""
-    dims = tuple(int(d) for d in dims)
-    rho = _as_complex(rho)
-    _check_dims(rho, dims, "state")
-    n = len(dims)
-    if not 0 <= slot < n:
-        raise DimensionError(f"slot {slot} outside dims of length {n}")
-    t = rho.reshape(dims + dims)
-    t = np.swapaxes(t, slot, slot + n)
-    d = int(np.prod(dims))
-    return np.ascontiguousarray(t.reshape(d, d))
-
-
-def hermitian_eigen(a):
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    Input is validated against a relative Hermiticity tolerance and
-    symmetrized before the solve, so eigenvalues are exactly real.
-    """
-    a = _as_complex(a)
-    _check_square(a)
-    _require_hermitian(a, "hermitian_eigen")
-    return np.linalg.eigvalsh(hermitize(a))
-
-
-def trace_norm(a) -> float:
-    """Sum of absolute eigenvalues. Restricted to Hermitian input.
+def trace_norm(a):
+    """Sum of absolute eigenvalues of a Hermitian matrix (a float), or of
+    each matrix in a stack (..., n, n) (an array).
 
     For the Hermitian matrices this package produces (density operators,
     partial transposes, Choi matrices) the trace norm is exactly the sum
     of |eigenvalue|; anything non-Hermitian is rejected rather than
-    silently routed through a singular-value fallback.
-    """
-    a = _as_complex(a)
-    _check_square(a)
-    return float(trace_norms(a))
-
-
-def trace_norms(a):
-    """:func:`trace_norm` of each matrix in a stack (..., n, n).
-
-    A LinAlgError of the eigensolver propagates.
+    silently routed through a singular-value fallback. A LinAlgError of
+    the eigensolver propagates.
     """
     a = _as_complex(a)
     _check_square(a, stacked=True)
     _require_hermitian(a, "trace_norm")
-    return np.abs(np.linalg.eigvalsh(hermitize(a))).sum(axis=-1)
+    norms = np.abs(np.linalg.eigvalsh(hermitize(a))).sum(axis=-1)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def solve_linear(a, b):
-    """Solve ``A x = b`` with a residual check.
+    """Solve ``A x = b`` with a residual check, for one system or a stack.
 
-    b may be a vector or a matrix of stacked right-hand sides. Raises
-    SingularSystemError carrying a condition estimate when the system is
-    singular or the residual exceeds
-    ``1e-9 * (||A|| ||x|| + ||b||)`` (Frobenius norms).
-    """
-    a = _as_complex(a)
-    _check_square(a, "coefficient matrix")
-    b = np.asarray(b, dtype=complex)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "linear system is singular", cond=_cond_estimate(a)
-        ) from exc
-    check_residual(a, x, b)
-    return x
-
-
-def solve_linear_stack(a, b):
-    """Solve ``A_k X_k = B_k`` for stacks a (k, n, n) and b (k, n, m).
-
-    Every system gets :func:`solve_linear`'s residual check, and the
-    first one to fail, or an exactly singular one, raises
-    SingularSystemError.
+    a is (n, n) or a stack (..., n, n). b follows numpy's rule: (n,) is
+    one right-hand side for every system, and (..., n, m) stacks m
+    right-hand sides per system. Raises SingularSystemError when a
+    system is singular or its residual exceeds
+    ``1e-9 * (||A|| ||x|| + ||b||)`` (Frobenius norms, per system); the
+    error carries the condition estimate of the failing system.
     """
     a = _as_complex(a)
     _check_square(a, "coefficient matrix", stacked=True)
@@ -222,58 +171,63 @@ def solve_linear_stack(a, b):
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("a linear system in the stack is singular",
-                                  cond=math.inf) from exc
-    check_residual(a, x, b, axis=(-2, -1))
+        cond = np.ravel(condition_number(a))
+        k = int(np.argmax(cond))  # LAPACK does not say which; the worst-conditioned
+        where = f" (system {k} of the stack)" if a.ndim > 2 else ""
+        raise SingularSystemError(f"linear system is singular{where}",
+                                  cond=float(cond[k])) from exc
+    if a.ndim == 2:
+        check_residual(a, x, b)
+    elif b.ndim == 1:
+        check_residual(a, x[..., None], b[:, None], axis=(-2, -1))
+    else:
+        check_residual(a, x, b, axis=(-2, -1))
     return x
 
 
 def check_residual(a, x, b, axis=None, a_norm=None):
     """Raise SingularSystemError unless ``A x = b`` meets the bound of
-    :func:`solve_linear`, per system when ``axis`` is given.
+    :func:`solve_linear`, per system of a stack when ``axis`` is given.
 
     ``a`` may be a scipy sparse matrix when its Frobenius norm is passed
     as ``a_norm``; the error then carries no condition estimate.
     """
-    resid = np.ravel(np.linalg.norm(a @ x - b, axis=axis))
+    resid = np.linalg.norm(a @ x - b, axis=axis)
     dense = a_norm is None
     if dense:
         a_norm = np.linalg.norm(a, axis=axis)
-    bound = np.ravel(SOLVE_RESIDUAL_RTOL * (
+    bound = SOLVE_RESIDUAL_RTOL * (
         a_norm * np.linalg.norm(x, axis=axis) + np.linalg.norm(b, axis=axis)
-    ))
+    )
     bad = ~np.isfinite(resid) | (resid > bound)
     if bad.any():
         k = int(np.argmax(bad))
+        cond = float(np.broadcast_to(condition_number(a), bad.shape).flat[k]) if dense else None
         raise SingularSystemError(
-            f"solve residual {resid[k]:.3e} exceeds bound {bound[k]:.3e}",
-            cond=_cond_estimate(a if axis is None else a[k]) if dense else None,
-        )
+            f"solve residual {resid.flat[k]:.3e} exceeds bound {bound.flat[k]:.3e}", cond=cond)
 
 
-def condition_numbers(a):
-    """Two-norm condition estimates of a matrix or a stack (..., n, n).
+def condition_number(a):
+    """Two-norm condition estimate of a matrix (a float), or of each
+    matrix in a stack (..., n, n) (an array).
 
-    inf where the smallest singular value is 0 or non-finite. A
-    LinAlgError of the SVD propagates.
+    inf where the smallest singular value is 0 or non-finite, or where
+    the SVD does not converge.
     """
-    s = np.linalg.svd(_as_complex(a), compute_uv=False)
+    a = _as_complex(a)
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
+            return math.inf
+        # one matrix stopped the stack: take each on its own
+        return np.reshape([condition_number(m) for m in a.reshape((-1,) + a.shape[-2:])],
+                          a.shape[:-2])
     smin = s[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = s[..., 0] / smin
-    return np.where((smin == 0.0) | ~np.isfinite(smin), np.inf, cond)
-
-
-def _cond_estimate(a) -> float:
-    try:
-        return float(condition_numbers(a))
-    except np.linalg.LinAlgError:
-        return math.inf
-
-
-def condition_number(a) -> float:
-    """Two-norm condition estimate (inf when exactly singular)."""
-    return _cond_estimate(_as_complex(a))
+    cond = np.where((smin == 0.0) | ~np.isfinite(smin), np.inf, cond)
+    return float(cond) if a.ndim == 2 else cond
 
 
 def vec(rho):

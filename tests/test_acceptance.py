@@ -13,13 +13,11 @@ import pytest
 from dimer_nm.dynamics import (
     integrate,
     liouvillian_matrix,
-    rhs,
     steady_state,
     suggest_dt,
 )
 from dimer_nm.entanglement import (
     log_negativity,
-    log_negativity_via_partial_transpose,
     reduce_to_dimer,
     singlet_overlap,
 )
@@ -34,9 +32,10 @@ from dimer_nm.model import (
     build_symmetric_model,
     steady_state_dd_closed_form,
 )
-from dimer_nm.nonmarkov import apply_map, choi_matrix, map_tomography, \
-    nm_for_model, nm_sweep, uniform_grid
+from dimer_nm.nonmarkov import choi_matrix, map_tomography, nm_for_model, nm_sweep, \
+    uniform_grid
 from dimer_nm import opalg
+from oracles import apply_map, log_negativity_via_partial_transpose, rhs
 
 GAMMA_EFF = 0.1
 TRACE_FS = (0.01, 0.1, 1.0, 100.0)

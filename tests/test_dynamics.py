@@ -19,7 +19,6 @@ from dimer_nm.dynamics import (
     integrate,
     liouvillian_matrix,
     propagate,
-    rhs,
     rk4_transfer_matrix,
     sparse_generator,
     steady_state,
@@ -43,6 +42,7 @@ from dimer_nm.model import (
     build_markovian_dephasing_model,
     build_symmetric_model,
 )
+from oracles import rhs
 
 GAMMA_EFF = 0.1  # 2 g^2 / kappa at the default parameters, any f
 

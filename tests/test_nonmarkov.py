@@ -8,12 +8,7 @@ import pytest
 from dimer_nm import dynamics, nonmarkov, opalg
 from dimer_nm.dynamics import integrate
 from dimer_nm.entanglement import reduce_to_dimer
-from dimer_nm.errors import (
-    DimerNMError,
-    NumericalDriftError,
-    SingularMapError,
-    SingularSystemError,
-)
+from dimer_nm.errors import DimerNMError, NumericalDriftError, SingularSystemError
 from dimer_nm import harness
 from dimer_nm.harness import RunConfig, run_nmm_sweep
 from dimer_nm.model import (
@@ -25,16 +20,14 @@ from dimer_nm.model import (
 )
 from dimer_nm.nonmarkov import (
     DynamicalMapFamily,
-    apply_map,
     choi_matrix,
-    g_of_t,
-    intermediate_map,
     map_tomography,
     nm_for_model,
     nm_measure,
     nm_sweep,
     uniform_grid,
 )
+from oracles import SingularMapError, apply_map, g_of_t, intermediate_map
 
 GAMMA_EFF = 0.1
 PHI = np.zeros((4, 4), dtype=complex)  # |Phi><Phi| for (|00>+|11>)/sqrt(2)
@@ -394,10 +387,10 @@ def svd_mask(maps):
 
 
 def spy_svd(monkeypatch):
-    """The size of each stack opalg.condition_numbers sees from now on."""
+    """The size of each stack opalg.condition_number sees from now on."""
     seen = []
-    svd = opalg.condition_numbers
-    monkeypatch.setattr(opalg, "condition_numbers", lambda a: seen.append(len(a)) or svd(a))
+    svd = opalg.condition_number
+    monkeypatch.setattr(opalg, "condition_number", lambda a: seen.append(len(a)) or svd(a))
     return seen
 
 
@@ -556,7 +549,8 @@ class TestSweep:
         assert "nmm: f=1: trace drifted by nan" in caplog.text
 
     def test_sweep_level_error_fills_every_row(self, caplog):
-        cfg = RunConfig(experiment="nmm", f_list="0.1,1", eps=-0.01, horizon=2.0)
+        cfg = RunConfig(experiment="nmm", f_list="0.1,1", eps=0.01, horizon=2.0)
+        cfg.eps = -0.01  # set past RunConfig's own check, so nm_sweep rejects it
         rows = [line.split(",") for line in run_nmm_sweep(cfg)[0].splitlines()[1:]]
         assert [row[1] for row in rows] == ["nan", "nan"]
         assert caplog.text.count("horizon and eps must be positive") == 2

@@ -5,6 +5,7 @@ import pytest
 
 from dimer_nm import opalg
 from dimer_nm.errors import DimensionError, NonHermitianError, SingularSystemError
+from oracles import partial_transpose
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -163,66 +164,32 @@ class TestPartialTranspose:
         rng = np.random.default_rng(19)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
-        out = opalg.partial_transpose(opalg.kron(rho_a, rho_b), (2, 3), 0)
+        out = partial_transpose(opalg.kron(rho_a, rho_b), (2, 3), 0)
         assert np.allclose(out, opalg.kron(rho_a.T, rho_b), atol=1e-14)
 
     def test_singlet_spectrum(self):
-        out = opalg.partial_transpose(SINGLET_2Q, (2, 2), 0)
+        out = partial_transpose(SINGLET_2Q, (2, 2), 0)
         evals = np.linalg.eigvalsh(out)
         assert np.allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_involution(self):
         rng = np.random.default_rng(20)
         rho = random_hermitian(rng, 4)
-        out = opalg.partial_transpose(
-            opalg.partial_transpose(rho, (2, 2), 1), (2, 2), 1
+        out = partial_transpose(
+            partial_transpose(rho, (2, 2), 1), (2, 2), 1
         )
         assert np.array_equal(out, rho)
 
     def test_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(21)
         rho = random_density(rng, 6)
-        out = opalg.partial_transpose(rho, (2, 3), 1)
+        out = partial_transpose(rho, (2, 3), 1)
         assert np.trace(out) == pytest.approx(np.trace(rho), abs=1e-14)
         assert opalg.hermiticity_defect(out) < 1e-14
 
     def test_rejects_bad_slot(self):
         with pytest.raises(DimensionError):
-            opalg.partial_transpose(np.eye(6), (2, 3), 2)
-
-
-class TestHermitianEigen:
-    def test_diagonal_input(self):
-        assert np.allclose(
-            opalg.hermitian_eigen(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0]
-        )
-
-    def test_pauli_spectrum(self):
-        assert np.allclose(opalg.hermitian_eigen(SIGMA_X), [-1.0, 1.0], atol=1e-15)
-
-    def test_eigenpair_residual(self):
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            h = random_hermitian(rng, 6)
-            evals = opalg.hermitian_eigen(h)
-            _, vecs = np.linalg.eigh(h)
-            for i in range(6):
-                res = np.linalg.norm(h @ vecs[:, i] - evals[i] * vecs[:, i])
-                assert res < 1e-9
-
-    def test_sum_and_product(self):
-        rng = np.random.default_rng(23)
-        h = random_hermitian(rng, 4)
-        evals = opalg.hermitian_eigen(h)
-        scale = 4 * np.max(np.abs(h))
-        assert abs(evals.sum() - np.trace(h).real) <= 1e-10 * scale
-        det = np.linalg.det(h).real
-        assert abs(np.prod(evals) - det) <= 1e-8 * max(abs(det), 1e-30)
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NonHermitianError):
-            opalg.hermitian_eigen(bad)
+            partial_transpose(np.eye(6), (2, 3), 2)
 
 
 class TestTraceNorm:
@@ -236,7 +203,7 @@ class TestTraceNorm:
             assert opalg.trace_norm(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_partially_transposed_singlet(self):
-        pt = opalg.partial_transpose(SINGLET_2Q, (2, 2), 0)
+        pt = partial_transpose(SINGLET_2Q, (2, 2), 0)
         assert opalg.trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
 
     def test_bounds_trace(self):
@@ -248,6 +215,15 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             opalg.trace_norm(opalg.make_destroy(3))
+
+
+class TestHermitianEigen:
+    """The Hermitian eigensolve, reached through trace_norm, is gated on Hermiticity."""
+
+    def test_rejects_non_hermitian(self):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NonHermitianError):
+            opalg.trace_norm(bad)
 
 
 class TestSolveLinear:
@@ -281,7 +257,7 @@ class TestSolveLinear:
 
 
 class TestStacked:
-    """Stacked variants agree with the one-matrix calls, matrix by matrix."""
+    """A stack (..., n, n) gives the one-matrix calls' results, matrix by matrix."""
 
     def test_match_one_matrix_calls(self):
         rng = np.random.default_rng(29)
@@ -289,31 +265,48 @@ class TestStacked:
             rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
         )
         b = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
-        x = opalg.solve_linear_stack(a, b)
+        x = opalg.solve_linear(a, b)
         for k in range(5):
             assert np.array_equal(x[k], opalg.solve_linear(a[k], b[k]))
+        v = b[0, :, 0]  # one right-hand side for every system
+        x = opalg.solve_linear(a, v)
+        assert x.shape == (5, 4)
+        for k in range(5):
+            assert np.array_equal(x[k], opalg.solve_linear(a[k], v))
         a[2] = 0.0
-        assert list(opalg.condition_numbers(a)) == [opalg.condition_number(m) for m in a]
-        assert opalg.condition_numbers(a)[2] == np.inf
+        assert list(opalg.condition_number(a)) == [opalg.condition_number(m) for m in a]
+        assert opalg.condition_number(a)[2] == np.inf
         h = np.stack([random_hermitian(rng, 4) for _ in range(5)])
-        assert list(opalg.trace_norms(h)) == [opalg.trace_norm(m) for m in h]
+        assert list(opalg.trace_norm(h)) == [opalg.trace_norm(m) for m in h]
 
     def test_rejects_any_non_hermitian_matrix(self):
         stack = np.stack([np.eye(3, dtype=complex), opalg.make_destroy(3)])
         with pytest.raises(NonHermitianError):
-            opalg.trace_norms(stack)
+            opalg.trace_norm(stack)
 
     def test_residual_failure_raises(self, monkeypatch):
         monkeypatch.setattr(opalg, "SOLVE_RESIDUAL_RTOL", 0.0)
         rng = np.random.default_rng(30)
         a = 4.0 * np.eye(6) + rng.standard_normal((3, 6, 6))
         with pytest.raises(SingularSystemError):
-            opalg.solve_linear_stack(a, rng.standard_normal((3, 6, 2)))
+            opalg.solve_linear(a, rng.standard_normal((3, 6, 2)))
 
     def test_exactly_singular_system_raises(self):
         a = np.stack([np.eye(3), np.zeros((3, 3))])
         with pytest.raises(SingularSystemError):
-            opalg.solve_linear_stack(a, np.ones((2, 3, 1)))
+            opalg.solve_linear(a, np.ones((2, 3, 1)))
+
+    def test_singular_system_reports_its_condition(self):
+        # a zero column: LAPACK stops at an exactly zero pivot, and the
+        # error names that system with its own estimate
+        rng = np.random.default_rng(31)
+        a = 4.0 * np.eye(3) + rng.standard_normal((4, 3, 3))
+        a[2, :, 1] = 0.0
+        with pytest.raises(SingularSystemError) as exc:
+            opalg.solve_linear(a, np.ones((4, 3, 1)))
+        assert "system 2 of the stack" in str(exc.value)
+        assert exc.value.cond == opalg.condition_number(a[2])
+        assert exc.value.cond > 1e15
 
 
 class TestVecConvention:
