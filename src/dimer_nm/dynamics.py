@@ -16,7 +16,7 @@ Two engines, chosen by the Hilbert dimension alone (:func:`engine_for`):
 * ``direct``      above it: applies the exact propagator exp(L tau) to
                   vec(rho) with scipy's ``expm_multiply`` on the CSR
                   generator (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-                  488 (2011)), one call per run of equal strides. The
+                  488 (2011)), one call per model and block. The
                   generator has about 11 nonzeros per row, so the engine
                   has no dimension cap, and its states do not depend on
                   the step size, which only places the marks.
@@ -30,11 +30,12 @@ about it is made once: the step size (:func:`suggest_dt`), the number of
 steps over an interval (:func:`steps_over`, the fewest whole steps with
 none longer than the step size), the engine (:func:`engine_for`) and its
 stride loop (:func:`propagate`, which steps a stack of models together,
-on the aggregated engine one stacked product per mark, and hands the
-samples over in blocks of _CHUNK marks), the trace-drift abort
-(:func:`check_drift`), the state validity rule (:func:`_defects`, with
-the eigenvalue floor EIG_FLOOR) and the observables, which
-:func:`integrate` takes over the stored stack at once.
+each at one stride of its own, on the aggregated engine one stacked
+product per mark, and hands the samples over in blocks of _CHUNK marks;
+a trace with a shorter last store interval steps it in a second call),
+the trace-drift abort (:func:`check_drift`), the state validity rule
+(:func:`_defects`, with the eigenvalue floor EIG_FLOOR) and the
+observables, which :func:`integrate` takes over the stored stack at once.
 
 scipy is imported lazily, only by the direct engine and by the sparse
 steady-state solve, so ``import dimer_nm`` and the dense runs (every
@@ -237,18 +238,19 @@ def engine_for(model: LindbladModel, method: str = "auto") -> str:
     return method
 
 
-def propagate(models, v, dts, marks, keep=None, method: str = "auto"):
+def propagate(models, v, dts, strides, n_marks, keep=None, method: str = "auto"):
     """Propagate a stack of models, handed over in blocks of marks.
 
     The models share dims. Model i starts from v[i], vec(rho) or a matrix
-    whose columns are vectorized states, and is sampled at the times
-    dts[i] * marks[i], the marks being step counts increasing from 0;
-    every marks[i] has the same length. Yields (lo, block, live) for
-    blocks of at most _CHUNK marks: block[i, j] holds model i's v, or
-    keep @ v, at mark lo + j. Each block is a view of a buffer that the
-    next block overwrites, so the caller copies what it keeps. Clearing
-    live[i] before the next block stops model i; its rows of later
-    blocks are nan.
+    whose columns are vectorized states, and is sampled n_marks times,
+    every strides[i] steps of dts[i]: mark k is at time
+    k * strides[i] * dts[i]. One stride per model is the rule; a run
+    with a shorter last interval makes a second call from its last state.
+    Yields (lo, block, live) for blocks of at most _CHUNK marks:
+    block[i, j] holds model i's v, or keep @ v, at mark lo + j. Each block
+    is a view of one buffer that the next block overwrites, so the caller
+    copies what it keeps. Clearing live[i] before the next block stops
+    model i; its rows of later blocks are nan.
 
     All models run on the one engine :func:`engine_for` gives. Each
     model runs exactly as it would in a stack of one.
@@ -262,101 +264,68 @@ def propagate(models, v, dts, marks, keep=None, method: str = "auto"):
     x = v[..., None] if v.ndim == 2 else v
     shape = v.shape[1:] if keep is None else (len(keep),) + v.shape[2:]
     live = np.ones(n, dtype=bool)
+    block = np.empty((n, min(_CHUNK, n_marks)) + shape, dtype=complex)
+    # the engines write their rows with the column axis kept
+    out = block.reshape(block.shape[:3] + x.shape[-1:])
     blocks = _aggregated if engine == "aggregated" else _direct
-    block = None
-    for lo, idx, rows in blocks(models, x, dts, marks, keep, live):
-        rows = rows.reshape(rows.shape[:2] + shape)
-        if len(idx) == n:
-            yield lo, rows, live
-            continue
-        # rows holds the models still live; the stopped ones read nan
-        m = rows.shape[1]
-        if block is None:
-            block = np.empty((n, min(_CHUNK, len(marks[0]))) + shape, dtype=complex)
+    for lo, m in blocks(models, x, dts, strides, n_marks, keep, live, out):
         block[~live, :m] = np.nan
-        block[idx, :m] = rows
         yield lo, block[:, :m], live
 
 
-def _aggregated(models, x, dts, marks, keep, live):
-    """The aggregated engine's blocks for :func:`propagate`: (lo, models
-    stepped, their rows).
+def _aggregated(models, x, dts, strides, n_marks, keep, live, out):
+    """The aggregated engine's blocks for :func:`propagate`: writes the
+    rows of the live models into out and yields (lo, marks in block).
 
-    The transfer matrix is built once per model, and each stride between
-    marks is one power of it. The models advance together, one stacked
-    product per mark, which runs each model's product exactly as a stack
-    of one would; a new power is taken where any model's stride changes.
+    Each model's stride operator, the power of its transfer matrix, is
+    built once. The models advance together, one stacked product per
+    mark, which runs each model's product exactly as a stack of one would.
     """
-    # the marks where any model's stride changes, and every model's
-    # stride from there; one model at a time bounds the temporaries
-    n_marks = len(marks[0])
-    change = np.zeros(n_marks - 1, dtype=bool)
-    change[:1] = True
-    for mk in marks:
-        strides = np.diff(mk)
-        change[1:] |= strides[1:] != strides[:-1]
-    at = np.flatnonzero(change)
-    runs = dict(zip(at.tolist(), np.array([np.diff(mk)[at] for mk in marks]).T))
+    g = np.stack([np.linalg.matrix_power(rk4_transfer_matrix(liouvillian_matrix(m), dt), int(s))
+                  for m, dt, s in zip(models, dts, strides)])
     idx = np.arange(len(models))
-    p = [rk4_transfer_matrix(liouvillian_matrix(m), dt) for m, dt in zip(models, dts)]
-    # one mark-major buffer for all blocks
-    buf = np.empty((min(_CHUNK, n_marks),) + _kept(keep, x).shape, dtype=complex)
-    g = None
     for lo in range(0, n_marks, _CHUNK):
         kept = live[idx]
         if not kept.all():
-            x, buf, p = x[kept], buf[:, kept], [q for q, k in zip(p, kept) if k]
-            g = None if g is None else g[kept]
-            idx = idx[kept]
+            x, g, idx = x[kept], g[kept], idx[kept]
+        # basic slicing while every model is live
+        rows = slice(None) if len(idx) == len(live) else idx
         m = min(_CHUNK, n_marks - lo)
         if lo == 0:
-            buf[0] = _kept(keep, x)
-        # mark k is reached by stepping stride k - 1 from mark k - 1
+            out[rows, 0] = _kept(keep, x)
         for k in range(max(lo, 1), lo + m):
-            if k - 1 in runs:
-                g = np.stack([np.linalg.matrix_power(q, int(s))
-                              for q, s in zip(p, runs[k - 1][idx])])
             x = g @ x
-            buf[k - lo] = _kept(keep, x)
-        yield lo, idx, buf[:m].swapaxes(0, 1)
+            out[rows, k - lo] = _kept(keep, x)
+        yield lo, m
 
 
-def _direct(models, x, dts, marks, keep, live):
-    """The direct engine's blocks for :func:`propagate`: (lo, models
-    stepped, their rows).
+def _direct(models, x, dts, strides, n_marks, keep, live, out):
+    """The direct engine's blocks for :func:`propagate`: writes the rows
+    of the live models into out and yields (lo, marks in block).
 
-    Each model's CSR generator is built once. Within a block, each run of
-    marks that model i reaches by equal strides is one ``expm_multiply``
-    call on the grid of those marks. The runs split at model i's own
-    stride changes and at the block bounds only, so the model gets the
-    same bits as in a stack of one.
+    Each model's CSR generator is built once, and each block of a model
+    is one ``expm_multiply`` call on the grid of its marks, so the model
+    gets the same bits as in a stack of one.
     """
     from scipy.sparse.linalg import expm_multiply
 
     gens = [sparse_generator(m.h_eff, m.jumps) for m in models]
     x = list(x)
-    strides = [np.diff(mk) for mk in marks]
-    n, n_marks = len(models), len(marks[0])
-    buf = np.empty((n, min(_CHUNK, n_marks)) + _kept(keep, x[0]).shape, dtype=complex)
     for lo in range(0, n_marks, _CHUNK):
-        idx = np.flatnonzero(live)
         m = min(_CHUNK, n_marks - lo)
-        for i in idx:
+        # block 0 holds mark 0 and steps to marks 1..m-1; a later block
+        # steps its m marks from the last mark of the block before
+        first = 1 if lo == 0 else 0
+        count = m - first
+        for i in np.flatnonzero(live):
             if lo == 0:
-                buf[i, 0] = _kept(keep, x[i])
-            # mark k is reached by stepping the stride at k - 1 from mark
-            # k - 1; [k0 + a, k0 + b) is a run of marks of one stride
-            k0 = max(lo, 1)
-            st = strides[i][k0 - 1:lo + m - 1]
-            cuts = np.flatnonzero(st[1:] != st[:-1]) + 1
-            for a, b in zip([0, *cuts], [*cuts, len(st)]):
-                if b == a:
-                    continue
-                xs = expm_multiply(gens[i], x[i], start=0.0, stop=(b - a) * st[a] * dts[i],
-                                   num=b - a + 1, endpoint=True)
+                out[i, 0] = _kept(keep, x[i])
+            if count:
+                xs = expm_multiply(gens[i], x[i], start=0.0, stop=(count * strides[i]) * dts[i],
+                                   num=count + 1, endpoint=True)
                 x[i] = xs[-1]
-                buf[i, k0 - lo + a:k0 - lo + b] = _kept(keep, xs[1:])
-        yield lo, idx, buf[idx, :m] if len(idx) < n else buf[:, :m]
+                out[i, first:m] = _kept(keep, xs[1:])
+        yield lo, m
 
 
 def _kept(keep, x):
@@ -416,15 +385,20 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     dt_eff = t_end / n_steps
     store_every = max(1, int(store_every))
 
-    marks = list(range(0, n_steps + 1, store_every))
-    if marks[-1] != n_steps:
-        marks.append(n_steps)
+    # whole store intervals in one call; a partial last one is a second
+    # call of one interval from the last whole-interval state
+    n_whole, tail = divmod(n_steps, store_every)
+    marks = list(range(0, n_steps + 1, store_every)) + [n_steps] * (tail > 0)
 
     method = engine_for(model, method)
     states = np.empty((len(marks), d, d), dtype=complex)
-    for lo, block, _ in propagate([model], [opalg.vec(rho0)], [dt_eff], [marks], method=method):
-        # vec is column stacking, so each row of block[0] is a transposed state
-        states[lo:lo + block.shape[1]] = block[0].reshape(-1, d, d).transpose(0, 2, 1)
+    v, at = opalg.vec(rho0), 0
+    for stride, n_marks in [(store_every, n_whole + 1)] + [(tail, 2)] * (tail > 0):
+        for lo, block, _ in propagate([model], [v], [dt_eff], [stride], n_marks, method=method):
+            # vec is column stacking, so each row of block[0] is a transposed state
+            states[at + lo:at + lo + block.shape[1]] = block[0].reshape(-1, d, d).transpose(0, 2, 1)
+        at += n_marks - 1
+        v = opalg.vec(states[at])
     times = dt_eff * np.asarray(marks, dtype=float)
 
     trace, herm, low = np.concatenate([

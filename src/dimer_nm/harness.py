@@ -76,12 +76,14 @@ class RunConfig:
             val = getattr(self, key)
             if not (val >= low if closed else val > low):  # nan fails too
                 raise ConfigError(f"{key} must be {'>=' if closed else '>'} {low}, got {val!r}")
+        if not all(v >= 2 and v.is_integer() for v in _parse_float_list(self.fock_list, "fock")):
+            raise ConfigError(f"fock_list must be whole numbers >= 2, got {self.fock_list!r}")
 
 
 # (key, lower bound, whether the bound itself is allowed); dt = 0 and
 # horizon = 0 mean "default"
 _LOWER_BOUNDS = (
-    ("n_fock", 2, True), ("n_points", 1, True), ("store_every", 1, True),
+    ("n_fock", 2, True), ("n_points", 1, True), ("store_every", 1, True), ("n_th", 0.0, True),
     ("t_end", 0.0, False), ("eps", 0.0, False), ("dt", 0.0, True), ("horizon", 0.0, True),
 )
 
@@ -211,6 +213,17 @@ def initial_state(model):
 def gamma_eff_of(cfg: RunConfig) -> float:
     """Site-1 effective dephasing rate; invariant along the f family."""
     return effective_dephasing_rate(cfg.g1, cfg.kappa1)
+
+
+def _horizon(cfg: RunConfig, gamma: float) -> float:
+    """The memory-measure horizon: the horizon key, or by default 20
+    relaxation times 1 / gamma_eff, which gamma_eff = 0 (g1 = 0) leaves
+    undefined."""
+    if cfg.horizon > 0:
+        return cfg.horizon
+    if gamma == 0:
+        raise ConfigError("horizon must be set when gamma_eff = 0; its default is 20 / gamma_eff")
+    return 20.0 / gamma
 
 
 # ---------------------------------------------------------------- CSV
@@ -392,7 +405,7 @@ def run_nmm_sweep(cfg: RunConfig):
     """Memory-measure sweep; per-f failures become nan rows, not aborts."""
     fs = resolve_f_values(cfg)
     gamma = gamma_eff_of(cfg)
-    horizon = cfg.horizon if cfg.horizon > 0 else 20.0 / gamma
+    horizon = _horizon(cfg, gamma)
 
     rows = []
     for f, (row, note) in zip(fs, _nmm_rows(cfg, fs, horizon, gamma)):
@@ -410,7 +423,7 @@ def run_sweep(cfg: RunConfig):
     """Steady-state and memory-measure columns merged on one f grid."""
     fs = resolve_f_values(cfg)
     gamma = gamma_eff_of(cfg)
-    horizon = cfg.horizon if cfg.horizon > 0 else 20.0 / gamma
+    horizon = _horizon(cfg, gamma)
 
     mk_logneg = _markov_baseline_logneg(cfg)
     rows = []

@@ -143,9 +143,8 @@ def _tomography(models, t_grid, eps, dts):
 
     steps = [steps_over(eps, dt if dt is not None and dt > 0 else suggest_dt(model))
              for model, dt in zip(models, dts)]
-    marks = [range(0, s * t_grid.shape[0], s) for s in steps]
     sub_dts = [eps / s for s in steps]
-    return sub_dts, propagate(models, v, sub_dts, marks, keep=red)
+    return sub_dts, propagate(models, v, sub_dts, steps, t_grid.shape[0], keep=red)
 
 
 def _check_maps(maps, times, sub_dt):

@@ -380,26 +380,25 @@ class TestCheckDrift:
         assert "at t=0.5 " in str(exc.value)
 
 
-def propagated(model, v0, dt, marks, **kwargs):
+def propagated(model, v0, dt, stride, n_marks, **kwargs):
     """propagate on a stack of one, its blocks joined."""
     return np.concatenate([block[0].copy() for _, block, _ in
-                           propagate([model], [v0], [dt], [marks], **kwargs)])
+                           propagate([model], [v0], [dt], [stride], n_marks, **kwargs)])
 
 
 class TestPropagate:
     def test_marks_count_steps_and_keep_projects(self):
         m = symmetric_model(0.1)
         v0 = opalg.vec(initial_state(m))
-        marks = [0, 3, 10, 12]
         assert engine_for(m, "aggregated") == "aggregated"
-        stack = propagated(m, v0, 1e-3, marks, method="aggregated")
+        stack = propagated(m, v0, 1e-3, 3, 4, method="aggregated")
         assert stack.shape == (4, m.dim ** 2)
         p = rk4_transfer_matrix(liouvillian_matrix(m), 1e-3)
-        for k, mark in enumerate(marks):
+        for k, mark in enumerate([0, 3, 6, 9]):
             expect = np.linalg.matrix_power(p, mark) @ v0
             assert np.max(np.abs(stack[k] - expect)) <= 1e-14
         keep = np.random.default_rng(43).standard_normal((3, m.dim ** 2))
-        kept = propagated(m, v0, 1e-3, marks, keep=keep, method="aggregated")
+        kept = propagated(m, v0, 1e-3, 3, 4, keep=keep, method="aggregated")
         assert kept.shape == (4, 3)
         assert np.max(np.abs(kept - stack @ keep.T)) <= 1e-13
 
@@ -407,13 +406,12 @@ class TestPropagate:
         m = symmetric_model(0.1)
         rng = np.random.default_rng(44)
         v0 = rng.standard_normal((m.dim ** 2, 2)) + 1j * rng.standard_normal((m.dim ** 2, 2))
-        marks = range(0, 500, 100)
         assert engine_for(m, "direct") == "direct"
-        direct = propagated(m, v0, 1e-3, marks, method="direct")
-        aggregated = propagated(m, v0, 1e-3, marks, method="aggregated")
+        direct = propagated(m, v0, 1e-3, 100, 5, method="direct")
+        aggregated = propagated(m, v0, 1e-3, 100, 5, method="aggregated")
         assert direct.shape == (5, m.dim ** 2, 2)
         assert np.max(np.abs(direct - aggregated)) <= 1e-10 * np.max(np.abs(v0))
-        single = propagated(m, v0[:, 1], 1e-3, marks, method="direct")
+        single = propagated(m, v0[:, 1], 1e-3, 100, 5, method="direct")
         assert np.max(np.abs(direct[..., 1] - single)) <= 1e-13
 
     def test_auto_engine_rule(self):
@@ -433,7 +431,7 @@ class TestPropagate:
         with pytest.raises(DimerNMError):
             engine_for(m, "leapfrog")
         with pytest.raises(DimerNMError):
-            next(propagate([m], [opalg.vec(initial_state(m))], [1e-3], [[0, 1]],
+            next(propagate([m], [opalg.vec(initial_state(m))], [1e-3], [1], 2,
                            method="leapfrog"))
 
     def test_blocks_hold_at_most_chunk_marks(self):
@@ -441,7 +439,7 @@ class TestPropagate:
         v0 = opalg.vec(np.eye(2) / 2.0)
         n_marks = 2 * dynamics._CHUNK + 5
         starts, sizes = [], []
-        for lo, block, _ in propagate([m], [v0], [1e-3], [range(n_marks)]):
+        for lo, block, _ in propagate([m], [v0], [1e-3], [1], n_marks):
             starts.append(lo)
             sizes.append(block.shape[1])
         assert max(sizes) <= dynamics._CHUNK
@@ -449,16 +447,12 @@ class TestPropagate:
         assert starts == list(np.cumsum([0] + sizes[:-1]))
 
     def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch):
-        # different steps and strides in one stack, over several blocks
-        # and stride changes, each model as it runs alone, on either
-        # engine; the direct engine splits a model's runs at its own
-        # stride changes only, so model 0's change at its last mark must
-        # not split the others' runs
+        # different steps and strides in one stack, over several blocks,
+        # each model as it runs alone, on either engine
         monkeypatch.setattr(dynamics, "_CHUNK", 7)
         models = [symmetric_model(f) for f in (0.01, 1.0, 100.0)]
         dts = [1e-3, 5e-4, 1e-5]
-        marks = [[0] + list(range(3, 57, 3)) + [61], list(range(0, 40, 2)),
-                 list(range(0, 200, 10))]
+        strides, n_marks = [3, 2, 10], 20
         rng = np.random.default_rng(45)
         v0 = rng.standard_normal((3, models[0].dim ** 2, 4)) + 0j
         keep = rng.standard_normal((4, models[0].dim ** 2))
@@ -469,22 +463,23 @@ class TestPropagate:
         }
         for method, oracle in oracles.items():
             stacked = np.concatenate([block.copy() for _, block, _ in propagate(
-                models, v0, dts, marks, keep=keep, method=method)], axis=1)
+                models, v0, dts, strides, n_marks, keep=keep, method=method)], axis=1)
             for i in range(3):
-                alone = propagated(models[i], v0[i], dts[i], marks[i], keep=keep,
+                alone = propagated(models[i], v0[i], dts[i], strides[i], n_marks, keep=keep,
                                    method=method)
                 assert np.array_equal(stacked[i], alone)
-                expect = [keep @ oracle(models[i], dts[i], mark) @ v0[i] for mark in marks[i]]
+                expect = [keep @ oracle(models[i], dts[i], k * strides[i]) @ v0[i]
+                          for k in range(n_marks)]
                 assert np.max(np.abs(stacked[i] - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_cleared_live_stops_a_model(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_CHUNK", 4)
         models = [symmetric_model(f) for f in (0.1, 1.0, 10.0)]
         v0 = np.stack([opalg.vec(initial_state(m)) for m in models])
-        marks = [range(0, 1200, 100)] * 3
         for method in ("aggregated", "direct"):
             blocks = []
-            for lo, block, live in propagate(models, v0, [1e-3] * 3, marks, method=method):
+            for lo, block, live in propagate(models, v0, [1e-3] * 3, [100] * 3, 12,
+                                             method=method):
                 blocks.append(block.copy())
                 live[1] = False
             assert np.isfinite(blocks[0]).all()
@@ -492,14 +487,28 @@ class TestPropagate:
                 assert np.isnan(block[1]).all() and np.isfinite(block[[0, 2]]).all()
             joined = np.concatenate(blocks, axis=1)
             for i in (0, 2):
-                assert np.array_equal(joined[i], propagated(models[i], v0[i], 1e-3, marks[i],
+                assert np.array_equal(joined[i], propagated(models[i], v0[i], 1e-3, 100, 12,
                                                             method=method))
 
     def test_rejects_models_of_different_dims(self):
         small, big = symmetric_model(0.1), symmetric_model(0.1, n_fock=4)
         vs = [opalg.vec(initial_state(m)) for m in (small, big)]
         with pytest.raises(DimensionError):
-            next(propagate([small, big], vs, [1e-3] * 2, [[0, 100]] * 2))
+            next(propagate([small, big], vs, [1e-3] * 2, [100] * 2, 2))
+
+    def test_integrate_partial_last_interval_on_the_aggregated_engine(self):
+        # 20 whole store intervals plus a 50-step last one, each stored
+        # state the RK4 transfer matrix raised to its step count
+        m = symmetric_model(1.0)
+        rho0 = initial_state(m)
+        traj = integrate(m, rho0, 2.05, store_every=100, observables=[], method="aggregated")
+        assert traj.diagnostics["method"] == "aggregated"
+        assert traj.diagnostics["n_steps"] == 2050
+        assert traj.times[-1] == pytest.approx(2.05, rel=1e-15)
+        p = rk4_transfer_matrix(liouvillian_matrix(m), traj.diagnostics["dt"])
+        for mark, rho in zip(list(range(0, 2001, 100)) + [2050], traj.states):
+            expect = opalg.unvec(np.linalg.matrix_power(p, mark) @ opalg.vec(rho0))
+            assert np.max(np.abs(rho - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestExactPropagator:
@@ -511,10 +520,9 @@ class TestExactPropagator:
         lmat = liouvillian_matrix(m)
         rng = np.random.default_rng(46)
         v0 = rng.standard_normal((m.dim ** 2, 4)) + 1j * rng.standard_normal((m.dim ** 2, 4))
-        marks = [0, 40, 80, 120, 300, 480, 660, 700]  # stride changes mid-run
-        stack = propagated(m, v0, 1e-3, marks, method="direct")
-        for k, mark in enumerate(marks):
-            expect = expm(lmat * (1e-3 * mark)) @ v0
+        stack = propagated(m, v0, 1e-3, 100, 8, method="direct")
+        for k in range(8):
+            expect = expm(lmat * (1e-3 * 100 * k)) @ v0
             assert np.max(np.abs(stack[k] - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("n_fock", [None, 3], ids=["symmetric_d6", "full_d18"])
@@ -522,11 +530,14 @@ class TestExactPropagator:
         m = symmetric_model(1.0) if n_fock is None else asymmetric_full_model(n_fock, f=1.0)
         lmat = liouvillian_matrix(m)
         rho0 = initial_state(m)
-        traj = integrate(m, rho0, 2.0, store_every=100, observables=[], method="direct")
-        assert traj.diagnostics["method"] == "direct"
-        for t, rho in zip(traj.times, traj.states):
-            expect = opalg.unvec(expm(lmat * t) @ opalg.vec(rho0))
-            assert np.max(np.abs(rho - expect)) <= 1e-12 * np.max(np.abs(expect))
+        # 20 whole store intervals, then the same plus a 50-step last one
+        for t_end in (2.0, 2.05):
+            traj = integrate(m, rho0, t_end, store_every=100, observables=[], method="direct")
+            assert traj.diagnostics["method"] == "direct"
+            assert traj.times[-1] == pytest.approx(t_end, rel=1e-15)
+            for t, rho in zip(traj.times, traj.states):
+                expect = opalg.unvec(expm(lmat * t) @ opalg.vec(rho0))
+                assert np.max(np.abs(rho - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_step_size_does_not_move_the_states(self):
         # the d = 72 trace of the full model, at dt and at dt / 2; the

@@ -126,6 +126,8 @@ OUT_OF_RANGE = [
     ("eps", ("-0.01", "0"), "--eps"),
     ("dt", ("-1",), "--dt"),
     ("horizon", ("-1", "nan"), "--horizon"),
+    ("n_th", ("-1", "nan"), None),
+    ("fock_list", ("1,3", "2.5", "3,nan"), None),
 ]
 
 
@@ -154,7 +156,8 @@ class TestConfigRanges:
 
     def test_bounds_themselves_accepted(self):
         cfg = parse_config("store_every = 1\nn_points = 1\nn_fock = 2\n"
-                           "dt = 0\nhorizon = 0\nt_end = 1e-9\neps = 1e-9\n")
+                           "dt = 0\nhorizon = 0\nt_end = 1e-9\neps = 1e-9\n"
+                           "n_th = 0\nfock_list = 2\n")
         assert (cfg.store_every, cfg.n_points, cfg.n_fock) == (1, 1, 2)
 
     def test_every_benchmark_config_parses(self):
@@ -471,6 +474,24 @@ class TestCli:
                          "--out", str(tmp_path / "blowup")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["nmm", "sweep"])
+    def test_default_horizon_without_coupling_exits_two(self, experiment, tmp_path, capsys):
+        # g1 = 0 makes gamma_eff = 0, so 20 / gamma_eff is no horizon
+        path = tmp_path / "uncoupled.cfg"
+        path.write_text("g1 = 0\n")
+        out = str(tmp_path / "uncoupled")
+        assert cli.main([experiment, "--f", "0.1", "--config", str(path), "--out", out]) == 2
+        assert "configuration error: horizon must be set" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
+
+    def test_set_horizon_without_coupling_runs(self, tmp_path):
+        path = tmp_path / "uncoupled.cfg"
+        path.write_text("g1 = 0\n")
+        assert cli.main(["nmm", "--f", "0.1", "--eps", "0.05", "--horizon", "5",
+                         "--config", str(path), "--out", str(tmp_path / "uncoupled")]) == 0
+        with open(tmp_path / "uncoupled.csv") as fh:
+            assert fh.read().splitlines()[1].split(",")[4] == "5.00000000000e+00"
 
     def test_sweep_notes_reach_stderr_as_bare_lines(self, tmp_path, capsys):
         for _ in range(2):  # the handler is attached once per run, not stacked
