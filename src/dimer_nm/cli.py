@@ -1,7 +1,7 @@
 """Command line entry point.
 
     dimer-nm <experiment|preset> [--config PATH] [--out PATH]
-             [--f V] [--fock N] [--dt V] [--tmax V] [--eps V]
+             [--f V] [--fock N] [--tmax V] [--eps V]
              [--horizon V] [--observable X] [--model X]
 
 The positional argument is an experiment name (evolve, steady, nmm,
@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output basename (default: experiment name)")
     parser.add_argument("--f", type=float, help="run a single f value")
     parser.add_argument("--fock", type=int, help="mode truncation override")
-    parser.add_argument("--dt", type=float, help="integration step override")
     parser.add_argument("--tmax", type=float, help="trace end time override")
     parser.add_argument("--eps", type=float, help="intermediate-map step override")
     parser.add_argument("--horizon", type=float, help="memory-measure horizon override")
@@ -77,8 +76,6 @@ def config_from_args(args) -> RunConfig:
         overrides["f_list"] = repr(args.f)
     if args.fock is not None:
         overrides["n_fock"] = args.fock
-    if args.dt is not None:
-        overrides["dt"] = args.dt
     if args.tmax is not None:
         overrides["t_end"] = args.tmax
     if args.eps is not None:

@@ -26,14 +26,15 @@ f <= 0.1 and the base step; tests pin the agreement at 1e-10.
 
 Every trajectory, an :func:`integrate` run or the map tomography of
 :mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
-about it is made once: the step size (:func:`suggest_dt`), the number of
-steps over an interval (:func:`steps_over`, the fewest whole steps with
-none longer than the step size), the engine (:func:`engine_for`) and its
-stride loop (:func:`propagate`, which steps a stack of models together,
-each at one stride of its own, on the aggregated engine one stacked
-product per mark, and hands the samples over in blocks of _CHUNK marks;
-a trace with a shorter last store interval steps it in a second call),
-the trace-drift abort (:func:`check_drift`), the state validity rule
+about it is made once: the step size (:func:`suggest_dt`, from BASE_DT),
+the number of steps over an interval (:func:`steps_over`, the fewest
+whole steps with none longer than the step size), the engine
+(:func:`engine_for`) and its stride loop (:func:`propagate`, which steps
+a stack of models together, each at one stride of its own, on the
+aggregated engine one stacked product per mark, and hands the samples
+over in blocks of at most _CHUNK marks, each starting at the last mark
+of the block before; a trace with a shorter last store interval steps it
+in a second call), the trace-drift abort (:func:`check_drift`), the state validity rule
 (:func:`_defects`, with the eigenvalue floor EIG_FLOOR) and the
 observables, which :func:`integrate` takes over the stored stack at once.
 
@@ -238,19 +239,22 @@ def engine_for(model: LindbladModel, method: str = "auto") -> str:
     return method
 
 
-def propagate(models, v, dts, strides, n_marks, keep=None, method: str = "auto"):
+def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = "auto"):
     """Propagate a stack of models, handed over in blocks of marks.
 
     The models share dims. Model i starts from v[i], vec(rho) or a matrix
     whose columns are vectorized states, and is sampled n_marks times,
-    every strides[i] steps of dts[i]: mark k is at time
-    k * strides[i] * dts[i]. One stride per model is the rule; a run
-    with a shorter last interval makes a second call from its last state.
+    every strides[i] steps of step_sizes[i]: mark k is at time
+    k * strides[i] * step_sizes[i]. One stride per model is the rule; a
+    run with a shorter last interval makes a second call from its last
+    state.
     Yields (lo, block, live) for blocks of at most _CHUNK marks:
-    block[i, j] holds model i's v, or keep @ v, at mark lo + j. Each block
-    is a view of one buffer that the next block overwrites, so the caller
-    copies what it keeps. Clearing live[i] before the next block stops
-    model i; its rows of later blocks are nan.
+    block[i, j] holds model i's v, or keep @ v, at mark lo + j. Each
+    block after the first starts at the last mark of the block before,
+    with the same bits, so a block of m marks spans m - 1 whole stride
+    intervals. Each block is a view of one buffer that the next block
+    overwrites, so the caller copies what it keeps. Clearing live[i]
+    before the next block stops model i; its rows of later blocks are nan.
 
     All models run on the one engine :func:`engine_for` gives. Each
     model runs exactly as it would in a stack of one.
@@ -264,44 +268,43 @@ def propagate(models, v, dts, strides, n_marks, keep=None, method: str = "auto")
     x = v[..., None] if v.ndim == 2 else v
     shape = v.shape[1:] if keep is None else (len(keep),) + v.shape[2:]
     live = np.ones(n, dtype=bool)
-    block = np.empty((n, min(_CHUNK, n_marks)) + shape, dtype=complex)
+    spans = [(lo, min(_CHUNK, n_marks - lo)) for lo in range(0, max(n_marks - 1, 1), _CHUNK - 1)]
+    block = np.empty((n, spans[0][1]) + shape, dtype=complex)
     # the engines write their rows with the column axis kept
     out = block.reshape(block.shape[:3] + x.shape[-1:])
     blocks = _aggregated if engine == "aggregated" else _direct
-    for lo, m in blocks(models, x, dts, strides, n_marks, keep, live, out):
+    for lo, m in blocks(models, x, step_sizes, strides, spans, keep, live, out):
         block[~live, :m] = np.nan
         yield lo, block[:, :m], live
 
 
-def _aggregated(models, x, dts, strides, n_marks, keep, live, out):
+def _aggregated(models, x, step_sizes, strides, spans, keep, live, out):
     """The aggregated engine's blocks for :func:`propagate`: writes the
-    rows of the live models into out and yields (lo, marks in block).
+    rows of the live models into out and yields each (lo, m) of spans.
 
     Each model's stride operator, the power of its transfer matrix, is
     built once. The models advance together, one stacked product per
     mark, which runs each model's product exactly as a stack of one would.
     """
     g = np.stack([np.linalg.matrix_power(rk4_transfer_matrix(liouvillian_matrix(m), dt), int(s))
-                  for m, dt, s in zip(models, dts, strides)])
+                  for m, dt, s in zip(models, step_sizes, strides)])
     idx = np.arange(len(models))
-    for lo in range(0, n_marks, _CHUNK):
+    for lo, m in spans:
         kept = live[idx]
         if not kept.all():
             x, g, idx = x[kept], g[kept], idx[kept]
         # basic slicing while every model is live
         rows = slice(None) if len(idx) == len(live) else idx
-        m = min(_CHUNK, n_marks - lo)
-        if lo == 0:
-            out[rows, 0] = _kept(keep, x)
-        for k in range(max(lo, 1), lo + m):
+        out[rows, 0] = _kept(keep, x)
+        for k in range(1, m):
             x = g @ x
-            out[rows, k - lo] = _kept(keep, x)
+            out[rows, k] = _kept(keep, x)
         yield lo, m
 
 
-def _direct(models, x, dts, strides, n_marks, keep, live, out):
+def _direct(models, x, step_sizes, strides, spans, keep, live, out):
     """The direct engine's blocks for :func:`propagate`: writes the rows
-    of the live models into out and yields (lo, marks in block).
+    of the live models into out and yields each (lo, m) of spans.
 
     Each model's CSR generator is built once, and each block of a model
     is one ``expm_multiply`` call on the grid of its marks, so the model
@@ -311,20 +314,14 @@ def _direct(models, x, dts, strides, n_marks, keep, live, out):
 
     gens = [sparse_generator(m.h_eff, m.jumps) for m in models]
     x = list(x)
-    for lo in range(0, n_marks, _CHUNK):
-        m = min(_CHUNK, n_marks - lo)
-        # block 0 holds mark 0 and steps to marks 1..m-1; a later block
-        # steps its m marks from the last mark of the block before
-        first = 1 if lo == 0 else 0
-        count = m - first
+    for lo, m in spans:
         for i in np.flatnonzero(live):
-            if lo == 0:
-                out[i, 0] = _kept(keep, x[i])
-            if count:
-                xs = expm_multiply(gens[i], x[i], start=0.0, stop=(count * strides[i]) * dts[i],
-                                   num=count + 1, endpoint=True)
+            out[i, 0] = _kept(keep, x[i])
+            if m > 1:
+                stop = ((m - 1) * strides[i]) * step_sizes[i]
+                xs = expm_multiply(gens[i], x[i], start=0.0, stop=stop, num=m, endpoint=True)
                 x[i] = xs[-1]
-                out[i, first:m] = _kept(keep, xs[1:])
+                out[i, 1:m] = _kept(keep, xs[1:])
         yield lo, m
 
 
@@ -359,7 +356,7 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
               store_every: int = 10, observables=None, method: str = "auto") -> Trajectory:
     """Evolution from rho0 over [0, t_end] through :func:`propagate`.
 
-    dt defaults to :func:`suggest_dt`; the run takes
+    dt defaults to :func:`suggest_dt` and must be positive; the run takes
     :func:`steps_over` (t_end, dt) equal steps, fixed-step RK4 on the
     aggregated engine and marks of the exact propagator on the direct one.
     States are stored every ``store_every`` steps (plus the final step)
@@ -379,8 +376,10 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         raise DimensionError(f"rho0 shape {rho0.shape} does not match dims {model.dims}")
     if t_end <= 0:
         raise DimerNMError(f"t_end must be positive, got {t_end}")
-    if dt is None or dt <= 0:
+    if dt is None:
         dt = suggest_dt(model)
+    elif not dt > 0:  # nan fails too
+        raise DimerNMError(f"dt must be positive, got {dt}")
     n_steps = steps_over(t_end, dt)
     dt_eff = t_end / n_steps
     store_every = max(1, int(store_every))

@@ -60,7 +60,6 @@ class RunConfig:
     n_points: int = 15
     log_spaced: bool = True
     t_end: float = 50.0
-    dt: float = 0.0  # base step; 0 = dynamics.BASE_DT
     store_every: int = 10  # steps at the base step size
     eps: float = 0.01
     horizon: float = 0.0  # 0 = 20 / gamma_eff
@@ -80,11 +79,13 @@ class RunConfig:
             raise ConfigError(f"fock_list must be whole numbers >= 2, got {self.fock_list!r}")
 
 
-# (key, lower bound, whether the bound itself is allowed); dt = 0 and
-# horizon = 0 mean "default"
+# (key, lower bound, whether the bound itself is allowed); horizon = 0
+# means "default". kappa1 > 0 because every experiment but eq8check
+# takes gamma_eff = 2 g1^2 / kappa1.
 _LOWER_BOUNDS = (
     ("n_fock", 2, True), ("n_points", 1, True), ("store_every", 1, True), ("n_th", 0.0, True),
-    ("t_end", 0.0, False), ("eps", 0.0, False), ("dt", 0.0, True), ("horizon", 0.0, True),
+    ("t_end", 0.0, False), ("eps", 0.0, False), ("horizon", 0.0, True),
+    ("kappa1", 0.0, False), ("kappa2", 0.0, True),
 )
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -163,17 +164,13 @@ def _parse_float_list(raw: str, what: str):
 
 def resolve_f_values(cfg: RunConfig):
     """Sorted ascending f grid from either the explicit list or the range."""
-    if cfg.f_list.strip():
-        fs = _parse_float_list(cfg.f_list, "f")
-    else:
-        if cfg.f_min <= 0 or cfg.f_max <= 0:
-            raise ConfigError("all f values must be positive")
-        if cfg.log_spaced:
-            fs = list(np.geomspace(cfg.f_min, cfg.f_max, cfg.n_points))
-        else:
-            fs = list(np.linspace(cfg.f_min, cfg.f_max, cfg.n_points))
-    if any(f <= 0 for f in fs):
-        raise ConfigError("all f values must be positive")
+    listed = bool(cfg.f_list.strip())
+    fs = _parse_float_list(cfg.f_list, "f") if listed else [cfg.f_min, cfg.f_max]
+    if not all(0.0 < f < math.inf for f in fs):  # nan fails too
+        raise ConfigError(f"all f values must be finite and positive, got {fs}")
+    if not listed:
+        space = np.geomspace if cfg.log_spaced else np.linspace
+        fs = list(space(cfg.f_min, cfg.f_max, cfg.n_points))
     return sorted(fs)
 
 
@@ -266,14 +263,10 @@ def _f_label(f: float) -> str:
 _OBS_KEY = {"inversion": "inversion", "logneg": "log_negativity"}
 
 
-def _base_dt(cfg: RunConfig) -> float:
-    return cfg.dt if cfg.dt > 0 else BASE_DT
-
-
 def _trace_grid(cfg: RunConfig):
-    base_dt = _base_dt(cfg)
-    store_dt = cfg.store_every * base_dt
-    return base_dt, store_dt, steps_over(cfg.t_end, store_dt) * store_dt
+    """(store_dt, t_end): store_every base steps, whole intervals to t_end."""
+    store_dt = cfg.store_every * BASE_DT
+    return store_dt, steps_over(cfg.t_end, store_dt) * store_dt
 
 
 def _integrate_on_grid(m, base_dt, store_dt, t_end, observables):
@@ -299,10 +292,10 @@ def _traces(cfg: RunConfig, observables):
             raise ConfigError(f"unknown trace observable {observable!r}")
     keys = tuple(_OBS_KEY[o] for o in observables)
     fs = resolve_f_values(cfg)
-    base_dt, store_dt, t_end = _trace_grid(cfg)
+    store_dt, t_end = _trace_grid(cfg)
 
     def work(f):
-        traj = _integrate_on_grid(model_for(cfg, f), base_dt, store_dt, t_end, keys)
+        traj = _integrate_on_grid(model_for(cfg, f), BASE_DT, store_dt, t_end, keys)
         return traj.times, traj.observables
 
     results = [work(f) for f in fs]
@@ -377,9 +370,7 @@ def _nmm_rows(cfg: RunConfig, fs, horizon: float, gamma: float):
         except DimerNMError as exc:
             rows[k] = _nmm_row(cfg, f, exc, horizon, gamma)
     try:
-        swept = nm_sweep(list(models.values()), eps=cfg.eps, horizon=horizon,
-                         dts=[suggest_dt(m, _base_dt(cfg)) for m in models.values()],
-                         gamma_eff=gamma)
+        swept = nm_sweep(list(models.values()), eps=cfg.eps, horizon=horizon, gamma_eff=gamma)
     except DimerNMError as exc:
         swept = [exc] * len(models)
     for k, res in zip(models, swept):
@@ -466,14 +457,14 @@ def run_eq8check(cfg: RunConfig):
 def run_convergence(cfg: RunConfig):
     """Truncation and step-size refinement at the most demanding f.
 
-    Block 'fock' varies the mode cutoff at the base step; block 'dt'
-    halves the step at the base cutoff. delta_final_logneg is the change
-    from the previous row within a block.
+    Block 'fock' varies the mode cutoff at the base step BASE_DT; block
+    'dt' halves the step at the base cutoff. delta_final_logneg is the
+    change from the previous row within a block.
     """
     fs = resolve_f_values(cfg)
     f = fs[0]
     focks = [int(v) for v in _parse_float_list(cfg.fock_list, "fock")]
-    base_dt, store_dt, t_end = _trace_grid(cfg)
+    store_dt, t_end = _trace_grid(cfg)
 
     def measure(n_fock, dt):
         traj = _integrate_on_grid(model_for(cfg, f, n_fock=n_fock), dt, store_dt, t_end,
@@ -481,8 +472,8 @@ def run_convergence(cfg: RunConfig):
         return (traj.observables["log_negativity"][-1],
                 float(traj.observables["mode_excitation"].max()))
 
-    tasks = [("fock", nf, base_dt) for nf in focks]
-    tasks += [("dt", cfg.n_fock, base_dt / (2 ** i)) for i in range(2)]
+    tasks = [("fock", nf, BASE_DT) for nf in focks]
+    tasks += [("dt", cfg.n_fock, BASE_DT / (2 ** i)) for i in range(2)]
     results = [measure(nf, dt) for _, nf, dt in tasks]
 
     rows, prev_block, prev_val = [], None, None

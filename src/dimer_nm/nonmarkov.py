@@ -26,17 +26,18 @@ that takes the SVD at every map, inverts one map at a time and clips
 each rate at 0 lives in the test suite (``tests/oracles.py``) and
 serves as an independent check.
 
-The tomography is a trajectory like any other: it is stepped, and its
-step count and trace-drift abort are decided, by :mod:`dimer_nm.dynamics`
-(:func:`dynamics.propagate`, :func:`dynamics.steps_over`,
-:func:`dynamics.check_drift`), on either engine and at any dimension.
+The tomography is a trajectory like any other: :mod:`dimer_nm.dynamics`
+picks its step size and step count and decides its trace-drift abort
+(:func:`dynamics.suggest_dt`, :func:`dynamics.steps_over`,
+:func:`dynamics.check_drift`), and steps it (:func:`dynamics.propagate`)
+on either engine and at any dimension. No function here takes a step.
 
 A sweep over models of one dims, an f grid say, is one stacked
 propagation (:func:`nm_sweep`): each grid step advances every model with
-one stacked product, and each block of _CHUNK maps goes, per model,
-through the drift check and the rates before the next block is stepped,
-so no model's whole map family is held. Every model gets exactly the
-numbers it gets alone; :func:`map_tomography` and :func:`nm_for_model`
+one stacked product, and each block of at most _CHUNK maps goes, per
+model, through the drift check and the rates before the next block is
+stepped, so no model's whole map family is held. Every model gets
+exactly the numbers it gets alone; :func:`map_tomography` and :func:`nm_for_model`
 are the same path on a stack of one.
 """
 
@@ -85,7 +86,7 @@ def uniform_grid(horizon: float, eps: float) -> np.ndarray:
     return eps * np.arange(n + 1, dtype=float)
 
 
-def map_tomography(model: LindbladModel, t_grid, dt=None) -> DynamicalMapFamily:
+def map_tomography(model: LindbladModel, t_grid) -> DynamicalMapFamily:
     """Reconstruct Lambda(t, 0) by evolving the four sector basis matrices.
 
     Each basis matrix is tensored with the model's environment state
@@ -94,7 +95,7 @@ def map_tomography(model: LindbladModel, t_grid, dt=None) -> DynamicalMapFamily:
     of one matrix through :func:`dynamics.propagate`, so the whole
     tomography is a single batched propagation on either engine, with no
     dimension cap. Each eps takes :func:`dynamics.steps_over` steps of at
-    most dt (default :func:`dynamics.suggest_dt`). Aborts through
+    most :func:`dynamics.suggest_dt` of the model. Aborts through
     :func:`dynamics.check_drift` at the first map that fails trace
     preservation.
     """
@@ -107,20 +108,19 @@ def map_tomography(model: LindbladModel, t_grid, dt=None) -> DynamicalMapFamily:
         raise DimerNMError("t_grid must be uniform")
 
     maps = np.empty((t_grid.shape[0], 4, 4), dtype=complex)
-    (sub_dt,), blocks = _tomography([model], t_grid, eps, [dt])
+    (sub_dt,), blocks = _tomography([model], t_grid, eps)
     for lo, block, _ in blocks:
         _check_maps(block[0], t_grid[lo:], sub_dt)
         maps[lo:lo + block.shape[1]] = block[0]
     return DynamicalMapFamily(times=t_grid, maps=maps, eps=eps, basis=model.basis)
 
 
-def _tomography(models, t_grid, eps, dts):
+def _tomography(models, t_grid, eps):
     """(sub-steps, blocks): the sector maps of each model on t_grid, one stack.
 
     blocks is :func:`dynamics.propagate`'s, with block[i, k] the map
-    Lambda(t_grid[lo + k], 0) of model i, not yet drift-checked. Model i
-    takes steps_over(eps, dts[i]) steps per eps, dts[i] defaulting to
-    suggest_dt of the model.
+    Lambda(t_grid[lo + k], 0) of model i, not yet drift-checked. Each
+    model takes steps_over(eps, suggest_dt(model)) steps per eps.
     """
     if any(m.dims[0] != 2 for m in models):
         raise DimerNMError("tomography expects the 2-dimensional sector at slot 0")
@@ -141,8 +141,7 @@ def _tomography(models, t_grid, eps, dts):
             for k in range(denv):
                 red[i + 2 * j, (j * denv + k) * d + (i * denv + k)] = 1.0
 
-    steps = [steps_over(eps, dt if dt is not None and dt > 0 else suggest_dt(model))
-             for model, dt in zip(models, dts)]
+    steps = [steps_over(eps, suggest_dt(model)) for model in models]
     sub_dts = [eps / s for s in steps]
     return sub_dts, propagate(models, v, sub_dts, steps, t_grid.shape[0], keep=red)
 
@@ -281,38 +280,36 @@ def nm_measure(family: DynamicalMapFamily, gamma_eff=None) -> NMResult:
     return _measure(family.times, family.eps, g, ok, gamma_eff)
 
 
-def nm_sweep(models, eps: float, horizon: float, dts=None, gamma_eff=None):
+def nm_sweep(models, eps: float, horizon: float, gamma_eff=None):
     """Tomography plus measure over [0, horizon] for a stack of models.
 
     The models share dims; their tomography is one stacked propagation
     (:func:`dynamics.propagate`), and each block of maps goes, per model,
     through the drift check and the rates before the next is stepped, so
-    no model's whole map family is held. dts[i] is model i's step bound
-    (default :func:`dynamics.suggest_dt`). Returns an iterator with one
-    entry per model, in order: its NMResult, built when reached, or the
-    DimerNMError that stopped it. An error drops only that model from
-    the stack; the others run as they would alone.
+    no model's whole map family is held. A block's maps from grid point
+    lo give the rates from lo on, and the next block starts at its last
+    map. Returns an iterator with one entry per model, in order: its
+    NMResult, built when reached, or the DimerNMError that stopped it.
+    An error drops only that model from the stack; the others run as
+    they would alone.
     """
     t_grid = uniform_grid(horizon, eps)
     n = len(models)
     if not n:
         return iter(())
-    sub_dts, blocks = _tomography(models, t_grid, eps, [None] * n if dts is None else dts)
+    sub_dts, blocks = _tomography(models, t_grid, eps)
     g = np.empty((n, t_grid.shape[0] - 1))
     ok = np.empty((n, t_grid.shape[0] - 1), dtype=bool)
     errors = [None] * n
-    last = [None] * n  # each model's last map of the previous block
     for lo, block, live in blocks:
-        at = max(lo - 1, 0)  # first grid point the block completes
+        hi = lo + block.shape[1] - 1  # the block's last map starts the next
         for i in np.flatnonzero(live):
-            maps = block[i] if lo == 0 else np.concatenate([last[i], block[i]])
             try:
                 _check_maps(block[i], t_grid[lo:], sub_dts[i])
-                g[i, at:at + len(maps) - 1], ok[i, at:at + len(maps) - 1] = _rates(maps, eps)
+                g[i, lo:hi], ok[i, lo:hi] = _rates(block[i], eps)
             except DimerNMError as exc:
                 errors[i] = exc
                 live[i] = False
-            last[i] = block[i, -1:].copy()
 
     def entries():
         for i, res in enumerate(errors):
@@ -327,10 +324,10 @@ def nm_sweep(models, eps: float, horizon: float, dts=None, gamma_eff=None):
 
 
 def nm_for_model(model: LindbladModel, eps: float, horizon: float,
-                 dt=None, gamma_eff=None) -> NMResult:
+                 gamma_eff=None) -> NMResult:
     """Tomography plus measure over [0, horizon] in one call: :func:`nm_sweep`
     on a stack of one, raising its error."""
-    (res,) = nm_sweep([model], eps, horizon, dts=[dt], gamma_eff=gamma_eff)
+    (res,) = nm_sweep([model], eps, horizon, gamma_eff=gamma_eff)
     if isinstance(res, DimerNMError):
         raise res
     return res

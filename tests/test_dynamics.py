@@ -329,6 +329,14 @@ class TestIntegrate:
             integrate(m, initial_state(m), -1.0)
         with pytest.raises(DimerNMError):
             integrate(m, initial_state(m), 1.0, method="leapfrog")
+        for dt in (0.0, -1e-3, float("nan")):
+            with pytest.raises(DimerNMError, match="dt must be positive"):
+                integrate(m, initial_state(m), 0.01, dt=dt)
+
+    def test_no_step_means_suggest_dt(self):
+        m = symmetric_model(100.0)
+        traj = integrate(m, initial_state(m), 0.01, observables=[])
+        assert traj.diagnostics["dt"] == suggest_dt(m)
 
     def test_mode_excitation_needs_modes(self):
         m = build_markovian_dephasing_model(0.1, ModelParams.symmetric())
@@ -380,10 +388,17 @@ class TestCheckDrift:
         assert "at t=0.5 " in str(exc.value)
 
 
+def seamless(blocks, axis=0):
+    """Blocks of propagate joined along their mark axis, each later block
+    without its seam mark, the last mark of the block before."""
+    return np.concatenate([blocks[0]] + [np.delete(b, 0, axis=axis) for b in blocks[1:]],
+                          axis=axis)
+
+
 def propagated(model, v0, dt, stride, n_marks, **kwargs):
-    """propagate on a stack of one, its blocks joined."""
-    return np.concatenate([block[0].copy() for _, block, _ in
-                           propagate([model], [v0], [dt], [stride], n_marks, **kwargs)])
+    """propagate on a stack of one, its blocks joined at their seams."""
+    return seamless([block[0].copy() for _, block, _ in
+                     propagate([model], [v0], [dt], [stride], n_marks, **kwargs)])
 
 
 class TestPropagate:
@@ -442,9 +457,36 @@ class TestPropagate:
         for lo, block, _ in propagate([m], [v0], [1e-3], [1], n_marks):
             starts.append(lo)
             sizes.append(block.shape[1])
+        # each later block starts at the last mark of the block before
         assert max(sizes) <= dynamics._CHUNK
-        assert sum(sizes) == n_marks
-        assert starts == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) - (len(sizes) - 1) == n_marks
+        assert starts == list(np.cumsum([0] + [s - 1 for s in sizes[:-1]]))
+
+    def test_blocks_share_their_seam_mark(self, monkeypatch):
+        # on either engine the seam mark is written twice with the same
+        # bits; joined at the seams, the blocks are a run in one block,
+        # bit for bit on the aggregated engine, whose marks are products
+        # of one stride operator, and to rounding on the direct one, where
+        # expm_multiply fits its Taylor steps to each block's interval
+        models = [symmetric_model(f) for f in (0.01, 1.0, 100.0)]
+        dts, strides, n_marks = [1e-3, 5e-4, 1e-5], [3, 2, 10], 20
+        rng = np.random.default_rng(46)
+        v0 = rng.standard_normal((3, models[0].dim ** 2, 4)) + 0j
+        for method in ("aggregated", "direct"):
+            (whole,) = [block.copy() for _, block, _ in
+                        propagate(models, v0, dts, strides, n_marks, method=method)]
+            monkeypatch.setattr(dynamics, "_CHUNK", 7)
+            blocks = [block.copy() for _, block, _ in
+                      propagate(models, v0, dts, strides, n_marks, method=method)]
+            monkeypatch.undo()
+            assert [b.shape[1] for b in blocks] == [7, 7, 7, 2]
+            for before, after in zip(blocks, blocks[1:]):
+                assert np.array_equal(after[:, 0], before[:, -1])
+            joined = seamless(blocks, axis=1)
+            if method == "aggregated":
+                assert np.array_equal(joined, whole)
+            else:
+                assert np.max(np.abs(joined - whole)) <= 1e-13 * np.max(np.abs(whole))
 
     def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch):
         # different steps and strides in one stack, over several blocks,
@@ -462,7 +504,7 @@ class TestPropagate:
             "direct": lambda m, dt, mark: expm(liouvillian_matrix(m) * (dt * mark)),
         }
         for method, oracle in oracles.items():
-            stacked = np.concatenate([block.copy() for _, block, _ in propagate(
+            stacked = seamless([block.copy() for _, block, _ in propagate(
                 models, v0, dts, strides, n_marks, keep=keep, method=method)], axis=1)
             for i in range(3):
                 alone = propagated(models[i], v0[i], dts[i], strides[i], n_marks, keep=keep,
@@ -485,7 +527,7 @@ class TestPropagate:
             assert np.isfinite(blocks[0]).all()
             for block in blocks[1:]:
                 assert np.isnan(block[1]).all() and np.isfinite(block[[0, 2]]).all()
-            joined = np.concatenate(blocks, axis=1)
+            joined = seamless(blocks, axis=1)
             for i in (0, 2):
                 assert np.array_equal(joined[i], propagated(models[i], v0[i], 1e-3, 100, 12,
                                                             method=method))

@@ -15,7 +15,6 @@ from dimer_nm.harness import (
     RunConfig,
     count_envelope_maxima,
     load_config,
-    model_for,
     parse_config,
     render_csv,
     render_meta,
@@ -28,7 +27,6 @@ from dimer_nm.harness import (
     serialize_config,
     write_outputs,
 )
-from dimer_nm.nonmarkov import nm_for_model
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -124,9 +122,10 @@ OUT_OF_RANGE = [
     ("n_fock", ("1", "0"), "--fock"),
     ("t_end", ("-5", "0", "nan"), "--tmax"),
     ("eps", ("-0.01", "0"), "--eps"),
-    ("dt", ("-1",), "--dt"),
     ("horizon", ("-1", "nan"), "--horizon"),
     ("n_th", ("-1", "nan"), None),
+    ("kappa1", ("0", "-5", "nan"), None),
+    ("kappa2", ("-1", "nan"), None),
     ("fock_list", ("1,3", "2.5", "3,nan"), None),
 ]
 
@@ -156,9 +155,34 @@ class TestConfigRanges:
 
     def test_bounds_themselves_accepted(self):
         cfg = parse_config("store_every = 1\nn_points = 1\nn_fock = 2\n"
-                           "dt = 0\nhorizon = 0\nt_end = 1e-9\neps = 1e-9\n"
-                           "n_th = 0\nfock_list = 2\n")
+                           "horizon = 0\nt_end = 1e-9\neps = 1e-9\n"
+                           "n_th = 0\nkappa2 = 0\nfock_list = 2\n")
         assert (cfg.store_every, cfg.n_points, cfg.n_fock) == (1, 1, 2)
+
+    # dynamics alone picks every step: no config key or flag sets it
+    def test_removed_step_key_exits_two(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'dt'"):
+            parse_config("experiment = nmm\ndt = 0.01\n")
+        path = tmp_path / "step.cfg"
+        path.write_text("dt = 0.01\n")
+        out = str(tmp_path / "run")
+        assert cli.main(["evolve", "--config", str(path), "--out", out]) == 2
+        assert "configuration error: line 1: unknown key 'dt'" in capsys.readouterr().err
+        assert not os.path.exists(out + "_inversion.csv")
+
+    def test_removed_step_flag_exits_two(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evolve", "--dt", "0.01", "--out", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
+        assert not os.path.exists(out + "_inversion.csv")
+
+    def test_full_model_without_second_linewidth_runs(self, tmp_path):
+        path = tmp_path / "lossless.cfg"
+        path.write_text("model = full\nkappa2 = 0\nn_fock = 2\n")
+        assert cli.main(["steady", "--f", "0.1", "--config", str(path),
+                         "--out", str(tmp_path / "lossless")]) == 0
 
     def test_every_benchmark_config_parses(self):
         # the benchmark layers its overrides on a preset, or on nothing
@@ -199,6 +223,23 @@ class TestFValues:
             resolve_f_values(RunConfig(f_list="0.1, -1"))
         with pytest.raises(ConfigError):
             resolve_f_values(RunConfig(f_list="", f_min=0.0, f_max=1.0))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            resolve_f_values(RunConfig(f_list=f"0.1, {bad}"))
+        for f_min, f_max in ((bad, "1"), ("0.1", bad)):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                resolve_f_values(parse_config(f"f_min = {f_min}\nf_max = {f_max}\n"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [["eq8check"], ["nmm", "--horizon", "2", "--eps", "0.1"]],
+                             ids=["eq8check", "nmm"])
+    def test_non_finite_f_exits_two(self, bad, argv, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cli.main(argv + ["--f", bad, "--out", out]) == 2
+        assert "configuration error: all f values must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
 
 
 class TestCsvFormat:
@@ -342,15 +383,6 @@ class TestNmmSweep:
         # 5/J is far below the relaxation horizon, so a note is emitted
         assert "horizon" in caplog.text
 
-    def test_dt_key_sets_the_tomography_step(self):
-        cfg = RunConfig(experiment="nmm", f_list="0.1", eps=0.05, horizon=2.0, dt=0.025)
-        _, rows = csv_rows(run_nmm_sweep(cfg)[0])
-        m = model_for(cfg, 0.1)
-        coarse = nm_for_model(m, eps=0.05, horizon=2.0, dt=suggest_dt(m, 0.025))
-        fine = nm_for_model(m, eps=0.05, horizon=2.0)
-        assert float(rows[0][2]) == pytest.approx(coarse.integral, rel=1e-11)
-        assert coarse.integral != pytest.approx(fine.integral, rel=1e-9)
-
 
 class TestConvergence:
     def test_refinement_blocks(self):
@@ -470,8 +502,11 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
 
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
-        code = cli.main(["evolve", "--f", "1", "--dt", "0.1", "--tmax", "5",
-                         "--out", str(tmp_path / "blowup")])
+        # with the modes uncoupled the steady state is not unique
+        path = tmp_path / "uncoupled.cfg"
+        path.write_text("g1 = 0\ng2 = 0\n")
+        code = cli.main(["steady", "--f", "0.1", "--config", str(path),
+                         "--out", str(tmp_path / "uncoupled")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 

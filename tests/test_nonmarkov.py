@@ -138,10 +138,11 @@ class TestTomography:
             map_tomography(model, np.array([0.1, 0.2, 0.3]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_aborts_on_unstable_step(self):
+    def test_aborts_on_unstable_step(self, monkeypatch):
         model = symmetric_model(100.0)
+        monkeypatch.setattr(nonmarkov, "suggest_dt", lambda m: 0.01)
         with pytest.raises(NumericalDriftError) as exc:
-            map_tomography(model, uniform_grid(1.0, 0.1), dt=0.01)
+            map_tomography(model, uniform_grid(1.0, 0.1))
         assert "(dt=1.000e-02); reduce the step size" in str(exc.value)
 
 
@@ -510,8 +511,16 @@ class TestSweep:
     """nm_sweep: one stacked tomography, streamed block by block into the rates."""
 
     def test_bit_identical_to_solo_runs(self):
-        # 1201 grid points: two blocks, so the rate at the block seam runs
-        # on the map carried over from the first
+        # 1201 grid points: two blocks, so the rates cross one block seam
+        self.check_bit_identical_to_solo_runs()
+
+    def test_bit_identical_to_solo_runs_across_short_blocks(self, monkeypatch):
+        # 200 blocks of 7 marks, so the rates cross many block seams
+        monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        self.check_bit_identical_to_solo_runs()
+
+    @staticmethod
+    def check_bit_identical_to_solo_runs():
         models = [symmetric_model(f) for f in SWEEP_FS]
         swept = list(nm_sweep(models, eps=0.01, horizon=12.0, gamma_eff=GAMMA_EFF))
         for model, res in zip(models, swept):
