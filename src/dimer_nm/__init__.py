@@ -20,7 +20,6 @@ from .dynamics import (
 )
 from .harness import RunConfig, parse_config, run_experiment, serialize_config
 from .model import (
-    FParametrization,
     LindbladModel,
     ModelParams,
     apply_f,
@@ -48,7 +47,7 @@ __all__ = [
     "QuantumState", "Trajectory", "expectation", "integrate",
     "liouvillian_matrix", "steady_state",
     "RunConfig", "parse_config", "run_experiment", "serialize_config",
-    "FParametrization", "LindbladModel", "ModelParams", "apply_f",
+    "LindbladModel", "ModelParams", "apply_f",
     "build_full_model", "build_global_mode_model",
     "build_markovian_dephasing_model", "build_symmetric_model",
     "effective_dephasing_rate", "steady_state_dd_closed_form",

@@ -66,12 +66,9 @@ def config_from_args(args) -> RunConfig:
             f"unknown experiment {args.experiment!r}; "
             f"expected one of {EXPERIMENTS + PRESETS}"
         )
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
-        if args.experiment in EXPERIMENTS and cfg.experiment != args.experiment:
-            cfg = replace(cfg, experiment=args.experiment)
-
     overrides = {}
+    if args.experiment in EXPERIMENTS:  # over a --config file's experiment key
+        overrides["experiment"] = args.experiment
     if args.f is not None:
         overrides["f_list"] = repr(args.f)
     if args.fock is not None:
@@ -88,6 +85,10 @@ def config_from_args(args) -> RunConfig:
         overrides["model"] = args.model
     if args.out is not None:
         overrides["out"] = args.out
+    # the file and the flags land in one step, so a flag can mend what
+    # the file alone would leave invalid
+    if args.config:
+        return load_config(args.config, base=cfg, **overrides)
     return replace(cfg, **overrides)
 
 

@@ -338,7 +338,7 @@ def check_drift(defect, times, dt: float):
         k = drifted[0]
         raise NumericalDriftError(
             f"trace drifted by {defect[k]:.3e} at t={times[k]:.6g} "
-            f"(dt={dt:.3e}); reduce the step size"
+            f"(dt={dt:.3e})"
         )
 
 
@@ -359,12 +359,12 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     dt defaults to :func:`suggest_dt` and must be positive; the run takes
     :func:`steps_over` (t_end, dt) equal steps, fixed-step RK4 on the
     aggregated engine and marks of the exact propagator on the direct one.
-    States are stored every ``store_every`` steps (plus the final step)
-    and checked by :func:`_defects`, _CHECK_BLOCK at a time. A trace
-    drift beyond TRACE_ABORT_TOL or a non-finite state
+    States are stored every ``store_every`` steps (a whole number >= 1)
+    plus the final step, and checked by :func:`_defects`, _CHECK_BLOCK at
+    a time. A trace drift beyond TRACE_ABORT_TOL or a non-finite state
     (:func:`check_drift`), and failing that a lowest eigenvalue below
     EIG_FLOOR, raises NumericalDriftError naming the first such time and
-    the step size to shrink.
+    the step size.
 
     observables: names from {inversion, log_negativity, singlet_overlap,
     mode_excitation}, each taken over the whole stored stack; default is
@@ -380,9 +380,11 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         dt = suggest_dt(model)
     elif not dt > 0:  # nan fails too
         raise DimerNMError(f"dt must be positive, got {dt}")
+    if not (store_every >= 1 and float(store_every).is_integer()):  # nan, inf fail too
+        raise DimerNMError(f"store_every must be a whole number >= 1, got {store_every}")
+    store_every = int(store_every)
     n_steps = steps_over(t_end, dt)
     dt_eff = t_end / n_steps
-    store_every = max(1, int(store_every))
 
     # whole store intervals in one call; a partial last one is a second
     # call of one interval from the last whole-interval state
@@ -409,7 +411,7 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         k = negative[0]
         raise NumericalDriftError(
             f"lowest eigenvalue {low[k]:.3e} at t={times[k]:.6g} "
-            f"(dt={dt_eff:.3e}); reduce the step size"
+            f"(dt={dt_eff:.3e})"
         )
 
     if observables is None:

@@ -71,12 +71,21 @@ class RunConfig:
         # replace) passes here
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for key, val in vars(self).items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{key} must be finite, got {val!r}")
         for key, low, closed in _LOWER_BOUNDS:
             val = getattr(self, key)
             if not (val >= low if closed else val > low):  # nan fails too
                 raise ConfigError(f"{key} must be {'>=' if closed else '>'} {low}, got {val!r}")
         if not all(v >= 2 and v.is_integer() for v in _parse_float_list(self.fock_list, "fock")):
             raise ConfigError(f"fock_list must be whole numbers >= 2, got {self.fock_list!r}")
+        # the builders alone know which parameters each model kind takes;
+        # a model that builds at f = 1 builds at every f > 0
+        try:
+            model_for(self, 1.0)
+        except DimerNMError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # (key, lower bound, whether the bound itself is allowed); horizon = 0
@@ -85,7 +94,7 @@ class RunConfig:
 _LOWER_BOUNDS = (
     ("n_fock", 2, True), ("n_points", 1, True), ("store_every", 1, True), ("n_th", 0.0, True),
     ("t_end", 0.0, False), ("eps", 0.0, False), ("horizon", 0.0, True),
-    ("kappa1", 0.0, False), ("kappa2", 0.0, True),
+    ("J", 0.0, False), ("kappa1", 0.0, False), ("kappa2", 0.0, True),
 )
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -113,7 +122,9 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def parse_config(text: str, base: RunConfig = None) -> RunConfig:
+def parse_config(text: str, base: RunConfig = None, **overrides) -> RunConfig:
+    """The config text applied on top of ``base`` when given, then the
+    overrides; RunConfig checks only the result of all three."""
     cfg = base if base is not None else RunConfig()
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -127,7 +138,7 @@ def parse_config(text: str, base: RunConfig = None) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         updates[key] = _parse_value(key, raw)
-    return replace(cfg, **updates)
+    return replace(cfg, **{**updates, **overrides})
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -142,14 +153,14 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path: str, base: RunConfig = None) -> RunConfig:
-    """Read a config file, applied on top of ``base`` when given."""
+def load_config(path: str, base: RunConfig = None, **overrides) -> RunConfig:
+    """Read a config file and apply it as :func:`parse_config` does."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base=base)
+    return parse_config(text, base=base, **overrides)
 
 
 def _parse_float_list(raw: str, what: str):
@@ -360,22 +371,15 @@ def run_steady_sweep(cfg: RunConfig):
 def _nmm_rows(cfg: RunConfig, fs, horizon: float, gamma: float):
     """(memory-measure columns, note or None) per f.
 
-    Every f whose model builds runs in one :func:`nm_sweep`; an f that
-    fails, or a sweep that fails as a whole, gives nan columns and a note.
+    Every f runs in one :func:`nm_sweep`; an f that fails, or a sweep
+    that fails as a whole, gives nan columns and a note.
     """
-    rows, models = [None] * len(fs), {}
-    for k, f in enumerate(fs):
-        try:
-            models[k] = model_for(cfg, f)
-        except DimerNMError as exc:
-            rows[k] = _nmm_row(cfg, f, exc, horizon, gamma)
+    models = [model_for(cfg, f) for f in fs]
     try:
-        swept = nm_sweep(list(models.values()), eps=cfg.eps, horizon=horizon, gamma_eff=gamma)
+        swept = nm_sweep(models, eps=cfg.eps, horizon=horizon, gamma_eff=gamma)
     except DimerNMError as exc:
-        swept = [exc] * len(models)
-    for k, res in zip(models, swept):
-        rows[k] = _nmm_row(cfg, fs[k], res, horizon, gamma)
-    return rows
+        swept = [exc] * len(fs)
+    return [_nmm_row(cfg, f, res, horizon, gamma) for f, res in zip(fs, swept)]
 
 
 def _nmm_row(cfg: RunConfig, f: float, res, horizon: float, gamma: float):

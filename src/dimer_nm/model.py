@@ -12,6 +12,11 @@ mode; the hierarchy of models built here:
 * ``build_global_mode_model`` both sites coupled to one shared mode
 * ``build_markovian_dephasing_model`` memoryless phase-flip baseline
 
+The first three are one system seen three ways: each names its sector
+Hamiltonian and, per mode, (Omega, kappa, sector coupling operator), and
+``_with_modes`` builds the model from them. :func:`apply_f` moves a
+parameter set along the f-family.
+
 All builders return a :class:`LindbladModel` whose ``h_eff`` field is the
 effective non-Hermitian Hamiltonian, i.e. the mode damping term
 ``-i kappa a^dag a`` is already included. The master equation is
@@ -23,7 +28,7 @@ doing so double-counts the damping.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,51 +87,20 @@ class ModelParams:
                 and self.g1 == self.g2 and self.kappa1 == self.kappa2)
 
 
-@dataclass(frozen=True)
-class FParametrization:
-    """One-knob family g = sqrt(f) g0, kappa = f kappa0.
-
-    The effective dephasing rate 2 g^2 / kappa is invariant along the
-    family, so f tunes the memory of the environment at fixed noise
-    strength.
-    """
-
-    f: float
-    g0: float = 1.0
-    kappa0: float = 20.0
-
-    def __post_init__(self):
-        if self.f <= 0:
-            raise DimerNMError(f"f must be positive, got {self.f}")
-
-    @property
-    def g(self) -> float:
-        return math.sqrt(self.f) * self.g0
-
-    @property
-    def kappa(self) -> float:
-        return self.f * self.kappa0
-
-
-def apply_f(fp, base: ModelParams) -> ModelParams:
+def apply_f(f: float, base: ModelParams) -> ModelParams:
     """Scale the base couplings and linewidths along the f-family.
 
-    ``fp`` is an :class:`FParametrization` or a bare float f. The base
-    parameters carry the f=1 couplings (g0 per site) and linewidths
-    (kappa0 per site); the returned set has g_i = sqrt(f) g_i(base),
-    kappa_i = f kappa_i(base), leaving 2 g_i^2 / kappa_i exactly fixed.
+    The base parameters carry the f=1 couplings (g0 per site) and
+    linewidths (kappa0 per site); the returned set has
+    g_i = sqrt(f) g_i(base), kappa_i = f kappa_i(base), leaving
+    2 g_i^2 / kappa_i, the effective dephasing rate, exactly fixed, so f
+    tunes the memory of the environment at fixed noise strength.
     """
-    f = fp.f if isinstance(fp, FParametrization) else float(fp)
-    if f <= 0:
+    if not f > 0:  # nan fails too
         raise DimerNMError(f"f must be positive, got {f}")
     root = math.sqrt(f)
-    return ModelParams(
-        omega1=base.omega1, omega2=base.omega2, J=base.J,
-        Omega1=base.Omega1, Omega2=base.Omega2,
-        g1=base.g1 * root, g2=base.g2 * root,
-        kappa1=base.kappa1 * f, kappa2=base.kappa2 * f,
-        n_fock=base.n_fock, n_th=base.n_th,
-    )
+    return replace(base, g1=base.g1 * root, g2=base.g2 * root,
+                   kappa1=base.kappa1 * f, kappa2=base.kappa2 * f)
 
 
 def effective_dephasing_rate(g: float, kappa: float) -> float:
@@ -151,7 +125,6 @@ class LindbladModel:
     dims: tuple
     basis: str
     n_th: float = 0.0
-    label: str = ""
     # occupation of one physical oscillator per quantum of a model mode:
     # 0.5 when the model mode is the relative combination of two local
     # modes (the center of mass stays dark, so each local oscillator
@@ -199,46 +172,49 @@ def _h_eff_from(h_herm, jumps):
     return h_herm - 0.5j * shift
 
 
-def _mode_jumps(destroy_ops, kappas, n_th):
-    jumps = []
-    for a, kappa in zip(destroy_ops, kappas):
-        if kappa == 0:
-            continue
-        jumps.append((a, 2.0 * kappa * (1.0 + n_th)))
-        if n_th > 0:
-            jumps.append((a.conj().T, 2.0 * kappa * n_th))
-    return tuple(jumps)
-
-
 def _sector_site(p: ModelParams):
     return np.array([[p.omega2, p.J], [p.J, p.omega1]], dtype=complex)
 
 
-def build_full_model(p: ModelParams) -> LindbladModel:
-    """Dimer sector plus both local modes. dims = (2, n_fock, n_fock)."""
-    nf = p.n_fock
-    dims = (2, nf, nf)
-    a = opalg.make_destroy(nf)
+def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float = 1.0):
+    """The sector Hamiltonian plus one damped mode per entry of ``modes``.
+
+    Entry k of ``modes`` is ``(Omega, kappa, c)`` for mode slot k + 1:
+    frequency Omega, linewidth kappa (no jump when zero, a thermal pair
+    at n_th > 0) and the 2 x 2 sector operator c that couples to the
+    quadrature a + a^dag. dims = (2, n_fock, ...).
+    """
+    dims = (2,) + (p.n_fock,) * len(modes)
+    a = opalg.make_destroy(p.n_fock)
     x = a + a.conj().T
     n = a.conj().T @ a
-    # site populations on the sector: sigma_z of site 1 is diag(-1, +1)
-    sz1 = np.diag([-1.0, 1.0]).astype(complex)
-    sz2 = -sz1
 
-    h = opalg.embed(_sector_site(p), 0, dims)
-    h += p.Omega1 * opalg.embed(n, 1, dims) + p.Omega2 * opalg.embed(n, 2, dims)
-    h += p.g1 * opalg.embed(sz1, 0, dims) @ opalg.embed(x, 1, dims)
-    h += p.g2 * opalg.embed(sz2, 0, dims) @ opalg.embed(x, 2, dims)
-
-    jumps = _mode_jumps(
-        (opalg.embed(a, 1, dims), opalg.embed(a, 2, dims)),
-        (p.kappa1, p.kappa2),
-        p.n_th,
-    )
+    h = opalg.embed(sector_h, 0, dims)
+    h += sum(Omega * opalg.embed(n, k, dims) for k, (Omega, _, _) in enumerate(modes, 1))
+    jumps = []
+    for k, (_, kappa, c) in enumerate(modes, 1):
+        h += opalg.embed(c, 0, dims) @ opalg.embed(x, k, dims)
+        if kappa == 0:
+            continue
+        ak = opalg.embed(a, k, dims)
+        jumps.append((ak, 2.0 * kappa * (1.0 + p.n_th)))
+        if p.n_th > 0:
+            jumps.append((ak.conj().T, 2.0 * kappa * p.n_th))
+    jumps = tuple(jumps)
     return LindbladModel(
         h_eff=_h_eff_from(h, jumps), jumps=jumps, dims=dims,
-        basis=SITE_BASIS, n_th=p.n_th, label="full",
+        basis=basis, n_th=p.n_th, mode_weight=mode_weight,
     )
+
+
+def build_full_model(p: ModelParams) -> LindbladModel:
+    """Dimer sector plus both local modes. dims = (2, n_fock, n_fock)."""
+    # site populations on the sector: sigma_z of site 1 is diag(-1, +1)
+    sz1 = np.diag([-1.0, 1.0]).astype(complex)
+    return _with_modes(p, _sector_site(p), [
+        (p.Omega1, p.kappa1, p.g1 * sz1),
+        (p.Omega2, p.kappa2, p.g2 * -sz1),
+    ], SITE_BASIS)
 
 
 def build_symmetric_model(p: ModelParams) -> LindbladModel:
@@ -251,25 +227,10 @@ def build_symmetric_model(p: ModelParams) -> LindbladModel:
     """
     if not p.is_symmetric:
         raise DimerNMError("symmetric model requires identical sites and modes")
-    nf = p.n_fock
-    dims = (2, nf)
-    a = opalg.make_destroy(nf)
-    x = a + a.conj().T
-    n = a.conj().T @ a
-    omega, Omega, g, kappa = p.omega1, p.Omega1, p.g1, p.kappa1
-
-    h_sector = np.diag([omega + p.J, omega - p.J]).astype(complex)
+    h_sector = np.diag([p.omega1 + p.J, p.omega1 - p.J]).astype(complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    h = opalg.embed(h_sector, 0, dims)
-    h += Omega * opalg.embed(n, 1, dims)
-    h += math.sqrt(2.0) * g * opalg.embed(sx, 0, dims) @ opalg.embed(x, 1, dims)
-
-    jumps = _mode_jumps((opalg.embed(a, 1, dims),), (kappa,), p.n_th)
-    return LindbladModel(
-        h_eff=_h_eff_from(h, jumps), jumps=jumps, dims=dims,
-        basis=DELOCALIZED_BASIS, n_th=p.n_th, label="symmetric",
-        mode_weight=0.5,
-    )
+    return _with_modes(p, h_sector, [(p.Omega1, p.kappa1, math.sqrt(2.0) * p.g1 * sx)],
+                       DELOCALIZED_BASIS, mode_weight=0.5)
 
 
 def build_global_mode_model(p: ModelParams) -> LindbladModel:
@@ -281,26 +242,11 @@ def build_global_mode_model(p: ModelParams) -> LindbladModel:
     """
     if p.Omega1 != p.Omega2 or p.kappa1 != p.kappa2:
         raise DimerNMError("global-mode model has a single mode: Omega and kappa must match")
-    nf = p.n_fock
-    dims = (2, nf)
-    a = opalg.make_destroy(nf)
-    x = a + a.conj().T
-    n = a.conj().T @ a
-
     w = DELOCALIZE
-    h_sector = w @ _sector_site(p) @ w
     # g1 sz1 + g2 sz2 = (g1 - g2) diag(-1, 1) in the site ordering
     coupling = w @ np.diag([-(p.g1 - p.g2), p.g1 - p.g2]).astype(complex) @ w
-
-    h = opalg.embed(h_sector, 0, dims)
-    h += p.Omega1 * opalg.embed(n, 1, dims)
-    h += opalg.embed(coupling, 0, dims) @ opalg.embed(x, 1, dims)
-
-    jumps = _mode_jumps((opalg.embed(a, 1, dims),), (p.kappa1,), p.n_th)
-    return LindbladModel(
-        h_eff=_h_eff_from(h, jumps), jumps=jumps, dims=dims,
-        basis=DELOCALIZED_BASIS, n_th=p.n_th, label="global-mode",
-    )
+    return _with_modes(p, w @ _sector_site(p) @ w, [(p.Omega1, p.kappa1, coupling)],
+                       DELOCALIZED_BASIS)
 
 
 def build_markovian_dephasing_model(gamma_eff: float, p: ModelParams) -> LindbladModel:
@@ -321,7 +267,7 @@ def build_markovian_dephasing_model(gamma_eff: float, p: ModelParams) -> Lindbla
     h = _sector_site(p)
     return LindbladModel(
         h_eff=_h_eff_from(h, jumps), jumps=jumps, dims=dims,
-        basis=SITE_BASIS, n_th=0.0, label="markov-dephasing",
+        basis=SITE_BASIS, n_th=0.0,
     )
 
 

@@ -24,7 +24,6 @@ from dimer_nm.entanglement import (
 from dimer_nm.errors import DimerNMError
 from dimer_nm.harness import count_envelope_maxima, initial_state
 from dimer_nm.model import (
-    FParametrization,
     ModelParams,
     apply_f,
     build_full_model,
@@ -49,7 +48,7 @@ def _verdict(n: int, ok: bool, detail: str):
 
 
 def _symmetric(f: float, **kw) -> ModelParams:
-    return apply_f(FParametrization(f=f), ModelParams.symmetric(**kw))
+    return apply_f(f, ModelParams.symmetric(**kw))
 
 
 def _random_density(rng, d=2):

@@ -286,6 +286,7 @@ class TestIntegrate:
                       observables=[], method="aggregated")
         assert str(exc.value).startswith("lowest eigenvalue")
         assert f"at t={first * dt:.6g} " in str(exc.value)
+        assert str(exc.value).endswith(f"(dt={dt:.3e})")
 
     def test_validate_and_integrate_share_the_eigenvalue_floor(self):
         m = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
@@ -332,6 +333,14 @@ class TestIntegrate:
         for dt in (0.0, -1e-3, float("nan")):
             with pytest.raises(DimerNMError, match="dt must be positive"):
                 integrate(m, initial_state(m), 0.01, dt=dt)
+        for store_every in (0, -3, 2.7, float("nan"), float("inf")):
+            with pytest.raises(DimerNMError, match="store_every must be a whole number >= 1"):
+                integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=store_every)
+
+    def test_whole_float_store_every_is_a_count(self):
+        m = symmetric_model(0.1)
+        traj = integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=3.0, observables=[])
+        assert np.array_equal(traj.times, 1e-3 * np.array([0, 3, 6, 9, 10]))
 
     def test_no_step_means_suggest_dt(self):
         m = symmetric_model(100.0)

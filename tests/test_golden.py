@@ -1,9 +1,11 @@
-"""Golden outputs: the shipped presets reproduce the recorded files byte for byte.
+"""Golden outputs: the shipped presets and the full- and global-mode
+runs reproduce the recorded files byte for byte.
 
 perfbench/reference/ holds the seed-0 CSVs the benchmark checks against;
-tests/golden/ holds the .meta companions of the same runs. Regenerating
-them here means a change to the step rule, the engines or the output
-format fails tier-1, not only the benchmark. The files are only read.
+tests/golden/ holds the .meta companions of the preset runs and the CSV
+of a global-mode steady run. Regenerating them here means a change to a
+model builder, the step rule, the engines or the output format fails
+tier-1, not only the benchmark. The files are only read.
 """
 
 import functools
@@ -75,3 +77,28 @@ def test_meta_is_byte_identical(preset, name):
     extra = fig2_three_rows()[0] if preset == "fig2" else ""
     metas = {n: meta for n, (_, meta) in run_outputs(preset, extra).items()}
     assert metas == {name: read(GOLDEN, name + ".meta")}
+
+
+# the benchmark's seed-0 full-model configs, spelled out: g2 = 2 g1, so
+# the symmetric reduction does not apply
+FULL_MODEL_RUNS = {
+    "fm_steady.csv": "model=full\ng1=1.0\ng2=2.0\nexperiment=steady\nn_fock=5\n"
+                     "out=fm_steady\nf_list=0.1\n",
+    "fm_evolve_logneg.csv": "model=full\ng1=1.0\ng2=2.0\nexperiment=evolve\n"
+                            "observable=logneg\nn_fock=6\nt_end=2\nstore_every=100\n"
+                            "out=fm_evolve\nf_list=0.1\n",
+}
+
+
+def csv_of(text):
+    return {name: csv_text for name, (csv_text, _) in run_experiment(parse_config(text)).items()}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_MODEL_RUNS))
+def test_full_model_csv_is_byte_identical(name):
+    assert csv_of(FULL_MODEL_RUNS[name]) == {name: reference(name)}
+
+
+def test_global_mode_csv_is_byte_identical():
+    text = "experiment=steady\nmodel=global\ng2=2\nf_list=0.01,0.1,1\nout=global_steady\n"
+    assert csv_of(text) == {"global_steady.csv": read(GOLDEN, "global_steady.csv")}

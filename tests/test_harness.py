@@ -124,6 +124,8 @@ OUT_OF_RANGE = [
     ("eps", ("-0.01", "0"), "--eps"),
     ("horizon", ("-1", "nan"), "--horizon"),
     ("n_th", ("-1", "nan"), None),
+    ("J", ("0", "-1", "nan"), None),
+    ("g1", ("nan", "inf", "-inf"), None),
     ("kappa1", ("0", "-5", "nan"), None),
     ("kappa2", ("-1", "nan"), None),
     ("fock_list", ("1,3", "2.5", "3,nan"), None),
@@ -228,9 +230,13 @@ class TestFValues:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ConfigError, match="finite and positive"):
             resolve_f_values(RunConfig(f_list=f"0.1, {bad}"))
-        for f_min, f_max in ((bad, "1"), ("0.1", bad)):
+        for key, f_min, f_max in (("f_min", bad, "1"), ("f_max", "0.1", bad)):
+            with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+                parse_config(f"f_min = {f_min}\nf_max = {f_max}\n")
+            cfg = RunConfig(f_list="")
+            cfg.f_min, cfg.f_max = float(f_min), float(f_max)  # past RunConfig's own check
             with pytest.raises(ConfigError, match="finite and positive"):
-                resolve_f_values(parse_config(f"f_min = {f_min}\nf_max = {f_max}\n"))
+                resolve_f_values(cfg)
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("argv", [["eq8check"], ["nmm", "--horizon", "2", "--eps", "0.1"]],
@@ -485,6 +491,14 @@ class TestCli:
         assert cfg.experiment == "steady"
         assert cfg.t_end == 0.4
 
+    def test_flags_override_the_file_before_it_is_checked(self, tmp_path):
+        path = tmp_path / "layered.cfg"
+        path.write_text("model = symmetric\ng2 = 2\nn_fock = 1\n")
+        args = cli.build_parser().parse_args(
+            ["steady", "--config", str(path), "--model", "full", "--fock", "2"])
+        cfg = cli.config_from_args(args)
+        assert (cfg.model, cfg.g2, cfg.n_fock) == ("full", 2.0, 2)
+
     def test_successful_run(self, tmp_path, capsys):
         code = cli.main(["eq8check", "--f", "0.1",
                          "--out", str(tmp_path / "eq8run")])
@@ -509,6 +523,20 @@ class TestCli:
                          "--out", str(tmp_path / "uncoupled")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, line, message", [
+        ("symmetric", "g2 = 2", "symmetric model requires identical sites and modes"),
+        ("global", "Omega2 = 3", "global-mode model has a single mode"),
+    ])
+    def test_model_kind_its_parameters_do_not_fit_exits_two(self, model, line, message,
+                                                             tmp_path, capsys):
+        path = tmp_path / "mismatch.cfg"
+        path.write_text(line + "\n")
+        out = str(tmp_path / "mismatch")
+        assert cli.main(["steady", "--f", "0.1", "--model", model,
+                         "--config", str(path), "--out", out]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
 
     @pytest.mark.parametrize("experiment", ["nmm", "sweep"])
     def test_default_horizon_without_coupling_exits_two(self, experiment, tmp_path, capsys):

@@ -10,7 +10,6 @@ from dimer_nm.errors import ConfigError, DimerNMError
 from dimer_nm.harness import initial_state
 from dimer_nm.model import (
     DELOCALIZE,
-    FParametrization,
     ModelParams,
     apply_f,
     build_full_model,
@@ -44,19 +43,11 @@ class TestApplyF:
             p = apply_f(f, base)
             assert p.g1**2 / p.kappa1 == pytest.approx(ref, rel=1e-15)
 
-    def test_accepts_parametrization_object(self):
-        fp = FParametrization(f=0.25, g0=1.0, kappa0=20.0)
-        assert fp.g == pytest.approx(0.5)
-        assert fp.kappa == pytest.approx(5.0)
-        out = apply_f(fp, ModelParams.symmetric())
-        assert out.g1 == pytest.approx(0.5)
-        assert out.kappa1 == pytest.approx(5.0)
-
     def test_rejects_nonpositive_f(self):
         with pytest.raises((ConfigError, DimerNMError, ValueError)):
             apply_f(0.0, ModelParams.symmetric())
         with pytest.raises((ConfigError, DimerNMError, ValueError)):
-            FParametrization(f=-1.0)
+            apply_f(-1.0, ModelParams.symmetric())
 
 
 class TestEffectiveDephasingRate:

@@ -1,14 +1,15 @@
 """Dynamical-map tomography, intermediate maps, and the memory measure."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from dimer_nm import dynamics, nonmarkov, opalg
+from dimer_nm import cli, dynamics, nonmarkov, opalg
 from dimer_nm.dynamics import integrate
 from dimer_nm.entanglement import reduce_to_dimer
-from dimer_nm.errors import DimerNMError, NumericalDriftError, SingularSystemError
+from dimer_nm.errors import ConfigError, DimerNMError, NumericalDriftError, SingularSystemError
 from dimer_nm import harness
 from dimer_nm.harness import RunConfig, run_nmm_sweep
 from dimer_nm.model import (
@@ -143,7 +144,8 @@ class TestTomography:
         monkeypatch.setattr(nonmarkov, "suggest_dt", lambda m: 0.01)
         with pytest.raises(NumericalDriftError) as exc:
             map_tomography(model, uniform_grid(1.0, 0.1))
-        assert "(dt=1.000e-02); reduce the step size" in str(exc.value)
+        assert str(exc.value).endswith("(dt=1.000e-02)")
+        assert "reduce the step size" not in str(exc.value)
 
 
 class TestTomographyEngines:
@@ -564,9 +566,16 @@ class TestSweep:
         assert [row[1] for row in rows] == ["nan", "nan"]
         assert caplog.text.count("horizon and eps must be positive") == 2
 
-    def test_no_model_builds(self, caplog):
-        cfg = RunConfig(experiment="nmm", model="symmetric", g2=2.0, f_list="0.1,1",
-                        eps=0.05, horizon=2.0)
-        rows = [line.split(",") for line in run_nmm_sweep(cfg)[0].splitlines()[1:]]
-        assert [row[1] for row in rows] == ["nan", "nan"]
-        assert caplog.text.count("nmm: f=") == 2
+    def test_no_model_builds(self, tmp_path, capsys):
+        # a model kind its parameters do not fit stops the run before any
+        # f, as a configuration error
+        with pytest.raises(ConfigError, match="symmetric model requires identical"):
+            RunConfig(experiment="nmm", model="symmetric", g2=2.0, f_list="0.1,1",
+                      eps=0.05, horizon=2.0)
+        path = tmp_path / "unequal.cfg"
+        path.write_text("model = symmetric\ng2 = 2\n")
+        out = str(tmp_path / "unequal")
+        assert cli.main(["nmm", "--f", "0.1", "--eps", "0.05", "--horizon", "2",
+                         "--config", str(path), "--out", out]) == 2
+        assert "configuration error: symmetric model requires" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
