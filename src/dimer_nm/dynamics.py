@@ -219,10 +219,12 @@ def suggest_dt(model: LindbladModel, base: float = BASE_DT) -> float:
 def steps_over(interval: float, dt: float) -> int:
     """Fewest whole steps spanning interval with none longer than dt.
 
-    At least one. An interval within 1e-9 steps of a whole multiple of dt
-    counts as that multiple, so rounding in interval / dt adds no step.
+    At least one. A quotient interval / dt that rounding lifts just above
+    a whole number counts as that number. The slack is 1e-12 of the
+    quotient, which covers the rounding of a long run (about 3e-9 near
+    3e7 steps), plus 1e-9 for a short one.
     """
-    return max(1, math.ceil(interval / dt - 1e-9))
+    return max(1, math.ceil(interval / dt * (1.0 - 1e-12) - 1e-9))
 
 
 def engine_for(model: LindbladModel, method: str = "auto") -> str:
@@ -248,13 +250,12 @@ def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = 
     k * strides[i] * step_sizes[i]. One stride per model is the rule; a
     run with a shorter last interval makes a second call from its last
     state.
-    Yields (lo, block, live) for blocks of at most _CHUNK marks:
+    Yields (lo, block) for blocks of at most _CHUNK marks:
     block[i, j] holds model i's v, or keep @ v, at mark lo + j. Each
     block after the first starts at the last mark of the block before,
     with the same bits, so a block of m marks spans m - 1 whole stride
     intervals. Each block is a view of one buffer that the next block
-    overwrites, so the caller copies what it keeps. Clearing live[i]
-    before the next block stops model i; its rows of later blocks are nan.
+    overwrites, so the caller copies what it keeps.
 
     All models run on the one engine :func:`engine_for` gives. Each
     model runs exactly as it would in a stack of one.
@@ -267,20 +268,18 @@ def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = 
     # a trailing column axis on vectors keeps every product a matrix product
     x = v[..., None] if v.ndim == 2 else v
     shape = v.shape[1:] if keep is None else (len(keep),) + v.shape[2:]
-    live = np.ones(n, dtype=bool)
     spans = [(lo, min(_CHUNK, n_marks - lo)) for lo in range(0, max(n_marks - 1, 1), _CHUNK - 1)]
     block = np.empty((n, spans[0][1]) + shape, dtype=complex)
     # the engines write their rows with the column axis kept
     out = block.reshape(block.shape[:3] + x.shape[-1:])
     blocks = _aggregated if engine == "aggregated" else _direct
-    for lo, m in blocks(models, x, step_sizes, strides, spans, keep, live, out):
-        block[~live, :m] = np.nan
-        yield lo, block[:, :m], live
+    for lo, m in blocks(models, x, step_sizes, strides, spans, keep, out):
+        yield lo, block[:, :m]
 
 
-def _aggregated(models, x, step_sizes, strides, spans, keep, live, out):
-    """The aggregated engine's blocks for :func:`propagate`: writes the
-    rows of the live models into out and yields each (lo, m) of spans.
+def _aggregated(models, x, step_sizes, strides, spans, keep, out):
+    """The aggregated engine's blocks for :func:`propagate`: writes every
+    model's rows into out and yields each (lo, m) of spans.
 
     Each model's stride operator, the power of its transfer matrix, is
     built once. The models advance together, one stacked product per
@@ -288,23 +287,17 @@ def _aggregated(models, x, step_sizes, strides, spans, keep, live, out):
     """
     g = np.stack([np.linalg.matrix_power(rk4_transfer_matrix(liouvillian_matrix(m), dt), int(s))
                   for m, dt, s in zip(models, step_sizes, strides)])
-    idx = np.arange(len(models))
     for lo, m in spans:
-        kept = live[idx]
-        if not kept.all():
-            x, g, idx = x[kept], g[kept], idx[kept]
-        # basic slicing while every model is live
-        rows = slice(None) if len(idx) == len(live) else idx
-        out[rows, 0] = _kept(keep, x)
+        out[:, 0] = _kept(keep, x)
         for k in range(1, m):
             x = g @ x
-            out[rows, k] = _kept(keep, x)
+            out[:, k] = _kept(keep, x)
         yield lo, m
 
 
-def _direct(models, x, step_sizes, strides, spans, keep, live, out):
-    """The direct engine's blocks for :func:`propagate`: writes the rows
-    of the live models into out and yields each (lo, m) of spans.
+def _direct(models, x, step_sizes, strides, spans, keep, out):
+    """The direct engine's blocks for :func:`propagate`: writes every
+    model's rows into out and yields each (lo, m) of spans.
 
     Each model's CSR generator is built once, and each block of a model
     is one ``expm_multiply`` call on the grid of its marks, so the model
@@ -315,11 +308,11 @@ def _direct(models, x, step_sizes, strides, spans, keep, live, out):
     gens = [sparse_generator(m.h_eff, m.jumps) for m in models]
     x = list(x)
     for lo, m in spans:
-        for i in np.flatnonzero(live):
+        for i, gen in enumerate(gens):
             out[i, 0] = _kept(keep, x[i])
             if m > 1:
                 stop = ((m - 1) * strides[i]) * step_sizes[i]
-                xs = expm_multiply(gens[i], x[i], start=0.0, stop=stop, num=m, endpoint=True)
+                xs = expm_multiply(gen, x[i], start=0.0, stop=stop, num=m, endpoint=True)
                 x[i] = xs[-1]
                 out[i, 1:m] = _kept(keep, xs[1:])
         yield lo, m
@@ -395,7 +388,7 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     states = np.empty((len(marks), d, d), dtype=complex)
     v, at = opalg.vec(rho0), 0
     for stride, n_marks in [(store_every, n_whole + 1)] + [(tail, 2)] * (tail > 0):
-        for lo, block, _ in propagate([model], [v], [dt_eff], [stride], n_marks, method=method):
+        for lo, block in propagate([model], [v], [dt_eff], [stride], n_marks, method=method):
             # vec is column stacking, so each row of block[0] is a transposed state
             states[at + lo:at + lo + block.shape[1]] = block[0].reshape(-1, d, d).transpose(0, 2, 1)
         at += n_marks - 1

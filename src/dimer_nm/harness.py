@@ -5,6 +5,15 @@ field of RunConfig and unknown keys are rejected. All numeric CSV cells
 are printed with 12 significant digits and '\n' line endings so reruns
 are byte-identical. Each CSV gets a '<name>.csv.meta' companion holding
 the fully resolved configuration and derived quantities.
+
+Every experiment but evolve and convergence is one f sweep
+(:func:`run_f_sweep`): a row per f, the f column and then the
+experiment's column groups, left to right. steady is the steady-state
+group, nmm the memory-measure group, sweep both, and eq8check the
+closed-form group; each group adds its own .meta derived keys. A config
+an experiment cannot run is rejected by RunConfig before any f runs; a
+memory-measure f that fails, or whose effective horizon is short, is a
+note on the package logger.
 """
 
 import logging
@@ -36,6 +45,9 @@ from .nonmarkov import nm_sweep
 log = logging.getLogger(__name__)
 
 EXPERIMENTS = ("evolve", "steady", "nmm", "sweep", "eq8check", "convergence")
+# a memory-measure run notes an f whose effective horizon falls short of
+# this many relaxation times 1 / gamma_eff
+HORIZON_WARN_FACTOR = 5.0
 
 
 @dataclass
@@ -86,6 +98,12 @@ class RunConfig:
             model_for(self, 1.0)
         except DimerNMError as exc:
             raise ConfigError(str(exc)) from exc
+        # the memory measure's default horizon is 20 / gamma_eff, and the
+        # closed form holds for identical sites and modes only
+        if self.experiment in ("nmm", "sweep") and self.horizon == 0 and gamma_eff_of(self) == 0:
+            raise ConfigError("horizon must be set when gamma_eff = 0; its default is 20 / gamma_eff")
+        if self.experiment == "eq8check" and not base_params(self).is_symmetric:
+            raise ConfigError("eq8check requires symmetric parameters")
 
 
 # (key, lower bound, whether the bound itself is allowed); horizon = 0
@@ -223,17 +241,6 @@ def gamma_eff_of(cfg: RunConfig) -> float:
     return effective_dephasing_rate(cfg.g1, cfg.kappa1)
 
 
-def _horizon(cfg: RunConfig, gamma: float) -> float:
-    """The memory-measure horizon: the horizon key, or by default 20
-    relaxation times 1 / gamma_eff, which gamma_eff = 0 (g1 = 0) leaves
-    undefined."""
-    if cfg.horizon > 0:
-        return cfg.horizon
-    if gamma == 0:
-        raise ConfigError("horizon must be set when gamma_eff = 0; its default is 20 / gamma_eff")
-    return 20.0 / gamma
-
-
 # ---------------------------------------------------------------- CSV
 
 def _fmt(x) -> str:
@@ -312,7 +319,7 @@ def _traces(cfg: RunConfig, observables):
     results = [work(f) for f in fs]
     times = results[0][0]
     for t_other, _ in results[1:]:
-        if not np.allclose(t_other, times, rtol=0, atol=1e-12):
+        if t_other.shape != times.shape or not np.allclose(t_other, times, rtol=0, atol=1e-12):
             raise DimerNMError("trace runs disagree on the stored time grid")
 
     outputs = {}
@@ -331,130 +338,94 @@ def _traces(cfg: RunConfig, observables):
     return outputs
 
 
-def _markov_baseline_logneg(cfg: RunConfig) -> float:
-    """Steady log negativity of the memoryless baseline at gamma_eff.
-
-    The baseline depends on f only through gamma_eff, which the f family
-    holds fixed, so one solve serves a whole sweep.
-    """
+def _steady_group(cfg: RunConfig, fs):
+    """The nullspace steady state at each f, next to the closed form and
+    the memoryless baseline. rho_dd_nullspace and singlet_overlap_ss are
+    one number (the singlet population), kept twice so the header stays
+    stable."""
+    # the baseline depends on f only through gamma_eff, which the f
+    # family holds fixed, so one solve serves every row
     mk = build_markovian_dephasing_model(gamma_eff_of(cfg), base_params(cfg))
-    mk_red = entanglement.reduce_to_dimer(steady_state(mk).rho, mk.dims, mk.basis)
-    return entanglement.log_negativity(mk_red)
+    mk_logneg = entanglement.log_negativity(
+        entanglement.reduce_to_dimer(steady_state(mk).rho, mk.dims, mk.basis))
+    rows = []
+    for f in fs:
+        p = apply_f(f, base_params(cfg))
+        m = model_for(cfg, f)
+        red = entanglement.reduce_to_dimer(steady_state(m).rho, m.dims, m.basis)
+        overlap = entanglement.singlet_overlap(red)
+        eq8 = steady_state_dd_closed_form(p) if p.is_symmetric else float("nan")
+        rows.append([overlap, eq8, entanglement.log_negativity(red), overlap, mk_logneg])
+    header = ["rho_dd_nullspace", "rho_dd_eq8", "logneg_ss",
+              "singlet_overlap_ss", "logneg_markov_baseline"]
+    return header, rows, {"gamma_eff": gamma_eff_of(cfg)}
 
 
-def _steady_row(cfg: RunConfig, f: float, mk_logneg: float):
-    p = apply_f(f, base_params(cfg))
-    m = model_for(cfg, f)
-    red = entanglement.reduce_to_dimer(steady_state(m).rho, m.dims, m.basis)
-    overlap = entanglement.singlet_overlap(red)
-    logneg = entanglement.log_negativity(red)
-    eq8 = steady_state_dd_closed_form(p) if p.is_symmetric else float("nan")
-    return [overlap, eq8, logneg, overlap, mk_logneg]
+def _memory_group(cfg: RunConfig, fs):
+    """D_NM at each f, every f in one :func:`nm_sweep`.
 
-
-# rho_dd_nullspace and singlet_overlap_ss are one number (the singlet
-# population of the steady state), kept twice so the header stays stable
-_STEADY_COLS = [
-    "rho_dd_nullspace", "rho_dd_eq8", "logneg_ss",
-    "singlet_overlap_ss", "logneg_markov_baseline",
-]
-
-
-def run_steady_sweep(cfg: RunConfig):
-    fs = resolve_f_values(cfg)
-    mk_logneg = _markov_baseline_logneg(cfg)
-    rows = [[f] + _steady_row(cfg, f, mk_logneg) for f in fs]
-    derived = {"experiment": "steady", "gamma_eff": gamma_eff_of(cfg)}
-    return render_csv(["f"] + _STEADY_COLS, rows), render_meta(cfg, derived)
-
-
-def _nmm_rows(cfg: RunConfig, fs, horizon: float, gamma: float):
-    """(memory-measure columns, note or None) per f.
-
-    Every f runs in one :func:`nm_sweep`; an f that fails, or a sweep
-    that fails as a whole, gives nan columns and a note.
+    An f that fails, or a sweep that fails as a whole, gets nan columns
+    and a note. An f whose effective horizon is shorter than
+    HORIZON_WARN_FACTOR relaxation times 1 / gamma_eff keeps its columns
+    and gets a note too.
     """
-    models = [model_for(cfg, f) for f in fs]
+    gamma = gamma_eff_of(cfg)
+    horizon = cfg.horizon or 20.0 / gamma  # RunConfig rejects both 0
     try:
-        swept = nm_sweep(models, eps=cfg.eps, horizon=horizon, gamma_eff=gamma)
+        swept = nm_sweep([model_for(cfg, f) for f in fs], eps=cfg.eps, horizon=horizon)
     except DimerNMError as exc:
         swept = [exc] * len(fs)
-    return [_nmm_row(cfg, f, res, horizon, gamma) for f, res in zip(fs, swept)]
-
-
-def _nmm_row(cfg: RunConfig, f: float, res, horizon: float, gamma: float):
-    if isinstance(res, DimerNMError):
-        nan = float("nan")
-        return [nan, nan, cfg.eps, horizon, nan], f"f={_f_label(f)}: {res}"
-    note = None
-    if res.horizon_warning:
-        note = (f"f={_f_label(f)}: effective horizon {res.horizon:.4g} is short "
-                f"relative to 1/gamma_eff={1.0 / gamma:.4g}")
-    return [res.d_nm, res.integral, res.eps, res.horizon, len(res.skipped_times)], note
-
-
-_NMM_COLS = ["D_NM", "I", "eps", "horizon", "skipped_times_count"]
-
-
-def run_nmm_sweep(cfg: RunConfig):
-    """Memory-measure sweep; per-f failures become nan rows, not aborts."""
-    fs = resolve_f_values(cfg)
-    gamma = gamma_eff_of(cfg)
-    horizon = _horizon(cfg, gamma)
-
     rows = []
-    for f, (row, note) in zip(fs, _nmm_rows(cfg, fs, horizon, gamma)):
-        rows.append([f] + row)
-        if note:
-            log.warning("nmm: %s", note)
-    derived = {
-        "experiment": "nmm", "gamma_eff": gamma,
-        "horizon_requested": horizon, "eps": cfg.eps,
-    }
-    return render_csv(["f"] + _NMM_COLS, rows), render_meta(cfg, derived)
+    for f, res in zip(fs, swept):
+        note = f"{cfg.experiment}: f={_f_label(f)}: "
+        if isinstance(res, DimerNMError):
+            log.warning("%s%s", note, res)
+            rows.append([math.nan, math.nan, cfg.eps, horizon, math.nan])
+            continue
+        if gamma > 0 and res.horizon < HORIZON_WARN_FACTOR / gamma:
+            log.warning("%seffective horizon %.4g is short relative to 1/gamma_eff=%.4g",
+                        note, res.horizon, 1.0 / gamma)
+        rows.append([res.d_nm, res.integral, res.eps, res.horizon, len(res.skipped_times)])
+    header = ["D_NM", "I", "eps", "horizon", "skipped_times_count"]
+    return header, rows, {"gamma_eff": gamma, "horizon_requested": horizon, "eps": cfg.eps}
 
 
-def run_sweep(cfg: RunConfig):
-    """Steady-state and memory-measure columns merged on one f grid."""
-    fs = resolve_f_values(cfg)
-    gamma = gamma_eff_of(cfg)
-    horizon = _horizon(cfg, gamma)
-
-    mk_logneg = _markov_baseline_logneg(cfg)
+def _closed_form_group(cfg: RunConfig, fs):
+    """Nullspace steady state against the two-level-mode closed form, at
+    n_fock = 2, the truncation where the closed form is exact."""
     rows = []
-    for f, (row, note) in zip(fs, _nmm_rows(cfg, fs, horizon, gamma)):
-        rows.append([f] + _steady_row(cfg, f, mk_logneg) + row)
-        if note:
-            log.warning("sweep: %s", note)
-    header = ["f"] + _STEADY_COLS + _NMM_COLS
-    derived = {
-        "experiment": "sweep", "gamma_eff": gamma,
-        "horizon_requested": horizon, "eps": cfg.eps,
-    }
-    return render_csv(header, rows), render_meta(cfg, derived)
-
-
-def run_eq8check(cfg: RunConfig):
-    """Nullspace steady state against the two-level-mode closed form.
-
-    Forces n_fock = 2, the truncation where the closed form is exact.
-    """
-    fs = resolve_f_values(cfg)
-    if not base_params(cfg).is_symmetric:
-        raise ConfigError("eq8check requires symmetric parameters")
-
-    def work(f):
+    for f in fs:
         p = replace(apply_f(f, base_params(cfg)), n_fock=2)
         m = build_symmetric_model(p)
         red = entanglement.reduce_to_dimer(steady_state(m).rho, m.dims, m.basis)
         dd = entanglement.singlet_overlap(red)
         eq8 = steady_state_dd_closed_form(p)
         err = abs(dd - eq8)
-        return [f, dd, eq8, err, err / abs(eq8)]
+        rows.append([dd, eq8, err, err / abs(eq8)])
+    return ["rho_dd_nullspace", "rho_dd_eq8", "abs_error", "rel_error"], rows, {"n_fock_forced": 2}
 
-    rows = [work(f) for f in fs]
-    header = ["f", "rho_dd_nullspace", "rho_dd_eq8", "abs_error", "rel_error"]
-    derived = {"experiment": "eq8check", "n_fock_forced": 2}
+
+# each f-sweep experiment's column groups, left to right after f
+_GROUPS = {
+    "steady": (_steady_group,),
+    "nmm": (_memory_group,),
+    "sweep": (_steady_group, _memory_group),
+    "eq8check": (_closed_form_group,),
+}
+
+
+def run_f_sweep(cfg: RunConfig):
+    """(csv, meta) of an f-sweep experiment: one row per f, the f column
+    and then each of the experiment's column groups; the .meta derived
+    keys are the union of the groups'."""
+    fs = resolve_f_values(cfg)
+    header, rows, derived = ["f"], [[f] for f in fs], {"experiment": cfg.experiment}
+    for group in _GROUPS[cfg.experiment]:
+        cols, cells, keys = group(cfg, fs)
+        header += cols
+        for row, part in zip(rows, cells):
+            row += part
+        derived.update(keys)
     return render_csv(header, rows), render_meta(cfg, derived)
 
 
@@ -499,13 +470,7 @@ def run_experiment(cfg: RunConfig) -> dict:
     if cfg.experiment == "evolve":
         wanted = tuple(_OBS_KEY) if cfg.observable == "both" else (cfg.observable,)
         return {f"{base}_{o}.csv": out for o, out in _traces(cfg, wanted).items()}
-    runner = {
-        "steady": run_steady_sweep,
-        "nmm": run_nmm_sweep,
-        "sweep": run_sweep,
-        "eq8check": run_eq8check,
-        "convergence": run_convergence,
-    }[cfg.experiment]
+    runner = run_convergence if cfg.experiment == "convergence" else run_f_sweep
     return {f"{base}.csv": runner(cfg)}
 
 
@@ -522,32 +487,3 @@ def write_outputs(outputs: dict, directory: str = ".") -> list:
             fh.write(meta_text)
         written.append(path)
     return written
-
-
-def count_envelope_maxima(times, values):
-    """Count local maxima of the |values| envelope.
-
-    Peaks of |values| are collected first; the envelope count is the
-    number of local maxima of the peak-height sequence, including the
-    opening peak when it dominates its successor. A damped oscillation
-    without revivals scores 1; beating (collapse and revival) scores 2
-    or more. Returns (count, times_of_envelope_maxima).
-    """
-    x = np.abs(np.asarray(values, dtype=float))
-    t = np.asarray(times, dtype=float)
-    peak_idx = [
-        i for i in range(1, x.shape[0] - 1)
-        if x[i] >= x[i - 1] and x[i] > x[i + 1]
-    ]
-    if not peak_idx:
-        return 0, []
-    heights = x[peak_idx]
-    count, locs = 0, []
-    if heights.shape[0] == 1 or heights[0] > heights[1]:
-        count += 1
-        locs.append(float(t[peak_idx[0]]))
-    for k in range(1, heights.shape[0] - 1):
-        if heights[k] >= heights[k - 1] and heights[k] > heights[k + 1]:
-            count += 1
-            locs.append(float(t[peak_idx[k]]))
-    return count, locs

@@ -38,7 +38,12 @@ one stacked product, and each block of at most _CHUNK maps goes, per
 model, through the drift check and the rates before the next block is
 stepped, so no model's whole map family is held. Every model gets
 exactly the numbers it gets alone; :func:`map_tomography` and :func:`nm_for_model`
-are the same path on a stack of one.
+are the same path on a stack of one. A model that fails drops out of the
+rates and the measure, not out of the stack.
+
+The measure knows no physical rate: NMResult reports the effective
+horizon, and whether it is short against 1 / gamma_eff is decided by
+the harness, which notes it.
 """
 
 from dataclasses import dataclass
@@ -57,9 +62,6 @@ COND_MAX = 1e10
 # cond); the slack stays a hundredfold above it, so a map the screen
 # places on one side of COND_MAX is on the same side for the SVD.
 _SCREEN_SLACK = 1e-3
-# nm_measure warns when the effective horizon falls short of this many
-# relaxation times 1 / gamma_eff
-HORIZON_WARN_FACTOR = 5.0
 
 # vec index of the sector basis matrix E_ij = |i><j| (column stacking)
 _TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0])
@@ -109,7 +111,7 @@ def map_tomography(model: LindbladModel, t_grid) -> DynamicalMapFamily:
 
     maps = np.empty((t_grid.shape[0], 4, 4), dtype=complex)
     (sub_dt,), blocks = _tomography([model], t_grid, eps)
-    for lo, block, _ in blocks:
+    for lo, block in blocks:
         _check_maps(block[0], t_grid[lo:], sub_dt)
         maps[lo:lo + block.shape[1]] = block[0]
     return DynamicalMapFamily(times=t_grid, maps=maps, eps=eps, basis=model.basis)
@@ -174,9 +176,9 @@ class NMResult:
     """Integrated memory measure and the series behind it.
 
     times/g: the interpolated g series on intermediate-map midpoints up
-    to the last invertible time. horizon is that effective limit;
-    horizon_warning flags an effective horizon shorter than
-    HORIZON_WARN_FACTOR relaxation times 1 / gamma_eff.
+    to the last invertible time. horizon is that effective limit, and
+    requested_horizon the end of the tomography grid; whether the
+    effective one is long enough is the caller's to judge.
     """
 
     times: np.ndarray
@@ -187,7 +189,6 @@ class NMResult:
     horizon: float
     requested_horizon: float
     skipped_times: tuple
-    horizon_warning: bool
 
 
 def _invertible(a):
@@ -244,7 +245,7 @@ def _rates(maps, eps):
     return g, ok
 
 
-def _measure(ts, eps, g, ok, gamma_eff):
+def _measure(ts, eps, g, ok):
     """NMResult from the raw rates g and invertible mask ok on grid ts."""
     if not ok.any():
         raise DimerNMError("no invertible intermediate map anywhere on the grid")
@@ -256,16 +257,14 @@ def _measure(ts, eps, g, ok, gamma_eff):
     series = np.interp(grid, tv, gv)
     integral = float(np.trapezoid(series, grid))
     d_nm = integral / (1.0 + integral)
-    horizon = float(grid[-1] + eps / 2.0)
-    warning = bool(gamma_eff) and horizon < HORIZON_WARN_FACTOR / float(gamma_eff or 1.0)
     return NMResult(
         times=grid, g=series, integral=integral, d_nm=d_nm, eps=eps,
-        horizon=horizon, requested_horizon=float(ts[-1]),
-        skipped_times=tuple(starts[~ok].tolist()), horizon_warning=warning,
+        horizon=float(grid[-1] + eps / 2.0), requested_horizon=float(ts[-1]),
+        skipped_times=tuple(starts[~ok].tolist()),
     )
 
 
-def nm_measure(family: DynamicalMapFamily, gamma_eff=None) -> NMResult:
+def nm_measure(family: DynamicalMapFamily) -> NMResult:
     """Integrate g over the family's grid into I and D = I / (1 + I).
 
     The grid is taken in chunks of _CHUNK points, each as stacked LAPACK
@@ -277,10 +276,10 @@ def nm_measure(family: DynamicalMapFamily, gamma_eff=None) -> NMResult:
     for lo in range(0, n_points, _CHUNK):
         hi = min(lo + _CHUNK, n_points)
         g[lo:hi], ok[lo:hi] = _rates(family.maps[lo:hi + 1], family.eps)
-    return _measure(family.times, family.eps, g, ok, gamma_eff)
+    return _measure(family.times, family.eps, g, ok)
 
 
-def nm_sweep(models, eps: float, horizon: float, gamma_eff=None):
+def nm_sweep(models, eps: float, horizon: float):
     """Tomography plus measure over [0, horizon] for a stack of models.
 
     The models share dims; their tomography is one stacked propagation
@@ -290,8 +289,8 @@ def nm_sweep(models, eps: float, horizon: float, gamma_eff=None):
     lo give the rates from lo on, and the next block starts at its last
     map. Returns an iterator with one entry per model, in order: its
     NMResult, built when reached, or the DimerNMError that stopped it.
-    An error drops only that model from the stack; the others run as
-    they would alone.
+    A model's first error skips its later blocks; the others run as they
+    would alone.
     """
     t_grid = uniform_grid(horizon, eps)
     n = len(models)
@@ -301,21 +300,21 @@ def nm_sweep(models, eps: float, horizon: float, gamma_eff=None):
     g = np.empty((n, t_grid.shape[0] - 1))
     ok = np.empty((n, t_grid.shape[0] - 1), dtype=bool)
     errors = [None] * n
-    for lo, block, live in blocks:
+    for lo, block in blocks:
         hi = lo + block.shape[1] - 1  # the block's last map starts the next
-        for i in np.flatnonzero(live):
-            try:
-                _check_maps(block[i], t_grid[lo:], sub_dts[i])
-                g[i, lo:hi], ok[i, lo:hi] = _rates(block[i], eps)
-            except DimerNMError as exc:
-                errors[i] = exc
-                live[i] = False
+        for i, maps in enumerate(block):
+            if errors[i] is None:
+                try:
+                    _check_maps(maps, t_grid[lo:], sub_dts[i])
+                    g[i, lo:hi], ok[i, lo:hi] = _rates(maps, eps)
+                except DimerNMError as exc:
+                    errors[i] = exc
 
     def entries():
         for i, res in enumerate(errors):
             if res is None:
                 try:
-                    res = _measure(t_grid, eps, g[i], ok[i], gamma_eff)
+                    res = _measure(t_grid, eps, g[i], ok[i])
                 except DimerNMError as exc:
                     res = exc
             yield res
@@ -323,11 +322,10 @@ def nm_sweep(models, eps: float, horizon: float, gamma_eff=None):
     return entries()
 
 
-def nm_for_model(model: LindbladModel, eps: float, horizon: float,
-                 gamma_eff=None) -> NMResult:
+def nm_for_model(model: LindbladModel, eps: float, horizon: float) -> NMResult:
     """Tomography plus measure over [0, horizon] in one call: :func:`nm_sweep`
     on a stack of one, raising its error."""
-    (res,) = nm_sweep([model], eps, horizon, gamma_eff=gamma_eff)
+    (res,) = nm_sweep([model], eps, horizon)
     if isinstance(res, DimerNMError):
         raise res
     return res

@@ -365,6 +365,12 @@ class TestStepsOver:
         assert steps_over(10 * 1e-3, 1e-5) == 1000
         assert steps_over(1.0, 0.1) == 10
 
+    def test_long_runs_take_no_extra_step(self):
+        # 333.3 at 0.01 / 886 is 29530380 steps, a quotient that rounds
+        # to 29530380.000000004: 4e-9 above, beyond an absolute 1e-9
+        assert 333.3 / (0.01 / 886) - 33330 * 886 > 1e-9
+        assert steps_over(333.3, 0.01 / 886) == 33330 * 886
+
     def test_any_excess_takes_one_more_step(self):
         assert steps_over(1e-3, 1e-3 / 1.4) == 2
         assert steps_over(1.0 + 1e-6, 0.1) == 11
@@ -406,7 +412,7 @@ def seamless(blocks, axis=0):
 
 def propagated(model, v0, dt, stride, n_marks, **kwargs):
     """propagate on a stack of one, its blocks joined at their seams."""
-    return seamless([block[0].copy() for _, block, _ in
+    return seamless([block[0].copy() for _, block in
                      propagate([model], [v0], [dt], [stride], n_marks, **kwargs)])
 
 
@@ -463,7 +469,7 @@ class TestPropagate:
         v0 = opalg.vec(np.eye(2) / 2.0)
         n_marks = 2 * dynamics._CHUNK + 5
         starts, sizes = [], []
-        for lo, block, _ in propagate([m], [v0], [1e-3], [1], n_marks):
+        for lo, block in propagate([m], [v0], [1e-3], [1], n_marks):
             starts.append(lo)
             sizes.append(block.shape[1])
         # each later block starts at the last mark of the block before
@@ -482,10 +488,10 @@ class TestPropagate:
         rng = np.random.default_rng(46)
         v0 = rng.standard_normal((3, models[0].dim ** 2, 4)) + 0j
         for method in ("aggregated", "direct"):
-            (whole,) = [block.copy() for _, block, _ in
+            (whole,) = [block.copy() for _, block in
                         propagate(models, v0, dts, strides, n_marks, method=method)]
             monkeypatch.setattr(dynamics, "_CHUNK", 7)
-            blocks = [block.copy() for _, block, _ in
+            blocks = [block.copy() for _, block in
                       propagate(models, v0, dts, strides, n_marks, method=method)]
             monkeypatch.undo()
             assert [b.shape[1] for b in blocks] == [7, 7, 7, 2]
@@ -513,7 +519,7 @@ class TestPropagate:
             "direct": lambda m, dt, mark: expm(liouvillian_matrix(m) * (dt * mark)),
         }
         for method, oracle in oracles.items():
-            stacked = seamless([block.copy() for _, block, _ in propagate(
+            stacked = seamless([block.copy() for _, block in propagate(
                 models, v0, dts, strides, n_marks, keep=keep, method=method)], axis=1)
             for i in range(3):
                 alone = propagated(models[i], v0[i], dts[i], strides[i], n_marks, keep=keep,
@@ -522,24 +528,6 @@ class TestPropagate:
                 expect = [keep @ oracle(models[i], dts[i], k * strides[i]) @ v0[i]
                           for k in range(n_marks)]
                 assert np.max(np.abs(stacked[i] - expect)) <= 1e-10 * np.max(np.abs(expect))
-
-    def test_cleared_live_stops_a_model(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_CHUNK", 4)
-        models = [symmetric_model(f) for f in (0.1, 1.0, 10.0)]
-        v0 = np.stack([opalg.vec(initial_state(m)) for m in models])
-        for method in ("aggregated", "direct"):
-            blocks = []
-            for lo, block, live in propagate(models, v0, [1e-3] * 3, [100] * 3, 12,
-                                             method=method):
-                blocks.append(block.copy())
-                live[1] = False
-            assert np.isfinite(blocks[0]).all()
-            for block in blocks[1:]:
-                assert np.isnan(block[1]).all() and np.isfinite(block[[0, 2]]).all()
-            joined = seamless(blocks, axis=1)
-            for i in (0, 2):
-                assert np.array_equal(joined[i], propagated(models[i], v0[i], 1e-3, 100, 12,
-                                                            method=method))
 
     def test_rejects_models_of_different_dims(self):
         small, big = symmetric_model(0.1), symmetric_model(0.1, n_fock=4)

@@ -10,20 +10,19 @@ import pytest
 
 from dimer_nm import cli, harness
 from dimer_nm.dynamics import integrate, suggest_dt
-from dimer_nm.errors import ConfigError
+from dimer_nm.errors import ConfigError, DimerNMError
 from dimer_nm.harness import (
+    HORIZON_WARN_FACTOR,
     RunConfig,
-    count_envelope_maxima,
+    gamma_eff_of,
     load_config,
     parse_config,
     render_csv,
     render_meta,
     resolve_f_values,
     run_convergence,
-    run_eq8check,
     run_experiment,
-    run_nmm_sweep,
-    run_steady_sweep,
+    run_f_sweep,
     serialize_config,
     write_outputs,
 )
@@ -112,6 +111,21 @@ class TestConfig:
     def test_removed_workers_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("workers = 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("experiment = nmm\ng1 = 0\n", "horizon must be set when gamma_eff = 0"),
+        ("experiment = sweep\ng1 = 0\n", "horizon must be set when gamma_eff = 0"),
+        ("experiment = eq8check\ng2 = 2\n", "eq8check requires symmetric parameters"),
+    ], ids=["nmm-uncoupled", "sweep-uncoupled", "eq8check-unequal"])
+    def test_experiment_its_parameters_do_not_fit(self, text, message):
+        # decided before any f runs: sweep's steady-state group would
+        # otherwise fail first, on the uncoupled baseline's steady state
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(text)
+
+    def test_experiments_their_parameters_fit(self):
+        assert parse_config("experiment = sweep\ng1 = 0\nhorizon = 5\n").g1 == 0.0
+        assert parse_config("experiment = steady\ng2 = 2\n").g2 == 2.0
 
 
 # key, values RunConfig rejects, the CLI flag that sets the key (None:
@@ -328,6 +342,36 @@ class TestTraceRuns:
                 csv_text, meta.replace(f"\nobservable={o}\n", "\nobservable=both\n", 1))
         assert outputs == alone
 
+    def test_long_trace_stays_on_the_store_grid(self, tmp_path):
+        # 33330 storage intervals of 886 steps at f = 88.58667904100822:
+        # the step count's quotient rounds 4e-9 above a whole number, and
+        # an extra step used to give that f a one-step tail past the grid
+        path = tmp_path / "long.cfg"
+        path.write_text("t_end = 333.3\nstore_every = 10\nf_list = 1,88.58667904100822\n")
+        out = str(tmp_path / "long")
+        assert cli.main(["evolve", "--observable", "inversion", "--config", str(path),
+                         "--out", out]) == 0
+        with open(out + "_inversion.csv") as fh:
+            _, rows = csv_rows(fh.read())
+        times = np.array([float(r[0]) for r in rows])
+        assert times.shape == (33331,) and times[-1] == 333.3
+        assert np.max(np.abs(times - 0.01 * np.arange(33331))) <= 1e-9
+
+    def test_grids_of_unequal_length_are_a_numerical_failure(self, monkeypatch):
+        calls = []
+
+        def second_run_short(model, *args, **kwargs):
+            traj = integrate(model, *args, **kwargs)
+            calls.append(model)
+            if len(calls) == 2:
+                traj.times = traj.times[:-1]
+            return traj
+
+        monkeypatch.setattr(harness, "integrate", second_run_short)
+        cfg = RunConfig(experiment="evolve", f_list="0.1, 2", t_end=0.3)
+        with pytest.raises(DimerNMError, match="disagree on the stored time grid"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("f", [1.4, 100.0])
     @pytest.mark.parametrize("store_every", [1, 3])
     def test_no_step_longer_than_suggest_dt(self, integrate_calls, f, store_every):
@@ -343,7 +387,7 @@ class TestTraceRuns:
 class TestSteadySweep:
     def test_columns_and_reference_values(self):
         cfg = RunConfig(experiment="steady", f_list="0.1")
-        csv_text, _ = run_steady_sweep(cfg)
+        csv_text, _ = run_f_sweep(cfg)
         header, rows = csv_rows(csv_text)
         assert header == ["f", "rho_dd_nullspace", "rho_dd_eq8", "logneg_ss",
                           "singlet_overlap_ss", "logneg_markov_baseline"]
@@ -356,7 +400,7 @@ class TestSteadySweep:
 
     def test_rows_sorted_by_f(self):
         cfg = RunConfig(experiment="steady", f_list="1, 0.1", n_fock=2)
-        csv_text, _ = run_steady_sweep(cfg)
+        csv_text, _ = run_f_sweep(cfg)
         _, rows = csv_rows(csv_text)
         fs = [float(r[0]) for r in rows]
         assert fs == sorted(fs)
@@ -365,7 +409,7 @@ class TestSteadySweep:
 class TestEq8Check:
     def test_forces_two_level_modes(self):
         cfg = RunConfig(experiment="eq8check", f_list="0.1", n_fock=5)
-        csv_text, meta = run_eq8check(cfg)
+        csv_text, meta = run_f_sweep(cfg)
         header, rows = csv_rows(csv_text)
         assert header == ["f", "rho_dd_nullspace", "rho_dd_eq8",
                           "abs_error", "rel_error"]
@@ -378,7 +422,7 @@ class TestEq8Check:
 class TestNmmSweep:
     def test_columns_and_ranges(self, caplog):
         cfg = RunConfig(experiment="nmm", f_list="0.1", eps=0.05, horizon=5.0)
-        csv_text, _ = run_nmm_sweep(cfg)
+        csv_text, _ = run_f_sweep(cfg)
         header, rows = csv_rows(csv_text)
         assert header == ["f", "D_NM", "I", "eps", "horizon",
                           "skipped_times_count"]
@@ -388,6 +432,22 @@ class TestNmmSweep:
         assert row["skipped_times_count"] == 0
         # 5/J is far below the relaxation horizon, so a note is emitted
         assert "horizon" in caplog.text
+
+    def test_horizon_warning(self, caplog):
+        # the note marks exactly an effective horizon shorter than
+        # HORIZON_WARN_FACTOR relaxation times 1 / gamma_eff (50 at the
+        # default gamma_eff = 0.1); gamma_eff = 0 has no relaxation time
+        for horizon, couplings, short in [(10.0, {}, True), (49.9, {}, True),
+                                          (50.1, {}, False), (10.0, {"g1": 10.0, "g2": 10.0}, False),
+                                          (5.0, {"g1": 0.0}, False)]:
+            cfg = RunConfig(experiment="nmm", f_list="0.1", eps=0.05, horizon=horizon,
+                            **couplings)
+            caplog.clear()
+            _, rows = csv_rows(run_f_sweep(cfg)[0])
+            gamma = gamma_eff_of(cfg)
+            effective = float(rows[0][4])
+            assert short == (gamma > 0 and effective < HORIZON_WARN_FACTOR / gamma)
+            assert ("effective horizon" in caplog.text) == short
 
 
 class TestConvergence:
@@ -438,6 +498,24 @@ class TestExperimentOutputs:
             assert os.path.exists(path)
             assert os.path.exists(path + ".meta")
 
+    def test_sweep_joins_steady_and_nmm(self):
+        # byte for byte the column join of the two experiments' CSVs, and
+        # the union of their derived .meta keys
+        cfg = RunConfig(f_list="0.1, 1", eps=0.05, horizon=5.0, n_fock=2)
+        out = {e: run_f_sweep(dataclasses.replace(cfg, experiment=e))
+               for e in ("steady", "nmm", "sweep")}
+        joined = [a + "," + b.split(",", 1)[1] for a, b in
+                  zip(out["steady"][0].splitlines(), out["nmm"][0].splitlines())]
+        assert out["sweep"][0] == "\n".join(joined) + "\n"
+
+        def derived(meta):
+            lines = meta.splitlines()
+            return dict(line.split("=", 1) for line in lines[lines.index("# derived") + 1:])
+
+        steady, nmm, sweep = (derived(out[e][1]) for e in ("steady", "nmm", "sweep"))
+        assert sweep == {**steady, **nmm, "experiment": "sweep"}
+        assert set(sweep) == set(steady) | set(nmm)
+
     def test_sweep_unions_columns(self):
         cfg = RunConfig(experiment="sweep", f_list="0.1", eps=0.05,
                         horizon=5.0, n_fock=2)
@@ -447,25 +525,6 @@ class TestExperimentOutputs:
         assert header[0] == "f"
         assert "logneg_ss" in header
         assert "D_NM" in header
-
-
-class TestEnvelopeCounting:
-    def test_damped_oscillation_single_maximum(self):
-        t = np.linspace(0.0, 50.0, 2001)
-        count, _ = count_envelope_maxima(t, np.exp(-0.1 * t) * np.cos(5.0 * t))
-        assert count == 1
-
-    def test_beating_counted(self):
-        t = np.linspace(0.0, 50.0, 2001)
-        count, locs = count_envelope_maxima(t, np.cos(0.2 * t) * np.cos(5.0 * t))
-        assert count >= 2
-        assert locs == sorted(locs)
-
-    def test_monotone_decay_scores_zero(self):
-        t = np.linspace(0.0, 10.0, 101)
-        count, locs = count_envelope_maxima(t, np.exp(-t))
-        assert count == 0
-        assert locs == []
 
 
 class TestCli:
@@ -546,6 +605,14 @@ class TestCli:
         out = str(tmp_path / "uncoupled")
         assert cli.main([experiment, "--f", "0.1", "--config", str(path), "--out", out]) == 2
         assert "configuration error: horizon must be set" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
+
+    def test_eq8check_with_unequal_sites_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "unequal.cfg"
+        path.write_text("g2 = 2\n")
+        out = str(tmp_path / "unequal")
+        assert cli.main(["eq8check", "--f", "0.1", "--config", str(path), "--out", out]) == 2
+        assert "configuration error: eq8check requires symmetric" in capsys.readouterr().err
         assert not os.path.exists(out + ".csv")
 
     def test_set_horizon_without_coupling_runs(self, tmp_path):

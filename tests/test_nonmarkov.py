@@ -11,7 +11,7 @@ from dimer_nm.dynamics import integrate
 from dimer_nm.entanglement import reduce_to_dimer
 from dimer_nm.errors import ConfigError, DimerNMError, NumericalDriftError, SingularSystemError
 from dimer_nm import harness
-from dimer_nm.harness import RunConfig, run_nmm_sweep
+from dimer_nm.harness import RunConfig, run_f_sweep
 from dimer_nm.model import (
     ModelParams,
     apply_f,
@@ -253,10 +253,10 @@ class TestGOfT:
 class TestNMMeasure:
     def test_memoryless_baseline_measures_zero(self):
         model = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
-        res = nm_for_model(model, eps=0.1, horizon=50.0, gamma_eff=GAMMA_EFF)
+        res = nm_for_model(model, eps=0.1, horizon=50.0)
         assert res.d_nm <= 1e-6
         assert res.integral <= 1e-6
-        assert not res.horizon_warning
+        assert res.horizon == pytest.approx(res.requested_horizon)
         assert res.skipped_times == ()
 
     def test_matches_log_rise_oracle(self):
@@ -274,17 +274,9 @@ class TestNMMeasure:
 
     def test_normalization_identity(self, family_f01):
         model, fam = family_f01
-        res = nm_measure(fam, gamma_eff=GAMMA_EFF)
+        res = nm_measure(fam)
         assert res.d_nm == res.integral / (1.0 + res.integral)
         assert 0.0 <= res.d_nm < 1.0
-
-    def test_horizon_warning(self, family_f01):
-        _, fam = family_f01
-        res = nm_measure(fam, gamma_eff=GAMMA_EFF)
-        assert res.requested_horizon == pytest.approx(10.0)
-        assert res.horizon_warning  # 10 < 5 / 0.1
-        long_res = nm_measure(fam, gamma_eff=10.0)
-        assert not long_res.horizon_warning
 
     def test_singular_interior_skipped_and_bridged(self):
         lams = [1.0, 0.5, 0.5, 0.5, 0.5, 1e-30, 0.5, 0.5, 0.5]
@@ -378,7 +370,7 @@ class TestBatchedParity:
     def test_residual_failure_becomes_nan_row(self, monkeypatch):
         monkeypatch.setattr(opalg, "SOLVE_RESIDUAL_RTOL", 0.0)
         cfg = RunConfig(experiment="nmm", f_list="0.1", eps=0.05, horizon=5.0)
-        csv_text, _ = run_nmm_sweep(cfg)
+        csv_text, _ = run_f_sweep(cfg)
         row = csv_text.splitlines()[1].split(",")
         assert row[1] == "nan" and row[2] == "nan"
 
@@ -524,12 +516,11 @@ class TestSweep:
     @staticmethod
     def check_bit_identical_to_solo_runs():
         models = [symmetric_model(f) for f in SWEEP_FS]
-        swept = list(nm_sweep(models, eps=0.01, horizon=12.0, gamma_eff=GAMMA_EFF))
+        swept = list(nm_sweep(models, eps=0.01, horizon=12.0))
         for model, res in zip(models, swept):
-            alone = nm_for_model(model, eps=0.01, horizon=12.0, gamma_eff=GAMMA_EFF)
+            alone = nm_for_model(model, eps=0.01, horizon=12.0)
             assert_same_result(res, alone)
-            family = nm_measure(map_tomography(model, uniform_grid(12.0, 0.01)),
-                                gamma_eff=GAMMA_EFF)
+            family = nm_measure(map_tomography(model, uniform_grid(12.0, 0.01)))
             assert_same_result(res, family)
 
     def test_failing_model_drops_alone(self):
@@ -545,7 +536,7 @@ class TestSweep:
 
     def test_failing_f_is_a_nan_row_with_its_note(self, monkeypatch, caplog):
         cfg = RunConfig(experiment="nmm", f_list="0.01,1,3.6554", eps=0.05, horizon=12.0)
-        clean = run_nmm_sweep(cfg)[0].splitlines()
+        clean = run_f_sweep(cfg)[0].splitlines()
         build = harness.model_for
 
         def model_for(cfg, f, n_fock=None):
@@ -554,7 +545,7 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "model_for", model_for)
         caplog.clear()
-        broken = run_nmm_sweep(cfg)[0].splitlines()
+        broken = run_f_sweep(cfg)[0].splitlines()
         assert broken[1] == clean[1] and broken[3] == clean[3]
         assert broken[2].split(",")[1:3] == ["nan", "nan"]
         assert "nmm: f=1: trace drifted by nan" in caplog.text
@@ -562,7 +553,7 @@ class TestSweep:
     def test_sweep_level_error_fills_every_row(self, caplog):
         cfg = RunConfig(experiment="nmm", f_list="0.1,1", eps=0.01, horizon=2.0)
         cfg.eps = -0.01  # set past RunConfig's own check, so nm_sweep rejects it
-        rows = [line.split(",") for line in run_nmm_sweep(cfg)[0].splitlines()[1:]]
+        rows = [line.split(",") for line in run_f_sweep(cfg)[0].splitlines()[1:]]
         assert [row[1] for row in rows] == ["nan", "nan"]
         assert caplog.text.count("horizon and eps must be positive") == 2
 
