@@ -35,7 +35,6 @@ from .nonmarkov import (
     NMResult,
     choi_matrix,
     map_tomography,
-    nm_for_model,
     nm_measure,
     nm_sweep,
 )
@@ -52,5 +51,5 @@ __all__ = [
     "build_markovian_dephasing_model", "build_symmetric_model",
     "effective_dephasing_rate", "steady_state_dd_closed_form",
     "DynamicalMapFamily", "NMResult", "choi_matrix", "map_tomography",
-    "nm_for_model", "nm_measure", "nm_sweep",
+    "nm_measure", "nm_sweep",
 ]

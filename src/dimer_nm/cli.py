@@ -38,6 +38,14 @@ def preset_text(name: str) -> str:
         raise ConfigError(f"preset {name} not available: {exc}") from exc
 
 
+def _f_list(text: str) -> str:
+    """The f_list of one f: --f converts its value as a float."""
+    return repr(float(text))
+
+
+_f_list.__name__ = "float"  # argparse names the type in its error line
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimer-nm",
@@ -45,10 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", help=f"one of {EXPERIMENTS} or preset {PRESETS}")
     parser.add_argument("--config", help="key=value run configuration file")
+    # every other flag's dest is the RunConfig key it overrides
     parser.add_argument("--out", help="output basename (default: experiment name)")
-    parser.add_argument("--f", type=float, help="run a single f value")
-    parser.add_argument("--fock", type=int, help="mode truncation override")
-    parser.add_argument("--tmax", type=float, help="trace end time override")
+    parser.add_argument("--f", dest="f_list", type=_f_list, help="run a single f value")
+    parser.add_argument("--fock", dest="n_fock", type=int, help="mode truncation override")
+    parser.add_argument("--tmax", dest="t_end", type=float, help="trace end time override")
     parser.add_argument("--eps", type=float, help="intermediate-map step override")
     parser.add_argument("--horizon", type=float, help="memory-measure horizon override")
     parser.add_argument("--observable", help="evolve: inversion | logneg | both")
@@ -66,25 +75,10 @@ def config_from_args(args) -> RunConfig:
             f"unknown experiment {args.experiment!r}; "
             f"expected one of {EXPERIMENTS + PRESETS}"
         )
-    overrides = {}
+    overrides = {key: val for key, val in vars(args).items()
+                 if val is not None and key not in ("experiment", "config")}
     if args.experiment in EXPERIMENTS:  # over a --config file's experiment key
         overrides["experiment"] = args.experiment
-    if args.f is not None:
-        overrides["f_list"] = repr(args.f)
-    if args.fock is not None:
-        overrides["n_fock"] = args.fock
-    if args.tmax is not None:
-        overrides["t_end"] = args.tmax
-    if args.eps is not None:
-        overrides["eps"] = args.eps
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.observable is not None:
-        overrides["observable"] = args.observable
-    if args.model is not None:
-        overrides["model"] = args.model
-    if args.out is not None:
-        overrides["out"] = args.out
     # the file and the flags land in one step, so a flag can mend what
     # the file alone would leave invalid
     if args.config:

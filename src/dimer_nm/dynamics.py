@@ -349,9 +349,10 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
               store_every: int = 10, observables=None, method: str = "auto") -> Trajectory:
     """Evolution from rho0 over [0, t_end] through :func:`propagate`.
 
-    dt defaults to :func:`suggest_dt` and must be positive; the run takes
-    :func:`steps_over` (t_end, dt) equal steps, fixed-step RK4 on the
-    aggregated engine and marks of the exact propagator on the direct one.
+    t_end must be positive and finite. dt defaults to :func:`suggest_dt`
+    and must be positive; the run takes :func:`steps_over` (t_end, dt)
+    equal steps, fixed-step RK4 on the aggregated engine and marks of the
+    exact propagator on the direct one.
     States are stored every ``store_every`` steps (a whole number >= 1)
     plus the final step, and checked by :func:`_defects`, _CHECK_BLOCK at
     a time. A trace drift beyond TRACE_ABORT_TOL or a non-finite state
@@ -367,8 +368,8 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     d = model.dim
     if rho0.shape != (d, d):
         raise DimensionError(f"rho0 shape {rho0.shape} does not match dims {model.dims}")
-    if t_end <= 0:
-        raise DimerNMError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < math.inf:  # nan fails too
+        raise DimerNMError(f"t_end must be positive and finite, got {t_end}")
     if dt is None:
         dt = suggest_dt(model)
     elif not dt > 0:  # nan fails too

@@ -124,16 +124,16 @@ def _parse_value(key: str, raw: str):
     ftype = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
-        if ftype in ("bool", bool):
+        if ftype is bool:
             low = raw.lower()
             if low in _BOOL_TRUE:
                 return True
             if low in _BOOL_FALSE:
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if ftype in ("int", int):
+        if ftype is int:
             return int(raw)
-        if ftype in ("float", float):
+        if ftype is float:
             return float(raw)
         return raw
     except ValueError as exc:

@@ -1,7 +1,8 @@
 """Divisibility-based memory measure of the reduced sector dynamics.
 
 Pipeline: tomograph the family of dynamical maps Lambda(t, 0) of the
-dimer sector on a uniform grid, form the intermediate maps
+dimer sector on the uniform grid :func:`uniform_grid` (horizon, eps),
+form the intermediate maps
 
     E(t + eps, t) = Lambda(t + eps, 0) Lambda(t, 0)^{-1},
 
@@ -18,13 +19,13 @@ coherences); times where the condition number exceeds COND_MAX are
 skipped and recorded, g is interpolated across interior gaps, and the
 integral is truncated at the last invertible time. The batched rates
 place each map on its side of COND_MAX with the Frobenius estimate
-est = ||A||_F ||A^-1||_F, from one stacked inverse per chunk; for a
-4 x 4 map cond <= est <= 4 cond. Only the maps it leaves undecided,
-about 2.4 % of a fig2 run, take the SVD (:func:`opalg.condition_number`),
-so the mask is the one an SVD of every map gives. A per-point path
-that takes the SVD at every map, inverts one map at a time and clips
-each rate at 0 lives in the test suite (``tests/oracles.py``) and
-serves as an independent check.
+est = ||A||_F ||A^-1||_F, from one stacked inverse; for a 4 x 4 map
+cond <= est <= 4 cond. Only the maps it leaves undecided, about 2.4 %
+of a fig2 run, take the SVD (:func:`opalg.condition_number`), so the
+mask is the one an SVD of every map gives. A per-point path that takes
+the SVD at every map, inverts one map at a time and clips each rate at
+0 lives in the test suite (``tests/oracles.py``) and serves as an
+independent check.
 
 The tomography is a trajectory like any other: :mod:`dimer_nm.dynamics`
 picks its step size and step count and decides its trace-drift abort
@@ -32,26 +33,29 @@ picks its step size and step count and decides its trace-drift abort
 :func:`dynamics.check_drift`), and steps it (:func:`dynamics.propagate`)
 on either engine and at any dimension. No function here takes a step.
 
-A sweep over models of one dims, an f grid say, is one stacked
-propagation (:func:`nm_sweep`): each grid step advances every model with
-one stacked product, and each block of at most _CHUNK maps goes, per
-model, through the drift check and the rates before the next block is
-stepped, so no model's whole map family is held. Every model gets
-exactly the numbers it gets alone; :func:`map_tomography` and :func:`nm_for_model`
-are the same path on a stack of one. A model that fails drops out of the
-rates and the measure, not out of the stack.
+D_NM is computed one way per shape, both on the grid
+:func:`uniform_grid` (horizon, eps). One model goes through
+``nm_measure(map_tomography(model, eps, horizon))``, which holds the
+model's whole map family, so it can be inspected. A stack of models of
+one dims, an f grid say, goes through :func:`nm_sweep`: one stacked
+propagation, whose blocks of maps go, per model, through the drift
+check and the rates before the next block is stepped, so no model's
+whole map family is held. Every model gets exactly the numbers it gets
+alone. A model that fails drops out of the rates and the measure, not
+out of the stack.
 
 The measure knows no physical rate: NMResult reports the effective
 horizon, and whether it is short against 1 / gamma_eff is decided by
 the harness, which notes it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import opalg
-from .dynamics import _CHUNK, check_drift, propagate, steps_over, suggest_dt
+from .dynamics import check_drift, propagate, steps_over, suggest_dt
 from .errors import DimerNMError
 from .model import LindbladModel, environment_state
 
@@ -74,22 +78,22 @@ class DynamicalMapFamily:
     times: np.ndarray
     maps: np.ndarray  # (n_times, 4, 4)
     eps: float
-    basis: str
 
     def __len__(self):
         return self.times.shape[0]
 
 
 def uniform_grid(horizon: float, eps: float) -> np.ndarray:
-    """Grid [0, eps, ..., n eps] covering the horizon."""
-    if eps <= 0 or horizon <= 0:
-        raise DimerNMError("horizon and eps must be positive")
+    """Grid [0, eps, ..., n eps] covering the horizon, n >= 2."""
+    if not (0 < eps < math.inf and 0 < horizon < math.inf):  # nan fails too
+        raise DimerNMError("horizon and eps must be positive and finite")
     n = max(2, steps_over(horizon, eps))
     return eps * np.arange(n + 1, dtype=float)
 
 
-def map_tomography(model: LindbladModel, t_grid) -> DynamicalMapFamily:
-    """Reconstruct Lambda(t, 0) by evolving the four sector basis matrices.
+def map_tomography(model: LindbladModel, eps: float, horizon: float) -> DynamicalMapFamily:
+    """Reconstruct Lambda(t, 0) on :func:`uniform_grid` (horizon, eps) by
+    evolving the four sector basis matrices.
 
     Each basis matrix is tensored with the model's environment state
     (vacuum, or the thermal diagonal for n_th > 0) and the four
@@ -101,20 +105,13 @@ def map_tomography(model: LindbladModel, t_grid) -> DynamicalMapFamily:
     :func:`dynamics.check_drift` at the first map that fails trace
     preservation.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.shape[0] < 2 or t_grid[0] != 0.0:
-        raise DimerNMError("t_grid must start at 0 and carry at least two points")
-    spac = np.diff(t_grid)
-    eps = float(spac[0])
-    if eps <= 0 or not np.allclose(spac, eps, rtol=1e-9, atol=0.0):
-        raise DimerNMError("t_grid must be uniform")
-
+    t_grid = uniform_grid(horizon, eps)
     maps = np.empty((t_grid.shape[0], 4, 4), dtype=complex)
     (sub_dt,), blocks = _tomography([model], t_grid, eps)
     for lo, block in blocks:
         _check_maps(block[0], t_grid[lo:], sub_dt)
         maps[lo:lo + block.shape[1]] = block[0]
-    return DynamicalMapFamily(times=t_grid, maps=maps, eps=eps, basis=model.basis)
+    return DynamicalMapFamily(times=t_grid, maps=maps, eps=float(eps))
 
 
 def _tomography(models, t_grid, eps):
@@ -126,23 +123,17 @@ def _tomography(models, t_grid, eps):
     """
     if any(m.dims[0] != 2 for m in models):
         raise DimerNMError("tomography expects the 2-dimensional sector at slot 0")
-    # initial conditions per model: column i + 2j holds vec(E_ij kron env),
-    # E_ij = |i><j| being the unvec of unit vector i + 2j
-    v = []
-    for model in models:
-        env_state = environment_state(model)
-        v.append(np.stack([opalg.vec(opalg.kron(opalg.unvec(e), env_state))
-                           for e in np.eye(4)], axis=1))
 
-    # reduction matrix: vec(full) -> vec(partial trace over the modes)
-    denv = int(np.prod(models[0].dims[1:]))
-    d = 2 * denv
-    red = np.zeros((4, d * d), dtype=complex)
-    for j in range(2):
-        for i in range(2):
-            for k in range(denv):
-                red[i + 2 * j, (j * denv + k) * d + (i * denv + k)] = 1.0
+    def lifted(env):
+        # entry i + 2j is vec(E_ij kron env), E_ij = |i><j| being the
+        # unvec of unit vector i + 2j
+        return np.stack([opalg.vec(opalg.kron(opalg.unvec(e), env)) for e in np.eye(4)])
 
+    # initial conditions per model in the columns; the reduction
+    # vec(full) -> vec(partial trace over the modes) takes row i + 2j
+    # from E_ij kron I_env
+    v = [lifted(environment_state(model)).T for model in models]
+    red = lifted(np.eye(int(np.prod(models[0].dims[1:]))))
     steps = [steps_over(eps, suggest_dt(model)) for model in models]
     sub_dts = [eps / s for s in steps]
     return sub_dts, propagate(models, v, sub_dts, steps, t_grid.shape[0], keep=red)
@@ -267,65 +258,51 @@ def _measure(ts, eps, g, ok):
 def nm_measure(family: DynamicalMapFamily) -> NMResult:
     """Integrate g over the family's grid into I and D = I / (1 + I).
 
-    The grid is taken in chunks of _CHUNK points, each as stacked LAPACK
-    calls.
+    The rates of the whole family are one set of stacked LAPACK calls.
     """
-    n_points = len(family) - 1
-    g = np.empty(n_points)
-    ok = np.empty(n_points, dtype=bool)
-    for lo in range(0, n_points, _CHUNK):
-        hi = min(lo + _CHUNK, n_points)
-        g[lo:hi], ok[lo:hi] = _rates(family.maps[lo:hi + 1], family.eps)
-    return _measure(family.times, family.eps, g, ok)
+    return _measure(family.times, family.eps, *_rates(family.maps, family.eps))
 
 
-def nm_sweep(models, eps: float, horizon: float):
-    """Tomography plus measure over [0, horizon] for a stack of models.
+def nm_sweep(models, eps: float, horizon: float) -> list:
+    """Tomography plus measure on :func:`uniform_grid` (horizon, eps) for a
+    stack of models.
 
     The models share dims; their tomography is one stacked propagation
     (:func:`dynamics.propagate`), and each block of maps goes, per model,
     through the drift check and the rates before the next is stepped, so
     no model's whole map family is held. A block's maps from grid point
     lo give the rates from lo on, and the next block starts at its last
-    map. Returns an iterator with one entry per model, in order: its
-    NMResult, built when reached, or the DimerNMError that stopped it.
-    A model's first error skips its later blocks; the others run as they
-    would alone.
+    map. Returns a list with one entry per model, in order: its NMResult,
+    equal bit for bit to ``nm_measure(map_tomography(model, eps,
+    horizon))``, or the DimerNMError that stopped it. A model's first
+    error skips its later blocks; the others run as they would alone.
     """
     t_grid = uniform_grid(horizon, eps)
     n = len(models)
     if not n:
-        return iter(())
+        return []
     sub_dts, blocks = _tomography(models, t_grid, eps)
-    g = np.empty((n, t_grid.shape[0] - 1))
-    ok = np.empty((n, t_grid.shape[0] - 1), dtype=bool)
-    errors = [None] * n
+    g = [np.empty(t_grid.shape[0] - 1) for _ in models]
+    ok = [np.empty(t_grid.shape[0] - 1, dtype=bool) for _ in models]
+    results = [None] * n  # a model's error as soon as it has one
     for lo, block in blocks:
         hi = lo + block.shape[1] - 1  # the block's last map starts the next
         for i, maps in enumerate(block):
-            if errors[i] is None:
+            if results[i] is None:
                 try:
                     _check_maps(maps, t_grid[lo:], sub_dts[i])
-                    g[i, lo:hi], ok[i, lo:hi] = _rates(maps, eps)
+                    g[i][lo:hi], ok[i][lo:hi] = _rates(maps, eps)
                 except DimerNMError as exc:
-                    errors[i] = exc
-
-    def entries():
-        for i, res in enumerate(errors):
-            if res is None:
-                try:
-                    res = _measure(t_grid, eps, g[i], ok[i])
-                except DimerNMError as exc:
-                    res = exc
-            yield res
-
-    return entries()
-
-
-def nm_for_model(model: LindbladModel, eps: float, horizon: float) -> NMResult:
-    """Tomography plus measure over [0, horizon] in one call: :func:`nm_sweep`
-    on a stack of one, raising its error."""
-    (res,) = nm_sweep([model], eps, horizon)
-    if isinstance(res, DimerNMError):
-        raise res
-    return res
+                    results[i] = exc
+    # the list holds every result at once (7.4 MB on fig2), so what they
+    # replace goes first: the block buffer, which the last block views,
+    # and each model's rates as its result is built
+    del block, maps
+    for i in range(n):
+        if results[i] is None:
+            try:
+                results[i] = _measure(t_grid, eps, g[i], ok[i])
+            except DimerNMError as exc:
+                results[i] = exc
+        g[i] = ok[i] = None
+    return results

@@ -12,7 +12,7 @@ way, and only tests call it:
 * :func:`apply_map` acts with a tomographed sector map on one state.
 * :func:`intermediate_map` and :func:`g_of_t` are the per-point D_NM
   path: one map inverted at a time, after an SVD of it, with the rate
-  clipped at 0; the package runs the chunked, screened rates of
+  clipped at 0; the package runs the stacked, screened rates of
   :func:`nonmarkov.nm_measure`.
 """
 

@@ -31,8 +31,7 @@ from dimer_nm.model import (
     build_symmetric_model,
     steady_state_dd_closed_form,
 )
-from dimer_nm.nonmarkov import choi_matrix, map_tomography, nm_for_model, nm_sweep, \
-    uniform_grid
+from dimer_nm.nonmarkov import choi_matrix, map_tomography, nm_measure, nm_sweep
 from dimer_nm import opalg
 from oracles import apply_map, log_negativity_via_partial_transpose, rhs
 
@@ -106,9 +105,9 @@ def dnm_sweep():
     """RHP degree over the figure's f grid plus the deep-Markovian point."""
     horizon = 20.0 / GAMMA_EFF
     fs = list(np.geomspace(0.0035, 3.6554, 15))
-    # one stacked sweep; each entry equals its nm_for_model run bit for bit
+    # one stacked sweep; each entry equals its one-model run bit for bit
     models = [build_symmetric_model(_symmetric(f)) for f in fs + [100.0]]
-    results = list(nm_sweep(models, eps=0.01, horizon=horizon))
+    results = nm_sweep(models, eps=0.01, horizon=horizon)
     for res in results:
         if isinstance(res, DimerNMError):
             raise res
@@ -120,7 +119,7 @@ def dnm_sweep():
 @pytest.fixture(scope="module")
 def tomo_family():
     model = build_symmetric_model(_symmetric(0.1))
-    return model, map_tomography(model, uniform_grid(10.0, 0.05))
+    return model, map_tomography(model, 0.05, 10.0)
 
 
 def test_criterion_1_closed_form_cross_check():
@@ -267,7 +266,7 @@ def test_criterion_8_property_suite(paper_traces, tomo_family):
         failures.append("tomography-vs-direct")
 
     markov = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
-    res = nm_for_model(markov, eps=0.1, horizon=50.0)
+    res = nm_measure(map_tomography(markov, 0.1, 50.0))
     if res.d_nm > 1e-6:
         failures.append("markov-dnm")
 

@@ -337,6 +337,12 @@ class TestIntegrate:
             with pytest.raises(DimerNMError, match="store_every must be a whole number >= 1"):
                 integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=store_every)
 
+    def test_rejects_non_finite_t_end(self):
+        m = symmetric_model(0.1)
+        for t_end in (float("nan"), float("inf")):
+            with pytest.raises(DimerNMError, match="t_end must be positive and finite"):
+                integrate(m, initial_state(m), t_end)
+
     def test_whole_float_store_every_is_a_count(self):
         m = symmetric_model(0.1)
         traj = integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=3.0, observables=[])

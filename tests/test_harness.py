@@ -540,6 +540,16 @@ class TestCli:
         assert cfg.f_list == "0.5"
         assert cfg.n_fock == 4
 
+    def test_every_flag_sets_its_key(self):
+        args = cli.build_parser().parse_args(
+            ["sweep", "--f", "0.1", "--fock", "2", "--tmax", "1", "--eps", "0.05",
+             "--horizon", "2", "--observable", "inversion", "--model", "symmetric",
+             "--out", "flags"])
+        cfg = cli.config_from_args(args)
+        assert cfg == RunConfig(experiment="sweep", f_list="0.1", n_fock=2, t_end=1.0,
+                                eps=0.05, horizon=2.0, observable="inversion",
+                                model="symmetric", out="flags")
+
     def test_config_file_layering(self, tmp_path):
         path = tmp_path / "override.cfg"
         path.write_text("t_end = 0.4\n")

@@ -84,12 +84,12 @@ class TestImport:
             "from dimer_nm import cli, kernels\n"
             "from dimer_nm.harness import initial_state\n"
             "from dimer_nm.model import ModelParams, apply_f, build_symmetric_model\n"
-            "from dimer_nm.nonmarkov import map_tomography, nm_measure, nm_sweep, uniform_grid\n"
+            "from dimer_nm.nonmarkov import map_tomography, nm_measure, nm_sweep\n"
             "print(loaded())\n"
             "m = build_symmetric_model(apply_f(0.1, ModelParams.symmetric()))\n"
             "dimer_nm.steady_state(m)\n"
             "dimer_nm.integrate(m, initial_state(m), 1.0, method='aggregated')\n"
-            "nm_measure(map_tomography(m, uniform_grid(2.0, 0.05)))\n"
+            "nm_measure(map_tomography(m, 0.05, 2.0))\n"
             "fs = (0.1, 1.0, 3.6554)\n"
             "ms = [build_symmetric_model(apply_f(f, ModelParams.symmetric())) for f in fs]\n"
             "assert all(r.d_nm >= 0.0 for r in nm_sweep(ms, 0.05, 6.0))\n"

@@ -23,7 +23,6 @@ from dimer_nm.nonmarkov import (
     DynamicalMapFamily,
     choi_matrix,
     map_tomography,
-    nm_for_model,
     nm_measure,
     nm_sweep,
     uniform_grid,
@@ -45,7 +44,7 @@ def dephasing_map(lam: float) -> np.ndarray:
 def dephasing_family(lams, eps: float) -> DynamicalMapFamily:
     maps = np.stack([dephasing_map(v) for v in lams])
     times = eps * np.arange(len(lams), dtype=float)
-    return DynamicalMapFamily(times=times, maps=maps, eps=eps, basis="site")
+    return DynamicalMapFamily(times=times, maps=maps, eps=eps)
 
 
 def symmetric_model(f, **kwargs):
@@ -62,7 +61,7 @@ def asymmetric_full_model(n_fock, f=0.1):
 def family_f01():
     """Tomography of the collective-mode model at f = 0.1 over 10/J."""
     model = symmetric_model(0.1)
-    return model, map_tomography(model, uniform_grid(10.0, 0.05))
+    return model, map_tomography(model, 0.05, 10.0)
 
 
 class TestUniformGrid:
@@ -77,6 +76,17 @@ class TestUniformGrid:
             uniform_grid(0.0, 0.1)
         with pytest.raises(DimerNMError):
             uniform_grid(1.0, -0.1)
+
+    @pytest.mark.parametrize("horizon, eps", [(np.nan, 0.01), (np.inf, 0.01),
+                                              (1.0, np.nan), (1.0, np.inf)])
+    def test_rejects_non_finite(self, horizon, eps):
+        # the grid is the input check of both D_NM entry points
+        model = symmetric_model(0.1)
+        for call in (lambda: uniform_grid(horizon, eps),
+                     lambda: map_tomography(model, eps, horizon),
+                     lambda: nm_sweep([model], eps, horizon)):
+            with pytest.raises(DimerNMError, match="horizon and eps must be positive and finite"):
+                call()
 
 
 class TestTomography:
@@ -131,19 +141,12 @@ class TestTomography:
             evals = np.linalg.eigvalsh(choi_matrix(fam.maps[n]))
             assert evals.min() >= -1e-7
 
-    def test_rejects_nonuniform_grid(self):
-        model = symmetric_model(0.1)
-        with pytest.raises(DimerNMError):
-            map_tomography(model, np.array([0.0, 0.1, 0.3]))
-        with pytest.raises(DimerNMError):
-            map_tomography(model, np.array([0.1, 0.2, 0.3]))
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborts_on_unstable_step(self, monkeypatch):
         model = symmetric_model(100.0)
         monkeypatch.setattr(nonmarkov, "suggest_dt", lambda m: 0.01)
         with pytest.raises(NumericalDriftError) as exc:
-            map_tomography(model, uniform_grid(1.0, 0.1))
+            map_tomography(model, 0.1, 1.0)
         assert str(exc.value).endswith("(dt=1.000e-02)")
         assert "reduce the step size" not in str(exc.value)
 
@@ -152,18 +155,17 @@ class TestTomographyEngines:
     def test_direct_matches_aggregated(self, monkeypatch):
         model = asymmetric_full_model(3)
         assert model.dim == 18
-        grid = uniform_grid(2.0, 0.05)
-        aggregated = map_tomography(model, grid)
+        aggregated = map_tomography(model, 0.05, 2.0)
         # with the dense cap below d the aggregated engine cannot run
         # (liouvillian_matrix would raise), so auto takes the direct one
         monkeypatch.setattr(dynamics, "MAX_SUPEROP_DIM", 4)
-        direct = map_tomography(model, grid)
+        direct = map_tomography(model, 0.05, 2.0)
         assert np.max(np.abs(direct.maps - aggregated.maps)) <= 1e-10
 
     def test_beyond_the_dense_cap_is_trace_preserving(self):
         model = asymmetric_full_model(6)
         assert model.dim == 72 > dynamics.MAX_SUPEROP_DIM
-        fam = map_tomography(model, uniform_grid(0.1, 0.05))
+        fam = map_tomography(model, 0.05, 0.1)
         tvec = np.array([1.0, 0.0, 0.0, 1.0])
         assert np.abs(tvec @ fam.maps - tvec).max() <= 1e-12
         assert np.allclose(fam.maps[0], np.eye(4), atol=1e-14)
@@ -245,7 +247,7 @@ class TestGOfT:
 
     def test_memoryless_baseline_flat_zero(self):
         model = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
-        fam = map_tomography(model, uniform_grid(50.0, 0.1))
+        fam = map_tomography(model, 0.1, 50.0)
         gs = [g_of_t(fam, float(t)) for t in fam.times[:-1]]
         assert max(gs) <= 1e-8
 
@@ -253,7 +255,7 @@ class TestGOfT:
 class TestNMMeasure:
     def test_memoryless_baseline_measures_zero(self):
         model = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
-        res = nm_for_model(model, eps=0.1, horizon=50.0)
+        res = nm_measure(map_tomography(model, 0.1, 50.0))
         assert res.d_nm <= 1e-6
         assert res.integral <= 1e-6
         assert res.horizon == pytest.approx(res.requested_horizon)
@@ -289,8 +291,8 @@ class TestNMMeasure:
     def test_discretization_stability(self):
         model = symmetric_model(0.0035)
         horizon = 100.0
-        coarse = nm_for_model(model, eps=0.01, horizon=horizon)
-        fine = nm_for_model(model, eps=0.005, horizon=horizon)
+        coarse = nm_measure(map_tomography(model, 0.01, horizon))
+        fine = nm_measure(map_tomography(model, 0.005, horizon))
         assert fine.integral == pytest.approx(coarse.integral, rel=0.05)
 
 
@@ -315,12 +317,11 @@ def per_point_measure(family):
 def with_map(family, n, m):
     maps = family.maps.copy()
     maps[n] = m
-    return DynamicalMapFamily(times=family.times, maps=maps, eps=family.eps,
-                              basis=family.basis)
+    return DynamicalMapFamily(times=family.times, maps=maps, eps=family.eps)
 
 
 class TestBatchedParity:
-    """The chunked, stacked nm_measure against the per-point path."""
+    """The stacked nm_measure against the per-point path."""
 
     def assert_parity(self, fam):
         integral, skipped = per_point_measure(fam)
@@ -483,11 +484,11 @@ class TestInvertibleScreen:
         # f = 1 at fig2's eps over 100 / J crosses the cut-off near t = 59
         model = symmetric_model(1.0)
         seen = spy_svd(monkeypatch)
-        res = nm_for_model(model, eps=0.01, horizon=100.0)
+        (res,) = nm_sweep([model], eps=0.01, horizon=100.0)
         assert 1000 < len(res.skipped_times) and res.horizon < 60.0
         assert 0 < sum(seen) < 0.05 * 10_000
         monkeypatch.setattr(nonmarkov, "_invertible", svd_mask)
-        assert_same_result(res, nm_for_model(model, eps=0.01, horizon=100.0))
+        assert_same_result(res, nm_sweep([model], eps=0.01, horizon=100.0)[0])
 
 
 SWEEP_FS = (0.01, 1.0, 3.6554, 100.0)  # 10, 27, 37 and 1000 steps per eps of 0.01
@@ -516,23 +517,21 @@ class TestSweep:
     @staticmethod
     def check_bit_identical_to_solo_runs():
         models = [symmetric_model(f) for f in SWEEP_FS]
-        swept = list(nm_sweep(models, eps=0.01, horizon=12.0))
+        swept = nm_sweep(models, eps=0.01, horizon=12.0)
+        assert isinstance(swept, list) and len(swept) == len(models)
         for model, res in zip(models, swept):
-            alone = nm_for_model(model, eps=0.01, horizon=12.0)
-            assert_same_result(res, alone)
-            family = nm_measure(map_tomography(model, uniform_grid(12.0, 0.01)))
-            assert_same_result(res, family)
+            assert_same_result(res, nm_measure(map_tomography(model, 0.01, 12.0)))
 
     def test_failing_model_drops_alone(self):
         models = [symmetric_model(f) for f in SWEEP_FS]
         broken = dataclasses.replace(models[1], h_eff=np.full_like(models[1].h_eff, np.nan))
-        swept = list(nm_sweep([models[0], broken] + models[2:], eps=0.01, horizon=12.0))
+        swept = nm_sweep([models[0], broken] + models[2:], eps=0.01, horizon=12.0)
         assert isinstance(swept[1], NumericalDriftError)
         with pytest.raises(NumericalDriftError) as exc:
-            nm_for_model(broken, eps=0.01, horizon=12.0)
+            map_tomography(broken, 0.01, 12.0)
         assert str(swept[1]) == str(exc.value)
         for i in (0, 2, 3):
-            assert_same_result(swept[i], nm_for_model(models[i], eps=0.01, horizon=12.0))
+            assert_same_result(swept[i], nm_measure(map_tomography(models[i], 0.01, 12.0)))
 
     def test_failing_f_is_a_nan_row_with_its_note(self, monkeypatch, caplog):
         cfg = RunConfig(experiment="nmm", f_list="0.01,1,3.6554", eps=0.05, horizon=12.0)
