@@ -42,6 +42,19 @@ scipy is imported lazily, only by the direct engine and by the sparse
 steady-state solve, so ``import dimer_nm`` and the dense runs (every
 trajectory up to MAX_SUPEROP_DIM, steady states below
 SPARSE_STEADY_MIN_DIM) do not pay for it.
+
+The sparse steady-state solve (SuperLU and ARPACK), each block of the
+direct engine and the state checks and observables at the end of
+:func:`integrate` run on one BLAS thread (:func:`opalg.one_blas_thread`),
+as do the model builds. Their BLAS calls are small or bound by memory,
+so a second thread mostly spins. Measured on 2 vCPUs, three runs each,
+the d = 72 sparse steady solve took 5.4-5.7 s wall and 10.6-11.1 s CPU
+with the default threads, and 4.9-5.9 s wall and 4.9-5.9 s CPU on one;
+at d = 98 one thread costs wall time, 37 s against 33 s, for 37 s of
+CPU against 62 s. The aggregated engine keeps the default threads, as its dense products
+gain from them: with OPENBLAS_NUM_THREADS=1 a d = 18 ``nmm --model
+full`` run (horizon 20, eps 0.05) went from 0.11-0.12 s to 0.12-0.17 s
+wall, and a d = 32 evolve (t_end 50) from 3.8-4.2 s to 5.9-6.3 s.
 """
 
 import math
@@ -308,13 +321,16 @@ def _direct(models, x, step_sizes, strides, spans, keep, out):
     gens = [sparse_generator(m.h_eff, m.jumps) for m in models]
     x = list(x)
     for lo, m in spans:
-        for i, gen in enumerate(gens):
-            out[i, 0] = _kept(keep, x[i])
-            if m > 1:
-                stop = ((m - 1) * strides[i]) * step_sizes[i]
-                xs = expm_multiply(gen, x[i], start=0.0, stop=stop, num=m, endpoint=True)
-                x[i] = xs[-1]
-                out[i, 1:m] = _kept(keep, xs[1:])
+        # one BLAS thread per block, not across the yield, so the
+        # caller's work between blocks keeps its threads
+        with opalg.one_blas_thread():
+            for i, gen in enumerate(gens):
+                out[i, 0] = _kept(keep, x[i])
+                if m > 1:
+                    stop = ((m - 1) * strides[i]) * step_sizes[i]
+                    xs = expm_multiply(gen, x[i], start=0.0, stop=stop, num=m, endpoint=True)
+                    x[i] = xs[-1]
+                    out[i, 1:m] = _kept(keep, xs[1:])
         yield lo, m
 
 
@@ -396,41 +412,43 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         v = opalg.vec(states[at])
     times = dt_eff * np.asarray(marks, dtype=float)
 
-    trace, herm, low = np.concatenate([
-        _defects(states[lo:lo + _CHECK_BLOCK])
-        for lo in range(0, states.shape[0], _CHECK_BLOCK)], axis=1)
-    check_drift(trace, times, dt_eff)
-    negative = np.flatnonzero(low < EIG_FLOOR)
-    if negative.size:
-        k = negative[0]
-        raise NumericalDriftError(
-            f"lowest eigenvalue {low[k]:.3e} at t={times[k]:.6g} "
-            f"(dt={dt_eff:.3e})"
-        )
+    with opalg.one_blas_thread():
+        trace, herm, low = np.concatenate([
+            _defects(states[lo:lo + _CHECK_BLOCK])
+            for lo in range(0, states.shape[0], _CHECK_BLOCK)], axis=1)
+        check_drift(trace, times, dt_eff)
+        negative = np.flatnonzero(low < EIG_FLOOR)
+        if negative.size:
+            k = negative[0]
+            raise NumericalDriftError(
+                f"lowest eigenvalue {low[k]:.3e} at t={times[k]:.6g} "
+                f"(dt={dt_eff:.3e})"
+            )
 
-    if observables is None:
-        observables = ("inversion", "log_negativity", "singlet_overlap") + (
-            ("mode_excitation",) if len(model.dims) > 1 else ())
-    reduced = entanglement.reduce_to_dimer(states, model.dims, model.basis)
-    obs = {}
-    for name in observables:
-        if name == "inversion":
-            site = entanglement.basis_change(reduced, "site").rho
-            obs[name] = (site[:, 1, 1] - site[:, 0, 0]).real
-        elif name == "log_negativity":
-            obs[name] = entanglement.log_negativity(reduced)
-        elif name == "singlet_overlap":
-            obs[name] = entanglement.singlet_overlap(reduced)
-        elif name == "mode_excitation":
-            if len(model.dims) < 2:
-                raise DimerNMError("mode_excitation requires a model with mode slots")
-            # occupation of the most excited physical oscillator;
-            # model.mode_weight converts collective-mode quanta
-            numbers = [opalg.embed(np.diag(np.arange(d, dtype=complex)), slot, model.dims)
-                       for slot, d in enumerate(model.dims) if slot]
-            obs[name] = model.mode_weight * np.max([expectation(states, n) for n in numbers], axis=0)
-        else:
-            raise DimerNMError(f"unknown observable {name!r}")
+        if observables is None:
+            observables = ("inversion", "log_negativity", "singlet_overlap") + (
+                ("mode_excitation",) if len(model.dims) > 1 else ())
+        reduced = entanglement.reduce_to_dimer(states, model.dims, model.basis)
+        obs = {}
+        for name in observables:
+            if name == "inversion":
+                site = entanglement.basis_change(reduced, "site").rho
+                obs[name] = (site[:, 1, 1] - site[:, 0, 0]).real
+            elif name == "log_negativity":
+                obs[name] = entanglement.log_negativity(reduced)
+            elif name == "singlet_overlap":
+                obs[name] = entanglement.singlet_overlap(reduced)
+            elif name == "mode_excitation":
+                if len(model.dims) < 2:
+                    raise DimerNMError("mode_excitation requires a model with mode slots")
+                # occupation of the most excited physical oscillator;
+                # model.mode_weight converts collective-mode quanta
+                numbers = [opalg.embed(np.diag(np.arange(d, dtype=complex)), slot, model.dims)
+                           for slot, d in enumerate(model.dims) if slot]
+                obs[name] = model.mode_weight * np.max(
+                    [expectation(states, n) for n in numbers], axis=0)
+            else:
+                raise DimerNMError(f"unknown observable {name!r}")
 
     diagnostics = {
         "dt": dt_eff,
@@ -470,7 +488,10 @@ def steady_state(model: LindbladModel) -> QuantumState:
     if model.dim < SPARSE_STEADY_MIN_DIM:
         x = _steady_vec_dense(model)
     else:
-        x = _steady_vec_sparse(model)
+        # imported first, so that scipy's own OpenBLAS is loaded and pinned too
+        import scipy.sparse.linalg  # noqa: F401
+        with opalg.one_blas_thread():
+            x = _steady_vec_sparse(model)
     rho = opalg.hermitize(opalg.unvec(x))
     rho /= np.trace(rho).real
     return QuantumState(rho=rho, dims=model.dims).validate(trace_tol=1e-12, herm_tol=1e-12)

@@ -40,7 +40,7 @@ from .model import (
     environment_state,
     steady_state_dd_closed_form,
 )
-from .nonmarkov import nm_sweep
+from .nonmarkov import grid_steps, nm_sweep
 
 log = logging.getLogger(__name__)
 
@@ -98,10 +98,17 @@ class RunConfig:
             model_for(self, 1.0)
         except DimerNMError as exc:
             raise ConfigError(str(exc)) from exc
-        # the memory measure's default horizon is 20 / gamma_eff, and the
-        # closed form holds for identical sites and modes only
-        if self.experiment in ("nmm", "sweep") and self.horizon == 0 and gamma_eff_of(self) == 0:
-            raise ConfigError("horizon must be set when gamma_eff = 0; its default is 20 / gamma_eff")
+        # the memory measure's default horizon is 20 / gamma_eff and its
+        # grid is capped (grid_steps), and the closed form holds for
+        # identical sites and modes only
+        if self.experiment in ("nmm", "sweep"):
+            if self.horizon == 0 and gamma_eff_of(self) == 0:
+                raise ConfigError("horizon must be set when gamma_eff = 0; "
+                                  "its default is 20 / gamma_eff")
+            try:
+                grid_steps(_horizon_of(self), self.eps)
+            except DimerNMError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.experiment == "eq8check" and not base_params(self).is_symmetric:
             raise ConfigError("eq8check requires symmetric parameters")
 
@@ -241,6 +248,12 @@ def gamma_eff_of(cfg: RunConfig) -> float:
     return effective_dephasing_rate(cfg.g1, cfg.kappa1)
 
 
+def _horizon_of(cfg: RunConfig) -> float:
+    """The memory measure's horizon: the horizon key, or 20 / gamma_eff
+    when it is 0 (RunConfig rejects both 0)."""
+    return cfg.horizon or 20.0 / gamma_eff_of(cfg)
+
+
 # ---------------------------------------------------------------- CSV
 
 def _fmt(x) -> str:
@@ -370,7 +383,7 @@ def _memory_group(cfg: RunConfig, fs):
     and gets a note too.
     """
     gamma = gamma_eff_of(cfg)
-    horizon = cfg.horizon or 20.0 / gamma  # RunConfig rejects both 0
+    horizon = _horizon_of(cfg)
     try:
         swept = nm_sweep([model_for(cfg, f) for f in fs], eps=cfg.eps, horizon=horizon)
     except DimerNMError as exc:

@@ -189,22 +189,23 @@ def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float 
     x = a + a.conj().T
     n = a.conj().T @ a
 
-    h = opalg.embed(sector_h, 0, dims)
-    h += sum(Omega * opalg.embed(n, k, dims) for k, (Omega, _, _) in enumerate(modes, 1))
-    jumps = []
-    for k, (_, kappa, c) in enumerate(modes, 1):
-        h += opalg.embed(c, 0, dims) @ opalg.embed(x, k, dims)
-        if kappa == 0:
-            continue
-        ak = opalg.embed(a, k, dims)
-        jumps.append((ak, 2.0 * kappa * (1.0 + p.n_th)))
-        if p.n_th > 0:
-            jumps.append((ak.conj().T, 2.0 * kappa * p.n_th))
-    jumps = tuple(jumps)
-    return LindbladModel(
-        h_eff=_h_eff_from(h, jumps), jumps=jumps, dims=dims,
-        basis=basis, n_th=p.n_th, mode_weight=mode_weight,
-    )
+    with opalg.one_blas_thread():  # d x d products: more threads only cost CPU
+        h = opalg.embed(sector_h, 0, dims)
+        h += sum(Omega * opalg.embed(n, k, dims) for k, (Omega, _, _) in enumerate(modes, 1))
+        jumps = []
+        for k, (_, kappa, c) in enumerate(modes, 1):
+            h += opalg.embed(c, 0, dims) @ opalg.embed(x, k, dims)
+            if kappa == 0:
+                continue
+            ak = opalg.embed(a, k, dims)
+            jumps.append((ak, 2.0 * kappa * (1.0 + p.n_th)))
+            if p.n_th > 0:
+                jumps.append((ak.conj().T, 2.0 * kappa * p.n_th))
+        jumps = tuple(jumps)
+        return LindbladModel(
+            h_eff=_h_eff_from(h, jumps), jumps=jumps, dims=dims,
+            basis=basis, n_th=p.n_th, mode_weight=mode_weight,
+        )
 
 
 def build_full_model(p: ModelParams) -> LindbladModel:

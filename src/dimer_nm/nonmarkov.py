@@ -60,6 +60,9 @@ from .errors import DimerNMError
 from .model import LindbladModel, environment_state
 
 COND_MAX = 1e10
+# most points a grid of uniform_grid may hold, 50 times fig2's 20 000 per
+# f; map_tomography holds a 256-byte map per point, 256 MB at the cap
+MAX_GRID_POINTS = 1_000_000
 # Relative slack of the Frobenius screen's two cut-offs (_invertible).
 # The screen's estimate and the SVD's condition number each carry about
 # 1e-5 relative rounding at cond <= 4 COND_MAX (machine epsilon times
@@ -83,12 +86,24 @@ class DynamicalMapFamily:
         return self.times.shape[0]
 
 
-def uniform_grid(horizon: float, eps: float) -> np.ndarray:
-    """Grid [0, eps, ..., n eps] covering the horizon, n >= 2."""
+def grid_steps(horizon: float, eps: float) -> int:
+    """The n of :func:`uniform_grid` (horizon, eps), or DimerNMError
+    unless both are positive and finite and the grid holds at most
+    MAX_GRID_POINTS points."""
     if not (0 < eps < math.inf and 0 < horizon < math.inf):  # nan fails too
         raise DimerNMError("horizon and eps must be positive and finite")
-    n = max(2, steps_over(horizon, eps))
-    return eps * np.arange(n + 1, dtype=float)
+    # n <= ceil(horizon / eps), and an overflowing quotient is inf
+    if not horizon / eps <= MAX_GRID_POINTS - 1:
+        raise DimerNMError(
+            f"horizon / eps = {horizon / eps:.3g} would take more than "
+            f"{MAX_GRID_POINTS} grid points")
+    return max(2, steps_over(horizon, eps))
+
+
+def uniform_grid(horizon: float, eps: float) -> np.ndarray:
+    """Grid [0, eps, ..., n eps] covering the horizon, 2 <= n <
+    MAX_GRID_POINTS (:func:`grid_steps`)."""
+    return eps * np.arange(grid_steps(horizon, eps) + 1, dtype=float)
 
 
 def map_tomography(model: LindbladModel, eps: float, horizon: float) -> DynamicalMapFamily:
@@ -169,7 +184,9 @@ class NMResult:
     times/g: the interpolated g series on intermediate-map midpoints up
     to the last invertible time. horizon is that effective limit, and
     requested_horizon the end of the tomography grid; whether the
-    effective one is long enough is the caller's to judge.
+    effective one is long enough is the caller's to judge. skipped_times
+    holds the start times of the intermediate maps skipped as not
+    invertible, a float64 array.
     """
 
     times: np.ndarray
@@ -179,7 +196,7 @@ class NMResult:
     eps: float
     horizon: float
     requested_horizon: float
-    skipped_times: tuple
+    skipped_times: np.ndarray
 
 
 def _invertible(a):
@@ -251,7 +268,7 @@ def _measure(ts, eps, g, ok):
     return NMResult(
         times=grid, g=series, integral=integral, d_nm=d_nm, eps=eps,
         horizon=float(grid[-1] + eps / 2.0), requested_horizon=float(ts[-1]),
-        skipped_times=tuple(starts[~ok].tolist()),
+        skipped_times=starts[~ok],
     )
 
 
@@ -294,7 +311,7 @@ def nm_sweep(models, eps: float, horizon: float) -> list:
                     g[i][lo:hi], ok[i][lo:hi] = _rates(maps, eps)
                 except DimerNMError as exc:
                     results[i] = exc
-    # the list holds every result at once (7.4 MB on fig2), so what they
+    # the list holds every result at once (3.5 MB on fig2), so what they
     # replace goes first: the block buffer, which the last block views,
     # and each model's rates as its result is built
     del block, maps

@@ -11,10 +11,15 @@ Conventions used everywhere in the package:
 
 Heavy factorizations delegate to LAPACK through numpy; the functions here
 add the shape/Hermiticity validation and error reporting the rest of the
-package relies on.
+package relies on. :func:`one_blas_thread` runs the paths that gain
+nothing from more BLAS threads on one.
 """
 
 import math
+import os
+import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,6 +27,15 @@ from .errors import DimensionError, NonHermitianError, SingularSystemError
 
 HERMITICITY_RTOL = 1e-12
 SOLVE_RESIDUAL_RTOL = 1e-9
+
+# one_blas_thread's state, under _blas_lock: the OpenBLAS handles of the
+# last scan and len(sys.modules) at it, a handle (or None) per library
+# path ever seen, and the counts to restore while any block holds
+_blas_lock = threading.Lock()
+_blas_scan = (-1, ())
+_blas_handles = {}
+_blas_held = {}
+_blas_holders = 0
 
 
 def _as_complex(a):
@@ -242,3 +256,66 @@ def unvec(v):
     if d * d != v.size:
         raise DimensionError(f"vector of length {v.size} is not a square matrix")
     return v.reshape(d, d, order="F")
+
+
+def _openblas_libs():
+    """ctypes handles of the loaded OpenBLAS libraries that export
+    ``openblas_set_num_threads_local``; none where /proc/self/maps is
+    missing. A library loads only with an import, so the scan is redone
+    only after sys.modules changes size. Call under _blas_lock.
+    """
+    global _blas_scan
+    key = len(sys.modules)
+    if _blas_scan[0] != key:
+        import ctypes
+
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                paths = sorted({p for p in (line.split()[-1] for line in fh)
+                                if "openblas" in os.path.basename(p).lower()})
+        except OSError:
+            paths = []
+        for path in paths:
+            if path not in _blas_handles:
+                try:
+                    lib = ctypes.CDLL(path)
+                    setter = lib.openblas_set_num_threads_local
+                except (OSError, AttributeError):
+                    lib = None
+                else:
+                    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+                _blas_handles[path] = lib
+        _blas_scan = key, tuple(_blas_handles[p] for p in paths if _blas_handles[p])
+    return _blas_scan[1]
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, and restore
+    each library's previous count on the way out, also when it raises.
+
+    For the sparse LU and ARPACK of a steady state, the sparse
+    propagator and the small dense products of model builds and state
+    checks, more BLAS threads cost more CPU than they save wall time.
+    ``openblas_set_num_threads_local`` sets the process-wide count in
+    the OpenBLAS builds numpy and scipy ship, so other threads' BLAS
+    calls run on one thread too while a block runs. Blocks may nest and
+    overlap across threads: the first sets the counts, the last restores
+    them. A library that loads inside a block is missed, so callers
+    import scipy before they enter. Without OpenBLAS this does nothing.
+    """
+    global _blas_holders
+    with _blas_lock:
+        for lib in _openblas_libs():
+            if lib not in _blas_held:
+                _blas_held[lib] = lib.openblas_set_num_threads_local(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if not _blas_holders:
+                for lib, count in _blas_held.items():
+                    lib.openblas_set_num_threads_local(count)
+                _blas_held.clear()

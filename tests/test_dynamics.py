@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from dimer_nm import dynamics, opalg
+from dimer_nm import model as model_module
 from dimer_nm.dynamics import (
     BASE_DT,
     EIG_FLOOR,
@@ -725,6 +726,92 @@ class TestSparseSteadyState:
         monkeypatch.setattr(sla, "svds", no_convergence)
         with pytest.raises(DimerNMError):
             steady_state(asymmetric_full_model(3))
+
+
+class TestBlasThreadScopes:
+    """The paths opalg.one_blas_thread pins, read through spies."""
+
+    def spied_runs(self, monkeypatch, blas_counts):
+        """{(run, spied function): the thread counts it saw per call} over
+        a model build, a sparse steady state and a trace on each engine at
+        d = 18, and the results."""
+        import scipy.sparse.linalg as sla
+
+        seen, run = {}, ["build"]
+        for owner, name in ((model_module, "_h_eff_from"), (sla, "splu"), (sla, "svds"),
+                            (sla, "expm_multiply"), (dynamics, "_kept"),
+                            (dynamics, "check_drift")):
+            def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                seen.setdefault((run[0], _name), []).append(set(blas_counts()))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        m = asymmetric_full_model(3)
+        assert m.dim >= dynamics.SPARSE_STEADY_MIN_DIM
+        run[0] = "steady"
+        results = [steady_state(m).rho]
+        for method in ("direct", "aggregated"):
+            run[0] = method
+            results.append(integrate(m, initial_state(m), 0.02, method=method).states)
+        assert set(blas_counts()) == {3}
+        return seen, results
+
+    def test_pinned_paths_run_on_one_thread(self, monkeypatch, blas_counts):
+        seen, _ = self.spied_runs(monkeypatch, blas_counts)
+        # the aggregated engine's stepping keeps its threads
+        assert all(counts == {3} for counts in seen.pop(("aggregated", "_kept")))
+        assert sorted(seen) == [
+            ("aggregated", "check_drift"), ("build", "_h_eff_from"),
+            ("direct", "_kept"), ("direct", "check_drift"), ("direct", "expm_multiply"),
+            ("steady", "splu"), ("steady", "svds")]
+        assert all(counts == {1} for calls in seen.values() for counts in calls)
+
+    def test_paths_run_when_no_library_is_found(self, monkeypatch, blas_counts):
+        _, pinned = self.spied_runs(monkeypatch, blas_counts)
+        monkeypatch.setattr(opalg, "_openblas_libs", lambda: ())
+        seen, results = self.spied_runs(monkeypatch, blas_counts)
+        assert all(counts == {3} for calls in seen.values() for counts in calls)
+        for a, b in zip(pinned, results):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-13)
+
+    def test_scipy_loads_before_the_pin(self):
+        # in a fresh interpreter scipy, and with it its OpenBLAS, loads
+        # only on the sparse paths, and must load before they pin
+        script = (
+            "import dataclasses, sys\n"
+            "from dimer_nm import dynamics, opalg\n"
+            "from dimer_nm.harness import initial_state\n"
+            "from dimer_nm.model import ModelParams, apply_f, build_full_model\n"
+            "p = ModelParams.symmetric(n_fock=3)\n"
+            "m = build_full_model(apply_f(0.1, dataclasses.replace(p, g2=2.0)))\n"
+            "real, seen = opalg.one_blas_thread, []\n"
+            "def spy():\n"
+            "    with opalg._blas_lock:\n"
+            "        seen.append(len(opalg._openblas_libs()))\n"
+            "    return real()\n"
+            "opalg.one_blas_thread = spy\n"
+            "run = sys.argv[1]\n"
+            "if run == 'steady':\n"
+            "    dynamics.steady_state(m)\n"
+            "else:\n"
+            "    dynamics.integrate(m, initial_state(m), 0.01, method='direct')\n"
+            "import scipy.sparse.linalg\n"
+            "with opalg._blas_lock:\n"
+            "    print(seen[0], len(opalg._openblas_libs()))\n"
+        )
+        import os
+        import subprocess
+        import sys
+
+        import dimer_nm
+
+        path = os.path.dirname(os.path.dirname(dimer_nm.__file__))
+        for run in ("steady", "direct"):
+            out = subprocess.run(
+                [sys.executable, "-c", script, run], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path), check=True)
+            first, loaded = out.stdout.split()
+            assert first == loaded
 
 
 class TestExpectation:

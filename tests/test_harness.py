@@ -194,6 +194,19 @@ class TestConfigRanges:
         assert "unrecognized arguments: --dt" in capsys.readouterr().err
         assert not os.path.exists(out + "_inversion.csv")
 
+    @pytest.mark.parametrize("experiment", ["nmm", "sweep"])
+    def test_oversized_memory_grid_exits_two(self, experiment, tmp_path, capsys):
+        # a quotient horizon / eps that overflows, then a finite one over the cap
+        out = str(tmp_path / "run")
+        for horizon, eps in (("1e300", "1e-10"), ("200", "1e-5")):
+            argv = [experiment, "--f", "0.1", "--horizon", horizon, "--eps", eps, "--out", out]
+            assert cli.main(argv) == 2
+            assert "configuration error: horizon / eps" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
+        # the default horizon, 20 / gamma_eff = 200, counts too
+        with pytest.raises(ConfigError, match="grid points"):
+            parse_config(f"experiment = {experiment}\neps = 1e-7\n")
+
     def test_full_model_without_second_linewidth_runs(self, tmp_path):
         path = tmp_path / "lossless.cfg"
         path.write_text("model = full\nkappa2 = 0\nn_fock = 2\n")

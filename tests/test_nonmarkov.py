@@ -89,6 +89,19 @@ class TestUniformGrid:
                 call()
 
 
+    def test_caps_the_number_of_points(self):
+        cap = nonmarkov.MAX_GRID_POINTS
+        assert len(uniform_grid(cap - 1.0, 1.0)) == cap
+        model = symmetric_model(0.1)
+        # one point over the cap, and a quotient that overflows to inf
+        for horizon, eps in ((float(cap), 1.0), (1e300, 1e-10)):
+            for call in (lambda: uniform_grid(horizon, eps),
+                         lambda: map_tomography(model, eps, horizon),
+                         lambda: nm_sweep([model], eps, horizon)):
+                with pytest.raises(DimerNMError, match=f"more than {cap} grid points"):
+                    call()
+
+
 class TestTomography:
     def test_zero_time_map_is_identity(self, family_f01):
         _, fam = family_f01
@@ -259,7 +272,7 @@ class TestNMMeasure:
         assert res.d_nm <= 1e-6
         assert res.integral <= 1e-6
         assert res.horizon == pytest.approx(res.requested_horizon)
-        assert res.skipped_times == ()
+        assert np.array_equal(res.skipped_times, [])
 
     def test_matches_log_rise_oracle(self):
         # diagonal dephasing family with lam(t) = 0.5 + 0.4 cos(2t):
@@ -284,9 +297,16 @@ class TestNMMeasure:
         lams = [1.0, 0.5, 0.5, 0.5, 0.5, 1e-30, 0.5, 0.5, 0.5]
         fam = dephasing_family(lams, 0.1)
         res = nm_measure(fam)
-        assert res.skipped_times == (pytest.approx(0.5),)
+        assert res.skipped_times == pytest.approx(np.array([0.5]))
         assert np.isfinite(res.integral)
         assert res.d_nm == pytest.approx(0.0, abs=1e-12)
+
+    def test_skipped_times_is_a_float64_array(self):
+        # 8 B per skipped point, not a 32 B Python float
+        lams = [1.0, 0.5, 1e-30, 0.5, 1e-30, 0.5, 0.5]
+        skipped = nm_measure(dephasing_family(lams, 0.1)).skipped_times
+        assert isinstance(skipped, np.ndarray) and skipped.dtype == np.float64
+        assert skipped.shape == (2,) and skipped.nbytes == 16
 
     def test_discretization_stability(self):
         model = symmetric_model(0.0035)
@@ -326,7 +346,7 @@ class TestBatchedParity:
     def assert_parity(self, fam):
         integral, skipped = per_point_measure(fam)
         res = nm_measure(fam)
-        assert res.skipped_times == skipped
+        assert np.array_equal(res.skipped_times, skipped)
         assert res.integral == pytest.approx(integral, rel=1e-12, abs=0.0)
 
     def test_tomography_fixture(self, family_f01):
@@ -499,7 +519,7 @@ def assert_same_result(a, b):
     assert np.array_equal(a.g, b.g)
     assert a.integral == b.integral and a.d_nm == b.d_nm
     assert a.horizon == b.horizon
-    assert a.skipped_times == b.skipped_times
+    assert np.array_equal(a.skipped_times, b.skipped_times)
 
 
 class TestSweep:

@@ -350,3 +350,93 @@ class TestHermitize:
     def test_condition_number(self):
         a = np.diag([1.0, 1e-3])
         assert opalg.condition_number(a) == pytest.approx(1e3, rel=1e-12)
+
+
+
+class TestOneBlasThread:
+    def test_pins_and_restores(self, blas_counts):
+        with opalg.one_blas_thread():
+            assert set(blas_counts()) == {1}
+        assert set(blas_counts()) == {3}
+
+    def test_restores_when_the_block_raises(self, blas_counts):
+        with pytest.raises(ZeroDivisionError):
+            with opalg.one_blas_thread():
+                1 / 0
+        assert set(blas_counts()) == {3}
+
+    def test_nested_and_overlapping_blocks_restore_once(self, blas_counts):
+        import threading
+
+        with opalg.one_blas_thread():
+            with opalg.one_blas_thread():
+                pass
+            assert set(blas_counts()) == {1}
+        # a block on another thread that outlives the first one's
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with opalg.one_blas_thread():
+                entered.set()
+                release.wait(10.0)
+
+        other = threading.Thread(target=hold)
+        with opalg.one_blas_thread():
+            other.start()
+            assert entered.wait(10.0)
+        assert set(blas_counts()) == {1}
+        release.set()
+        other.join()
+        assert set(blas_counts()) == {3}
+
+    def test_many_threads_leave_no_block_held(self, blas_counts):
+        import sys
+        import threading
+
+        def churn():
+            for _ in range(200):
+                with opalg.one_blas_thread():
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert opalg._blas_holders == 0 and not opalg._blas_held
+        assert set(blas_counts()) == {3}
+
+    def test_lookup_rescans_only_after_an_import(self, blas_counts, monkeypatch):
+        import builtins
+        import sys
+        import types
+
+        opened = []
+        real_open = builtins.open
+
+        def spy(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        for _ in range(3):
+            with opalg.one_blas_thread():
+                pass
+        assert opened == []
+        monkeypatch.setitem(sys.modules, "newly_imported", types.ModuleType("newly_imported"))
+        for _ in range(3):
+            with opalg.one_blas_thread():
+                assert set(blas_counts()) == {1}
+        assert opened == ["/proc/self/maps"]
+
+    def test_does_nothing_without_a_library(self, blas_counts, monkeypatch):
+        monkeypatch.setattr(opalg, "_openblas_libs", lambda: ())
+        with opalg.one_blas_thread():
+            assert set(blas_counts()) == {3}
+        assert set(blas_counts()) == {3}
