@@ -18,14 +18,16 @@ Map inversion degrades as Lambda becomes singular (strong damping kills
 coherences); times where the condition number exceeds COND_MAX are
 skipped and recorded, g is interpolated across interior gaps, and the
 integral is truncated at the last invertible time. The batched rates
-place each map on its side of COND_MAX with the Frobenius estimate
-est = ||A||_F ||A^-1||_F, from one stacked inverse; for a 4 x 4 map
-cond <= est <= 4 cond. Only the maps it leaves undecided, about 2.4 %
-of a fig2 run, take the SVD (:func:`opalg.condition_number`), so the
-mask is the one an SVD of every map gives. A per-point path that takes
-the SVD at every map, inverts one map at a time and clips each rate at
-0 lives in the test suite (``tests/oracles.py``) and serves as an
-independent check.
+factor each map once: one stacked solve A^T [E^T | X] = [B^T | I] gives
+the intermediate map E and A^-1 = X^T, and the Frobenius estimate
+est = ||A||_F ||A^-1||_F places the map on its side of COND_MAX; for a
+4 x 4 map cond <= est <= 4 cond. Only the maps it leaves undecided,
+about 2.4 % of a fig2 run, take the SVD (:func:`opalg.condition_number`),
+so the mask is the one an SVD of every map gives. The rates are one
+float64 array, nan where a map is not invertible. A per-point path that
+takes the SVD at every map, inverts one map at a time and clips each
+rate at 0 lives in the test suite (``tests/oracles.py``) and serves as
+an independent check.
 
 The tomography is a trajectory like any other: :mod:`dimer_nm.dynamics`
 picks its step size and step count and decides its trace-drift abort
@@ -40,7 +42,10 @@ model's whole map family, so it can be inspected. A stack of models of
 one dims, an f grid say, goes through :func:`nm_sweep`: one stacked
 propagation, whose blocks of maps go, per model, through the drift
 check and the rates before the next block is stepped, so no model's
-whole map family is held. Every model gets exactly the numbers it gets
+whole map family is held; a model keeps the rates of a block only if
+the block holds an invertible map. The results of one sweep share one
+tomography grid and one midpoint array, and each derives its skipped
+times from a bool per map. Every model gets exactly the numbers it gets
 alone. A model that fails drops out of the rates and the measure, not
 out of the stack.
 
@@ -182,11 +187,14 @@ class NMResult:
     """Integrated memory measure and the series behind it.
 
     times/g: the interpolated g series on intermediate-map midpoints up
-    to the last invertible time. horizon is that effective limit, and
-    requested_horizon the end of the tomography grid; whether the
-    effective one is long enough is the caller's to judge. skipped_times
-    holds the start times of the intermediate maps skipped as not
-    invertible, a float64 array.
+    to the last invertible time; times is a prefix view of one midpoint
+    array, which the results of one :func:`nm_sweep` share. horizon is
+    that effective limit. grid is the tomography grid, shared like the
+    midpoints, and invertible holds, per intermediate map, whether it
+    was inverted. requested_horizon, the end of the grid, and
+    skipped_times, the start times of the maps skipped as not invertible
+    (a float64 array), are derived from them on access. Whether the
+    effective horizon is long enough is the caller's to judge.
     """
 
     times: np.ndarray
@@ -195,33 +203,47 @@ class NMResult:
     d_nm: float
     eps: float
     horizon: float
-    requested_horizon: float
-    skipped_times: np.ndarray
+    grid: np.ndarray
+    invertible: np.ndarray
+
+    @property
+    def requested_horizon(self) -> float:
+        return float(self.grid[-1])
+
+    @property
+    def skipped_times(self) -> np.ndarray:
+        return self.grid[:-1][~self.invertible]
 
 
-def _invertible(a):
-    """Mask of the maps in a stack (k, 4, 4) with cond(A) <= COND_MAX.
+def _solve_invertible(a, b):
+    """(ok, et) for the intermediate maps E with E A = B of two stacks
+    (k, 4, 4): ok masks the maps A with cond(A) <= COND_MAX, and et holds
+    E^T for each map ok holds, not yet residual-checked.
 
-    Equal to ~(opalg.condition_number(a) > COND_MAX), with a map that
-    has a non-finite entry counting as singular, as its condition
-    estimate is inf. For a 4 x 4 map the Frobenius estimate
+    ok is ~(opalg.condition_number(a) > COND_MAX), with a map that has a
+    non-finite entry counting as singular, as its condition estimate is
+    inf. One stacked solve A^T [E^T | X] = [B^T | I] of the finite maps
+    gives E^T and X = A^-T. For a 4 x 4 map the Frobenius estimate
     est = ||A||_F ||A^-1||_F brackets the two-norm condition number,
-    cond <= est <= 4 cond, so one stacked inverse decides every
-    map with est <= COND_MAX (1 - _SCREEN_SLACK), invertible, or
+    cond <= est <= 4 cond, so the solve decides every map with
+    est <= COND_MAX (1 - _SCREEN_SLACK), invertible, or
     est > 4 COND_MAX (1 + _SCREEN_SLACK), singular. The SVD decides the
     rest: the maps in between, those whose est overflows or is nan, and
-    the whole stack when the inverse finds an exactly singular map.
+    the whole stack when the solve finds an exactly singular map, whose
+    invertible maps are then solved on their own.
     """
     ok = np.zeros(a.shape[0], dtype=bool)
     idx = np.flatnonzero(np.isfinite(a).all(axis=(-2, -1)))
-    b = a[idx]
+    at = np.ascontiguousarray(a[idx].transpose(0, 2, 1))
+    bt = b[idx].transpose(0, 2, 1)
     try:
-        inv = np.linalg.inv(b)
+        x = np.linalg.solve(at, np.concatenate([bt, np.broadcast_to(np.eye(4), bt.shape)], axis=-1))
     except np.linalg.LinAlgError:  # an exactly singular map: the SVD takes them all
-        pass
+        x, undecided = None, np.ones(idx.size, dtype=bool)
     else:
+        inv = x[..., 4:]
         with np.errstate(over="ignore"):
-            na = (b.real ** 2 + b.imag ** 2).sum(axis=(-2, -1))
+            na = (at.real ** 2 + at.imag ** 2).sum(axis=(-2, -1))
             ni = (inv.real ** 2 + inv.imag ** 2).sum(axis=(-2, -1))
             est2 = na * ni
         low = est2 <= (COND_MAX * (1.0 - _SCREEN_SLACK)) ** 2
@@ -229,46 +251,46 @@ def _invertible(a):
         # accuracy makes the other overflow: only a finite est2 is accurate
         high = np.isfinite(est2) & (est2 > (4.0 * COND_MAX * (1.0 + _SCREEN_SLACK)) ** 2)
         ok[idx[low]] = True
-        idx = idx[~(low | high)]
-    if idx.size:
-        ok[idx] = ~(opalg.condition_number(a[idx]) > COND_MAX)
-    return ok
+        undecided = ~(low | high)
+    if undecided.any():
+        ok[idx[undecided]] = ~(opalg.condition_number(a[idx[undecided]]) > COND_MAX)
+    if x is None:
+        return ok, opalg.solve_linear(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
+    return ok, x[ok[idx], :, :4]
 
 
 def _rates(maps, eps):
-    """(g before the clip at 0, invertible mask) of the intermediate maps
-    between consecutive maps of a run, len(maps) - 1 points.
-
-    The mask is :func:`_invertible`'s: a Frobenius-norm screen, with the
-    SVD for the maps it cannot place on one side of COND_MAX.
+    """g before the clip at 0 of the intermediate maps between
+    consecutive maps of a run, len(maps) - 1 points, nan where the map
+    is not invertible (:func:`_solve_invertible`). An invertible map's g
+    is never nan, as its E passes :func:`opalg.check_residual` first.
     """
-    a = maps[:-1]
-    ok = _invertible(a)
-    g = np.zeros(a.shape[0])
+    a, b = maps[:-1], maps[1:]
+    ok, et = _solve_invertible(a, b)
+    g = np.full(ok.shape[0], np.nan)
     if ok.any():
-        # E A = B  =>  A^T E^T = B^T
-        et = opalg.solve_linear(a[ok].transpose(0, 2, 1), maps[1:][ok].transpose(0, 2, 1))
-        choi = choi_matrix(et.transpose(0, 2, 1))
-        g[ok] = (opalg.trace_norm(choi) - 1.0) / eps
-    return g, ok
+        opalg.check_residual(np.ascontiguousarray(a[ok].transpose(0, 2, 1)), et,
+                             b[ok].transpose(0, 2, 1), axis=(-2, -1))
+        g[ok] = (opalg.trace_norm(choi_matrix(et.transpose(0, 2, 1))) - 1.0) / eps
+    return g
 
 
-def _measure(ts, eps, g, ok):
-    """NMResult from the raw rates g and invertible mask ok on grid ts."""
+def _measure(ts, mids, eps, g):
+    """NMResult from the raw rates g (nan where a map is not invertible)
+    on the increasing grid ts, whose midpoints ts[:-1] + eps / 2 are mids."""
+    ok = ~np.isnan(g)
     if not ok.any():
         raise DimerNMError("no invertible intermediate map anywhere on the grid")
-    starts = ts[:-1]
-    tv = starts[ok] + eps / 2.0
-    gv = np.where(g > 0.0, g, 0.0)[ok]  # max(0, g)
-    mids = starts + eps / 2.0
-    grid = mids[mids <= tv[-1] + 1e-12]
+    tv = mids[ok]
+    gv = g[ok]
+    gv = np.where(gv > 0.0, gv, 0.0)  # max(0, g)
+    grid = mids[:np.searchsorted(mids, tv[-1] + 1e-12, side="right")]
     series = np.interp(grid, tv, gv)
     integral = float(np.trapezoid(series, grid))
     d_nm = integral / (1.0 + integral)
     return NMResult(
         times=grid, g=series, integral=integral, d_nm=d_nm, eps=eps,
-        horizon=float(grid[-1] + eps / 2.0), requested_horizon=float(ts[-1]),
-        skipped_times=starts[~ok],
+        horizon=float(grid[-1] + eps / 2.0), grid=ts, invertible=ok,
     )
 
 
@@ -277,7 +299,8 @@ def nm_measure(family: DynamicalMapFamily) -> NMResult:
 
     The rates of the whole family are one set of stacked LAPACK calls.
     """
-    return _measure(family.times, family.eps, *_rates(family.maps, family.eps))
+    ts, eps = family.times, family.eps
+    return _measure(ts, ts[:-1] + eps / 2.0, eps, _rates(family.maps, eps))
 
 
 def nm_sweep(models, eps: float, horizon: float) -> list:
@@ -289,37 +312,44 @@ def nm_sweep(models, eps: float, horizon: float) -> list:
     through the drift check and the rates before the next is stepped, so
     no model's whole map family is held. A block's maps from grid point
     lo give the rates from lo on, and the next block starts at its last
-    map. Returns a list with one entry per model, in order: its NMResult,
-    equal bit for bit to ``nm_measure(map_tomography(model, eps,
-    horizon))``, or the DimerNMError that stopped it. A model's first
-    error skips its later blocks; the others run as they would alone.
+    map; a model keeps the rates of a block only if they hold an
+    invertible map. Returns a list with one entry per model, in order:
+    its NMResult, equal bit for bit to ``nm_measure(map_tomography(model,
+    eps, horizon))``, or the DimerNMError that stopped it. The results
+    share one grid and one midpoint array. A model's first error skips
+    its later blocks; the others run as they would alone.
     """
     t_grid = uniform_grid(horizon, eps)
     n = len(models)
     if not n:
         return []
     sub_dts, blocks = _tomography(models, t_grid, eps)
-    g = [np.empty(t_grid.shape[0] - 1) for _ in models]
-    ok = [np.empty(t_grid.shape[0] - 1, dtype=bool) for _ in models]
+    kept = [[] for _ in models]  # per model, (lo, rates) of its blocks with an invertible map
     results = [None] * n  # a model's error as soon as it has one
     for lo, block in blocks:
-        hi = lo + block.shape[1] - 1  # the block's last map starts the next
         for i, maps in enumerate(block):
             if results[i] is None:
                 try:
                     _check_maps(maps, t_grid[lo:], sub_dts[i])
-                    g[i][lo:hi], ok[i][lo:hi] = _rates(maps, eps)
+                    g = _rates(maps, eps)
                 except DimerNMError as exc:
                     results[i] = exc
-    # the list holds every result at once (3.5 MB on fig2), so what they
-    # replace goes first: the block buffer, which the last block views,
-    # and each model's rates as its result is built
+                else:
+                    if not np.isnan(g).all():
+                        kept[i].append((lo, g))
+    # the list holds every result at once, so what they replace goes
+    # first: the block buffer, which the last block views, and each
+    # model's rates as its result is built
     del block, maps
+    mids = t_grid[:-1] + eps / 2.0
     for i in range(n):
         if results[i] is None:
+            g = np.full(mids.shape[0], np.nan)
+            for lo, rates in kept[i]:
+                g[lo:lo + rates.shape[0]] = rates
             try:
-                results[i] = _measure(t_grid, eps, g[i], ok[i])
+                results[i] = _measure(t_grid, mids, eps, g)
             except DimerNMError as exc:
                 results[i] = exc
-        g[i] = ok[i] = None
+        kept[i] = None
     return results

@@ -258,7 +258,7 @@ class TestIntegrate:
             v = p @ v
             if first is None and abs(trace_row @ v - 1.0) > TRACE_ABORT_TOL:
                 first = k
-        assert dynamics._CHECK_BLOCK < first < n_steps
+        assert dynamics._CHUNK < first < n_steps
         with pytest.raises(NumericalDriftError) as exc:
             integrate(m, initial_state(m), t_end, dt=t_end / n_steps, store_every=1,
                       observables=[], method="aggregated")

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from dimer_nm import cli
+from dimer_nm import cli, dynamics
 from dimer_nm.harness import parse_config, resolve_f_values, run_experiment
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -65,6 +65,16 @@ def test_fig2_rows_are_byte_identical():
     lines = reference("fig2.csv").splitlines(keepends=True)
     expect = [lines[0]] + [lines[1 + fs.index(f)] for f in picked]
     assert out == {"fig2.csv": "".join(expect)}
+
+
+def test_fig2_rows_do_not_depend_on_the_block_size(monkeypatch):
+    # 37-mark blocks put the rates' block seams elsewhere on the grid
+    monkeypatch.setattr(dynamics, "_CHUNK", 37)
+    extra, fs, picked = fig2_three_rows()
+    cfg = parse_config(f"{cli.preset_text('fig2')}\nout=fig2\n{extra}")
+    lines = reference("fig2.csv").splitlines(keepends=True)
+    expect = [lines[0]] + [lines[1 + fs.index(f)] for f in picked]
+    assert run_experiment(cfg)["fig2.csv"][0] == "".join(expect)
 
 
 @pytest.mark.parametrize("preset, name", [

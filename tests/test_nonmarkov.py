@@ -302,11 +302,17 @@ class TestNMMeasure:
         assert res.d_nm == pytest.approx(0.0, abs=1e-12)
 
     def test_skipped_times_is_a_float64_array(self):
-        # 8 B per skipped point, not a 32 B Python float
+        # 8 B per skipped point, not a 32 B Python float, derived from the
+        # invertible mask and the family's own grid
         lams = [1.0, 0.5, 1e-30, 0.5, 1e-30, 0.5, 0.5]
-        skipped = nm_measure(dephasing_family(lams, 0.1)).skipped_times
+        fam = dephasing_family(lams, 0.1)
+        res = nm_measure(fam)
+        skipped = res.skipped_times
         assert isinstance(skipped, np.ndarray) and skipped.dtype == np.float64
         assert skipped.shape == (2,) and skipped.nbytes == 16
+        assert res.grid is fam.times and res.requested_horizon == fam.times[-1]
+        assert res.invertible.tolist() == [True, True, False, True, False, True]
+        assert np.array_equal(skipped, fam.times[:-1][~res.invertible])
 
     def test_discretization_stability(self):
         model = symmetric_model(0.0035)
@@ -363,6 +369,10 @@ class TestBatchedParity:
     def test_singular_interior_family(self):
         lams = [1.0, 0.5, 0.5, 0.5, 0.5, 1e-30, 0.5, 0.5, 0.5]
         self.assert_parity(dephasing_family(lams, 0.1))
+        # an exactly singular map stops the stacked solve: the SVD decides
+        # every map, and the invertible ones are solved on their own
+        lams = [1.0, 0.5, 0.9, 0.0, 0.5, 0.6, 0.3, 0.5]
+        self.assert_parity(dephasing_family(lams, 0.1))
 
     def test_spans_several_chunks_with_singular_points(self):
         ts = 0.01 * np.arange(2500)
@@ -410,11 +420,20 @@ def spy_svd(monkeypatch):
     return seen
 
 
+def svd_solved(a, b):
+    """_solve_invertible by the per-point path's rules: the SVD's mask, and
+    a solve of its own for the maps it holds."""
+    ok = svd_mask(a)
+    return ok, opalg.solve_linear(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
+
+
 def screened(maps, monkeypatch):
-    """(mask, number of maps the SVD saw) of the batched conditioning test."""
+    """(mask, number of maps the SVD saw) of the batched conditioning test,
+    solving E A = A."""
     seen = spy_svd(monkeypatch)
     try:
-        mask = nonmarkov._invertible(np.asarray(maps))
+        maps = np.asarray(maps)
+        mask = nonmarkov._solve_invertible(maps, maps)[0]
     finally:
         monkeypatch.undo()
     return mask, sum(seen)
@@ -507,7 +526,7 @@ class TestInvertibleScreen:
         (res,) = nm_sweep([model], eps=0.01, horizon=100.0)
         assert 1000 < len(res.skipped_times) and res.horizon < 60.0
         assert 0 < sum(seen) < 0.05 * 10_000
-        monkeypatch.setattr(nonmarkov, "_invertible", svd_mask)
+        monkeypatch.setattr(nonmarkov, "_solve_invertible", svd_solved)
         assert_same_result(res, nm_sweep([model], eps=0.01, horizon=100.0)[0])
 
 
@@ -525,8 +544,12 @@ def assert_same_result(a, b):
 class TestSweep:
     """nm_sweep: one stacked tomography, streamed block by block into the rates."""
 
-    def test_bit_identical_to_solo_runs(self):
-        # 1201 grid points: two blocks, so the rates cross one block seam
+    def test_bit_identical_to_solo_runs(self, monkeypatch):
+        # 1201 grid points: ten blocks at the default 128 marks, so the
+        # rates cross nine block seams, and two blocks at 1024 marks
+        assert dynamics._CHUNK == 128
+        self.check_bit_identical_to_solo_runs()
+        monkeypatch.setattr(dynamics, "_CHUNK", 1024)
         self.check_bit_identical_to_solo_runs()
 
     def test_bit_identical_to_solo_runs_across_short_blocks(self, monkeypatch):
@@ -541,6 +564,21 @@ class TestSweep:
         assert isinstance(swept, list) and len(swept) == len(models)
         for model, res in zip(models, swept):
             assert_same_result(res, nm_measure(map_tomography(model, 0.01, 12.0)))
+
+    def test_results_share_one_grid(self):
+        models = [symmetric_model(f) for f in SWEEP_FS]
+        swept = nm_sweep(models, eps=0.01, horizon=60.0)
+        t_grid = uniform_grid(60.0, 0.01)
+        # f = 1 loses its maps near t = 59, so the prefixes differ in length
+        assert len({res.times.shape[0] for res in swept}) > 1
+        for res in swept:
+            assert np.shares_memory(res.times, swept[0].times)
+            assert res.grid is swept[0].grid
+            assert np.array_equal(res.grid, t_grid)
+            assert res.invertible.dtype == bool and res.invertible.shape == (t_grid.shape[0] - 1,)
+            assert res.skipped_times.dtype == np.float64
+            assert np.array_equal(res.skipped_times, t_grid[:-1][~res.invertible])
+        assert len(swept[1].skipped_times) > 0
 
     def test_failing_model_drops_alone(self):
         models = [symmetric_model(f) for f in SWEEP_FS]
