@@ -26,7 +26,8 @@ f <= 0.1 and the base step; tests pin the agreement at 1e-10.
 
 Every trajectory, an :func:`integrate` run or the map tomography of
 :mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
-about it is made once: the step size (:func:`suggest_dt`, from BASE_DT),
+about it is made once: the grid it is sampled on (:func:`uniform_grid`,
+capped by :func:`grid_steps`), the step size (:func:`suggest_dt`, from BASE_DT),
 the number of steps over an interval (:func:`steps_over`, the fewest
 whole steps with none longer than the step size), the engine
 (:func:`engine_for`) and its stride loop (:func:`propagate`, which steps
@@ -86,6 +87,9 @@ MAX_SUPEROP_DIM = 64
 BASE_DT = 1e-3  # base RK4 step in dimer units, before stiff rates shrink it
 TRACE_ABORT_TOL = 1e-6
 EIG_FLOOR = -1e-8  # lowest eigenvalue a valid state may have
+# most points a grid of uniform_grid may hold, 50 times fig2's 20 000 per
+# f; map_tomography holds a 256-byte map per point, 256 MB at the cap
+MAX_GRID_POINTS = 1_000_000
 # marks per block propagate hands over, and stored states per validity
 # check of integrate; bounds every working set of a run
 _CHUNK = 128
@@ -251,6 +255,25 @@ def steps_over(interval: float, dt: float) -> int:
     return max(1, math.ceil(interval / dt * (1.0 - 1e-12) - 1e-9))
 
 
+def grid_steps(horizon: float, eps: float) -> int:
+    """The n of :func:`uniform_grid` (horizon, eps), or DimerNMError
+    unless both are positive and finite and the grid holds at most
+    MAX_GRID_POINTS points."""
+    if not (0 < eps < math.inf and 0 < horizon < math.inf):  # nan fails too
+        raise DimerNMError("horizon and eps must be positive and finite")
+    # n <= ceil(horizon / eps), and an overflowing quotient is inf
+    if not horizon / eps <= MAX_GRID_POINTS - 1:
+        raise DimerNMError(f"{horizon / eps:.3g} steps would take more than "
+                           f"{MAX_GRID_POINTS} grid points")
+    return max(2, steps_over(horizon, eps))
+
+
+def uniform_grid(horizon: float, eps: float) -> np.ndarray:
+    """Grid [0, eps, ..., n eps] covering the horizon, 2 <= n <
+    MAX_GRID_POINTS (:func:`grid_steps`)."""
+    return eps * np.arange(grid_steps(horizon, eps) + 1, dtype=float)
+
+
 def engine_for(model: LindbladModel, method: str = "auto") -> str:
     """The engine :func:`propagate` runs model on.
 
@@ -296,6 +319,10 @@ def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = 
     block = np.empty((n, spans[0][1]) + shape, dtype=complex)
     # the engines write their rows with the column axis kept
     out = block.reshape(block.shape[:3] + x.shape[-1:])
+    if n_marks == 1:  # the start alone, so no engine builds its operators
+        out[:, 0] = _kept(keep, x)
+        yield 0, block
+        return
     blocks = _aggregated if engine == "aggregated" else _direct
     for lo, m in blocks(models, x, step_sizes, strides, spans, keep, out):
         yield lo, block[:, :m]

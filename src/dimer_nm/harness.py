@@ -10,10 +10,12 @@ Every experiment but evolve and convergence is one f sweep
 (:func:`run_f_sweep`): a row per f, the f column and then the
 experiment's column groups, left to right. steady is the steady-state
 group, nmm the memory-measure group, sweep both, and eq8check the
-closed-form group; each group adds its own .meta derived keys. A config
-an experiment cannot run is rejected by RunConfig before any f runs; a
-memory-measure f that fails, or whose effective horizon is short, is a
-note on the package logger.
+closed-form group; each group adds its own .meta derived keys. evolve
+and convergence store every run on one grid through :func:`_trace_runs`.
+A config an experiment cannot run, a grid past MAX_GRID_POINTS among
+them, is rejected by RunConfig before any f runs; a memory-measure f
+that fails, or whose effective horizon is short, is a note on the
+package logger.
 """
 
 import logging
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import entanglement, opalg
 from ._version import __version__
-from .dynamics import BASE_DT, integrate, steady_state, steps_over, suggest_dt
+from .dynamics import (BASE_DT, grid_steps, integrate, steady_state, steps_over, suggest_dt,
+                       uniform_grid)
 from .errors import ConfigError, DimerNMError
 from .model import (
     DELOCALIZE,
@@ -40,7 +43,7 @@ from .model import (
     environment_state,
     steady_state_dd_closed_form,
 )
-from .nonmarkov import grid_steps, nm_sweep
+from .nonmarkov import nm_sweep
 
 log = logging.getLogger(__name__)
 
@@ -98,17 +101,20 @@ class RunConfig:
             model_for(self, 1.0)
         except DimerNMError as exc:
             raise ConfigError(str(exc)) from exc
-        # the memory measure's default horizon is 20 / gamma_eff and its
-        # grid is capped (grid_steps), and the closed form holds for
-        # identical sites and modes only
-        if self.experiment in ("nmm", "sweep"):
-            if self.horizon == 0 and gamma_eff_of(self) == 0:
-                raise ConfigError("horizon must be set when gamma_eff = 0; "
-                                  "its default is 20 / gamma_eff")
+        # the memory measure's default horizon is 20 / gamma_eff, every
+        # sampled run's grid is capped (grid_steps), and the closed form
+        # holds for the symmetric model with identical sites and modes only
+        if self.experiment in ("nmm", "sweep") and self.horizon == 0 and gamma_eff_of(self) == 0:
+            raise ConfigError("horizon must be set when gamma_eff = 0; "
+                              "its default is 20 / gamma_eff")
+        if self.experiment in ("nmm", "sweep", "evolve", "convergence"):
+            keys, horizon, eps = _grid_of(self)
             try:
-                grid_steps(_horizon_of(self), self.eps)
+                grid_steps(horizon, eps)
             except DimerNMError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise ConfigError(f"{keys}: {exc}") from exc
+        if self.experiment == "eq8check" and self.model not in ("auto", "symmetric"):
+            raise ConfigError(f"eq8check runs the symmetric model only, got {self.model!r}")
         if self.experiment == "eq8check" and not base_params(self).is_symmetric:
             raise ConfigError("eq8check requires symmetric parameters")
 
@@ -248,10 +254,13 @@ def gamma_eff_of(cfg: RunConfig) -> float:
     return effective_dephasing_rate(cfg.g1, cfg.kappa1)
 
 
-def _horizon_of(cfg: RunConfig) -> float:
-    """The memory measure's horizon: the horizon key, or 20 / gamma_eff
-    when it is 0 (RunConfig rejects both 0)."""
-    return cfg.horizon or 20.0 / gamma_eff_of(cfg)
+def _grid_of(cfg: RunConfig):
+    """(keys, horizon, eps) of a sampled experiment's uniform_grid: the
+    memory measure's horizon (20 / gamma_eff when it is 0) and eps, or a
+    trace's t_end and store_every base steps; keys names the pair."""
+    if cfg.experiment in ("nmm", "sweep"):
+        return "horizon / eps", cfg.horizon or 20.0 / gamma_eff_of(cfg), cfg.eps
+    return "t_end / (store_every * BASE_DT)", cfg.t_end, cfg.store_every * BASE_DT
 
 
 # ---------------------------------------------------------------- CSV
@@ -294,58 +303,50 @@ def _f_label(f: float) -> str:
 _OBS_KEY = {"inversion": "inversion", "logneg": "log_negativity"}
 
 
-def _trace_grid(cfg: RunConfig):
-    """(store_dt, t_end): store_every base steps, whole intervals to t_end."""
-    store_dt = cfg.store_every * BASE_DT
-    return store_dt, steps_over(cfg.t_end, store_dt) * store_dt
+def _trace_runs(cfg: RunConfig, runs, observables):
+    """(grid, observables of each run): each (model, base step) of runs
+    integrated from the initial state and stored on the grid
+    uniform_grid(t_end, store_dt), the t column. Each storage interval
+    takes the fewest whole steps with none longer than suggest_dt of the
+    model from its base step, so stiff runs step finer."""
+    _, t_end, store_dt = _grid_of(cfg)
+    grid = uniform_grid(t_end, store_dt)
 
+    def run(m, base_dt):
+        # a run's states go as it returns, before the next run starts
+        sub = steps_over(store_dt, suggest_dt(m, base_dt))
+        traj = integrate(m, initial_state(m), grid[-1], dt=store_dt / sub, store_every=sub,
+                         observables=observables)
+        if traj.times.shape != grid.shape:
+            raise DimerNMError("trace runs disagree on the stored time grid")
+        return traj.observables
 
-def _integrate_on_grid(m, base_dt, store_dt, t_end, observables):
-    """Integrate from the initial state, storing every store_dt.
-
-    Each storage interval takes the fewest whole steps with none longer
-    than suggest_dt of m from base_dt, so stiff runs step finer.
-    """
-    sub = steps_over(store_dt, suggest_dt(m, base_dt))
-    return integrate(m, initial_state(m), t_end, dt=store_dt / sub, store_every=sub,
-                     observables=observables)
+    return grid, [run(m, base_dt) for m, base_dt in runs]
 
 
 def _traces(cfg: RunConfig, observables):
     """{observable: (csv, meta)}: time traces of the sector observables,
-    one column per f, all from one integration per f.
-
-    The stored time grid is shared across f: store_every counts steps at
-    the base step size (see _integrate_on_grid).
+    one column per f, all from one integration per f on the grid of
+    :func:`_trace_runs`.
     """
     for observable in observables:
         if observable not in _OBS_KEY:
             raise ConfigError(f"unknown trace observable {observable!r}")
     keys = tuple(_OBS_KEY[o] for o in observables)
     fs = resolve_f_values(cfg)
-    store_dt, t_end = _trace_grid(cfg)
-
-    def work(f):
-        traj = _integrate_on_grid(model_for(cfg, f), BASE_DT, store_dt, t_end, keys)
-        return traj.times, traj.observables
-
-    results = [work(f) for f in fs]
-    times = results[0][0]
-    for t_other, _ in results[1:]:
-        if t_other.shape != times.shape or not np.allclose(t_other, times, rtol=0, atol=1e-12):
-            raise DimerNMError("trace runs disagree on the stored time grid")
+    times, results = _trace_runs(cfg, [(model_for(cfg, f), BASE_DT) for f in fs], keys)
 
     outputs = {}
     for observable, key in zip(observables, keys):
         header = ["t"] + [f"{observable}_f={_f_label(f)}" for f in fs]
-        rows = np.column_stack([times] + [obs[key] for _, obs in results])
+        rows = np.column_stack([times] + [obs[key] for obs in results])
         derived = {
             "experiment": "evolve",
             "observable": observable,
             "f_values": ",".join(_f_label(f) for f in fs),
             "gamma_eff": gamma_eff_of(cfg),
-            "store_dt": store_dt,
-            "t_end_effective": t_end,
+            "store_dt": _grid_of(cfg)[2],
+            "t_end_effective": times[-1],
         }
         outputs[observable] = render_csv(header, rows), render_meta(cfg, derived)
     return outputs
@@ -383,9 +384,9 @@ def _memory_group(cfg: RunConfig, fs):
     and gets a note too.
     """
     gamma = gamma_eff_of(cfg)
-    horizon = _horizon_of(cfg)
+    _, horizon, eps = _grid_of(cfg)
     try:
-        swept = nm_sweep([model_for(cfg, f) for f in fs], eps=cfg.eps, horizon=horizon)
+        swept = nm_sweep([model_for(cfg, f) for f in fs], eps=eps, horizon=horizon)
     except DimerNMError as exc:
         swept = [exc] * len(fs)
     rows = []
@@ -393,14 +394,14 @@ def _memory_group(cfg: RunConfig, fs):
         note = f"{cfg.experiment}: f={_f_label(f)}: "
         if isinstance(res, DimerNMError):
             log.warning("%s%s", note, res)
-            rows.append([math.nan, math.nan, cfg.eps, horizon, math.nan])
+            rows.append([math.nan, math.nan, eps, horizon, math.nan])
             continue
         if gamma > 0 and res.horizon < HORIZON_WARN_FACTOR / gamma:
             log.warning("%seffective horizon %.4g is short relative to 1/gamma_eff=%.4g",
                         note, res.horizon, 1.0 / gamma)
         rows.append([res.d_nm, res.integral, res.eps, res.horizon, len(res.skipped_times)])
     header = ["D_NM", "I", "eps", "horizon", "skipped_times_count"]
-    return header, rows, {"gamma_eff": gamma, "horizon_requested": horizon, "eps": cfg.eps}
+    return header, rows, {"gamma_eff": gamma, "horizon_requested": horizon, "eps": eps}
 
 
 def _closed_form_group(cfg: RunConfig, fs):
@@ -449,29 +450,22 @@ def run_convergence(cfg: RunConfig):
     'dt' halves the step at the base cutoff. delta_final_logneg is the
     change from the previous row within a block.
     """
-    fs = resolve_f_values(cfg)
-    f = fs[0]
-    focks = [int(v) for v in _parse_float_list(cfg.fock_list, "fock")]
-    store_dt, t_end = _trace_grid(cfg)
-
-    def measure(n_fock, dt):
-        traj = _integrate_on_grid(model_for(cfg, f, n_fock=n_fock), dt, store_dt, t_end,
-                                  ("log_negativity", "mode_excitation"))
-        return (traj.observables["log_negativity"][-1],
-                float(traj.observables["mode_excitation"].max()))
-
-    tasks = [("fock", nf, BASE_DT) for nf in focks]
+    f = resolve_f_values(cfg)[0]
+    tasks = [("fock", int(nf), BASE_DT) for nf in _parse_float_list(cfg.fock_list, "fock")]
     tasks += [("dt", cfg.n_fock, BASE_DT / (2 ** i)) for i in range(2)]
-    results = [measure(nf, dt) for _, nf, dt in tasks]
+    times, results = _trace_runs(
+        cfg, [(model_for(cfg, f, n_fock=nf), dt) for _, nf, dt in tasks],
+        ("log_negativity", "mode_excitation"))
 
     rows, prev_block, prev_val = [], None, None
-    for (block, nf, dt), (logneg, nmax) in zip(tasks, results):
+    for (block, nf, dt), obs in zip(tasks, results):
+        logneg = obs["log_negativity"][-1]
         delta = float("nan") if block != prev_block else logneg - prev_val
-        rows.append([block, nf, dt, logneg, nmax, delta])
+        rows.append([block, nf, dt, logneg, float(obs["mode_excitation"].max()), delta])
         prev_block, prev_val = block, logneg
     header = ["block", "n_fock", "dt", "final_logneg",
               "max_mode_excitation", "delta_final_logneg"]
-    derived = {"experiment": "convergence", "f": f, "t_end_effective": t_end}
+    derived = {"experiment": "convergence", "f": f, "t_end_effective": times[-1]}
     return render_csv(header, rows), render_meta(cfg, derived)
 
 

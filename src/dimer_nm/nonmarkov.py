@@ -1,7 +1,7 @@
 """Divisibility-based memory measure of the reduced sector dynamics.
 
 Pipeline: tomograph the family of dynamical maps Lambda(t, 0) of the
-dimer sector on the uniform grid :func:`uniform_grid` (horizon, eps),
+dimer sector on the grid :func:`dynamics.uniform_grid` (horizon, eps),
 form the intermediate maps
 
     E(t + eps, t) = Lambda(t + eps, 0) Lambda(t, 0)^{-1},
@@ -30,13 +30,14 @@ rate at 0 lives in the test suite (``tests/oracles.py``) and serves as
 an independent check.
 
 The tomography is a trajectory like any other: :mod:`dimer_nm.dynamics`
-picks its step size and step count and decides its trace-drift abort
-(:func:`dynamics.suggest_dt`, :func:`dynamics.steps_over`,
+sizes its grid as it sizes a trace's, picks its step size and step
+count, decides its trace-drift abort (:func:`dynamics.uniform_grid`,
+:func:`dynamics.suggest_dt`, :func:`dynamics.steps_over`,
 :func:`dynamics.check_drift`), and steps it (:func:`dynamics.propagate`)
 on either engine and at any dimension. No function here takes a step.
 
 D_NM is computed one way per shape, both on the grid
-:func:`uniform_grid` (horizon, eps). One model goes through
+:func:`dynamics.uniform_grid` (horizon, eps). One model goes through
 ``nm_measure(map_tomography(model, eps, horizon))``, which holds the
 model's whole map family, so it can be inspected. A stack of models of
 one dims, an f grid say, goes through :func:`nm_sweep`: one stacked
@@ -60,14 +61,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalg
-from .dynamics import check_drift, propagate, steps_over, suggest_dt
+from .dynamics import check_drift, propagate, steps_over, suggest_dt, uniform_grid
 from .errors import DimerNMError
 from .model import LindbladModel, environment_state
 
 COND_MAX = 1e10
-# most points a grid of uniform_grid may hold, 50 times fig2's 20 000 per
-# f; map_tomography holds a 256-byte map per point, 256 MB at the cap
-MAX_GRID_POINTS = 1_000_000
 # Relative slack of the Frobenius screen's two cut-offs (_invertible).
 # The screen's estimate and the SVD's condition number each carry about
 # 1e-5 relative rounding at cond <= 4 COND_MAX (machine epsilon times
@@ -89,26 +87,6 @@ class DynamicalMapFamily:
 
     def __len__(self):
         return self.times.shape[0]
-
-
-def grid_steps(horizon: float, eps: float) -> int:
-    """The n of :func:`uniform_grid` (horizon, eps), or DimerNMError
-    unless both are positive and finite and the grid holds at most
-    MAX_GRID_POINTS points."""
-    if not (0 < eps < math.inf and 0 < horizon < math.inf):  # nan fails too
-        raise DimerNMError("horizon and eps must be positive and finite")
-    # n <= ceil(horizon / eps), and an overflowing quotient is inf
-    if not horizon / eps <= MAX_GRID_POINTS - 1:
-        raise DimerNMError(
-            f"horizon / eps = {horizon / eps:.3g} would take more than "
-            f"{MAX_GRID_POINTS} grid points")
-    return max(2, steps_over(horizon, eps))
-
-
-def uniform_grid(horizon: float, eps: float) -> np.ndarray:
-    """Grid [0, eps, ..., n eps] covering the horizon, 2 <= n <
-    MAX_GRID_POINTS (:func:`grid_steps`)."""
-    return eps * np.arange(grid_steps(horizon, eps) + 1, dtype=float)
 
 
 def map_tomography(model: LindbladModel, eps: float, horizon: float) -> DynamicalMapFamily:

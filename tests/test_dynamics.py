@@ -536,6 +536,29 @@ class TestPropagate:
                           for k in range(n_marks)]
                 assert np.max(np.abs(stacked[i] - expect)) <= 1e-10 * np.max(np.abs(expect))
 
+    def test_one_mark_run_builds_no_operator(self, monkeypatch):
+        # store_every past the step count, the final-state idiom, makes
+        # integrate's first call a run of one mark, whose stride operator
+        # (the transfer matrix to the power 1e9 here) no mark uses
+        built = []
+        for name in ("rk4_transfer_matrix", "sparse_generator"):
+            def spy(*args, _fn=getattr(dynamics, name), _name=name):
+                built.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(dynamics, name, spy)
+        m = symmetric_model(0.1)
+        v0 = opalg.vec(initial_state(m))
+        for method in ("aggregated", "direct"):
+            ((lo, block),) = propagate([m], [v0], [1e-3], [10 ** 9], 1, method=method)
+            assert lo == 0 and np.array_equal(block[0, 0], v0)
+        assert built == []
+        traj = integrate(m, initial_state(m), 1.0, store_every=10 ** 9, observables=[],
+                         method="aggregated")
+        assert built == ["rk4_transfer_matrix"]  # the 1000-step tail's alone
+        # the start and the tail, the same bits as the tail stepped alone
+        expect = propagated(m, v0, traj.diagnostics["dt"], 1000, 2, method="aggregated")
+        assert np.array_equal(traj.states, expect.reshape(2, m.dim, m.dim).transpose(0, 2, 1))
+
     def test_rejects_models_of_different_dims(self):
         small, big = symmetric_model(0.1), symmetric_model(0.1, n_fock=4)
         vs = [opalg.vec(initial_state(m)) for m in (small, big)]

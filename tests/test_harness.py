@@ -116,7 +116,10 @@ class TestConfig:
         ("experiment = nmm\ng1 = 0\n", "horizon must be set when gamma_eff = 0"),
         ("experiment = sweep\ng1 = 0\n", "horizon must be set when gamma_eff = 0"),
         ("experiment = eq8check\ng2 = 2\n", "eq8check requires symmetric parameters"),
-    ], ids=["nmm-uncoupled", "sweep-uncoupled", "eq8check-unequal"])
+        ("experiment = eq8check\nmodel = full\n", "eq8check runs the symmetric model only"),
+        ("experiment = eq8check\nmodel = global\n", "eq8check runs the symmetric model only"),
+    ], ids=["nmm-uncoupled", "sweep-uncoupled", "eq8check-unequal", "eq8check-full",
+            "eq8check-global"])
     def test_experiment_its_parameters_do_not_fit(self, text, message):
         # decided before any f runs: sweep's steady-state group would
         # otherwise fail first, on the uncoupled baseline's steady state
@@ -126,6 +129,7 @@ class TestConfig:
     def test_experiments_their_parameters_fit(self):
         assert parse_config("experiment = sweep\ng1 = 0\nhorizon = 5\n").g1 == 0.0
         assert parse_config("experiment = steady\ng2 = 2\n").g2 == 2.0
+        assert parse_config("experiment = eq8check\nmodel = symmetric\n").model == "symmetric"
 
 
 # key, values RunConfig rejects, the CLI flag that sets the key (None:
@@ -206,6 +210,17 @@ class TestConfigRanges:
         # the default horizon, 20 / gamma_eff = 200, counts too
         with pytest.raises(ConfigError, match="grid points"):
             parse_config(f"experiment = {experiment}\neps = 1e-7\n")
+
+    @pytest.mark.parametrize("experiment", ["evolve", "convergence"])
+    def test_oversized_trace_grid_exits_two(self, experiment, tmp_path, capsys):
+        # t_end / (store_every * BASE_DT) = 1e9 / 0.01 would store 1e11 states
+        out = str(tmp_path / "run")
+        assert cli.main([experiment, "--f", "0.1", "--tmax", "1e9", "--out", out]) == 2
+        assert ("configuration error: t_end / (store_every * BASE_DT): 1e+11 steps would "
+                "take more than 1000000 grid points") in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+        with pytest.raises(ConfigError, match="grid points"):
+            parse_config(f"experiment = {experiment}\nt_end = 20000\nstore_every = 1\n")
 
     def test_full_model_without_second_linewidth_runs(self, tmp_path):
         path = tmp_path / "lossless.cfg"
@@ -369,6 +384,27 @@ class TestTraceRuns:
         times = np.array([float(r[0]) for r in rows])
         assert times.shape == (33331,) and times[-1] == 333.3
         assert np.max(np.abs(times - 0.01 * np.arange(33331))) <= 1e-9
+
+    def test_memory_ladder_trace_stores_on_one_grid(self):
+        # f = 100 steps each storage interval of 1.0 in 100 000 steps of
+        # 1e-5 and f = 0.01 in 1000 of 1e-3, so the stored times of the two
+        # runs differ by rounding (1.8e-12 at t = 20 000)
+        cfg = RunConfig(experiment="evolve", f_list="0.01,100", t_end=20000.0,
+                        store_every=1000)
+        csv_text, _ = trace_csv(cfg, "inversion")
+        _, rows = csv_rows(csv_text)
+        times = np.array([float(r[0]) for r in rows])
+        assert np.array_equal(times, 1.0 * np.arange(20001))
+
+    def test_short_trace_stores_two_intervals(self):
+        # a t_end within one storage interval still gets the grid's floor of
+        # two steps
+        for t_end in (0.004, 0.01):
+            csv_text, meta = trace_csv(RunConfig(experiment="evolve", f_list="0.1",
+                                                 t_end=t_end), "inversion")
+            _, rows = csv_rows(csv_text)
+            assert [float(r[0]) for r in rows] == [0.0, 0.01, 0.02]
+            assert "\nt_end_effective=2.00000000000e-02\n" in meta
 
     def test_grids_of_unequal_length_are_a_numerical_failure(self, monkeypatch):
         calls = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dimer_nm import cli, dynamics, nonmarkov, opalg
-from dimer_nm.dynamics import integrate
+from dimer_nm.dynamics import integrate, uniform_grid
 from dimer_nm.entanglement import reduce_to_dimer
 from dimer_nm.errors import ConfigError, DimerNMError, NumericalDriftError, SingularSystemError
 from dimer_nm import harness
@@ -25,7 +25,6 @@ from dimer_nm.nonmarkov import (
     map_tomography,
     nm_measure,
     nm_sweep,
-    uniform_grid,
 )
 from oracles import SingularMapError, apply_map, g_of_t, intermediate_map
 
@@ -90,7 +89,7 @@ class TestUniformGrid:
 
 
     def test_caps_the_number_of_points(self):
-        cap = nonmarkov.MAX_GRID_POINTS
+        cap = dynamics.MAX_GRID_POINTS
         assert len(uniform_grid(cap - 1.0, 1.0)) == cap
         model = symmetric_model(0.1)
         # one point over the cap, and a quotient that overflows to inf
