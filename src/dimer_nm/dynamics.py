@@ -27,18 +27,22 @@ f <= 0.1 and the base step; tests pin the agreement at 1e-10.
 Every trajectory, an :func:`integrate` run or the map tomography of
 :mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
 about it is made once: the grid it is sampled on (:func:`uniform_grid`,
-capped by :func:`grid_steps`), the step size (:func:`suggest_dt`, from BASE_DT),
-the number of steps over an interval (:func:`steps_over`, the fewest
-whole steps with none longer than the step size), the engine
+capped by :func:`grid_steps`), the steps of each sampling interval
+(:func:`substeps`: :func:`steps_over`, the fewest whole steps with none
+longer than :func:`suggest_dt` of the model from BASE_DT), the engine
 (:func:`engine_for`) and its stride loop (:func:`propagate`, which steps
-a stack of models together, each at one stride of its own, on the
-aggregated engine one stacked product per mark, and hands the samples
-over in blocks of at most _CHUNK marks, each starting at the last mark
-of the block before; a trace with a shorter last store interval steps it
-in a second call), the trace-drift abort (:func:`check_drift`), the state
-validity rule (:func:`_defects`, with the eigenvalue floor EIG_FLOOR,
-which :func:`integrate` applies to _CHUNK stored states at a time) and
-the observables, which it takes over the stored stack at once.
+a stack of models together from (D, k) matrices of k vectorized states,
+each model at one stride of its own over at least one whole stride, on
+the aggregated engine one stacked product per mark, and hands the
+samples over in blocks of at most _CHUNK marks, each starting at the
+last mark of the block before), the trace-drift abort
+(:func:`check_drift`), the state validity rule (:func:`_defects`, with
+the eigenvalue floor EIG_FLOOR, which :func:`integrate` applies to
+_CHUNK stored states at a time) and the observables, which it takes
+over the stored stack at once. :func:`integrate` alone steps a run that
+is not a whole number of store intervals: a shorter last interval is a
+second :func:`propagate` call, and a run with no whole interval steps
+that last interval alone.
 
 _CHUNK, 128 marks, bounds every working set of a run. The aggregated
 engine's bits do not depend on where blocks end; the direct engine's
@@ -69,6 +73,7 @@ wall, and a d = 32 evolve (t_end 50) from 3.8-4.2 s to 5.9-6.3 s.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,6 +260,15 @@ def steps_over(interval: float, dt: float) -> int:
     return max(1, math.ceil(interval / dt * (1.0 - 1e-12) - 1e-9))
 
 
+def substeps(model: LindbladModel, interval: float, base: float = BASE_DT):
+    """(step, n): the n = :func:`steps_over` (interval, :func:`suggest_dt`
+    (model, base)) equal steps of length interval / n that span one
+    sampling interval of model, a trace's storage interval or a grid
+    step of the map tomography."""
+    n = steps_over(interval, suggest_dt(model, base))
+    return interval / n, n
+
+
 def grid_steps(horizon: float, eps: float) -> int:
     """The n of :func:`uniform_grid` (horizon, eps), or DimerNMError
     unless both are positive and finite and the grid holds at most
@@ -291,12 +305,12 @@ def engine_for(model: LindbladModel, method: str = "auto") -> str:
 def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = "auto"):
     """Propagate a stack of models, handed over in blocks of marks.
 
-    The models share dims. Model i starts from v[i], vec(rho) or a matrix
-    whose columns are vectorized states, and is sampled n_marks times,
-    every strides[i] steps of step_sizes[i]: mark k is at time
+    The models share dims. Model i starts from v[i], a (D, k) matrix
+    whose k columns are vectorized states, and is sampled n_marks >= 2
+    times, every strides[i] steps of step_sizes[i]: mark k is at time
     k * strides[i] * step_sizes[i]. One stride per model is the rule; a
     run with a shorter last interval makes a second call from its last
-    state.
+    state, and a run of no whole interval makes none (:func:`integrate`).
     Yields (lo, block) for blocks of at most _CHUNK marks:
     block[i, j] holds model i's v, or keep @ v, at mark lo + j. Each
     block after the first starts at the last mark of the block before,
@@ -310,21 +324,15 @@ def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = 
     n = len(models)
     if any(m.dims != models[0].dims for m in models):
         raise DimensionError("propagate stacks models of equal dims only")
+    if n_marks < 2:
+        raise DimerNMError(f"propagate samples at least two marks, got {n_marks}")
     engine = engine_for(models[0], method)
-    v = np.array(v, dtype=complex)
-    # a trailing column axis on vectors keeps every product a matrix product
-    x = v[..., None] if v.ndim == 2 else v
-    shape = v.shape[1:] if keep is None else (len(keep),) + v.shape[2:]
-    spans = [(lo, min(_CHUNK, n_marks - lo)) for lo in range(0, max(n_marks - 1, 1), _CHUNK - 1)]
-    block = np.empty((n, spans[0][1]) + shape, dtype=complex)
-    # the engines write their rows with the column axis kept
-    out = block.reshape(block.shape[:3] + x.shape[-1:])
-    if n_marks == 1:  # the start alone, so no engine builds its operators
-        out[:, 0] = _kept(keep, x)
-        yield 0, block
-        return
+    x = np.array(v, dtype=complex)
+    spans = [(lo, min(_CHUNK, n_marks - lo)) for lo in range(0, n_marks - 1, _CHUNK - 1)]
+    rows = x.shape[1] if keep is None else len(keep)
+    block = np.empty((n, spans[0][1], rows, x.shape[2]), dtype=complex)
     blocks = _aggregated if engine == "aggregated" else _direct
-    for lo, m in blocks(models, x, step_sizes, strides, spans, keep, out):
+    for lo, m in blocks(models, x, step_sizes, strides, spans, keep, block):
         yield lo, block[:, :m]
 
 
@@ -364,11 +372,10 @@ def _direct(models, x, step_sizes, strides, spans, keep, out):
         with opalg.one_blas_thread():
             for i, gen in enumerate(gens):
                 out[i, 0] = _kept(keep, x[i])
-                if m > 1:
-                    stop = ((m - 1) * strides[i]) * step_sizes[i]
-                    xs = expm_multiply(gen, x[i], start=0.0, stop=stop, num=m, endpoint=True)
-                    x[i] = xs[-1]
-                    out[i, 1:m] = _kept(keep, xs[1:])
+                stop = ((m - 1) * strides[i]) * step_sizes[i]
+                xs = expm_multiply(gen, x[i], start=0.0, stop=stop, num=m, endpoint=True)
+                x[i] = xs[-1]
+                out[i, 1:m] = _kept(keep, xs[1:])
         yield lo, m
 
 
@@ -407,12 +414,17 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     and must be positive; the run takes :func:`steps_over` (t_end, dt)
     equal steps, fixed-step RK4 on the aggregated engine and marks of the
     exact propagator on the direct one.
-    States are stored every ``store_every`` steps (a whole number >= 1)
-    plus the final step, and checked by :func:`_defects`, _CHUNK at a
-    time. A trace drift beyond TRACE_ABORT_TOL or a non-finite state
-    (:func:`check_drift`), and failing that a lowest eigenvalue below
-    EIG_FLOOR, raises NumericalDriftError naming the first such time and
-    the step size.
+    States are stored every ``store_every`` steps (a whole number >= 1
+    within float range) plus the final step, at most MAX_GRID_POINTS of
+    them (DimerNMError, raised before anything is allocated). The first
+    is rho0. The whole store intervals are one :func:`propagate` call,
+    and a shorter last interval a second from the last whole-interval
+    state; a run of no whole interval, store_every past the step count,
+    makes only the second, so it builds no stride operator. The states
+    are checked by :func:`_defects`, _CHUNK at a time. A trace drift beyond TRACE_ABORT_TOL or a
+    non-finite state (:func:`check_drift`), and failing that a lowest
+    eigenvalue below EIG_FLOOR, raises NumericalDriftError naming the
+    first such time and the step size.
 
     observables: names from {inversion, log_negativity, singlet_overlap,
     mode_excitation}, each taken over the whole stored stack; default is
@@ -428,27 +440,38 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         dt = suggest_dt(model)
     elif not dt > 0:  # nan fails too
         raise DimerNMError(f"dt must be positive, got {dt}")
-    if not (store_every >= 1 and float(store_every).is_integer()):  # nan, inf fail too
+    if not (store_every >= 1 and store_every % 1 == 0):  # nan, inf fail too
         raise DimerNMError(f"store_every must be a whole number >= 1, got {store_every}")
+    if store_every > sys.float_info.max:  # an int, which no float holds
+        raise DimerNMError(f"store_every must be within float range, "
+                           f"got a {store_every.bit_length()}-bit integer")
     store_every = int(store_every)
     n_steps = steps_over(t_end, dt)
     dt_eff = t_end / n_steps
 
-    # whole store intervals in one call; a partial last one is a second
-    # call of one interval from the last whole-interval state
+    # whole store intervals in one call and a partial last one in a
+    # second, from the last whole-interval state; a run of no interval,
+    # the start alone, makes no call
     n_whole, tail = divmod(n_steps, store_every)
-    marks = list(range(0, n_steps + 1, store_every)) + [n_steps] * (tail > 0)
+    n_stored = n_whole + 1 + (tail > 0)
+    if n_stored > MAX_GRID_POINTS:
+        raise DimerNMError(f"t_end {t_end:.6g} at step {dt_eff:.3e} stored every {store_every} "
+                           f"steps would take {n_stored} states, more than {MAX_GRID_POINTS}")
 
     method = engine_for(model, method)
-    states = np.empty((len(marks), d, d), dtype=complex)
-    v, at = opalg.vec(rho0), 0
-    for stride, n_marks in [(store_every, n_whole + 1)] + [(tail, 2)] * (tail > 0):
-        for lo, block in propagate([model], [v], [dt_eff], [stride], n_marks, method=method):
+    states = np.empty((n_stored, d, d), dtype=complex)
+    states[0] = rho0
+    at = 0
+    for stride, n_intervals in [(store_every, n_whole)] * (n_whole > 0) + [(tail, 1)] * (tail > 0):
+        v = opalg.vec(states[at])[:, None]
+        for lo, block in propagate([model], [v], [dt_eff], [stride], n_intervals + 1,
+                                   method=method):
             # vec is column stacking, so each row of block[0] is a transposed state
-            states[at + lo:at + lo + block.shape[1]] = block[0].reshape(-1, d, d).transpose(0, 2, 1)
-        at += n_marks - 1
-        v = opalg.vec(states[at])
-    times = dt_eff * np.asarray(marks, dtype=float)
+            states[at + lo:at + lo + block.shape[1]] = \
+                block[0, ..., 0].reshape(-1, d, d).transpose(0, 2, 1)
+        at += n_intervals
+    marks = np.append(store_every * np.arange(n_whole + 1.0), [float(n_steps)] * (tail > 0))
+    times = dt_eff * marks
 
     with opalg.one_blas_thread():
         trace, herm, low = np.concatenate([

@@ -21,13 +21,14 @@ package logger.
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import entanglement, opalg
 from ._version import __version__
-from .dynamics import (BASE_DT, grid_steps, integrate, steady_state, steps_over, suggest_dt,
+from .dynamics import (BASE_DT, MAX_GRID_POINTS, grid_steps, integrate, steady_state, substeps,
                        uniform_grid)
 from .errors import ConfigError, DimerNMError
 from .model import (
@@ -48,6 +49,7 @@ from .nonmarkov import nm_sweep
 log = logging.getLogger(__name__)
 
 EXPERIMENTS = ("evolve", "steady", "nmm", "sweep", "eq8check", "convergence")
+OBSERVABLES = ("inversion", "logneg", "both")  # evolve's traces
 # a memory-measure run notes an f whose effective horizon falls short of
 # this many relaxation times 1 / gamma_eff
 HORIZON_WARN_FACTOR = 5.0
@@ -56,7 +58,7 @@ HORIZON_WARN_FACTOR = 5.0
 @dataclass
 class RunConfig:
     experiment: str = "evolve"
-    observable: str = "both"  # evolve only: inversion | logneg | both
+    observable: str = "both"  # evolve only: one of OBSERVABLES
     model: str = "auto"  # auto | symmetric | full | global
     omega1: float = 0.0
     omega2: float = 0.0
@@ -86,13 +88,20 @@ class RunConfig:
         # replace) passes here
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if self.observable not in OBSERVABLES:
+            raise ConfigError(f"observable must be one of {OBSERVABLES}, got {self.observable!r}")
         for key, val in vars(self).items():
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"{key} must be finite, got {val!r}")
+            if isinstance(val, int) and abs(val) > sys.float_info.max:  # no float holds it
+                raise ConfigError(f"{key} must be within float range, "
+                                  f"got a {val.bit_length()}-bit integer")
         for key, low, closed in _LOWER_BOUNDS:
             val = getattr(self, key)
             if not (val >= low if closed else val > low):  # nan fails too
                 raise ConfigError(f"{key} must be {'>=' if closed else '>'} {low}, got {val!r}")
+        if self.n_points > MAX_GRID_POINTS:  # an f grid is capped as every grid is
+            raise ConfigError(f"n_points must be <= {MAX_GRID_POINTS}, got {self.n_points}")
         if not all(v >= 2 and v.is_integer() for v in _parse_float_list(self.fock_list, "fock")):
             raise ConfigError(f"fock_list must be whole numbers >= 2, got {self.fock_list!r}")
         # the builders alone know which parameters each model kind takes;
@@ -307,15 +316,15 @@ def _trace_runs(cfg: RunConfig, runs, observables):
     """(grid, observables of each run): each (model, base step) of runs
     integrated from the initial state and stored on the grid
     uniform_grid(t_end, store_dt), the t column. Each storage interval
-    takes the fewest whole steps with none longer than suggest_dt of the
-    model from its base step, so stiff runs step finer."""
+    takes the steps :func:`dynamics.substeps` gives the model from its
+    base step, so stiff runs step finer."""
     _, t_end, store_dt = _grid_of(cfg)
     grid = uniform_grid(t_end, store_dt)
 
     def run(m, base_dt):
         # a run's states go as it returns, before the next run starts
-        sub = steps_over(store_dt, suggest_dt(m, base_dt))
-        traj = integrate(m, initial_state(m), grid[-1], dt=store_dt / sub, store_every=sub,
+        dt, sub = substeps(m, store_dt, base_dt)
+        traj = integrate(m, initial_state(m), grid[-1], dt=dt, store_every=sub,
                          observables=observables)
         if traj.times.shape != grid.shape:
             raise DimerNMError("trace runs disagree on the stored time grid")
@@ -329,9 +338,6 @@ def _traces(cfg: RunConfig, observables):
     one column per f, all from one integration per f on the grid of
     :func:`_trace_runs`.
     """
-    for observable in observables:
-        if observable not in _OBS_KEY:
-            raise ConfigError(f"unknown trace observable {observable!r}")
     keys = tuple(_OBS_KEY[o] for o in observables)
     fs = resolve_f_values(cfg)
     times, results = _trace_runs(cfg, [(model_for(cfg, f), BASE_DT) for f in fs], keys)
@@ -453,12 +459,17 @@ def run_convergence(cfg: RunConfig):
     f = resolve_f_values(cfg)[0]
     tasks = [("fock", int(nf), BASE_DT) for nf in _parse_float_list(cfg.fock_list, "fock")]
     tasks += [("dt", cfg.n_fock, BASE_DT / (2 ** i)) for i in range(2)]
+    # each distinct (n_fock, base step) runs once, so the fock row at
+    # n_fock shares the first dt row's run
+    runs = list(dict.fromkeys((nf, dt) for _, nf, dt in tasks))
     times, results = _trace_runs(
-        cfg, [(model_for(cfg, f, n_fock=nf), dt) for _, nf, dt in tasks],
+        cfg, [(model_for(cfg, f, n_fock=nf), dt) for nf, dt in runs],
         ("log_negativity", "mode_excitation"))
+    observed = dict(zip(runs, results))
 
     rows, prev_block, prev_val = [], None, None
-    for (block, nf, dt), obs in zip(tasks, results):
+    for block, nf, dt in tasks:
+        obs = observed[nf, dt]
         logneg = obs["log_negativity"][-1]
         delta = float("nan") if block != prev_block else logneg - prev_val
         rows.append([block, nf, dt, logneg, float(obs["mode_excitation"].max()), delta])

@@ -30,11 +30,13 @@ rate at 0 lives in the test suite (``tests/oracles.py``) and serves as
 an independent check.
 
 The tomography is a trajectory like any other: :mod:`dimer_nm.dynamics`
-sizes its grid as it sizes a trace's, picks its step size and step
-count, decides its trace-drift abort (:func:`dynamics.uniform_grid`,
-:func:`dynamics.suggest_dt`, :func:`dynamics.steps_over`,
-:func:`dynamics.check_drift`), and steps it (:func:`dynamics.propagate`)
-on either engine and at any dimension. No function here takes a step.
+sizes its grid as it sizes a trace's, picks the steps of each grid step
+eps as it picks those of a trace's storage interval, decides its
+trace-drift abort (:func:`dynamics.uniform_grid`,
+:func:`dynamics.substeps`, :func:`dynamics.check_drift`), and steps it
+(:func:`dynamics.propagate`, the four basis states as the columns of
+one matrix) on either engine and at any dimension. No function here
+takes a step or decides one.
 
 D_NM is computed one way per shape, both on the grid
 :func:`dynamics.uniform_grid` (horizon, eps). One model goes through
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalg
-from .dynamics import check_drift, propagate, steps_over, suggest_dt, uniform_grid
+from .dynamics import check_drift, propagate, substeps, uniform_grid
 from .errors import DimerNMError
 from .model import LindbladModel, environment_state
 
@@ -98,8 +100,8 @@ def map_tomography(model: LindbladModel, eps: float, horizon: float) -> Dynamica
     vectorized initial conditions are propagated together as the columns
     of one matrix through :func:`dynamics.propagate`, so the whole
     tomography is a single batched propagation on either engine, with no
-    dimension cap. Each eps takes :func:`dynamics.steps_over` steps of at
-    most :func:`dynamics.suggest_dt` of the model. Aborts through
+    dimension cap. Each eps takes the steps :func:`dynamics.substeps`
+    gives the model from BASE_DT. Aborts through
     :func:`dynamics.check_drift` at the first map that fails trace
     preservation.
     """
@@ -117,7 +119,7 @@ def _tomography(models, t_grid, eps):
 
     blocks is :func:`dynamics.propagate`'s, with block[i, k] the map
     Lambda(t_grid[lo + k], 0) of model i, not yet drift-checked. Each
-    model takes steps_over(eps, suggest_dt(model)) steps per eps.
+    model takes :func:`dynamics.substeps` (model, eps) per eps.
     """
     if any(m.dims[0] != 2 for m in models):
         raise DimerNMError("tomography expects the 2-dimensional sector at slot 0")
@@ -132,8 +134,7 @@ def _tomography(models, t_grid, eps):
     # from E_ij kron I_env
     v = [lifted(environment_state(model)).T for model in models]
     red = lifted(np.eye(int(np.prod(models[0].dims[1:]))))
-    steps = [steps_over(eps, suggest_dt(model)) for model in models]
-    sub_dts = [eps / s for s in steps]
+    sub_dts, steps = zip(*(substeps(model, eps) for model in models))
     return sub_dts, propagate(models, v, sub_dts, steps, t_grid.shape[0], keep=red)
 
 

@@ -337,6 +337,30 @@ class TestIntegrate:
         for store_every in (0, -3, 2.7, float("nan"), float("inf")):
             with pytest.raises(DimerNMError, match="store_every must be a whole number >= 1"):
                 integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=store_every)
+        with pytest.raises(DimerNMError, match="store_every must be within float range"):
+            integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=10 ** 400)
+
+    def test_store_every_past_int64_stores_the_ends(self):
+        m = symmetric_model(0.1)
+        ends = integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=10 ** 300,
+                         observables=[])
+        assert np.array_equal(ends.times, [0.0, 0.01])
+        idiom = integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=10 ** 9,
+                          observables=[])
+        assert np.array_equal(ends.states, idiom.states)
+
+    def test_caps_the_stored_states(self, monkeypatch):
+        # 1e12 steps stored every 10 would take 1e11 + 1 states; the cap
+        # is checked before anything is allocated
+        m = symmetric_model(0.1)
+        with pytest.raises(DimerNMError, match=r"^t_end 1e\+09 at step 1\.000e-03 stored every "
+                                               r"10 steps would take 100000000001 states"):
+            integrate(m, initial_state(m), 1e9)
+        # the count takes in the start and a partial last interval
+        monkeypatch.setattr(dynamics, "MAX_GRID_POINTS", 5)
+        assert integrate(m, initial_state(m), 0.04, dt=1e-3, observables=[]).times.shape == (5,)
+        with pytest.raises(DimerNMError, match="would take 6 states, more than 5"):
+            integrate(m, initial_state(m), 0.041, dt=1e-3, observables=[])
 
     def test_rejects_non_finite_t_end(self):
         m = symmetric_model(0.1)
@@ -418,9 +442,12 @@ def seamless(blocks, axis=0):
 
 
 def propagated(model, v0, dt, stride, n_marks, **kwargs):
-    """propagate on a stack of one, its blocks joined at their seams."""
-    return seamless([block[0].copy() for _, block in
-                     propagate([model], [v0], [dt], [stride], n_marks, **kwargs)])
+    """propagate on a stack of one, its blocks joined at their seams; a
+    vector v0 goes in as one column and comes out as a vector."""
+    column = v0.ndim == 1
+    stack = seamless([block[0].copy() for _, block in propagate(
+        [model], [v0[:, None] if column else v0], [dt], [stride], n_marks, **kwargs)])
+    return stack[..., 0] if column else stack
 
 
 class TestPropagate:
@@ -468,12 +495,12 @@ class TestPropagate:
         with pytest.raises(DimerNMError):
             engine_for(m, "leapfrog")
         with pytest.raises(DimerNMError):
-            next(propagate([m], [opalg.vec(initial_state(m))], [1e-3], [1], 2,
+            next(propagate([m], [opalg.vec(initial_state(m))[:, None]], [1e-3], [1], 2,
                            method="leapfrog"))
 
     def test_blocks_hold_at_most_chunk_marks(self):
         m = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
-        v0 = opalg.vec(np.eye(2) / 2.0)
+        v0 = opalg.vec(np.eye(2) / 2.0)[:, None]
         n_marks = 2 * dynamics._CHUNK + 5
         starts, sizes = [], []
         for lo, block in propagate([m], [v0], [1e-3], [1], n_marks):
@@ -537,9 +564,10 @@ class TestPropagate:
                 assert np.max(np.abs(stacked[i] - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_one_mark_run_builds_no_operator(self, monkeypatch):
-        # store_every past the step count, the final-state idiom, makes
-        # integrate's first call a run of one mark, whose stride operator
-        # (the transfer matrix to the power 1e9 here) no mark uses
+        # store_every past the step count, the final-state idiom, leaves
+        # integrate no whole store interval, so it steps the tail alone and
+        # builds no stride operator (the transfer matrix to the power 1e9
+        # here); propagate rejects a run of one mark before any build
         built = []
         for name in ("rk4_transfer_matrix", "sparse_generator"):
             def spy(*args, _fn=getattr(dynamics, name), _name=name):
@@ -549,8 +577,8 @@ class TestPropagate:
         m = symmetric_model(0.1)
         v0 = opalg.vec(initial_state(m))
         for method in ("aggregated", "direct"):
-            ((lo, block),) = propagate([m], [v0], [1e-3], [10 ** 9], 1, method=method)
-            assert lo == 0 and np.array_equal(block[0, 0], v0)
+            with pytest.raises(DimerNMError, match="at least two marks, got 1"):
+                next(propagate([m], [v0[:, None]], [1e-3], [10 ** 9], 1, method=method))
         assert built == []
         traj = integrate(m, initial_state(m), 1.0, store_every=10 ** 9, observables=[],
                          method="aggregated")
@@ -561,7 +589,7 @@ class TestPropagate:
 
     def test_rejects_models_of_different_dims(self):
         small, big = symmetric_model(0.1), symmetric_model(0.1, n_fock=4)
-        vs = [opalg.vec(initial_state(m)) for m in (small, big)]
+        vs = [opalg.vec(initial_state(m))[:, None] for m in (small, big)]
         with pytest.raises(DimensionError):
             next(propagate([small, big], vs, [1e-3] * 2, [100] * 2, 2))
 

@@ -132,12 +132,14 @@ class TestConfig:
         assert parse_config("experiment = eq8check\nmodel = symmetric\n").model == "symmetric"
 
 
+HUGE = "1" + "0" * 400  # an int no float holds
+
 # key, values RunConfig rejects, the CLI flag that sets the key (None:
 # it has none, so the value comes in through --config)
 OUT_OF_RANGE = [
-    ("store_every", ("0", "-3"), None),
-    ("n_points", ("0",), None),
-    ("n_fock", ("1", "0"), "--fock"),
+    ("store_every", ("0", "-3", HUGE), None),
+    ("n_points", ("0", "1000001", HUGE), None),
+    ("n_fock", ("1", "0", HUGE), "--fock"),
     ("t_end", ("-5", "0", "nan"), "--tmax"),
     ("eps", ("-0.01", "0"), "--eps"),
     ("horizon", ("-1", "nan"), "--horizon"),
@@ -147,6 +149,7 @@ OUT_OF_RANGE = [
     ("kappa1", ("0", "-5", "nan"), None),
     ("kappa2", ("-1", "nan"), None),
     ("fock_list", ("1,3", "2.5", "3,nan"), None),
+    ("observable", ("foo",), "--observable"),
 ]
 
 
@@ -516,6 +519,15 @@ class TestConvergence:
         dt_delta = abs(float(rows[3][5]))
         assert fock_delta < 1e-3
         assert dt_delta < 1e-6
+
+    def test_each_distinct_run_integrates_once(self, integrate_calls):
+        # the fock row at n_fock = 3 and the first dt row are one run
+        cfg = RunConfig(experiment="convergence", f_list="0.1", t_end=1.0)
+        csv_text, _ = run_convergence(cfg)
+        assert [(m.dims, traj.diagnostics["dt"]) for m, traj in integrate_calls] == [
+            ((2, 3), 1e-3), ((2, 4), 1e-3), ((2, 3), 5e-4)]
+        _, rows = csv_rows(csv_text)
+        assert rows[0][3:5] == rows[2][3:5]
 
 
 class TestStiffTraces:

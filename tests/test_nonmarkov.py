@@ -156,7 +156,7 @@ class TestTomography:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborts_on_unstable_step(self, monkeypatch):
         model = symmetric_model(100.0)
-        monkeypatch.setattr(nonmarkov, "suggest_dt", lambda m: 0.01)
+        monkeypatch.setattr(dynamics, "suggest_dt", lambda m, base: 0.01)
         with pytest.raises(NumericalDriftError) as exc:
             map_tomography(model, 0.1, 1.0)
         assert str(exc.value).endswith("(dt=1.000e-02)")
