@@ -503,11 +503,13 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
                 if len(model.dims) < 2:
                     raise DimerNMError("mode_excitation requires a model with mode slots")
                 # occupation of the most excited physical oscillator;
-                # model.mode_weight converts collective-mode quanta
+                # model.mode_weight converts collective-mode quanta, and a
+                # dark center-of-mass mode adds its thermal share
                 numbers = [opalg.embed(np.diag(np.arange(d, dtype=complex)), slot, model.dims)
                            for slot, d in enumerate(model.dims) if slot]
-                obs[name] = model.mode_weight * np.max(
-                    [expectation(states, n) for n in numbers], axis=0)
+                w = model.mode_weight
+                obs[name] = w * np.max([expectation(states, n) for n in numbers], axis=0) \
+                    + (1.0 - w) * model.n_th
             else:
                 raise DimerNMError(f"unknown observable {name!r}")
 

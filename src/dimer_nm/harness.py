@@ -32,8 +32,7 @@ from .dynamics import (BASE_DT, MAX_GRID_POINTS, grid_steps, integrate, steady_s
                        uniform_grid)
 from .errors import ConfigError, DimerNMError
 from .model import (
-    DELOCALIZE,
-    DELOCALIZED_BASIS,
+    SITE_BASIS,
     ModelParams,
     apply_f,
     build_full_model,
@@ -252,10 +251,8 @@ def model_for(cfg: RunConfig, f: float, n_fock=None):
 
 def initial_state(model):
     """Excitation on site 1 (|10>), modes in their thermal/vacuum state."""
-    exc = np.diag([0.0, 1.0]).astype(complex)
-    if model.basis == DELOCALIZED_BASIS:
-        exc = DELOCALIZE @ exc @ DELOCALIZE
-    return opalg.kron(exc, environment_state(model))
+    exc = entanglement.DimerState(np.diag([0.0, 1.0]).astype(complex), SITE_BASIS)
+    return opalg.kron(entanglement.basis_change(exc, model.basis).rho, environment_state(model))
 
 
 def gamma_eff_of(cfg: RunConfig) -> float:

@@ -12,10 +12,15 @@ mode; the hierarchy of models built here:
 * ``build_global_mode_model`` both sites coupled to one shared mode
 * ``build_markovian_dephasing_model`` memoryless phase-flip baseline
 
-The first three are one system seen three ways: each names its sector
-Hamiltonian and, per mode, (Omega, kappa, sector coupling operator), and
-``_with_modes`` builds the model from them. :func:`apply_f` moves a
-parameter set along the f-family.
+All four are one system seen with two local modes, one mode or none:
+each names its sector Hamiltonian, its sector jumps and, per mode,
+(Omega, kappa, sector coupling operator), and ``_with_modes`` alone
+builds a model from them, refusing one above MAX_HILBERT_DIM. The two
+one-mode models are one construction, ``_one_mode``, with the sector in
+the delocalized basis and the mode coupled through g sigma_x: the
+symmetric model is its case g = sqrt(2) g1 and the global-mode model its
+case g = g2 - g1. :func:`apply_f` moves a parameter set along the
+f-family.
 
 All builders return a :class:`LindbladModel` whose ``h_eff`` field is the
 effective non-Hermitian Hamiltonian, i.e. the mode damping term
@@ -41,6 +46,14 @@ DELOCALIZED_BASIS = "delocalized"
 # sqrt(2)-normalized rotation between [|01>, |10>] and [|u>, |d>];
 # involutive, so it serves for both directions.
 DELOCALIZE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+
+# site-1 population on the sector, sigma_z of site 1 = diag(-1, +1); site 2's is -_SZ1
+_SZ1 = np.diag([-1.0, 1.0]).astype(complex)
+
+# largest Hilbert dimension 2 * n_fock**modes a builder accepts: the full
+# model at n_fock = 8. There generator_triplets holds 204,800 triplets
+# (6.6 MB) at n_th = 0 and 230,400 (7.4 MB) at n_th > 0.
+MAX_HILBERT_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -127,8 +140,9 @@ class LindbladModel:
     n_th: float = 0.0
     # occupation of one physical oscillator per quantum of a model mode:
     # 0.5 when the model mode is the relative combination of two local
-    # modes (the center of mass stays dark, so each local oscillator
-    # carries exactly half), 1.0 when model modes are physical.
+    # modes, 1.0 when model modes are physical. The center of mass stays
+    # dark in its thermal state, so each local oscillator holds
+    # mode_weight <n> + (1 - mode_weight) n_th quanta.
     mode_weight: float = 1.0
 
     def __post_init__(self):
@@ -165,26 +179,24 @@ class LindbladModel:
         return float(np.abs(acc).max())
 
 
-def _h_eff_from(h_herm, jumps):
-    shift = np.zeros_like(h_herm)
-    for op, rate in jumps:
-        shift += rate * (op.conj().T @ op)
-    return h_herm - 0.5j * shift
-
-
 def _sector_site(p: ModelParams):
     return np.array([[p.omega2, p.J], [p.J, p.omega1]], dtype=complex)
 
 
-def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float = 1.0):
+def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float = 1.0,
+                sector_jumps=()):
     """The sector Hamiltonian plus one damped mode per entry of ``modes``.
 
     Entry k of ``modes`` is ``(Omega, kappa, c)`` for mode slot k + 1:
     frequency Omega, linewidth kappa (no jump when zero, a thermal pair
     at n_th > 0) and the 2 x 2 sector operator c that couples to the
-    quadrature a + a^dag. dims = (2, n_fock, ...).
+    quadrature a + a^dag. ``sector_jumps`` are (2 x 2 operator, rate)
+    pairs on the sector itself. dims = (2, n_fock, ...).
     """
     dims = (2,) + (p.n_fock,) * len(modes)
+    if not math.prod(dims) <= MAX_HILBERT_DIM:  # before any operator is allocated; nan fails too
+        raise DimerNMError(f"n_fock must be small enough that 2 * n_fock**{len(modes)} "
+                           f"<= {MAX_HILBERT_DIM}, got {p.n_fock:.6g}")
     a = opalg.make_destroy(p.n_fock)
     x = a + a.conj().T
     n = a.conj().T @ a
@@ -192,7 +204,7 @@ def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float 
     with opalg.one_blas_thread():  # d x d products: more threads only cost CPU
         h = opalg.embed(sector_h, 0, dims)
         h += sum(Omega * opalg.embed(n, k, dims) for k, (Omega, _, _) in enumerate(modes, 1))
-        jumps = []
+        jumps = [(opalg.embed(c, 0, dims), rate) for c, rate in sector_jumps]
         for k, (_, kappa, c) in enumerate(modes, 1):
             h += opalg.embed(c, 0, dims) @ opalg.embed(x, k, dims)
             if kappa == 0:
@@ -201,20 +213,35 @@ def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float 
             jumps.append((ak, 2.0 * kappa * (1.0 + p.n_th)))
             if p.n_th > 0:
                 jumps.append((ak.conj().T, 2.0 * kappa * p.n_th))
-        jumps = tuple(jumps)
+        shift = np.zeros_like(h)
+        for op, rate in jumps:
+            shift += rate * (op.conj().T @ op)
         return LindbladModel(
-            h_eff=_h_eff_from(h, jumps), jumps=jumps, dims=dims,
+            h_eff=h - 0.5j * shift, jumps=tuple(jumps), dims=dims,
             basis=basis, n_th=p.n_th, mode_weight=mode_weight,
         )
 
 
+def _one_mode(p: ModelParams, g: float, mode_weight: float = 1.0) -> LindbladModel:
+    """The sector in the delocalized basis [|u>, |d>] plus one damped mode
+    (Omega1, kappa1) coupled through g sigma_x. dims = (2, n_fock).
+
+    DELOCALIZE rotates the site sector [[omega2, J], [J, omega1]] to
+    [[m + J, h], [h, m - J]], m = (omega1 + omega2) / 2 and
+    h = (omega2 - omega1) / 2, written here directly, so it is exactly
+    Hermitian.
+    """
+    m, h = (p.omega1 + p.omega2) / 2.0, (p.omega2 - p.omega1) / 2.0
+    sector = np.array([[m + p.J, h], [h, m - p.J]], dtype=complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return _with_modes(p, sector, [(p.Omega1, p.kappa1, g * sx)], DELOCALIZED_BASIS, mode_weight)
+
+
 def build_full_model(p: ModelParams) -> LindbladModel:
     """Dimer sector plus both local modes. dims = (2, n_fock, n_fock)."""
-    # site populations on the sector: sigma_z of site 1 is diag(-1, +1)
-    sz1 = np.diag([-1.0, 1.0]).astype(complex)
     return _with_modes(p, _sector_site(p), [
-        (p.Omega1, p.kappa1, p.g1 * sz1),
-        (p.Omega2, p.kappa2, p.g2 * -sz1),
+        (p.Omega1, p.kappa1, p.g1 * _SZ1),
+        (p.Omega2, p.kappa2, p.g2 * -_SZ1),
     ], SITE_BASIS)
 
 
@@ -228,10 +255,7 @@ def build_symmetric_model(p: ModelParams) -> LindbladModel:
     """
     if not p.is_symmetric:
         raise DimerNMError("symmetric model requires identical sites and modes")
-    h_sector = np.diag([p.omega1 + p.J, p.omega1 - p.J]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return _with_modes(p, h_sector, [(p.Omega1, p.kappa1, math.sqrt(2.0) * p.g1 * sx)],
-                       DELOCALIZED_BASIS, mode_weight=0.5)
+    return _one_mode(p, math.sqrt(2.0) * p.g1, mode_weight=0.5)
 
 
 def build_global_mode_model(p: ModelParams) -> LindbladModel:
@@ -239,15 +263,12 @@ def build_global_mode_model(p: ModelParams) -> LindbladModel:
 
     The sector sees the mode through g1 sz1 + g2 sz2; for equal couplings
     this vanishes identically on the one-excitation sector, so only the
-    coupling imbalance g1 - g2 enters. Built in the delocalized basis.
+    coupling imbalance enters: g1 sz1 + g2 sz2 = (g1 - g2) diag(-1, 1) in
+    the site ordering, which DELOCALIZE rotates to (g2 - g1) sigma_x.
     """
     if p.Omega1 != p.Omega2 or p.kappa1 != p.kappa2:
         raise DimerNMError("global-mode model has a single mode: Omega and kappa must match")
-    w = DELOCALIZE
-    # g1 sz1 + g2 sz2 = (g1 - g2) diag(-1, 1) in the site ordering
-    coupling = w @ np.diag([-(p.g1 - p.g2), p.g1 - p.g2]).astype(complex) @ w
-    return _with_modes(p, w @ _sector_site(p) @ w, [(p.Omega1, p.kappa1, coupling)],
-                       DELOCALIZED_BASIS)
+    return _one_mode(p, p.g2 - p.g1)
 
 
 def build_markovian_dephasing_model(gamma_eff: float, p: ModelParams) -> LindbladModel:
@@ -258,18 +279,9 @@ def build_markovian_dephasing_model(gamma_eff: float, p: ModelParams) -> Lindbla
     """
     if gamma_eff < 0:
         raise DimerNMError(f"dephasing rate must be non-negative, got {gamma_eff}")
-    dims = (2,)
-    sz1 = np.diag([-1.0, 1.0]).astype(complex)
-    sz2 = -sz1
-    jumps = tuple() if gamma_eff == 0 else (
-        (sz1, gamma_eff / 2.0),
-        (sz2, gamma_eff / 2.0),
-    )
-    h = _sector_site(p)
-    return LindbladModel(
-        h_eff=_h_eff_from(h, jumps), jumps=jumps, dims=dims,
-        basis=SITE_BASIS, n_th=0.0,
-    )
+    flips = () if gamma_eff == 0 else ((_SZ1, gamma_eff / 2.0), (-_SZ1, gamma_eff / 2.0))
+    # no mode slot, so no thermal occupation either
+    return _with_modes(replace(p, n_th=0.0), _sector_site(p), [], SITE_BASIS, sector_jumps=flips)
 
 
 def steady_state_dd_closed_form(p: ModelParams) -> float:

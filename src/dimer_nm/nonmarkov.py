@@ -263,7 +263,7 @@ def _measure(ts, mids, eps, g):
     tv = mids[ok]
     gv = g[ok]
     gv = np.where(gv > 0.0, gv, 0.0)  # max(0, g)
-    grid = mids[:np.searchsorted(mids, tv[-1] + 1e-12, side="right")]
+    grid = mids[:np.flatnonzero(ok)[-1] + 1]  # up to the last invertible map
     series = np.interp(grid, tv, gv)
     integral = float(np.trapezoid(series, grid))
     d_nm = integral / (1.0 + integral)

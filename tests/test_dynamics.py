@@ -627,13 +627,19 @@ class TestExactPropagator:
         m = symmetric_model(1.0) if n_fock is None else asymmetric_full_model(n_fock, f=1.0)
         lmat = liouvillian_matrix(m)
         rho0 = initial_state(m)
+        # the oracle steps exp(L 0.1) from rho0 and ends with one exp(L 0.05)
+        step, tail = expm(lmat * 0.1), expm(lmat * 0.05)
+        marks = [opalg.vec(rho0)]
+        for _ in range(20):
+            marks.append(step @ marks[-1])
         # 20 whole store intervals, then the same plus a 50-step last one
-        for t_end in (2.0, 2.05):
+        for t_end, expected in ((2.0, marks), (2.05, marks + [tail @ marks[-1]])):
             traj = integrate(m, rho0, t_end, store_every=100, observables=[], method="direct")
             assert traj.diagnostics["method"] == "direct"
             assert traj.times[-1] == pytest.approx(t_end, rel=1e-15)
-            for t, rho in zip(traj.times, traj.states):
-                expect = opalg.unvec(expm(lmat * t) @ opalg.vec(rho0))
+            assert traj.times[:21] == pytest.approx(0.1 * np.arange(21), rel=1e-12)
+            for rho, v in zip(traj.states, expected, strict=True):
+                expect = opalg.unvec(v)
                 assert np.max(np.abs(rho - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_step_size_does_not_move_the_states(self):
@@ -789,7 +795,7 @@ class TestBlasThreadScopes:
         import scipy.sparse.linalg as sla
 
         seen, run = {}, ["build"]
-        for owner, name in ((model_module, "_h_eff_from"), (sla, "splu"), (sla, "svds"),
+        for owner, name in ((model_module, "LindbladModel"), (sla, "splu"), (sla, "svds"),
                             (sla, "expm_multiply"), (dynamics, "_kept"),
                             (dynamics, "check_drift")):
             def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
@@ -812,7 +818,7 @@ class TestBlasThreadScopes:
         # the aggregated engine's stepping keeps its threads
         assert all(counts == {3} for counts in seen.pop(("aggregated", "_kept")))
         assert sorted(seen) == [
-            ("aggregated", "check_drift"), ("build", "_h_eff_from"),
+            ("aggregated", "check_drift"), ("build", "LindbladModel"),
             ("direct", "_kept"), ("direct", "check_drift"), ("direct", "expm_multiply"),
             ("steady", "splu"), ("steady", "svds")]
         assert all(counts == {1} for calls in seen.values() for counts in calls)

@@ -139,7 +139,7 @@ HUGE = "1" + "0" * 400  # an int no float holds
 OUT_OF_RANGE = [
     ("store_every", ("0", "-3", HUGE), None),
     ("n_points", ("0", "1000001", HUGE), None),
-    ("n_fock", ("1", "0", HUGE), "--fock"),
+    ("n_fock", ("1", "0", HUGE, "1" + "0" * 300), "--fock"),
     ("t_end", ("-5", "0", "nan"), "--tmax"),
     ("eps", ("-0.01", "0"), "--eps"),
     ("horizon", ("-1", "nan"), "--horizon"),

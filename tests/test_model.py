@@ -1,5 +1,7 @@
 """Model constructors, the f-parametrization, and cross-model equivalence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from dimer_nm.errors import ConfigError, DimerNMError
 from dimer_nm.harness import initial_state
 from dimer_nm.model import (
     DELOCALIZE,
+    MAX_HILBERT_DIM,
     ModelParams,
     apply_f,
     build_full_model,
@@ -112,6 +115,19 @@ class TestFullModel:
         assert rates == pytest.approx(sorted([down, down, up, up]))
 
 
+class TestHilbertDimensionCap:
+    def test_largest_models_build_and_the_next_are_refused(self):
+        # the cap is 2 * n_fock**modes <= MAX_HILBERT_DIM = 128
+        assert MAX_HILBERT_DIM == 128
+        p = ModelParams.symmetric()
+        assert build_full_model(replace(p, n_fock=8)).dim == 128
+        assert build_symmetric_model(replace(p, n_fock=64)).dim == 128
+        for build, n_fock in ((build_full_model, 9), (build_symmetric_model, 65),
+                              (build_global_mode_model, 10 ** 300)):
+            with pytest.raises(DimerNMError, match="^n_fock must be small enough"):
+                build(replace(p, n_fock=n_fock))
+
+
 class TestSymmetricModel:
     def test_level_splitting(self):
         p = ModelParams.symmetric(omega=0.5, g=0.0, kappa=1.0)
@@ -146,25 +162,31 @@ class TestSymmetricModel:
         assert m.mode_weight == 0.5
 
     def test_matches_full_model_trajectories(self):
-        # collective-mode reduction against the two-mode construction;
-        # truncation error of the rotated cutoff sits below 1e-6 from
-        # n_fock=4 at f=0.01 (measured 4.3e-7)
-        p = apply_f(0.01, ModelParams.symmetric(n_fock=4))
-        mf, ms = build_full_model(p), build_symmetric_model(p)
-        tf = integrate(mf, initial_state(mf), 50.0, store_every=100,
-                       observables=("mode_excitation",))
-        ts = integrate(ms, initial_state(ms), 50.0, store_every=100,
-                       observables=("mode_excitation",))
-        worst = 0.0
-        for k in range(tf.times.shape[0]):
-            rf = reduce_to_dimer(tf.states[k], mf.dims, mf.basis)
-            rs = basis_change(reduce_to_dimer(ts.states[k], ms.dims, ms.basis), "site")
-            worst = max(worst, float(np.max(np.abs(rf.rho - rs.rho))))
-        assert worst < 1e-6
-        # per-oscillator excitation reads the same through both routes
-        diff = np.max(np.abs(tf.observables["mode_excitation"]
-                             - ts.observables["mode_excitation"]))
-        assert diff < 1e-5
+        # collective-mode reduction against the two-mode construction
+        for f, n_th, t_end, state_tol, excitation_tol in (
+            # truncation error of the rotated cutoff sits below 1e-6 from
+            # n_fock=4 at f=0.01 (measured 4.3e-7 and 9.2e-8)
+            (0.01, 0.0, 50.0, 1e-6, 1e-5),
+            # the dark center-of-mass mode holds n_th: measured 9.5e-4 and
+            # 1.5e-3, where leaving its share out reads 0.098 apart
+            (0.1, 0.2, 5.0, 5e-3, 5e-3),
+        ):
+            p = apply_f(f, ModelParams.symmetric(n_fock=4, n_th=n_th))
+            mf, ms = build_full_model(p), build_symmetric_model(p)
+            tf = integrate(mf, initial_state(mf), t_end, store_every=100,
+                           observables=("mode_excitation",))
+            ts = integrate(ms, initial_state(ms), t_end, store_every=100,
+                           observables=("mode_excitation",))
+            worst = 0.0
+            for k in range(tf.times.shape[0]):
+                rf = reduce_to_dimer(tf.states[k], mf.dims, mf.basis)
+                rs = basis_change(reduce_to_dimer(ts.states[k], ms.dims, ms.basis), "site")
+                worst = max(worst, float(np.max(np.abs(rf.rho - rs.rho))))
+            assert worst < state_tol
+            # per-oscillator excitation reads the same through both routes
+            diff = np.max(np.abs(tf.observables["mode_excitation"]
+                                 - ts.observables["mode_excitation"]))
+            assert diff < excitation_tol
 
 
 class TestGlobalModeModel:
@@ -184,6 +206,17 @@ class TestGlobalModeModel:
         block = m.h_herm[:2 * p.n_fock, :2 * p.n_fock]
         strengths = np.abs(block[np.abs(block) > 1e-12])
         assert np.any(np.isclose(strengths, 1.0, atol=1e-12))
+
+    def test_sector_is_the_rotated_site_hamiltonian(self):
+        # unequal sites; the mode-vacuum block of h_eff is the sector alone
+        p = ModelParams(omega1=0.3, omega2=-0.7, J=1.3, Omega1=2, Omega2=2,
+                        g1=0.4, g2=1.1, kappa1=2.0, kappa2=2.0, n_fock=3)
+        m = build_global_mode_model(p)
+        idx = [0, p.n_fock]
+        sector = m.h_eff[np.ix_(idx, idx)]
+        assert np.array_equal(sector, sector.conj().T)
+        site = np.array([[p.omega2, p.J], [p.J, p.omega1]], dtype=complex)
+        assert np.max(np.abs(sector - DELOCALIZE @ site @ DELOCALIZE)) <= 1e-15
 
     def test_sign_flip_symmetry(self):
         kw = dict(omega1=0, omega2=0, J=1, Omega1=2, Omega2=2,

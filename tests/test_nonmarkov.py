@@ -273,6 +273,19 @@ class TestNMMeasure:
         assert res.horizon == pytest.approx(res.requested_horizon)
         assert np.array_equal(res.skipped_times, [])
 
+    @pytest.mark.parametrize("eps", [0.1, 1e-13])
+    def test_series_ends_at_the_last_invertible_map(self, eps):
+        # 50 maps, singular from index 40 on: 40 intermediate maps invert,
+        # so the series stops at midpoint 39 and the horizon at 40 eps,
+        # however close the midpoints sit
+        lams = np.where(np.arange(50) < 40, 0.5 + 0.4 * np.cos(0.3 * np.arange(50)), 1e-30)
+        res = nm_measure(dephasing_family(lams, eps))
+        assert res.invertible.tolist() == [True] * 40 + [False] * 9
+        assert res.times.shape == (40,)
+        assert res.horizon == pytest.approx(40 * eps, rel=1e-12)
+        assert res.integral == pytest.approx(per_point_measure(dephasing_family(lams, eps))[0],
+                                             rel=1e-12)
+
     def test_matches_log_rise_oracle(self):
         # diagonal dephasing family with lam(t) = 0.5 + 0.4 cos(2t):
         # I converges to the total rise of log(lam), two intervals of
@@ -334,7 +347,7 @@ def per_point_measure(family):
         raw_t.append(t + eps / 2.0)
         raw_g.append(max(0.0, (opalg.trace_norm(choi_matrix(e)) - 1.0) / eps))
     mids = family.times[:-1] + eps / 2.0
-    grid = mids[mids <= raw_t[-1] + 1e-12]
+    grid = mids[mids <= raw_t[-1]]
     integral = float(np.trapezoid(np.interp(grid, raw_t, raw_g), grid))
     return integral, tuple(skipped)
 
