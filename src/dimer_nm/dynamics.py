@@ -38,8 +38,11 @@ samples over in blocks of at most _CHUNK marks, each starting at the
 last mark of the block before), the trace-drift abort
 (:func:`check_drift`), the state validity rule (:func:`_defects`, with
 the eigenvalue floor EIG_FLOOR, which :func:`integrate` applies to
-_CHUNK stored states at a time) and the observables, which it takes
-over the stored stack at once. :func:`integrate` alone steps a run that
+_CHUNK stored states at a time: one Cholesky factorization of the
+shifted Hermitian parts screens each chunk against the floor, and only a
+chunk that fails it takes its eigenvalues, to name the first state below
+the floor and its exact lowest eigenvalue) and the observables, which it
+takes over the stored stack at once. :func:`integrate` alone steps a run that
 is not a whole number of store intervals: a shorter last interval is a
 second :func:`propagate` call, and a run with no whole interval steps
 that last interval alone.
@@ -123,7 +126,7 @@ class QuantumState:
             )
 
     def validate(self, trace_tol=1e-9, herm_tol=1e-10, eig_floor=EIG_FLOOR):
-        trace, herm, low = (float(x) for x in _defects(self.rho))
+        trace, herm, low = (float(x) for x in _defects(self.rho, eig_floor))
         if trace > trace_tol:
             raise NumericalDriftError(f"trace deviates from 1 by {trace:.3e}")
         if herm > herm_tol:
@@ -133,14 +136,31 @@ class QuantumState:
         return self
 
 
-def _defects(rho):
-    """|tr rho - 1|, Hermiticity defect and lowest eigenvalue of a state or
-    of each state in a stack (..., d, d). A state with a non-finite entry
-    counts as the zero matrix with trace defect inf, failing every check."""
+def _defects(rho, floor=EIG_FLOOR):
+    """|tr rho - 1|, Hermiticity defect and, where it lies below ``floor``,
+    the lowest eigenvalue of a state or of each state in a stack (..., d, d);
+    ``floor`` where the lowest eigenvalue clears it. A state with a
+    non-finite entry counts as the zero matrix with trace defect inf,
+    failing every check.
+
+    The floor is screened with one Cholesky factorization of the
+    Hermitian parts shifted by -floor: it succeeds when every lowest
+    eigenvalue lies above the floor, up to rounding (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10). Only a stack that
+    fails the screen takes its eigenvalues, so the one reported is exact.
+    """
     finite = np.isfinite(rho).all(axis=(-2, -1))
-    rho = np.where(finite[..., None, None], rho, 0.0)
+    if not finite.all():
+        rho = np.where(finite[..., None, None], rho, 0.0)
     trace = np.where(finite, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0), np.inf)
-    return trace, opalg.hermiticity_defect(rho), np.linalg.eigvalsh(opalg.hermitize(rho))[..., 0]
+    dagger = np.swapaxes(rho.conj(), -1, -2)
+    herm = np.abs(rho - dagger).max(axis=(-2, -1), initial=0.0)
+    hermitian = (rho + dagger) / 2.0
+    try:
+        np.linalg.cholesky(hermitian - floor * np.eye(rho.shape[-1]))
+    except np.linalg.LinAlgError:
+        return trace, herm, np.minimum(np.linalg.eigvalsh(hermitian)[..., 0], floor)
+    return trace, herm, np.full(trace.shape, float(floor))
 
 
 @dataclass
@@ -396,6 +416,26 @@ def check_drift(defect, times, dt: float):
         )
 
 
+def _check_states(states, times, dt: float):
+    """Trace and Hermiticity defects of a stack of stored states, taken by
+    :func:`_defects` _CHUNK states at a time. Raises NumericalDriftError
+    at the first drifted or non-finite state (:func:`check_drift`), and
+    failing that at the first state with a lowest eigenvalue below
+    EIG_FLOOR, naming its eigenvalue and time."""
+    trace, herm, low = np.concatenate([
+        _defects(states[lo:lo + _CHUNK])
+        for lo in range(0, states.shape[0], _CHUNK)], axis=1)
+    check_drift(trace, times, dt)
+    negative = np.flatnonzero(low < EIG_FLOOR)
+    if negative.size:
+        k = negative[0]
+        raise NumericalDriftError(
+            f"lowest eigenvalue {low[k]:.3e} at t={times[k]:.6g} "
+            f"(dt={dt:.3e})"
+        )
+    return trace, herm
+
+
 def expectation(state, op):
     """Real expectation value tr(op rho) of a state or of each state in a
     stack (..., d, d); rejects residual imaginary parts."""
@@ -421,10 +461,15 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     and a shorter last interval a second from the last whole-interval
     state; a run of no whole interval, store_every past the step count,
     makes only the second, so it builds no stride operator. The states
-    are checked by :func:`_defects`, _CHUNK at a time. A trace drift beyond TRACE_ABORT_TOL or a
-    non-finite state (:func:`check_drift`), and failing that a lowest
-    eigenvalue below EIG_FLOOR, raises NumericalDriftError naming the
-    first such time and the step size.
+    are checked by :func:`_check_states`, _CHUNK at a time. A trace drift
+    beyond TRACE_ABORT_TOL or a non-finite state (:func:`check_drift`),
+    and failing that a lowest eigenvalue below EIG_FLOOR, raises
+    NumericalDriftError naming the first such time and the step size.
+    Each chunk is screened against the floor with one shifted Cholesky
+    factorization; only a chunk that fails the screen takes the
+    eigenvalues of its states, so the error reports the exact lowest
+    eigenvalue, and a run that passes knows only that every stored state
+    clears the floor.
 
     observables: names from {inversion, log_negativity, singlet_overlap,
     mode_excitation}, each taken over the whole stored stack; default is
@@ -474,17 +519,7 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     times = dt_eff * marks
 
     with opalg.one_blas_thread():
-        trace, herm, low = np.concatenate([
-            _defects(states[lo:lo + _CHUNK])
-            for lo in range(0, states.shape[0], _CHUNK)], axis=1)
-        check_drift(trace, times, dt_eff)
-        negative = np.flatnonzero(low < EIG_FLOOR)
-        if negative.size:
-            k = negative[0]
-            raise NumericalDriftError(
-                f"lowest eigenvalue {low[k]:.3e} at t={times[k]:.6g} "
-                f"(dt={dt_eff:.3e})"
-            )
+        trace, herm = _check_states(states, times, dt_eff)
 
         if observables is None:
             observables = ("inversion", "log_negativity", "singlet_overlap") + (
@@ -519,7 +554,6 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         "method": method,
         "max_trace_defect": float(trace.max()),
         "max_hermiticity_defect": float(herm.max()),
-        "min_eigenvalue": float(low.min()),
     }
     return Trajectory(times=times, states=states, dims=model.dims,
                       basis=model.basis, observables=obs, diagnostics=diagnostics)

@@ -109,6 +109,13 @@ class RunConfig:
             model_for(self, 1.0)
         except DimerNMError as exc:
             raise ConfigError(str(exc)) from exc
+        # convergence also builds a model at each fock_list entry
+        if self.experiment == "convergence":
+            try:
+                for nf in _parse_float_list(self.fock_list, "fock"):
+                    model_for(self, 1.0, n_fock=int(nf))
+            except DimerNMError as exc:
+                raise ConfigError(f"fock_list: {exc}") from exc
         # the memory measure's default horizon is 20 / gamma_eff, every
         # sampled run's grid is capped (grid_steps), and the closed form
         # holds for the symmetric model with identical sites and modes only
@@ -272,22 +279,27 @@ def _grid_of(cfg: RunConfig):
 # ---------------------------------------------------------------- CSV
 
 def _fmt(x) -> str:
+    """One CSV or .meta cell: a float to 12 significant digits (nan, inf,
+    -inf as such), a bool as true/false, an int in full, a str as is."""
+    if type(x) is float:
+        return f"{x:.11e}"
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    return f"{xf:.11e}"
+    return f"{float(x):.11e}"
 
 
 def render_csv(header, rows) -> str:
+    """CSV text of a header and rows of cells; an ndarray row is formatted
+    from its Python floats, one row at a time."""
     out = [",".join(header)]
     for row in rows:
-        out.append(",".join(_fmt(x) for x in row))
+        if isinstance(row, np.ndarray):
+            row = row.tolist()
+        out.append(",".join(map(_fmt, row)))
     return "\n".join(out) + "\n"
 
 

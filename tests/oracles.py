@@ -9,6 +9,10 @@ way, and only tests call it:
   in the two-qubit space and takes the trace norm of its partial
   transpose; the package uses the closed form
   (:func:`entanglement.log_negativity`).
+* :func:`defects_by_eigenvalues` is the state validity rule with the
+  lowest eigenvalue of every state taken by ``eigvalsh``; the package
+  screens the eigenvalue floor with one shifted Cholesky factorization
+  per stack (:func:`dynamics._defects`).
 * :func:`apply_map` acts with a tomographed sector map on one state.
 * :func:`intermediate_map` and :func:`g_of_t` are the per-point D_NM
   path: one map inverted at a time, after an SVD of it, with the rate
@@ -40,6 +44,16 @@ def rhs(model, rho):
     for op, rate in model.jumps:
         out += rate * (op @ rho @ op.conj().T)
     return out
+
+
+def defects_by_eigenvalues(rho):
+    """|tr rho - 1|, Hermiticity defect and lowest eigenvalue of a state or
+    of each state in a stack (..., d, d). A state with a non-finite entry
+    counts as the zero matrix with trace defect inf."""
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    rho = np.where(finite[..., None, None], rho, 0.0)
+    trace = np.where(finite, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0), np.inf)
+    return trace, opalg.hermiticity_defect(rho), np.linalg.eigvalsh(opalg.hermitize(rho))[..., 0]
 
 
 def partial_transpose(rho, dims, slot: int):

@@ -43,7 +43,7 @@ from dimer_nm.model import (
     build_markovian_dephasing_model,
     build_symmetric_model,
 )
-from oracles import rhs
+from oracles import defects_by_eigenvalues, rhs
 
 GAMMA_EFF = 0.1  # 2 g^2 / kappa at the default parameters, any f
 
@@ -193,7 +193,7 @@ class TestIntegrate:
         traj = integrate(m, initial_state(m), 50.0, observables=[])
         assert traj.diagnostics["max_trace_defect"] <= 1e-9
         assert traj.diagnostics["max_hermiticity_defect"] <= 1e-10
-        assert traj.diagnostics["min_eigenvalue"] >= -1e-8
+        assert np.linalg.eigvalsh(opalg.hermitize(traj.states))[:, 0].min() >= -1e-8
         assert np.all(np.diff(traj.times) > 0)
         # spot-check a stored state directly
         mid = traj.states[traj.states.shape[0] // 2]
@@ -301,7 +301,8 @@ class TestIntegrate:
         QuantumState(rho=above, dims=(2,)).validate()
         # exchange keeps the spectrum and dephasing mixes, so the lowest
         # eigenvalue never falls below its start
-        assert integrate(m, above, 1.0, observables=[]).diagnostics["min_eigenvalue"] >= EIG_FLOOR
+        states = integrate(m, above, 1.0, observables=[]).states
+        assert np.linalg.eigvalsh(opalg.hermitize(states))[:, 0].min() >= EIG_FLOOR
 
     def test_stacked_observables_match_per_state(self):
         m = asymmetric_full_model(3)
@@ -432,6 +433,94 @@ class TestCheckDrift:
         with pytest.raises(NumericalDriftError) as exc:
             check_drift(np.array([0.0, bad, 1.0]), np.array([0.0, 0.5, 1.0]), 0.1)
         assert "at t=0.5 " in str(exc.value)
+
+
+def state_with_spectrum(rng, low, d):
+    """A random unit-trace Hermitian matrix of dimension d whose lowest
+    eigenvalue is ``low``, to rounding, and whose others are positive."""
+    q, _ = np.linalg.qr(random_matrix(rng, d))
+    rest = rng.uniform(0.5, 1.0, d - 1)
+    return (q * np.append(low, rest * (1.0 - low) / rest.sum())) @ q.conj().T
+
+
+class TestStateScreen:
+    """_defects screens the eigenvalue floor with one shifted Cholesky
+    factorization per stack, and must accept and reject exactly as the
+    eigvalsh rule, oracles.defects_by_eigenvalues."""
+
+    @staticmethod
+    def rejected(stack, floor=EIG_FLOOR):
+        """The states the screen rejects, after checking every output of
+        _defects against the oracle's."""
+        trace, herm, low = dynamics._defects(stack, floor)
+        o_trace, o_herm, o_low = defects_by_eigenvalues(stack)
+        assert np.array_equal(trace, o_trace)
+        assert np.array_equal(herm, o_herm)
+        # the exact lowest eigenvalue where it is below the floor, the
+        # floor where it clears it
+        assert np.array_equal(low, np.minimum(o_low, floor))
+        return o_low < floor
+
+    @pytest.mark.parametrize("d", [6, 72])
+    def test_random_density_matrices(self, d):
+        rng = np.random.default_rng(d)
+        chunk = np.stack([random_density(rng, d) for _ in range(dynamics._CHUNK)])
+        assert not self.rejected(chunk).any()
+        lows = EIG_FLOOR * rng.choice([-1.0, 1.0], 16) * 10.0 ** rng.uniform(-3, 3, 16)
+        mixed = np.stack([state_with_spectrum(rng, low, d) for low in lows])
+        assert np.array_equal(self.rejected(mixed), lows < EIG_FLOOR)
+        for rho, low in zip(mixed, lows):
+            assert self.rejected(rho) == (low < EIG_FLOOR)
+
+    @pytest.mark.parametrize("d", [6, 72])
+    def test_lowest_eigenvalue_at_the_floor(self, d):
+        rng = np.random.default_rng(100 + d)
+        below = state_with_spectrum(rng, EIG_FLOOR * (1 + 1e-3), d)
+        above = state_with_spectrum(rng, EIG_FLOOR * (1 - 1e-3), d)
+        assert self.rejected(below) and not self.rejected(above)
+        assert self.rejected(np.stack([above, below, above])).tolist() == [False, True, False]
+        assert not self.rejected(np.stack([above] * 3)).any()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_chunk_with_a_non_finite_state(self, value):
+        rng = np.random.default_rng(41)
+        chunk = np.stack([random_density(rng, 6) for _ in range(8)])
+        chunk[3, 0, 1] = value
+        assert not self.rejected(chunk).any()
+        chunk[5] = state_with_spectrum(rng, 2 * EIG_FLOOR, 6)
+        assert np.flatnonzero(self.rejected(chunk)).tolist() == [5]
+        assert np.flatnonzero(~np.isfinite(dynamics._defects(chunk)[0])).tolist() == [3]
+        assert not np.isfinite(chunk[3, 0, 1])  # the input is not written
+
+    def test_error_names_the_only_bad_state_of_a_chunk(self):
+        rng = np.random.default_rng(77)
+        n, dt = 3 * dynamics._CHUNK, 0.01
+        states = np.stack([random_density(rng, 6) for _ in range(n)])
+        k = dynamics._CHUNK + 77  # index 77 of the second chunk
+        states[k] = state_with_spectrum(rng, -1e-6, 6)
+        chunk = states[dynamics._CHUNK:2 * dynamics._CHUNK]
+        assert np.flatnonzero(self.rejected(chunk)).tolist() == [77]
+        times = dt * np.arange(n)
+        with pytest.raises(NumericalDriftError) as exc:
+            dynamics._check_states(states, times, dt)
+        low = defects_by_eigenvalues(states[k])[2]
+        assert str(exc.value) == f"lowest eigenvalue {low:.3e} at t={times[k]:.6g} (dt=1.000e-02)"
+        assert low < EIG_FLOOR
+
+    def test_validate_screens_at_its_floor(self):
+        rng = np.random.default_rng(43)
+        deep = QuantumState(state_with_spectrum(rng, -1e-6, 6), (6,))
+        with pytest.raises(NumericalDriftError, match=r"^negative population -1\.000e-06$"):
+            deep.validate()
+        deep.validate(eig_floor=-1e-5)
+        shallow = QuantumState(state_with_spectrum(rng, -1e-9, 6), (6,))
+        shallow.validate()
+        with pytest.raises(NumericalDriftError, match=r"^negative population -1\.000e-09$"):
+            shallow.validate(eig_floor=-1e-10)
+        mixed = QuantumState(state_with_spectrum(rng, 0.01, 6), (6,))
+        mixed.validate(eig_floor=0.0)
+        with pytest.raises(NumericalDriftError, match=r"^negative population 1\.000e-02$"):
+            mixed.validate(eig_floor=0.05)
 
 
 def seamless(blocks, axis=0):

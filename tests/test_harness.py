@@ -302,6 +302,19 @@ class TestCsvFormat:
         text = render_csv(["a", "b", "c", "d"], [[float("nan"), 3, True, "tag"]])
         assert text.splitlines()[1] == "nan,3,true,tag"
 
+    def test_cell_bytes(self):
+        # the bytes every cell kind renders to, in a list row and an ndarray row
+        cells = [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(-0.0),
+                 np.float64(math.nan), np.float32(0.1), True, np.bool_(False), 3,
+                 np.int64(-7), 10 ** 20, "tag"]
+        text = render_csv([f"c{k}" for k in range(len(cells))], [cells])
+        assert text.splitlines()[1] == (
+            "nan,inf,-inf,-0.00000000000e+00,4.94065645841e-324,-0.00000000000e+00,"
+            "nan,1.00000001490e-01,true,false,3,-7,100000000000000000000,tag")
+        table = np.array([[math.nan, -math.inf], [5e-324, -0.0]])
+        assert render_csv(["a", "b"], table) == (
+            "a,b\nnan,-inf\n4.94065645841e-324,-0.00000000000e+00\n")
+
     def test_newline_discipline(self):
         text = render_csv(["x"], [[1.0], [2.0]])
         assert "\r" not in text
@@ -519,6 +532,22 @@ class TestConvergence:
         dt_delta = abs(float(rows[3][5]))
         assert fock_delta < 1e-3
         assert dt_delta < 1e-6
+
+    def test_fock_list_past_the_dimension_cap_exits_two(self, tmp_path, capsys):
+        # a model is built at each entry: d = 130 for the symmetric model at
+        # 65 and 162 for the full one at 9; both reach the cap, 128, below
+        for kind, fock_list in (("auto", "3,65"), ("full", "9,3")):
+            with pytest.raises(ConfigError, match="^fock_list: n_fock must be"):
+                parse_config(f"experiment = convergence\nmodel = {kind}\n"
+                             f"fock_list = {fock_list}\n")
+        RunConfig(experiment="convergence", fock_list="3,64")
+        RunConfig(experiment="convergence", model="full", fock_list="3,8")
+        path = tmp_path / "deep.cfg"
+        path.write_text("fock_list = 3,65\n")
+        out = str(tmp_path / "run")
+        assert cli.main(["convergence", "--config", str(path), "--out", out]) == 2
+        assert "configuration error: fock_list: n_fock must be" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
 
     def test_each_distinct_run_integrates_once(self, integrate_calls):
         # the fock row at n_fock = 3 and the first dt row are one run
