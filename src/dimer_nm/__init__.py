@@ -11,7 +11,6 @@ from .entanglement import (
     singlet_overlap,
 )
 from .dynamics import (
-    QuantumState,
     Trajectory,
     expectation,
     integrate,
@@ -43,8 +42,8 @@ __all__ = [
     "__version__",
     "DimerState", "basis_change", "log_negativity", "reduce_to_dimer",
     "singlet_overlap",
-    "QuantumState", "Trajectory", "expectation", "integrate",
-    "liouvillian_matrix", "steady_state",
+    "Trajectory", "expectation", "integrate", "liouvillian_matrix",
+    "steady_state",
     "RunConfig", "parse_config", "run_experiment", "serialize_config",
     "LindbladModel", "ModelParams", "apply_f",
     "build_full_model", "build_global_mode_model",

@@ -41,8 +41,10 @@ the eigenvalue floor EIG_FLOOR, which :func:`integrate` applies to
 _CHUNK stored states at a time: one Cholesky factorization of the
 shifted Hermitian parts screens each chunk against the floor, and only a
 chunk that fails it takes its eigenvalues, to name the first state below
-the floor and its exact lowest eigenvalue) and the observables, which it
-takes over the stored stack at once. :func:`integrate` alone steps a run that
+the floor and its exact lowest eigenvalue; :func:`steady_state` applies
+it to its one state, with trace and Hermiticity defects of at most
+1e-12, in :func:`_checked_state`) and the observables, which it takes
+over the stored stack at once. :func:`integrate` alone steps a run that
 is not a whole number of store intervals: a shorter last interval is a
 second :func:`propagate` call, and a run with no whole interval steps
 that last interval alone.
@@ -111,40 +113,15 @@ DEGENERACY_TOL = 1e-10
 SPARSE_STEADY_MIN_DIM = 18
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Density matrix plus subsystem dimensions."""
-
-    rho: np.ndarray
-    dims: tuple
-
-    def __post_init__(self):
-        d = int(np.prod(self.dims))
-        if self.rho.shape != (d, d):
-            raise DimensionError(
-                f"state shape {self.rho.shape} does not match dims {self.dims}"
-            )
-
-    def validate(self, trace_tol=1e-9, herm_tol=1e-10, eig_floor=EIG_FLOOR):
-        trace, herm, low = (float(x) for x in _defects(self.rho, eig_floor))
-        if trace > trace_tol:
-            raise NumericalDriftError(f"trace deviates from 1 by {trace:.3e}")
-        if herm > herm_tol:
-            raise NumericalDriftError(f"Hermiticity defect {herm:.3e}")
-        if low < eig_floor:
-            raise NumericalDriftError(f"negative population {low:.3e}")
-        return self
-
-
-def _defects(rho, floor=EIG_FLOOR):
-    """|tr rho - 1|, Hermiticity defect and, where it lies below ``floor``,
+def _defects(rho):
+    """|tr rho - 1|, Hermiticity defect and, where it lies below EIG_FLOOR,
     the lowest eigenvalue of a state or of each state in a stack (..., d, d);
-    ``floor`` where the lowest eigenvalue clears it. A state with a
+    EIG_FLOOR where the lowest eigenvalue clears it. A state with a
     non-finite entry counts as the zero matrix with trace defect inf,
     failing every check.
 
     The floor is screened with one Cholesky factorization of the
-    Hermitian parts shifted by -floor: it succeeds when every lowest
+    Hermitian parts shifted by -EIG_FLOOR: it succeeds when every lowest
     eigenvalue lies above the floor, up to rounding (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., ch. 10). Only a stack that
     fails the screen takes its eigenvalues, so the one reported is exact.
@@ -157,10 +134,24 @@ def _defects(rho, floor=EIG_FLOOR):
     herm = np.abs(rho - dagger).max(axis=(-2, -1), initial=0.0)
     hermitian = (rho + dagger) / 2.0
     try:
-        np.linalg.cholesky(hermitian - floor * np.eye(rho.shape[-1]))
+        np.linalg.cholesky(hermitian - EIG_FLOOR * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:
-        return trace, herm, np.minimum(np.linalg.eigvalsh(hermitian)[..., 0], floor)
-    return trace, herm, np.full(trace.shape, float(floor))
+        return trace, herm, np.minimum(np.linalg.eigvalsh(hermitian)[..., 0], EIG_FLOOR)
+    return trace, herm, np.full(trace.shape, EIG_FLOOR)
+
+
+def _checked_state(rho):
+    """rho, once its trace and Hermiticity defects are at most 1e-12 and
+    its lowest eigenvalue clears EIG_FLOOR (:func:`_defects`); raises
+    NumericalDriftError at the first check it fails."""
+    trace, herm, low = (float(x) for x in _defects(rho))
+    if trace > 1e-12:
+        raise NumericalDriftError(f"trace deviates from 1 by {trace:.3e}")
+    if herm > 1e-12:
+        raise NumericalDriftError(f"Hermiticity defect {herm:.3e}")
+    if low < EIG_FLOOR:
+        raise NumericalDriftError(f"negative population {low:.3e}")
+    return rho
 
 
 @dataclass
@@ -169,14 +160,8 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # (n_stored, d, d)
-    dims: tuple
-    basis: str
     observables: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def final(self) -> QuantumState:
-        return QuantumState(rho=self.states[-1], dims=self.dims)
 
 
 def generator_triplets(h_eff, jumps):
@@ -439,8 +424,7 @@ def _check_states(states, times, dt: float):
 def expectation(state, op):
     """Real expectation value tr(op rho) of a state or of each state in a
     stack (..., d, d); rejects residual imaginary parts."""
-    rho = getattr(state, "rho", state)
-    val = np.einsum("ij,...ji->...", np.asarray(op), np.asarray(rho))
+    val = np.einsum("ij,...ji->...", np.asarray(op), np.asarray(state))
     if np.any(np.abs(val.imag) > 1e-10):
         raise DimerNMError(f"expectation has imaginary part {np.abs(val.imag).max():.3e}")
     return val.real
@@ -555,11 +539,10 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         "max_trace_defect": float(trace.max()),
         "max_hermiticity_defect": float(herm.max()),
     }
-    return Trajectory(times=times, states=states, dims=model.dims,
-                      basis=model.basis, observables=obs, diagnostics=diagnostics)
+    return Trajectory(times=times, states=states, observables=obs, diagnostics=diagnostics)
 
 
-def steady_state(model: LindbladModel) -> QuantumState:
+def steady_state(model: LindbladModel) -> np.ndarray:
     """Null vector of the generator, via a trace-normalized bordered solve.
 
     Row 0 of the generator L is replaced by the trace functional and the
@@ -578,6 +561,9 @@ def steady_state(model: LindbladModel) -> QuantumState:
     NonUniqueSteadyStateError too; a solve that misses opalg's residual
     bound, or a generator with a non-finite entry, raises
     SingularSystemError.
+
+    Returns the (d, d) density matrix, trace-normalized and Hermitian,
+    once :func:`_checked_state` has passed it.
     """
     parts = [model.h_eff, [rate for _, rate in model.jumps]] + [op for op, _ in model.jumps]
     if not all(np.isfinite(a).all() for a in parts):
@@ -591,7 +577,7 @@ def steady_state(model: LindbladModel) -> QuantumState:
             x = _steady_vec_sparse(model)
     rho = opalg.hermitize(opalg.unvec(x))
     rho /= np.trace(rho).real
-    return QuantumState(rho=rho, dims=model.dims).validate(trace_tol=1e-12, herm_tol=1e-12)
+    return _checked_state(rho)
 
 
 def _non_unique(sigma):

@@ -349,16 +349,21 @@ def _traces(cfg: RunConfig, observables):
     """
     keys = tuple(_OBS_KEY[o] for o in observables)
     fs = resolve_f_values(cfg)
+    # fs is sorted, so values that print alike are neighbours
+    labels = [_f_label(f) for f in fs]
+    for a, b in zip(labels, labels[1:]):
+        if a == b:
+            raise ConfigError(f"two f values share the column label f={a}")
     times, results = _trace_runs(cfg, [(model_for(cfg, f), BASE_DT) for f in fs], keys)
 
     outputs = {}
     for observable, key in zip(observables, keys):
-        header = ["t"] + [f"{observable}_f={_f_label(f)}" for f in fs]
+        header = ["t"] + [f"{observable}_f={label}" for label in labels]
         rows = np.column_stack([times] + [obs[key] for obs in results])
         derived = {
             "experiment": "evolve",
             "observable": observable,
-            "f_values": ",".join(_f_label(f) for f in fs),
+            "f_values": ",".join(labels),
             "gamma_eff": gamma_eff_of(cfg),
             "store_dt": _grid_of(cfg)[2],
             "t_end_effective": times[-1],
@@ -376,12 +381,12 @@ def _steady_group(cfg: RunConfig, fs):
     # family holds fixed, so one solve serves every row
     mk = build_markovian_dephasing_model(gamma_eff_of(cfg), base_params(cfg))
     mk_logneg = entanglement.log_negativity(
-        entanglement.reduce_to_dimer(steady_state(mk).rho, mk.dims, mk.basis))
+        entanglement.reduce_to_dimer(steady_state(mk), mk.dims, mk.basis))
     rows = []
     for f in fs:
         p = apply_f(f, base_params(cfg))
         m = model_for(cfg, f)
-        red = entanglement.reduce_to_dimer(steady_state(m).rho, m.dims, m.basis)
+        red = entanglement.reduce_to_dimer(steady_state(m), m.dims, m.basis)
         overlap = entanglement.singlet_overlap(red)
         eq8 = steady_state_dd_closed_form(p) if p.is_symmetric else float("nan")
         rows.append([overlap, eq8, entanglement.log_negativity(red), overlap, mk_logneg])
@@ -426,7 +431,7 @@ def _closed_form_group(cfg: RunConfig, fs):
     for f in fs:
         p = replace(apply_f(f, base_params(cfg)), n_fock=2)
         m = build_symmetric_model(p)
-        red = entanglement.reduce_to_dimer(steady_state(m).rho, m.dims, m.basis)
+        red = entanglement.reduce_to_dimer(steady_state(m), m.dims, m.basis)
         dd = entanglement.singlet_overlap(red)
         eq8 = steady_state_dd_closed_form(p)
         err = abs(dd - eq8)
@@ -506,11 +511,14 @@ def write_outputs(outputs: dict, directory: str = ".") -> list:
     for name, (csv_text, meta_text) in sorted(outputs.items()):
         path = os.path.join(directory, name)
         parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-        with open(path + ".meta", "w", encoding="utf-8", newline="") as fh:
-            fh.write(meta_text)
+        try:
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(csv_text)
+            with open(path + ".meta", "w", encoding="utf-8", newline="") as fh:
+                fh.write(meta_text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         written.append(path)
     return written

@@ -1,19 +1,19 @@
-"""Density-matrix RK4 stepper on the CSR generator.
+"""Density-matrix RK4 stepper on the aggregated engine.
 
-No engine of :func:`dynamics.propagate` steps this way any more: the
-aggregated engine raises the dense RK4 transfer matrix
-(:func:`dynamics.rk4_transfer_matrix`) to each stride, and the direct
-engine applies the exact propagator. This stepper builds the generator
-as a scipy CSR matrix on every call and takes the same RK4 update as
-CSR matvecs, for callers that hold a density matrix. There is one
-backend, ``"sparse"``.
+For callers that hold a density matrix and the parts of a generator:
+:func:`rk4_lindblad_steps` builds the model and takes all its steps as
+one stride of :func:`dynamics.propagate` on the aggregated engine, so
+the package has one RK4 implementation. Like that engine, it takes
+Hilbert dimensions up to MAX_SUPEROP_DIM and raises DimensionError
+above. There is one backend, ``"aggregated"``, and it loads no scipy.
 """
 
 import numpy as np
 
 from . import dynamics, opalg
+from .model import SITE_BASIS, LindbladModel
 
-BACKEND = "sparse"
+BACKEND = "aggregated"
 
 
 def active_backend() -> str:
@@ -21,23 +21,20 @@ def active_backend() -> str:
 
 
 def available_backends() -> dict:
-    """Name -> stepper for every backend (only ``"sparse"``)."""
+    """Name -> stepper for every backend (only ``"aggregated"``)."""
     return {BACKEND: rk4_lindblad_steps}
 
 
 def rk4_lindblad_steps(rho, h_eff, jump_ops, rates, dt, n_steps):
     """Advance rho by n_steps of fixed-step RK4; returns a new array.
 
-    Each step is the transfer polynomial of
-    :func:`dynamics.rk4_transfer_matrix` in Horner form, four matvecs.
+    The result is the n_steps-th power of
+    :func:`dynamics.rk4_transfer_matrix` applied to vec(rho); n_steps
+    below 1 takes no step.
     """
-    gen = dynamics.sparse_generator(h_eff, zip(jump_ops, rates))
-    stages = [(dt / k) * gen for k in (4.0, 3.0, 2.0, 1.0)]
-    v = np.array(opalg.vec(rho), dtype=complex)
-    for _ in range(int(n_steps)):
-        w = v
-        for stage in stages:
-            w = stage @ w
-            w += v
-        v = w
-    return opalg.unvec(v)
+    h_eff = np.asarray(h_eff, dtype=complex)
+    model = LindbladModel(h_eff, tuple(zip(jump_ops, rates)), (h_eff.shape[0],), SITE_BASIS)
+    steps = max(int(n_steps), 0)
+    [(_, block)] = dynamics.propagate([model], [opalg.vec(rho)[:, None]], [dt], [steps], 2,
+                                      method="aggregated")
+    return opalg.unvec(block[0, -1, :, 0].copy())

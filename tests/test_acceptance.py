@@ -127,7 +127,7 @@ def test_criterion_1_closed_form_cross_check():
     for f in (0.01, 0.1, 1.0):
         p = _symmetric(f, n_fock=2)
         model = build_symmetric_model(p)
-        red = reduce_to_dimer(steady_state(model).rho, model.dims, model.basis)
+        red = reduce_to_dimer(steady_state(model), model.dims, model.basis)
         numeric = singlet_overlap(red)
         closed = steady_state_dd_closed_form(p)
         worst = max(worst, abs(numeric - closed) / closed)
@@ -140,8 +140,8 @@ def test_criterion_1_closed_form_cross_check():
 def test_criterion_2_markovian_separability():
     model = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
     ss = steady_state(model)
-    ln = log_negativity(reduce_to_dimer(ss.rho, model.dims, model.basis))
-    dist = float(np.max(np.abs(ss.rho - np.eye(2) / 2.0)))
+    ln = log_negativity(reduce_to_dimer(ss, model.dims, model.basis))
+    dist = float(np.max(np.abs(ss - np.eye(2) / 2.0)))
     ok = ln <= 1e-6 and dist <= 1e-6
     _verdict(2, ok, "Lindblad dephasing baseline is separable and maximally "
                     f"mixed (logneg {ln:.2e}, max|rho - I/2| {dist:.2e})")
@@ -187,7 +187,7 @@ def test_criterion_6_asymmetric_robustness():
                     g1=g1, g2=2.0 * g1, kappa1=1.0, kappa2=1.0, n_fock=3)
     assert 2.0 * p.g1 < p.kappa1 and 2.0 * p.g2 < p.kappa2
     model = build_full_model(p)
-    red = reduce_to_dimer(steady_state(model).rho, model.dims, model.basis)
+    red = reduce_to_dimer(steady_state(model), model.dims, model.basis)
     ov = singlet_overlap(red)
     ok = ov >= 0.9
     _verdict(6, ok, f"g2/g1=2 keeps steady singlet overlap at {ov:.4f} >= 0.9")
@@ -195,7 +195,7 @@ def test_criterion_6_asymmetric_robustness():
 
 def test_criterion_7_finite_temperature():
     model = build_symmetric_model(_symmetric(0.01, n_th=0.1))
-    red = reduce_to_dimer(steady_state(model).rho, model.dims, model.basis)
+    red = reduce_to_dimer(steady_state(model), model.dims, model.basis)
     ln = log_negativity(red)
     ok = 0.80 <= ln <= 0.90
     _verdict(7, ok, f"n_th=0.1, f=0.01 steady logneg {ln:.6f} in [0.80, 0.90]")
@@ -240,7 +240,7 @@ def test_criterion_8_property_suite(paper_traces, tomo_family):
     for dt in (0.02, 0.01):
         traj = integrate(order_model, rho0, 1.0, dt=dt, store_every=10 ** 9,
                          observables=())
-        errs.append(float(np.max(np.abs(traj.final.rho - exact))))
+        errs.append(float(np.max(np.abs(traj.states[-1] - exact))))
     order = math.log2(errs[0] / errs[1])
     if order < 3.5:
         failures.append(f"rk4-order({order:.2f})")
@@ -259,7 +259,7 @@ def test_criterion_8_property_suite(paper_traces, tomo_family):
         t = family.times[idx]
         traj = integrate(tomo_model, opalg.kron(sigma, env), t,
                          store_every=10 ** 9, observables=())
-        direct = reduce_to_dimer(traj.final.rho, tomo_model.dims,
+        direct = reduce_to_dimer(traj.states[-1], tomo_model.dims,
                                  tomo_model.basis).rho
         mapped = apply_map(family.maps[idx], sigma)
         worst_map = max(worst_map, float(np.max(np.abs(direct - mapped))))

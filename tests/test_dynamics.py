@@ -13,7 +13,6 @@ from dimer_nm.dynamics import (
     EIG_FLOOR,
     MAX_SUPEROP_DIM,
     TRACE_ABORT_TOL,
-    QuantumState,
     check_drift,
     engine_for,
     expectation,
@@ -108,7 +107,7 @@ class TestRhs:
     def test_vanishes_at_steady_state(self):
         m = symmetric_model(0.1)
         ss = steady_state(m)
-        assert np.max(np.abs(rhs(m, ss.rho))) < 1e-9
+        assert np.max(np.abs(rhs(m, ss))) < 1e-9
 
     def test_rejects_dimension_mismatch(self):
         m = symmetric_model(0.1)
@@ -140,7 +139,7 @@ class TestLiouvillianMatrix:
         m = symmetric_model(0.1)
         lmat = liouvillian_matrix(m)
         ss = steady_state(m)
-        assert np.linalg.norm(lmat @ opalg.vec(ss.rho)) <= 1e-9
+        assert np.linalg.norm(lmat @ opalg.vec(ss)) <= 1e-9
 
     def test_unitary_spectrum_imaginary(self):
         m = build_markovian_dephasing_model(0.0, ModelParams.symmetric())
@@ -231,13 +230,6 @@ class TestIntegrate:
         diff = np.max(np.abs(direct.states - aggregated.states))
         assert diff < 1e-10
 
-    def test_final_state_property(self):
-        m = symmetric_model(0.1)
-        traj = integrate(m, initial_state(m), 1.0, store_every=500, observables=[])
-        final = traj.final
-        assert isinstance(final, QuantumState)
-        assert np.array_equal(final.rho, traj.states[-1])
-
     def test_unstable_step_aborts_with_diagnostic(self):
         m = symmetric_model(100.0)
         with pytest.raises(NumericalDriftError) as exc:
@@ -294,11 +286,11 @@ class TestIntegrate:
         below = np.diag([1.0 - 2 * EIG_FLOOR, 2 * EIG_FLOOR]).astype(complex)
         above = np.diag([1.0 - EIG_FLOOR / 2, EIG_FLOOR / 2]).astype(complex)
         with pytest.raises(NumericalDriftError):
-            QuantumState(rho=below, dims=(2,)).validate()
+            dynamics._checked_state(below)
         with pytest.raises(NumericalDriftError) as exc:
             integrate(m, below, 1.0, observables=[])
         assert "at t=0 " in str(exc.value)
-        QuantumState(rho=above, dims=(2,)).validate()
+        dynamics._checked_state(above)
         # exchange keeps the spectrum and dephasing mixes, so the lowest
         # eigenvalue never falls below its start
         states = integrate(m, above, 1.0, observables=[]).states
@@ -449,17 +441,17 @@ class TestStateScreen:
     eigvalsh rule, oracles.defects_by_eigenvalues."""
 
     @staticmethod
-    def rejected(stack, floor=EIG_FLOOR):
+    def rejected(stack):
         """The states the screen rejects, after checking every output of
         _defects against the oracle's."""
-        trace, herm, low = dynamics._defects(stack, floor)
+        trace, herm, low = dynamics._defects(stack)
         o_trace, o_herm, o_low = defects_by_eigenvalues(stack)
         assert np.array_equal(trace, o_trace)
         assert np.array_equal(herm, o_herm)
         # the exact lowest eigenvalue where it is below the floor, the
         # floor where it clears it
-        assert np.array_equal(low, np.minimum(o_low, floor))
-        return o_low < floor
+        assert np.array_equal(low, np.minimum(o_low, EIG_FLOOR))
+        return o_low < EIG_FLOOR
 
     @pytest.mark.parametrize("d", [6, 72])
     def test_random_density_matrices(self, d):
@@ -509,18 +501,11 @@ class TestStateScreen:
 
     def test_validate_screens_at_its_floor(self):
         rng = np.random.default_rng(43)
-        deep = QuantumState(state_with_spectrum(rng, -1e-6, 6), (6,))
+        deep = state_with_spectrum(rng, -1e-6, 6)
         with pytest.raises(NumericalDriftError, match=r"^negative population -1\.000e-06$"):
-            deep.validate()
-        deep.validate(eig_floor=-1e-5)
-        shallow = QuantumState(state_with_spectrum(rng, -1e-9, 6), (6,))
-        shallow.validate()
-        with pytest.raises(NumericalDriftError, match=r"^negative population -1\.000e-09$"):
-            shallow.validate(eig_floor=-1e-10)
-        mixed = QuantumState(state_with_spectrum(rng, 0.01, 6), (6,))
-        mixed.validate(eig_floor=0.0)
-        with pytest.raises(NumericalDriftError, match=r"^negative population 1\.000e-02$"):
-            mixed.validate(eig_floor=0.05)
+            dynamics._checked_state(deep)
+        shallow = state_with_spectrum(rng, -1e-9, 6)
+        assert dynamics._checked_state(shallow) is shallow
 
 
 def seamless(blocks, axis=0):
@@ -776,26 +761,26 @@ class TestSteadyState:
     def test_dephasing_baseline_is_maximally_mixed(self):
         m = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
         ss = steady_state(m)
-        assert np.max(np.abs(ss.rho - np.eye(2) / 2.0)) <= 1e-6
+        assert np.max(np.abs(ss - np.eye(2) / 2.0)) <= 1e-6
 
     def test_weak_memory_regime_singlet_population(self):
         ss = steady_state(symmetric_model(0.01))
-        red = reduce_to_dimer(ss.rho, (2, 3), "delocalized")
+        red = reduce_to_dimer(ss, (2, 3), "delocalized")
         assert singlet_overlap(red) >= 0.95
 
     def test_is_fixed_point_of_integration(self):
         m = symmetric_model(0.1)
         ss = steady_state(m)
         horizon = 10.0 / GAMMA_EFF
-        traj = integrate(m, ss.rho, horizon, store_every=10**9, observables=[])
-        assert np.max(np.abs(traj.states[-1] - ss.rho)) <= 1e-8
+        traj = integrate(m, ss, horizon, store_every=10**9, observables=[])
+        assert np.max(np.abs(traj.states[-1] - ss)) <= 1e-8
 
     def test_matches_long_time_integration(self):
         m = symmetric_model(0.1)
         ss = steady_state(m)
         traj = integrate(m, initial_state(m), 200.0 / GAMMA_EFF,
                          store_every=10**9, observables=[])
-        assert np.max(np.abs(traj.states[-1] - ss.rho)) <= 1e-6
+        assert np.max(np.abs(traj.states[-1] - ss)) <= 1e-6
 
     def test_non_unique_reported(self):
         m = build_markovian_dephasing_model(0.0, ModelParams.symmetric())
@@ -804,9 +789,9 @@ class TestSteadyState:
 
     def test_validated_output(self):
         ss = steady_state(symmetric_model(0.1))
-        assert abs(np.trace(ss.rho) - 1.0) < 1e-12
-        assert opalg.hermiticity_defect(ss.rho) < 1e-12
-        assert np.linalg.eigvalsh(ss.rho).min() >= -1e-8
+        assert abs(np.trace(ss) - 1.0) < 1e-12
+        assert opalg.hermiticity_defect(ss) < 1e-12
+        assert np.linalg.eigvalsh(ss).min() >= -1e-8
 
 
 class TestSparseSteadyState:
@@ -829,9 +814,9 @@ class TestSparseSteadyState:
     def test_matches_dense_path(self, monkeypatch, n_fock):
         m = symmetric_model(0.1) if n_fock is None else asymmetric_full_model(n_fock)
         monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_DENSE)
-        dense = steady_state(m).rho
+        dense = steady_state(m)
         monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_SPARSE)
-        sparse = steady_state(m).rho
+        sparse = steady_state(m)
         assert np.max(np.abs(dense - sparse)) <= 1e-12
 
     @pytest.mark.parametrize("n_fock, min_dim", [(3, FORCE_DENSE), (3, FORCE_SPARSE), (5, None)],
@@ -895,7 +880,7 @@ class TestBlasThreadScopes:
         m = asymmetric_full_model(3)
         assert m.dim >= dynamics.SPARSE_STEADY_MIN_DIM
         run[0] = "steady"
-        results = [steady_state(m).rho]
+        results = [steady_state(m)]
         for method in ("direct", "aggregated"):
             run[0] = method
             results.append(integrate(m, initial_state(m), 0.02, method=method).states)
@@ -992,25 +977,36 @@ class TestExpectation:
 
 
 class TestQuantumState:
+    """The check steady_state ends with, dynamics._checked_state: trace and
+    Hermiticity defects at most 1e-12, lowest eigenvalue at least EIG_FLOOR."""
+
     def test_validates_invariants(self):
-        good = QuantumState(np.eye(2, dtype=complex) / 2.0, (2,))
-        good.validate()
-        with pytest.raises(DimerNMError):
-            QuantumState(np.eye(2, dtype=complex), (2,)).validate()
+        good = np.eye(2, dtype=complex) / 2.0
+        assert dynamics._checked_state(good) is good
+        with pytest.raises(NumericalDriftError, match=r"^trace deviates from 1 by 1\.000e\+00$"):
+            dynamics._checked_state(np.eye(2, dtype=complex))
         bad_herm = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-        with pytest.raises(DimerNMError):
-            QuantumState(bad_herm, (2,)).validate()
+        with pytest.raises(NumericalDriftError, match=r"^Hermiticity defect 2\.000e-01$"):
+            dynamics._checked_state(bad_herm)
         bad_pos = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(DimerNMError):
-            QuantumState(bad_pos, (2,)).validate()
+        with pytest.raises(NumericalDriftError, match=r"^negative population -5\.000e-01$"):
+            dynamics._checked_state(bad_pos)
+
+    def test_tolerances_of_the_steady_state(self):
+        # 1e-12 on the trace and Hermiticity defects, either side of it
+        dynamics._checked_state(np.diag([0.5 + 5e-13, 0.5]).astype(complex))
+        with pytest.raises(NumericalDriftError, match="^trace deviates"):
+            dynamics._checked_state(np.diag([0.5 + 2e-12, 0.5]).astype(complex))
+        skew = np.eye(2, dtype=complex) / 2.0
+        skew[0, 1] = 5e-13
+        dynamics._checked_state(skew)
+        skew[0, 1] = 2e-12
+        with pytest.raises(NumericalDriftError, match="^Hermiticity defect"):
+            dynamics._checked_state(skew)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_state_rejected(self, value):
         rho = np.eye(2, dtype=complex) / 2.0
         rho[0, 1] = value
-        with pytest.raises(NumericalDriftError):
-            QuantumState(rho, (2,)).validate()
-
-    def test_rejects_dims_mismatch(self):
-        with pytest.raises(DimensionError):
-            QuantumState(np.eye(3, dtype=complex) / 3.0, (2,))
+        with pytest.raises(NumericalDriftError, match="^trace deviates from 1 by inf$"):
+            dynamics._checked_state(rho)

@@ -386,6 +386,16 @@ class TestTraceRuns:
                 csv_text, meta.replace(f"\nobservable={o}\n", "\nobservable=both\n", 1))
         assert outputs == alone
 
+    def test_f_values_that_print_alike_rejected_before_any_run(self, integrate_calls):
+        # one CSV column per f, headed by f to 6 significant digits
+        cfg = RunConfig(experiment="evolve", f_list="0.1, 0.1000001, 0.1", t_end=0.3)
+        with pytest.raises(ConfigError, match=r"column label f=0\.1$"):
+            run_experiment(cfg)
+        assert integrate_calls == []
+        apart = run_experiment(dataclasses.replace(cfg, f_list="0.1, 0.100001"))
+        header = csv_rows(apart["evolve_inversion.csv"][0])[0]
+        assert header == ["t", "inversion_f=0.1", "inversion_f=0.100001"]
+
     def test_long_trace_stays_on_the_store_grid(self, tmp_path):
         # 33330 storage intervals of 886 steps at f = 88.58667904100822:
         # the step count's quotient rounds 4e-9 above a whole number, and
@@ -673,6 +683,14 @@ class TestCli:
     def test_missing_config_exits_two(self, capsys):
         assert cli.main(["steady", "--config", "/no/such/file.cfg"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        (tmp_path / "afile").touch()
+        out = str(tmp_path / "afile" / "x")
+        assert cli.main(["eq8check", "--f", "0.1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dimer-nm: configuration error: cannot write {out}.csv: ")
+        assert err.count("\n") == 1
 
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
         # with the modes uncoupled the steady state is not unique

@@ -1,4 +1,5 @@
-"""The density-matrix RK4 stepper adapter, and scipy staying out of import."""
+"""The density-matrix RK4 stepper on the aggregated engine, and scipy
+staying out of import."""
 
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 import dimer_nm
 from dimer_nm import kernels, opalg
-from dimer_nm.dynamics import liouvillian_matrix, rk4_transfer_matrix
+from dimer_nm.dynamics import MAX_SUPEROP_DIM, liouvillian_matrix, rk4_transfer_matrix
+from dimer_nm.errors import DimensionError
 from dimer_nm.harness import initial_state
 from dimer_nm.model import ModelParams, apply_f, build_symmetric_model
 
@@ -25,9 +27,9 @@ def run_backend(stepper, model, rho0, dt, n_steps):
 
 
 class TestBackends:
-    def test_sparse_is_the_only_backend(self):
-        assert kernels.active_backend() == "sparse"
-        assert kernels.available_backends() == {"sparse": kernels.rk4_lindblad_steps}
+    def test_aggregated_is_the_only_backend(self):
+        assert kernels.active_backend() == "aggregated"
+        assert kernels.available_backends() == {"aggregated": kernels.rk4_lindblad_steps}
 
     def test_deterministic(self):
         model = paper_model()
@@ -47,8 +49,8 @@ class TestBackends:
             assert out is not rho0
 
     def test_single_step_matches_transfer_polynomial(self):
-        # the stepper and the aggregated engine must implement the same
-        # RK4 update; one step against P(dt) vec(rho) pins that down
+        # the stepper takes the RK4 update of the transfer polynomial;
+        # one step against P(dt) vec(rho) pins that down
         model = paper_model()
         rho0 = initial_state(model)
         dt = 1e-3
@@ -57,6 +59,23 @@ class TestBackends:
         for name, stepper in kernels.available_backends().items():
             out = run_backend(stepper, model, rho0, dt, 1)
             assert np.max(np.abs(out - expect)) <= 1e-13, name
+
+    def test_many_steps_are_a_power_of_the_transfer_polynomial(self):
+        model = paper_model()
+        rho0 = initial_state(model)
+        dt = 1e-3
+        p = rk4_transfer_matrix(liouvillian_matrix(model), dt)
+        expect = opalg.unvec(np.linalg.matrix_power(p, 200) @ opalg.vec(rho0))
+        for name, stepper in kernels.available_backends().items():
+            out = run_backend(stepper, model, rho0, dt, 200)
+            assert np.max(np.abs(out - expect)) <= 1e-13, name
+
+    def test_dimension_past_the_superoperator_guard(self):
+        d = MAX_SUPEROP_DIM + 1
+        rho0 = np.eye(d, dtype=complex) / d
+        for name, stepper in kernels.available_backends().items():
+            with pytest.raises(DimensionError):
+                stepper(rho0, np.zeros((d, d), dtype=complex), [], [], 1e-3, 1)
 
     def test_no_jumps_is_unitary(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
