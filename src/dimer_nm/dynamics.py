@@ -3,7 +3,9 @@
 The master-equation generator is built in one place,
 :func:`generator_triplets`, as sparse COO triplets of the vectorized
 superoperator. :func:`liouvillian_matrix` densifies them for small
-models; the sparse consumers wrap them in scipy CSR/CSC matrices.
+models; the sparse consumers wrap them in scipy CSR/CSC matrices, and the
+sparse steady state first folds them onto the two sectors of the
+model's weak symmetry (``LindbladModel.parity``), each solved apart.
 
 Two engines, chosen by the Hilbert dimension alone (:func:`engine_for`):
 
@@ -67,12 +69,13 @@ The sparse steady-state solve (SuperLU and ARPACK), each block of the
 direct engine and the state checks and observables at the end of
 :func:`integrate` run on one BLAS thread (:func:`opalg.one_blas_thread`),
 as do the model builds. Their BLAS calls are small or bound by memory,
-so a second thread mostly spins. Measured on 2 vCPUs, three runs each,
-the d = 72 sparse steady solve took 5.4-5.7 s wall and 10.6-11.1 s CPU
-with the default threads, and 4.9-5.9 s wall and 4.9-5.9 s CPU on one;
-at d = 98 one thread costs wall time, 37 s against 33 s, for 37 s of
-CPU against 62 s. The aggregated engine keeps the default threads, as its dense products
-gain from them: with OPENBLAS_NUM_THREADS=1 a d = 18 ``nmm --model
+so a second thread mostly spins. Measured on 2 vCPUs, the d = 72 sparse
+steady solve of the full model (g2 = 2 g1, f = 0.1) took 1.9-2.5 s wall
+and 3.8-4.5 s CPU with the default threads, and 1.4 s wall and CPU on
+one (two runs each); at d = 98 it took 3.9-4.4 s wall and 7.6-8.7 s CPU
+with the default threads, and 3.0-4.5 s wall and CPU on one (five runs
+each). The aggregated engine keeps the default threads, as its dense
+products gain from them: with OPENBLAS_NUM_THREADS=1 a d = 18 ``nmm --model
 full`` run (horizon 20, eps 0.05) went from 0.11-0.12 s to 0.12-0.17 s
 wall, and a d = 32 evolve (t_end 50) from 3.8-4.2 s to 5.9-6.3 s.
 """
@@ -105,11 +108,13 @@ MAX_GRID_POINTS = 1_000_000
 _CHUNK = 128
 DEGENERACY_TOL = 1e-10
 # steady_state solves Hilbert dimensions below this densely (full SVD,
-# LAPACK solve) and from it on with a sparse LU. Measured per solve on 2
-# vCPUs, the two paths break even near d = 10 (4 ms each); at d = 18 the
-# sparse one takes 11 ms against 41 ms, at d = 32 37 ms against 0.73 s.
-# Its scipy import costs 0.3 s and 30 MB once per process, which a sweep
-# of about 15 solves repays at d = 18.
+# LAPACK solve) and from it on with one sparse LU per parity sector.
+# Measured per solve on 2 vCPUs, median of 7, the two paths break even
+# near d = 12 on the symmetric model (8-9 ms each); on the full model
+# (g2 = 2 g1, f = 0.1) the sparse one takes 13 ms at d = 18 against
+# 38 ms, and 65 ms at d = 32 against 0.66 s. Its scipy import costs
+# 0.3 s and 30 MB once per process, which a sweep of about 15 solves
+# repays at d = 18.
 SPARSE_STEADY_MIN_DIM = 18
 
 
@@ -545,19 +550,28 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
 def steady_state(model: LindbladModel) -> np.ndarray:
     """Null vector of the generator, via a trace-normalized bordered solve.
 
-    Row 0 of the generator L is replaced by the trace functional and the
-    system solved against e0, which is well posed exactly when the
-    kernel is one-dimensional. Uniqueness is always tested: the
-    second-smallest singular value sigma_{n-1} of L must clear
-    DEGENERACY_TOL, otherwise NonUniqueSteadyStateError is raised.
+    The row of vec index 0 of the generator L is replaced by the trace
+    functional and the system solved against the unit vector of that
+    row, which is well posed exactly when the kernel is one-dimensional.
+    Uniqueness is always tested: the second-smallest singular value
+    sigma_{n-1} of L must clear DEGENERACY_TOL, otherwise
+    NonUniqueSteadyStateError is raised.
 
     Below SPARSE_STEADY_MIN_DIM the dense generator gets a full SVD and a
-    LAPACK solve. From it on the bordered matrix is factored once with a
-    sparse LU, and sigma_{n-1} is the smallest singular value of the
-    deflated M = L + c y x^H: y = vec(I)/sqrt(d) is the left null vector,
-    x the normalized solution and c >= ||L||_2, so M has the singular
-    values of L with 0 replaced by c. An exactly singular bordered
-    matrix means a degenerate kernel and raises
+    LAPACK solve. From it on L is split by the model's parity Pi: S =
+    Pi (x) Pi commutes with L, so in orthonormal bases of S's even and
+    odd sectors (:func:`_sectors`) L is L_even (+) L_odd, and its
+    singular values are those of the two blocks together. vec(I) is
+    even, and so are the trace functional and the steady state. The
+    bordered L_even is factored once with a sparse LU and solved, and
+    L_odd is factored once too. sigma_{n-1} is the smaller of two
+    smallest singular values, each from ARPACK on an inverse: that of
+    L_odd, and that of the deflated M = L_even + c y x^H, y the unit
+    left null vector vec(I)/sqrt(d) in the sector basis, x the
+    normalized solution and c >= ||L_even||_2, which has the singular
+    values of L_even with 0 replaced by c. A model with parity None is
+    one sector, the whole space, solved from L's own triplets. An
+    exactly singular factor means a degenerate kernel and raises
     NonUniqueSteadyStateError too; a solve that misses opalg's residual
     bound, or a generator with a non-finite entry, raises
     SingularSystemError.
@@ -603,45 +617,94 @@ def _steady_vec_dense(model):
     return opalg.solve_linear(a, b)
 
 
+def _sectors(d, parity):
+    """The even and the odd sector of S = Pi (x) Pi on vec(rho), Pi =
+    parity, each in an orthonormal basis.
+
+    S maps e_k, k = i + d j, to t_k e_(q_k), with q_k = perm[i] + d
+    perm[j] and t_k = sign[i] sign[j]. A fixed index k = q_k spans
+    sector t_k alone, and a pair k < q_k spans (e_k + t_k e_q) / sqrt(2)
+    in the even and (e_k - t_k e_q) / sqrt(2) in the odd one. A sector
+    is (pos, sgn, weight, n): e_k has component sgn[k] sqrt(weight[k])
+    on basis vector pos[k] of the n, pos[k] = -1 where it has none;
+    weight is 1 for a fixed index and 0.5 for a paired one, so the
+    product of two components, sgn sgn' sqrt(weight weight'), is exact
+    wherever it can be. Basis vectors are numbered by their smallest
+    index. parity None is the identity: the whole space is one even
+    sector, and the odd one is empty.
+    """
+    n = d * d
+    perm, sign = (np.arange(d), np.ones(d)) if parity is None else parity
+    k = np.arange(n)
+    i, j = k % d, k // d
+    q, t = perm[i] + d * perm[j], sign[i] * sign[j]
+    paired = q != k
+    weight = np.where(paired, 0.5, 1.0)
+    sectors = []
+    for s in (1.0, -1.0):
+        first = (k < q) | (~paired & (t == s))
+        pos = np.full(n, -1)
+        pos[first] = np.arange(np.count_nonzero(first))
+        pos[q[first]] = pos[first]
+        sgn = np.ones(n)
+        sgn[q[first & paired]] = s * t[first & paired]
+        sectors.append((pos, sgn, weight, int(np.count_nonzero(first))))
+    return sectors
+
+
+def _fold(rows, cols, vals, sector):
+    """The triplets of Q^T L Q, Q the orthonormal basis of one sector of
+    :func:`_sectors` and L the generator of triplets (rows, cols, vals)."""
+    pos, sgn, weight, _ = sector
+    r, c = pos[rows], pos[cols]
+    inside = (r >= 0) & (c >= 0)
+    scale = sgn[rows] * sgn[cols] * np.sqrt(weight[rows] * weight[cols])
+    return r[inside], c[inside], (scale * vals)[inside]
+
+
 def _steady_vec_sparse(model):
     from scipy import sparse
-    from scipy.sparse.linalg import ArpackError, LinearOperator, splu, svds
 
     d = model.dim
-    n = d * d
-    rows, cols, vals = generator_triplets(model.h_eff, model.jumps)
-    trace_cols = np.arange(d) * (d + 1)  # vec(I) is 1 exactly there
-    # bordered matrix B = L with row 0 replaced by vec(I)^H
-    keep = rows != 0
+    triplets = generator_triplets(model.h_eff, model.jumps)
+    even, odd = _sectors(d, model.parity)
+    pos, sgn, weight, n = even
+    coef = sgn * np.sqrt(weight)
+    rows, cols, vals = _fold(*triplets, even)
+    # vec(I) is even, as is the steady state: y = Q^T vec(I), and the
+    # bordered matrix B is L_even with row r0, vec index 0's, replaced
+    # by y^H
+    trace_vec = np.arange(d) * (d + 1)  # vec(I) is 1 exactly there
+    y = np.zeros(n)
+    np.add.at(y, pos[trace_vec], coef[trace_vec])
+    trace_cols = np.flatnonzero(y)
+    r0 = pos[0]
+    keep = rows != r0
     bordered = sparse.csc_matrix((
-        np.concatenate([vals[keep], np.ones(d)]),
-        (np.concatenate([rows[keep], np.zeros(d, dtype=rows.dtype)]),
+        np.concatenate([vals[keep], y[trace_cols]]),
+        (np.concatenate([rows[keep], np.full(trace_cols.size, r0)]),
          np.concatenate([cols[keep], trace_cols])),
     ), shape=(n, n))
-    try:
-        lu = splu(bordered, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NonUniqueSteadyStateError(
-            f"bordered generator is exactly singular ({exc}); "
-            "the steady state is not unique"
-        ) from exc
+    lu = _sector_lu(bordered, "bordered even-sector")
     e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
+    e0[r0] = 1.0
     x = lu.solve(e0)
     opalg.check_residual(bordered, x, e0, a_norm=np.linalg.norm(bordered.data))
 
-    # M = L + c y x^H = B + U V with U = [-e0, c y], V = [w; x^H] and
-    # w = vec(I)^H - L[0, :], so M^-1 and M^-H follow from the LU of B
-    # by Woodbury. Row and column sums of |vals| bound ||L||_inf and
-    # ||L||_1, and c = sqrt(||L||_1 ||L||_inf) >= ||L||_2.
+    # M = L_even + c y' x^H, y' = y / sqrt(d) the unit left null vector
+    # and x normalized, has the singular values of L_even with 0
+    # replaced by c. M = B + U V with U = [-e0, c y'], V = [w; x^H] and
+    # w = y^H - L_even[r0, :], so M^-1 and M^-H follow from the LU of B
+    # by Woodbury. Row and column sums of |vals| bound ||L_even||_inf and
+    # ||L_even||_1, and c = sqrt(||L_even||_1 ||L_even||_inf) >=
+    # ||L_even||_2.
     xh = x / np.linalg.norm(x)
     c = math.sqrt(np.bincount(rows, np.abs(vals), n).max()
                   * np.bincount(cols, np.abs(vals), n).max())
     u = np.zeros((n, 2), dtype=complex)
-    u[0, 0] = -1.0
-    u[trace_cols, 1] = c / math.sqrt(d)
-    w = np.zeros(n, dtype=complex)
-    w[trace_cols] = 1.0
+    u[r0, 0] = -1.0
+    u[trace_cols, 1] = c * y[trace_cols] / math.sqrt(d)
+    w = y.astype(complex)
     np.subtract.at(w, cols[~keep], vals[~keep])
     v = np.stack([w, xh.conj()])
     z = lu.solve(u)
@@ -649,20 +712,54 @@ def _steady_vec_sparse(model):
     cap = np.eye(2) + v @ z
 
     def m_inv(r):
-        s = lu.solve(np.asarray(r, dtype=complex).ravel())
+        s = lu.solve(r)
         return s - z @ np.linalg.solve(cap, v @ s)
 
     def m_inv_h(r):
-        s = lu.solve(np.asarray(r, dtype=complex).ravel(), trans="H")
+        s = lu.solve(r, trans="H")
         return s - zh @ np.linalg.solve(cap.conj().T, u.conj().T @ s)
 
-    op = LinearOperator((n, n), matvec=m_inv, rmatvec=m_inv_h, dtype=complex)
+    sigma = _sigma_min(n, m_inv, m_inv_h)
+    # the odd sector holds no trace, so L_odd is nonsingular exactly when
+    # the steady state is unique, and its smallest singular value is the
+    # other candidate for sigma_{n-1} of L
+    n_odd = odd[-1]
+    if n_odd:
+        o_rows, o_cols, o_vals = _fold(*triplets, odd)
+        lu_odd = _sector_lu(sparse.csc_matrix((o_vals, (o_rows, o_cols)), shape=(n_odd, n_odd)),
+                            "odd-sector")
+        sigma = min(sigma, _sigma_min(n_odd, lu_odd.solve,
+                                      lambda r: lu_odd.solve(r, trans="H")))
+    if sigma < DEGENERACY_TOL:
+        raise _non_unique(sigma)
+    return np.where(pos >= 0, coef * x[pos], 0.0)
+
+
+def _sector_lu(a, name):
+    """SuperLU factors of a, the generator that name describes;
+    NonUniqueSteadyStateError when a is exactly singular."""
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(a, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NonUniqueSteadyStateError(
+            f"{name} generator is exactly singular ({exc}); "
+            "the steady state is not unique"
+        ) from exc
+
+
+def _sigma_min(n, solve, solve_h):
+    """Smallest singular value of an n x n matrix M, one over the largest
+    of M^-1, by ARPACK from solve: r -> M^-1 r and solve_h: r -> M^-H r."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, svds
+
+    op = LinearOperator((n, n), matvec=lambda r: solve(np.asarray(r, dtype=complex).ravel()),
+                        rmatvec=lambda r: solve_h(np.asarray(r, dtype=complex).ravel()),
+                        dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed: reproducible
     try:
         top = svds(op, k=1, v0=v0, return_singular_vectors=False)[0]
     except ArpackError as exc:
         raise DimerNMError(f"uniqueness test did not converge: {exc}") from exc
-    sigma = 1.0 / top
-    if sigma < DEGENERACY_TOL:
-        raise _non_unique(sigma)
-    return x
+    return 1.0 / top

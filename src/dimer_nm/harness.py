@@ -220,7 +220,12 @@ def _parse_float_list(raw: str, what: str):
 
 
 def resolve_f_values(cfg: RunConfig):
-    """Sorted ascending f grid from either the explicit list or the range."""
+    """Sorted ascending f grid from either the explicit list or the range.
+
+    A repeated f would run twice, so it is a ConfigError. evolve heads
+    each column with its f to 6 significant digits (:func:`_f_label`),
+    so its values must differ in that label too.
+    """
     listed = bool(cfg.f_list.strip())
     fs = _parse_float_list(cfg.f_list, "f") if listed else [cfg.f_min, cfg.f_max]
     if not all(0.0 < f < math.inf for f in fs):  # nan fails too
@@ -228,7 +233,14 @@ def resolve_f_values(cfg: RunConfig):
     if not listed:
         space = np.geomspace if cfg.log_spaced else np.linspace
         fs = list(space(cfg.f_min, cfg.f_max, cfg.n_points))
-    return sorted(fs)
+    fs = sorted(fs)
+    # sorted, so values that are or print alike are neighbours
+    for a, b in zip(fs, fs[1:]):
+        if cfg.experiment == "evolve" and _f_label(a) == _f_label(b):
+            raise ConfigError(f"two f values share the column label f={_f_label(a)}")
+        if a == b:
+            raise ConfigError(f"f value {float(a)!r} is repeated")
+    return fs
 
 
 def base_params(cfg: RunConfig) -> ModelParams:
@@ -349,11 +361,7 @@ def _traces(cfg: RunConfig, observables):
     """
     keys = tuple(_OBS_KEY[o] for o in observables)
     fs = resolve_f_values(cfg)
-    # fs is sorted, so values that print alike are neighbours
     labels = [_f_label(f) for f in fs]
-    for a, b in zip(labels, labels[1:]):
-        if a == b:
-            raise ConfigError(f"two f values share the column label f={a}")
     times, results = _trace_runs(cfg, [(model_for(cfg, f), BASE_DT) for f in fs], keys)
 
     outputs = {}

@@ -15,7 +15,9 @@ mode; the hierarchy of models built here:
 All four are one system seen with two local modes, one mode or none:
 each names its sector Hamiltonian, its sector jumps and, per mode,
 (Omega, kappa, sector coupling operator), and ``_with_modes`` alone
-builds a model from them, refusing one above MAX_HILBERT_DIM. The two
+builds a model from them, refusing one above MAX_HILBERT_DIM. It also
+declares the model's weak symmetry, when it has one: the site exchange
+times the parity of every mode (``LindbladModel.parity``). The two
 one-mode models are one construction, ``_one_mode``, with the sector in
 the delocalized basis and the mode coupled through g sigma_x: the
 symmetric model is its case g = sqrt(2) g1 and the global-mode model its
@@ -49,6 +51,14 @@ DELOCALIZE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 # site-1 population on the sector, sigma_z of site 1 = diag(-1, +1); site 2's is -_SZ1
 _SZ1 = np.diag([-1.0, 1.0]).astype(complex)
+
+# the site exchange X in each sector basis as (perm, sign), X |i> =
+# sign[i] |perm[i]>: sigma_x swaps [|01>, |10>], and sigma_z = diag(1, -1)
+# keeps the symmetric |u> of [|u>, |d>] and flips the antisymmetric |d>
+_EXCHANGE = {
+    SITE_BASIS: (np.array([1, 0]), np.array([1.0, 1.0])),
+    DELOCALIZED_BASIS: (np.array([0, 1]), np.array([1.0, -1.0])),
+}
 
 # largest Hilbert dimension 2 * n_fock**modes a builder accepts: the full
 # model at n_fock = 8. There generator_triplets holds 204,800 triplets
@@ -144,6 +154,11 @@ class LindbladModel:
     # dark in its thermal state, so each local oscillator holds
     # mode_weight <n> + (1 - mode_weight) n_th quanta.
     mode_weight: float = 1.0
+    # a weak symmetry Pi of the generator, [L, Pi (x) Pi] = 0, as a signed
+    # permutation (perm, sign) of the Hilbert basis, Pi |i> = sign[i]
+    # |perm[i]> with Pi^2 = 1; None when the model declares none. The
+    # sparse steady state solves its two sectors apart.
+    parity: tuple = None
 
     def __post_init__(self):
         d = int(np.prod(self.dims))
@@ -158,6 +173,8 @@ class LindbladModel:
                 raise DimerNMError(f"jump rate must be non-negative, got {rate}")
         if self.basis not in (SITE_BASIS, DELOCALIZED_BASIS):
             raise DimerNMError(f"unknown basis tag {self.basis!r}")
+        if self.parity is not None and any(np.shape(a) != (d,) for a in self.parity):
+            raise DimensionError(f"parity arrays do not match dims {self.dims}")
 
     @property
     def dim(self) -> int:
@@ -192,6 +209,14 @@ def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float 
     at n_th > 0) and the 2 x 2 sector operator c that couples to the
     quadrature a + a^dag. ``sector_jumps`` are (2 x 2 operator, rate)
     pairs on the sector itself. dims = (2, n_fock, ...).
+
+    The model declares Pi = X (x) (-1)^(n_1 + n_2 + ...), X the site
+    exchange of ``basis`` (_EXCHANGE), as its ``parity`` when exact
+    comparisons show that X commutes with sector_h, anticommutes with
+    every mode's c and maps every sector jump to plus or minus itself.
+    Pi then commutes with h_eff and maps each jump to minus or plus
+    itself, for any Omega, kappa and n_th, so Pi (x) Pi commutes with
+    the generator (Buca & Prosen, NJP 14, 073007 (2012)).
     """
     dims = (2,) + (p.n_fock,) * len(modes)
     if not math.prod(dims) <= MAX_HILBERT_DIM:  # before any operator is allocated; nan fails too
@@ -219,7 +244,28 @@ def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float 
         return LindbladModel(
             h_eff=h - 0.5j * shift, jumps=tuple(jumps), dims=dims,
             basis=basis, n_th=p.n_th, mode_weight=mode_weight,
+            parity=_exchange_parity(basis, sector_h, modes, sector_jumps, dims),
         )
+
+
+def _exchange_parity(basis, sector_h, modes, sector_jumps, dims):
+    """(perm, sign) of X (x) (-1)^(n_1 + n_2 + ...) on the Hilbert basis
+    of dims, or None unless X, the site exchange of basis, commutes with
+    sector_h, anticommutes with every mode coupling and maps every sector
+    jump to plus or minus itself, each compared exactly."""
+    perm, sign = _EXCHANGE[basis]
+    x = np.zeros((2, 2), dtype=complex)
+    x[perm, [0, 1]] = sign
+    symmetric = (np.array_equal(x @ sector_h, sector_h @ x)
+                 and all(np.array_equal(x @ c, -(c @ x)) for _, _, c in modes)
+                 and all(any(np.array_equal(x @ j @ x, s * j) for s in (1, -1))
+                         for j, _ in sector_jumps))
+    if not symmetric:
+        return None
+    rest = math.prod(dims[1:])
+    for n in dims[1:]:
+        sign = np.kron(sign, (-1.0) ** np.arange(n))
+    return (perm[:, None] * rest + np.arange(rest)).ravel(), sign
 
 
 def _one_mode(p: ModelParams, g: float, mode_weight: float = 1.0) -> LindbladModel:

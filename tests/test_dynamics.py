@@ -62,9 +62,9 @@ def symmetric_model(f, **kwargs):
     return build_symmetric_model(apply_f(f, ModelParams.symmetric(**kwargs)))
 
 
-def asymmetric_full_model(n_fock, f=0.1, g1=None):
+def asymmetric_full_model(n_fock, f=0.1, g1=None, n_th=0.0):
     """Full model with g2 = 2 g1, dims (2, n_fock, n_fock)."""
-    p = ModelParams.symmetric(n_fock=n_fock)
+    p = ModelParams.symmetric(n_fock=n_fock, n_th=n_th)
     g1 = p.g1 if g1 is None else g1
     return build_full_model(apply_f(f, dataclasses.replace(p, g1=g1, g2=2.0 * g1)))
 
@@ -794,12 +794,24 @@ class TestSteadyState:
         assert np.linalg.eigvalsh(ss).min() >= -1e-8
 
 
+# the models test_deflated_sigma_matches_dense_svd checks, by the ids it
+# gives them: a Hilbert dimension or a name, and each model at f
+SIGMA_MODELS = {
+    6: lambda f: symmetric_model(f),
+    18: lambda f: asymmetric_full_model(3, f),
+    32: lambda f: asymmetric_full_model(4, f),
+    # a diagonal parity, which splits vec(rho) without pairing entries
+    "symmetric_d18": lambda f: symmetric_model(f, n_fock=9),
+    "thermal_d18": lambda f: asymmetric_full_model(3, f, n_th=0.2),
+}
+
+
 class TestSparseSteadyState:
     @pytest.mark.parametrize("f", [0.01, 0.1, 1.0])
-    @pytest.mark.parametrize("dim", [6, 18, 32])
-    def test_deflated_sigma_matches_dense_svd(self, monkeypatch, dim, f):
-        m = symmetric_model(f) if dim == 6 else asymmetric_full_model({18: 3, 32: 4}[dim], f)
-        assert m.dim == dim
+    @pytest.mark.parametrize("case", list(SIGMA_MODELS))
+    def test_deflated_sigma_matches_dense_svd(self, monkeypatch, case, f):
+        m = SIGMA_MODELS[case](f)
+        assert m.parity is not None
         sigma = np.linalg.svd(liouvillian_matrix(m), compute_uv=False)[-2]
         monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_SPARSE)
         # the sparse sigma_{n-1} lies within 1e-8 relative of the dense one
@@ -808,6 +820,31 @@ class TestSparseSteadyState:
         steady_state(m)
         monkeypatch.setattr(dynamics, "DEGENERACY_TOL", sigma * (1.0 + 1e-8))
         with pytest.raises(NonUniqueSteadyStateError):
+            steady_state(m)
+
+    @pytest.mark.parametrize("n_fock", [3, 4], ids=["d18", "d32"])
+    def test_two_sectors_match_one(self, n_fock):
+        m = asymmetric_full_model(n_fock)
+        assert m.dim >= dynamics.SPARSE_STEADY_MIN_DIM and m.parity is not None
+        whole = steady_state(dataclasses.replace(m, parity=None))
+        assert np.max(np.abs(steady_state(m) - whole)) <= 1e-12
+
+    def test_odd_second_null_vector_is_non_unique(self):
+        # a site-basis sector dephased by sigma_z, with no Hamiltonian,
+        # next to a damped mode it does not couple to: the identity and
+        # sigma_z on the sector, each times the mode's vacuum, are both
+        # stationary. The first is even under the exchange parity and
+        # the second odd, so the even sector alone finds one null vector
+        dims = (2, 9)
+        sz = opalg.embed(np.diag([-1.0, 1.0]), 0, dims)
+        a = opalg.embed(opalg.make_destroy(9), 1, dims)
+        jumps = ((sz, 0.1), (a, 4.0))
+        h_eff = 2.0 * a.conj().T @ a - 0.5j * sum(r * op.conj().T @ op for op, r in jumps)
+        sign = np.kron([1.0, 1.0], (-1.0) ** np.arange(9))
+        m = LindbladModel(h_eff=h_eff, jumps=jumps, dims=dims, basis=model_module.SITE_BASIS,
+                          parity=(np.r_[9:18, 0:9], sign))
+        assert m.dim >= dynamics.SPARSE_STEADY_MIN_DIM
+        with pytest.raises(NonUniqueSteadyStateError, match="^odd-sector generator"):
             steady_state(m)
 
     @pytest.mark.parametrize("n_fock", [None, 3], ids=["symmetric_d6", "full_d18"])

@@ -283,6 +283,29 @@ class TestFValues:
             with pytest.raises(ConfigError, match="finite and positive"):
                 resolve_f_values(cfg)
 
+    @pytest.mark.parametrize("experiment", ["steady", "nmm", "sweep", "eq8check", "convergence"])
+    def test_repeated_f_exits_two_before_any_run(self, experiment, tmp_path, capsys,
+                                                 monkeypatch):
+        # a repeated f would be computed twice and written as two rows
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started for a repeated f")
+
+        for name in ("steady_state", "nm_sweep", "_trace_runs"):
+            monkeypatch.setattr(harness, name, no_run)
+        path = tmp_path / "dup.cfg"
+        path.write_text("f_list = 0.1,0.1\n")
+        out = str(tmp_path / "run")
+        assert cli.main([experiment, "--config", str(path), "--out", out]) == 2
+        assert "configuration error: f value 0.1 is repeated" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["dup.cfg"]
+
+    def test_repeated_f_of_a_range_rejected(self):
+        with pytest.raises(ConfigError, match="f value 0.5 is repeated"):
+            resolve_f_values(RunConfig(experiment="steady", f_list="", f_min=0.5, f_max=0.5,
+                                       n_points=3))
+        assert resolve_f_values(RunConfig(experiment="steady", f_list="", f_min=0.5, f_max=0.5,
+                                          n_points=1)) == [0.5]
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("argv", [["eq8check"], ["nmm", "--horizon", "2", "--eps", "0.1"]],
                              ids=["eq8check", "nmm"])

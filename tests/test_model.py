@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dimer_nm import opalg
-from dimer_nm.dynamics import integrate
+from dimer_nm.dynamics import integrate, liouvillian_matrix
 from dimer_nm.entanglement import basis_change, reduce_to_dimer
-from dimer_nm.errors import ConfigError, DimerNMError
+from dimer_nm.errors import ConfigError, DimensionError, DimerNMError
 from dimer_nm.harness import initial_state
 from dimer_nm.model import (
     DELOCALIZE,
@@ -300,6 +300,60 @@ class TestEnvironmentStates:
     def test_environment_of_sector_model(self):
         m = build_markovian_dephasing_model(0.1, ModelParams.symmetric())
         assert environment_state(m).shape == (1, 1)
+
+
+def parity_builds(n_th):
+    """{name: model} of every builder that declares the exchange parity,
+    at n_fock = 3, f = 0.1 and n_th, and of the full model with unequal
+    modes."""
+    p = apply_f(0.1, ModelParams.symmetric(n_fock=3, n_th=n_th))
+    unequal = replace(p, g2=2.0 * p.g1)
+    return {
+        "symmetric": build_symmetric_model(p),
+        "full": build_full_model(unequal),
+        "global": build_global_mode_model(unequal),
+        "markovian": build_markovian_dephasing_model(0.1, p),
+        "full_unequal_modes": build_full_model(
+            replace(unequal, kappa2=2.0 * p.kappa1, Omega2=3.0)),
+    }
+
+
+class TestParity:
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    def test_generator_commutes_exactly(self, n_th):
+        for name, m in parity_builds(n_th).items():
+            perm, sign = m.parity
+            pi = np.zeros((m.dim, m.dim))
+            pi[perm, np.arange(m.dim)] = sign
+            assert np.array_equal(pi @ pi, np.eye(m.dim)), name
+            s = np.kron(pi, pi)
+            lmat = liouvillian_matrix(m)
+            assert np.abs(lmat @ s - s @ lmat).max() == 0.0, name
+
+    def test_sector_parities(self):
+        models = parity_builds(0.0)
+        # the site exchange swaps the site basis and flips |d> of the
+        # delocalized one; each mode adds its number parity
+        perm, sign = models["full"].parity
+        assert np.array_equal(perm, np.r_[9:18, 0:9])
+        assert np.array_equal(sign[:9], [1, -1, 1, -1, 1, -1, 1, -1, 1])
+        assert np.array_equal(sign[9:], sign[:9])
+        perm, sign = models["symmetric"].parity
+        assert np.array_equal(perm, np.arange(6))
+        assert np.array_equal(sign, [1, -1, 1, -1, 1, -1])
+        perm, sign = models["markovian"].parity
+        assert (list(perm), list(sign)) == ([1, 0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("build", [build_full_model, build_global_mode_model])
+    def test_unequal_sites_declare_none(self, build):
+        p = apply_f(0.1, ModelParams.symmetric(n_fock=3))
+        assert build(replace(p, omega1=0.3)).parity is None
+        assert build(p).parity is not None
+
+    def test_rejects_parity_of_another_dimension(self):
+        m = build_markovian_dephasing_model(0.1, ModelParams.symmetric())
+        with pytest.raises(DimensionError):
+            replace(m, parity=(np.arange(3), np.ones(3)))
 
 
 class TestParamValidation:
