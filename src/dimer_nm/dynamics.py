@@ -5,7 +5,10 @@ The master-equation generator is built in one place,
 superoperator. :func:`liouvillian_matrix` densifies them for small
 models; the sparse consumers wrap them in scipy CSR/CSC matrices, and the
 sparse steady state first folds them onto the two sectors of the
-model's weak symmetry (``LindbladModel.parity``), each solved apart.
+model's weak symmetry (``LindbladModel.parity``), each solved apart. Its
+uniqueness test is sigma_{n-1}(L) = 1 / max over sectors s of
+||L_s^+||_2, the even sector's pseudo-inverse taken by a projected
+solve with the LU of its trace-bordered matrix (:func:`steady_state`).
 
 Two engines, chosen by the Hilbert dimension alone (:func:`engine_for`):
 
@@ -564,12 +567,13 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     singular values are those of the two blocks together. vec(I) is
     even, and so are the trace functional and the steady state. The
     bordered L_even is factored once with a sparse LU and solved, and
-    L_odd is factored once too. sigma_{n-1} is the smaller of two
-    smallest singular values, each from ARPACK on an inverse: that of
-    L_odd, and that of the deflated M = L_even + c y x^H, y the unit
-    left null vector vec(I)/sqrt(d) in the sector basis, x the
-    normalized solution and c >= ||L_even||_2, which has the singular
-    values of L_even with 0 replaced by c. A model with parity None is
+    L_odd is factored once too. The rule is sigma_{n-1}(L) = 1 / max over
+    sectors s of ||L_s^+||_2, each norm from :func:`_sigma_min` (ARPACK,
+    or the dense L_s^+ of a sector of size 2 or less). L_odd^+ is
+    L_odd^-1, and L_even^+ = P_x B^-1 Z P_y is the projected bordered
+    solve: B the bordered L_even, Z zeroing the bordered row, y the unit
+    left null vector vec(I)/sqrt(d) in the sector basis, x the normalized
+    solution and P_v = 1 - v v^H. A model with parity None is
     one sector, the whole space, solved from L's own triplets. An
     exactly singular factor means a degenerate kernel and raises
     NonUniqueSteadyStateError too; a solve that misses opalg's residual
@@ -691,35 +695,28 @@ def _steady_vec_sparse(model):
     x = lu.solve(e0)
     opalg.check_residual(bordered, x, e0, a_norm=np.linalg.norm(bordered.data))
 
-    # M = L_even + c y' x^H, y' = y / sqrt(d) the unit left null vector
-    # and x normalized, has the singular values of L_even with 0
-    # replaced by c. M = B + U V with U = [-e0, c y'], V = [w; x^H] and
-    # w = y^H - L_even[r0, :], so M^-1 and M^-H follow from the LU of B
-    # by Woodbury. Row and column sums of |vals| bound ||L_even||_inf and
-    # ||L_even||_1, and c = sqrt(||L_even||_1 ||L_even||_inf) >=
-    # ||L_even||_2.
-    xh = x / np.linalg.norm(x)
-    c = math.sqrt(np.bincount(rows, np.abs(vals), n).max()
-                  * np.bincount(cols, np.abs(vals), n).max())
-    u = np.zeros((n, 2), dtype=complex)
-    u[r0, 0] = -1.0
-    u[trace_cols, 1] = c * y[trace_cols] / math.sqrt(d)
-    w = y.astype(complex)
-    np.subtract.at(w, cols[~keep], vals[~keep])
-    v = np.stack([w, xh.conj()])
-    z = lu.solve(u)
-    zh = lu.solve(np.ascontiguousarray(v.conj().T), trans="H")
-    cap = np.eye(2) + v @ z
+    # L_even's pseudo-inverse from the LU of B: row r0 of L_even is
+    # -(1/y_r0) sum_{i != r0} y_i row i (y_r0 != 0, as vec index 0 is a
+    # diagonal entry), so for r orthogonal to y, B s = Z r (Z zeroing
+    # entry r0) solves L_even s = r, and projecting s off the null vector
+    # x gives L_even^+ r = P_x B^-1 Z P_y r, P_v = 1 - v v^H for unit v.
+    # Its largest singular value is 1 / sigma_{n-1}(L_even).
+    yh, xh = y / math.sqrt(d), x / np.linalg.norm(x)
 
-    def m_inv(r):
-        s = lu.solve(r)
-        return s - z @ np.linalg.solve(cap, v @ s)
+    def off(v, r):
+        return r - v * (v.conj() @ r)
 
-    def m_inv_h(r):
-        s = lu.solve(r, trans="H")
-        return s - zh @ np.linalg.solve(cap.conj().T, u.conj().T @ s)
+    def pinv(r):
+        s = off(yh, r)
+        s[r0] = 0.0
+        return off(xh, lu.solve(s))
 
-    sigma = _sigma_min(n, m_inv, m_inv_h)
+    def pinv_h(r):
+        s = lu.solve(off(xh, r), trans="H")
+        s[r0] = 0.0
+        return off(yh, s)
+
+    sigma = _sigma_min(n, pinv, pinv_h)
     # the odd sector holds no trace, so L_odd is nonsingular exactly when
     # the steady state is unique, and its smallest singular value is the
     # other candidate for sigma_{n-1} of L
@@ -750,13 +747,17 @@ def _sector_lu(a, name):
 
 
 def _sigma_min(n, solve, solve_h):
-    """Smallest singular value of an n x n matrix M, one over the largest
-    of M^-1, by ARPACK from solve: r -> M^-1 r and solve_h: r -> M^-H r."""
+    """Smallest nonzero singular value of an n x n matrix M, one over the
+    largest of its (pseudo-)inverse, given solve: r -> M^+ r and solve_h:
+    r -> (M^+)^H r. ARPACK takes it for n > 2; a smaller M, below ARPACK's
+    smallest problem, takes the norm of M^+ from its n columns."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
     op = LinearOperator((n, n), matvec=lambda r: solve(np.asarray(r, dtype=complex).ravel()),
                         rmatvec=lambda r: solve_h(np.asarray(r, dtype=complex).ravel()),
                         dtype=complex)
+    if n <= 2:
+        return 1.0 / np.linalg.norm(op.matmat(np.eye(n)), 2)
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed: reproducible
     try:
         top = svds(op, k=1, v0=v0, return_singular_vectors=False)[0]

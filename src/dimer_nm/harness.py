@@ -118,7 +118,8 @@ class RunConfig:
                 raise ConfigError(f"fock_list: {exc}") from exc
         # the memory measure's default horizon is 20 / gamma_eff, every
         # sampled run's grid is capped (grid_steps), and the closed form
-        # holds for the symmetric model with identical sites and modes only
+        # holds for the symmetric model with identical sites and modes, at
+        # zero temperature, only
         if self.experiment in ("nmm", "sweep") and self.horizon == 0 and gamma_eff_of(self) == 0:
             raise ConfigError("horizon must be set when gamma_eff = 0; "
                               "its default is 20 / gamma_eff")
@@ -132,6 +133,8 @@ class RunConfig:
             raise ConfigError(f"eq8check runs the symmetric model only, got {self.model!r}")
         if self.experiment == "eq8check" and not base_params(self).is_symmetric:
             raise ConfigError("eq8check requires symmetric parameters")
+        if self.experiment == "eq8check" and self.n_th > 0:
+            raise ConfigError(f"eq8check requires zero temperature, got n_th = {self.n_th!r}")
 
 
 # (key, lower bound, whether the bound itself is allowed); horizon = 0

@@ -331,7 +331,8 @@ def build_markovian_dephasing_model(gamma_eff: float, p: ModelParams) -> Lindbla
 
 
 def steady_state_dd_closed_form(p: ModelParams) -> float:
-    """Two-level-mode estimate of the steady singlet population.
+    """Two-level-mode estimate of the steady singlet population at zero
+    temperature (n_th = 0, which it does not read).
 
     rho_dd = (4 g^2 + kappa^2 + (2J + Omega)^2)
              / (2 (4 g^2 + kappa^2 + 4 J^2 + Omega^2))

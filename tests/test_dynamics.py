@@ -39,6 +39,7 @@ from dimer_nm.model import (
     ModelParams,
     apply_f,
     build_full_model,
+    build_global_mode_model,
     build_markovian_dephasing_model,
     build_symmetric_model,
 )
@@ -62,11 +63,12 @@ def symmetric_model(f, **kwargs):
     return build_symmetric_model(apply_f(f, ModelParams.symmetric(**kwargs)))
 
 
-def asymmetric_full_model(n_fock, f=0.1, g1=None, n_th=0.0):
-    """Full model with g2 = 2 g1, dims (2, n_fock, n_fock)."""
-    p = ModelParams.symmetric(n_fock=n_fock, n_th=n_th)
+def asymmetric_full_model(n_fock, f=0.1, g1=None, **kwargs):
+    """Full model with g2 = 2 g1, dims (2, n_fock, n_fock); kwargs replace
+    further parameters."""
+    p = ModelParams.symmetric(n_fock=n_fock)
     g1 = p.g1 if g1 is None else g1
-    return build_full_model(apply_f(f, dataclasses.replace(p, g1=g1, g2=2.0 * g1)))
+    return build_full_model(apply_f(f, dataclasses.replace(p, g1=g1, g2=2.0 * g1, **kwargs)))
 
 
 def kron_generator(model):
@@ -795,14 +797,17 @@ class TestSteadyState:
 
 
 # the models test_deflated_sigma_matches_dense_svd checks, by the ids it
-# gives them: a Hilbert dimension or a name, and each model at f
+# gives them: a Hilbert dimension or a name, each model at f and whether
+# it declares a parity
 SIGMA_MODELS = {
-    6: lambda f: symmetric_model(f),
-    18: lambda f: asymmetric_full_model(3, f),
-    32: lambda f: asymmetric_full_model(4, f),
+    6: (lambda f: symmetric_model(f), True),
+    18: (lambda f: asymmetric_full_model(3, f), True),
+    32: (lambda f: asymmetric_full_model(4, f), True),
     # a diagonal parity, which splits vec(rho) without pairing entries
-    "symmetric_d18": lambda f: symmetric_model(f, n_fock=9),
-    "thermal_d18": lambda f: asymmetric_full_model(3, f, n_th=0.2),
+    "symmetric_d18": (lambda f: symmetric_model(f, n_fock=9), True),
+    "thermal_d18": (lambda f: asymmetric_full_model(3, f, n_th=0.2), True),
+    # unequal site energies break the exchange parity: one sector
+    "detuned_d18": (lambda f: asymmetric_full_model(3, f, omega1=0.3), False),
 }
 
 
@@ -810,8 +815,10 @@ class TestSparseSteadyState:
     @pytest.mark.parametrize("f", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("case", list(SIGMA_MODELS))
     def test_deflated_sigma_matches_dense_svd(self, monkeypatch, case, f):
-        m = SIGMA_MODELS[case](f)
-        assert m.parity is not None
+        # sigma_{n-1} from the sector pseudo-inverses against the dense SVD
+        build, has_parity = SIGMA_MODELS[case]
+        m = build(f)
+        assert (m.parity is not None) == has_parity
         sigma = np.linalg.svd(liouvillian_matrix(m), compute_uv=False)[-2]
         monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_SPARSE)
         # the sparse sigma_{n-1} lies within 1e-8 relative of the dense one
@@ -847,9 +854,18 @@ class TestSparseSteadyState:
         with pytest.raises(NonUniqueSteadyStateError, match="^odd-sector generator"):
             steady_state(m)
 
-    @pytest.mark.parametrize("n_fock", [None, 3], ids=["symmetric_d6", "full_d18"])
-    def test_matches_dense_path(self, monkeypatch, n_fock):
-        m = symmetric_model(0.1) if n_fock is None else asymmetric_full_model(n_fock)
+    # the d = 2 baseline's sectors of 2 lie below ARPACK's smallest
+    # problem, so their norms come from the dense pseudo-inverses
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_model(0.1),
+        lambda: asymmetric_full_model(3),
+        lambda: build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric()),
+        lambda: symmetric_model(0.1, n_fock=2),
+        lambda: build_global_mode_model(apply_f(0.1, dataclasses.replace(
+            ModelParams.symmetric(), g2=2.0))),
+    ], ids=["symmetric_d6", "full_d18", "markovian_d2", "symmetric_d4", "global_d6"])
+    def test_matches_dense_path(self, monkeypatch, build):
+        m = build()
         monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_DENSE)
         dense = steady_state(m)
         monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_SPARSE)

@@ -118,8 +118,9 @@ class TestConfig:
         ("experiment = eq8check\ng2 = 2\n", "eq8check requires symmetric parameters"),
         ("experiment = eq8check\nmodel = full\n", "eq8check runs the symmetric model only"),
         ("experiment = eq8check\nmodel = global\n", "eq8check runs the symmetric model only"),
+        ("experiment = eq8check\nn_th = 0.2\n", "eq8check requires zero temperature"),
     ], ids=["nmm-uncoupled", "sweep-uncoupled", "eq8check-unequal", "eq8check-full",
-            "eq8check-global"])
+            "eq8check-global", "eq8check-warm"])
     def test_experiment_its_parameters_do_not_fit(self, text, message):
         # decided before any f runs: sweep's steady-state group would
         # otherwise fail first, on the uncoupled baseline's steady state
@@ -130,6 +131,7 @@ class TestConfig:
         assert parse_config("experiment = sweep\ng1 = 0\nhorizon = 5\n").g1 == 0.0
         assert parse_config("experiment = steady\ng2 = 2\n").g2 == 2.0
         assert parse_config("experiment = eq8check\nmodel = symmetric\n").model == "symmetric"
+        assert parse_config("experiment = steady\nn_th = 0.2\n").n_th == 0.2
 
 
 HUGE = "1" + "0" * 400  # an int no float holds
