@@ -138,9 +138,8 @@ def _defects(rho):
     if not finite.all():
         rho = np.where(finite[..., None, None], rho, 0.0)
     trace = np.where(finite, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0), np.inf)
-    dagger = np.swapaxes(rho.conj(), -1, -2)
-    herm = np.abs(rho - dagger).max(axis=(-2, -1), initial=0.0)
-    hermitian = (rho + dagger) / 2.0
+    herm = opalg.hermiticity_defect(rho)
+    hermitian = opalg.hermitize(rho)
     try:
         np.linalg.cholesky(hermitian - EIG_FLOOR * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:
@@ -465,7 +464,8 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
 
     observables: names from {inversion, log_negativity, singlet_overlap,
     mode_excitation}, each taken over the whole stored stack; default is
-    all that apply to the model.
+    all that apply to the model. A name that is unknown or does not apply
+    raises DimerNMError before the run steps.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = model.dim
@@ -483,6 +483,15 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
         raise DimerNMError(f"store_every must be within float range, "
                            f"got a {store_every.bit_length()}-bit integer")
     store_every = int(store_every)
+    modes = len(model.dims) > 1
+    if observables is None:
+        observables = (("inversion", "log_negativity", "singlet_overlap")
+                       + ("mode_excitation",) * modes)
+    for name in observables:  # before anything is allocated or stepped
+        if name not in ("inversion", "log_negativity", "singlet_overlap", "mode_excitation"):
+            raise DimerNMError(f"unknown observable {name!r}")
+        if name == "mode_excitation" and not modes:
+            raise DimerNMError("mode_excitation requires a model with mode slots")
     n_steps = steps_over(t_end, dt)
     dt_eff = t_end / n_steps
 
@@ -513,9 +522,6 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     with opalg.one_blas_thread():
         trace, herm = _check_states(states, times, dt_eff)
 
-        if observables is None:
-            observables = ("inversion", "log_negativity", "singlet_overlap") + (
-                ("mode_excitation",) if len(model.dims) > 1 else ())
         reduced = entanglement.reduce_to_dimer(states, model.dims, model.basis)
         obs = {}
         for name in observables:
@@ -526,9 +532,7 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
                 obs[name] = entanglement.log_negativity(reduced)
             elif name == "singlet_overlap":
                 obs[name] = entanglement.singlet_overlap(reduced)
-            elif name == "mode_excitation":
-                if len(model.dims) < 2:
-                    raise DimerNMError("mode_excitation requires a model with mode slots")
+            else:  # mode_excitation
                 # occupation of the most excited physical oscillator;
                 # model.mode_weight converts collective-mode quanta, and a
                 # dark center-of-mass mode adds its thermal share
@@ -537,8 +541,6 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
                 w = model.mode_weight
                 obs[name] = w * np.max([expectation(states, n) for n in numbers], axis=0) \
                     + (1.0 - w) * model.n_th
-            else:
-                raise DimerNMError(f"unknown observable {name!r}")
 
     diagnostics = {
         "dt": dt_eff,

@@ -39,6 +39,7 @@ from .model import (
     build_global_mode_model,
     build_markovian_dephasing_model,
     build_symmetric_model,
+    check_lower_bounds,
     effective_dephasing_rate,
     environment_state,
     steady_state_dd_closed_form,
@@ -73,8 +74,7 @@ class RunConfig:
     f_list: str = ""  # comma-separated; empty -> use the range below
     f_min: float = 0.0035
     f_max: float = 3.6554
-    n_points: int = 15
-    log_spaced: bool = True
+    n_points: int = 15  # log-spaced from f_min to f_max
     t_end: float = 50.0
     store_every: int = 10  # steps at the base step size
     eps: float = 0.01
@@ -95,16 +95,14 @@ class RunConfig:
             if isinstance(val, int) and abs(val) > sys.float_info.max:  # no float holds it
                 raise ConfigError(f"{key} must be within float range, "
                                   f"got a {val.bit_length()}-bit integer")
-        for key, low, closed in _LOWER_BOUNDS:
-            val = getattr(self, key)
-            if not (val >= low if closed else val > low):  # nan fails too
-                raise ConfigError(f"{key} must be {'>=' if closed else '>'} {low}, got {val!r}")
+        check_lower_bounds(self, _LOWER_BOUNDS, ConfigError)
         if self.n_points > MAX_GRID_POINTS:  # an f grid is capped as every grid is
             raise ConfigError(f"n_points must be <= {MAX_GRID_POINTS}, got {self.n_points}")
         if not all(v >= 2 and v.is_integer() for v in _parse_float_list(self.fock_list, "fock")):
             raise ConfigError(f"fock_list must be whole numbers >= 2, got {self.fock_list!r}")
         # the builders alone know which parameters each model kind takes;
-        # a model that builds at f = 1 builds at every f > 0
+        # a model that builds at f = 1 builds at every f > 0, and
+        # ModelParams bounds the physics keys
         try:
             model_for(self, 1.0)
         except DimerNMError as exc:
@@ -117,9 +115,8 @@ class RunConfig:
             except DimerNMError as exc:
                 raise ConfigError(f"fock_list: {exc}") from exc
         # the memory measure's default horizon is 20 / gamma_eff, every
-        # sampled run's grid is capped (grid_steps), and the closed form
-        # holds for the symmetric model with identical sites and modes, at
-        # zero temperature, only
+        # sampled run's grid is capped (grid_steps), and eq8check runs the
+        # symmetric model where ModelParams.has_closed_form
         if self.experiment in ("nmm", "sweep") and self.horizon == 0 and gamma_eff_of(self) == 0:
             raise ConfigError("horizon must be set when gamma_eff = 0; "
                               "its default is 20 / gamma_eff")
@@ -131,42 +128,24 @@ class RunConfig:
                 raise ConfigError(f"{keys}: {exc}") from exc
         if self.experiment == "eq8check" and self.model not in ("auto", "symmetric"):
             raise ConfigError(f"eq8check runs the symmetric model only, got {self.model!r}")
-        if self.experiment == "eq8check" and not base_params(self).is_symmetric:
-            raise ConfigError("eq8check requires symmetric parameters")
-        if self.experiment == "eq8check" and self.n_th > 0:
-            raise ConfigError(f"eq8check requires zero temperature, got n_th = {self.n_th!r}")
+        if self.experiment == "eq8check" and not base_params(self).has_closed_form:
+            raise ConfigError("eq8check requires symmetric parameters at zero temperature")
 
 
-# (key, lower bound, whether the bound itself is allowed); horizon = 0
-# means "default". kappa1 > 0 because every experiment but eq8check
-# takes gamma_eff = 2 g1^2 / kappa1.
+# the run keys' (key, lower bound, whether the bound itself is allowed);
+# horizon = 0 means "default". kappa1 > 0 because every experiment but
+# eq8check takes gamma_eff = 2 g1^2 / kappa1.
 _LOWER_BOUNDS = (
-    ("n_fock", 2, True), ("n_points", 1, True), ("store_every", 1, True), ("n_th", 0.0, True),
-    ("t_end", 0.0, False), ("eps", 0.0, False), ("horizon", 0.0, True),
-    ("J", 0.0, False), ("kappa1", 0.0, False), ("kappa2", 0.0, True),
+    ("n_points", 1, True), ("store_every", 1, True), ("t_end", 0.0, False),
+    ("eps", 0.0, False), ("horizon", 0.0, True), ("kappa1", 0.0, False),
 )
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_TRUE = {"true", "1", "yes", "on"}
-_BOOL_FALSE = {"false", "0", "no", "off"}
 
 
 def _parse_value(key: str, raw: str):
-    ftype = _FIELD_TYPES[key]
-    raw = raw.strip()
     try:
-        if ftype is bool:
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if ftype is int:
-            return int(raw)
-        if ftype is float:
-            return float(raw)
-        return raw
+        return _FIELD_TYPES[key](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -194,9 +173,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for f in fields(RunConfig):
         val = getattr(cfg, f.name)
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        elif isinstance(val, float):
+        if isinstance(val, float):
             val = repr(val)
         lines.append(f"{f.name}={val}")
     return "\n".join(lines) + "\n"
@@ -234,8 +211,7 @@ def resolve_f_values(cfg: RunConfig):
     if not all(0.0 < f < math.inf for f in fs):  # nan fails too
         raise ConfigError(f"all f values must be finite and positive, got {fs}")
     if not listed:
-        space = np.geomspace if cfg.log_spaced else np.linspace
-        fs = list(space(cfg.f_min, cfg.f_max, cfg.n_points))
+        fs = list(np.geomspace(cfg.f_min, cfg.f_max, cfg.n_points))
     fs = sorted(fs)
     # sorted, so values that are or print alike are neighbours
     for a, b in zip(fs, fs[1:]):
@@ -247,12 +223,7 @@ def resolve_f_values(cfg: RunConfig):
 
 
 def base_params(cfg: RunConfig) -> ModelParams:
-    return ModelParams(
-        omega1=cfg.omega1, omega2=cfg.omega2, J=cfg.J,
-        Omega1=cfg.Omega1, Omega2=cfg.Omega2, g1=cfg.g1, g2=cfg.g2,
-        kappa1=cfg.kappa1, kappa2=cfg.kappa2,
-        n_fock=cfg.n_fock, n_th=cfg.n_th,
-    )
+    return ModelParams(**{f.name: getattr(cfg, f.name) for f in fields(ModelParams)})
 
 
 def model_for(cfg: RunConfig, f: float, n_fock=None):
@@ -384,10 +355,10 @@ def _traces(cfg: RunConfig, observables):
 
 
 def _steady_group(cfg: RunConfig, fs):
-    """The nullspace steady state at each f, next to the closed form and
-    the memoryless baseline. rho_dd_nullspace and singlet_overlap_ss are
-    one number (the singlet population), kept twice so the header stays
-    stable."""
+    """The nullspace steady state at each f, next to the closed form (nan
+    where ModelParams.has_closed_form is false) and the memoryless
+    baseline. rho_dd_nullspace and singlet_overlap_ss are one number (the
+    singlet population), kept twice so the header stays stable."""
     # the baseline depends on f only through gamma_eff, which the f
     # family holds fixed, so one solve serves every row
     mk = build_markovian_dephasing_model(gamma_eff_of(cfg), base_params(cfg))
@@ -399,7 +370,7 @@ def _steady_group(cfg: RunConfig, fs):
         m = model_for(cfg, f)
         red = entanglement.reduce_to_dimer(steady_state(m), m.dims, m.basis)
         overlap = entanglement.singlet_overlap(red)
-        eq8 = steady_state_dd_closed_form(p) if p.is_symmetric else float("nan")
+        eq8 = steady_state_dd_closed_form(p) if p.has_closed_form else float("nan")
         rows.append([overlap, eq8, entanglement.log_negativity(red), overlap, mk_logneg])
     header = ["rho_dd_nullspace", "rho_dd_eq8", "logneg_ss",
               "singlet_overlap_ss", "logneg_markov_baseline"]

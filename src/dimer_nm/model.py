@@ -66,6 +66,16 @@ _EXCHANGE = {
 MAX_HILBERT_DIM = 128
 
 
+def check_lower_bounds(obj, bounds, error=DimerNMError):
+    """Raise error at the first (key, low, closed) of bounds whose
+    attribute key of obj is below low, or at low unless closed; nan
+    fails every bound."""
+    for key, low, closed in bounds:
+        val = getattr(obj, key)
+        if not (val >= low if closed else val > low):
+            raise error(f"{key} must be {'>=' if closed else '>'} {low}, got {val!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the dimer-plus-modes system.
@@ -88,14 +98,8 @@ class ModelParams:
     n_th: float = 0.0
 
     def __post_init__(self):
-        if self.J <= 0:
-            raise DimerNMError(f"exchange coupling must be positive, got {self.J}")
-        if self.n_fock < 2:
-            raise DimerNMError(f"n_fock must be >= 2, got {self.n_fock}")
-        if self.kappa1 < 0 or self.kappa2 < 0:
-            raise DimerNMError("mode linewidths must be non-negative")
-        if self.n_th < 0:
-            raise DimerNMError(f"thermal occupation must be >= 0, got {self.n_th}")
+        check_lower_bounds(self, (("n_fock", 2, True), ("n_th", 0.0, True), ("J", 0.0, False),
+                                  ("kappa1", 0.0, True), ("kappa2", 0.0, True)))
 
     @classmethod
     def symmetric(cls, omega=0.0, J=1.0, Omega=2.0, g=1.0, kappa=20.0,
@@ -108,6 +112,12 @@ class ModelParams:
     def is_symmetric(self) -> bool:
         return (self.omega1 == self.omega2 and self.Omega1 == self.Omega2
                 and self.g1 == self.g2 and self.kappa1 == self.kappa2)
+
+    @property
+    def has_closed_form(self) -> bool:
+        """Whether :func:`steady_state_dd_closed_form` holds: identical
+        sites and modes at zero temperature."""
+        return self.is_symmetric and self.n_th == 0
 
 
 def apply_f(f: float, base: ModelParams) -> ModelParams:
@@ -331,8 +341,9 @@ def build_markovian_dephasing_model(gamma_eff: float, p: ModelParams) -> Lindbla
 
 
 def steady_state_dd_closed_form(p: ModelParams) -> float:
-    """Two-level-mode estimate of the steady singlet population at zero
-    temperature (n_th = 0, which it does not read).
+    """Two-level-mode estimate of the steady singlet population, defined
+    where ``p.has_closed_form``: identical sites and modes at zero
+    temperature.
 
     rho_dd = (4 g^2 + kappa^2 + (2J + Omega)^2)
              / (2 (4 g^2 + kappa^2 + 4 J^2 + Omega^2))
@@ -341,8 +352,8 @@ def steady_state_dd_closed_form(p: ModelParams) -> float:
     mode holding at most one quantum); approaches 1 as f -> 0 with the
     mode quasi-resonant (Omega ~ 2J).
     """
-    if not p.is_symmetric:
-        raise DimerNMError("closed form is defined for symmetric parameters")
+    if not p.has_closed_form:
+        raise DimerNMError("closed form is defined for symmetric parameters at zero temperature")
     g, kappa, J, Omega = p.g1, p.kappa1, p.J, p.Omega1
     num = 4.0 * g ** 2 + kappa ** 2 + (2.0 * J + Omega) ** 2
     den = 2.0 * (4.0 * g ** 2 + kappa ** 2 + 4.0 * J ** 2 + Omega ** 2)

@@ -85,6 +85,10 @@ def random_matrix(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+def no_propagate(*args, **kwargs):
+    raise AssertionError("the run stepped")
+
+
 FORCE_DENSE = 10 ** 9  # SPARSE_STEADY_MIN_DIM values that force one path
 FORCE_SPARSE = 0
 
@@ -283,7 +287,7 @@ class TestIntegrate:
         assert f"at t={first * dt:.6g} " in str(exc.value)
         assert str(exc.value).endswith(f"(dt={dt:.3e})")
 
-    def test_validate_and_integrate_share_the_eigenvalue_floor(self):
+    def test_checked_state_and_integrate_share_the_eigenvalue_floor(self):
         m = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
         below = np.diag([1.0 - 2 * EIG_FLOOR, 2 * EIG_FLOOR]).astype(complex)
         above = np.diag([1.0 - EIG_FLOOR / 2, EIG_FLOOR / 2]).astype(complex)
@@ -313,10 +317,14 @@ class TestIntegrate:
             assert traj.observables["mode_excitation"][k] == pytest.approx(
                 max(expectation(rho, n) for n in numbers), abs=1e-14)
 
-    def test_unknown_observable_rejected(self):
+    def test_unknown_observable_rejected(self, monkeypatch):
         m = symmetric_model(0.1)
         with pytest.raises(DimerNMError):
             integrate(m, initial_state(m), 0.1, observables=("purity",))
+        # rejected before the run steps, also after a valid name
+        monkeypatch.setattr(dynamics, "propagate", no_propagate)
+        with pytest.raises(DimerNMError, match="^unknown observable 'purity'$"):
+            integrate(m, initial_state(m), 0.1, observables=("inversion", "purity"))
 
     def test_rejects_bad_inputs(self):
         m = symmetric_model(0.1)
@@ -373,9 +381,13 @@ class TestIntegrate:
         traj = integrate(m, initial_state(m), 0.01, observables=[])
         assert traj.diagnostics["dt"] == suggest_dt(m)
 
-    def test_mode_excitation_needs_modes(self):
+    def test_mode_excitation_needs_modes(self, monkeypatch):
         m = build_markovian_dephasing_model(0.1, ModelParams.symmetric())
         with pytest.raises(DimerNMError):
+            integrate(m, np.eye(2, dtype=complex) / 2, 1.0,
+                      observables=("mode_excitation",))
+        monkeypatch.setattr(dynamics, "propagate", no_propagate)
+        with pytest.raises(DimerNMError, match="^mode_excitation requires a model with mode"):
             integrate(m, np.eye(2, dtype=complex) / 2, 1.0,
                       observables=("mode_excitation",))
 
@@ -501,7 +513,7 @@ class TestStateScreen:
         assert str(exc.value) == f"lowest eigenvalue {low:.3e} at t={times[k]:.6g} (dt=1.000e-02)"
         assert low < EIG_FLOOR
 
-    def test_validate_screens_at_its_floor(self):
+    def test_checked_state_screens_at_its_floor(self):
         rng = np.random.default_rng(43)
         deep = state_with_spectrum(rng, -1e-6, 6)
         with pytest.raises(NumericalDriftError, match=r"^negative population -1\.000e-06$"):

@@ -118,7 +118,8 @@ class TestConfig:
         ("experiment = eq8check\ng2 = 2\n", "eq8check requires symmetric parameters"),
         ("experiment = eq8check\nmodel = full\n", "eq8check runs the symmetric model only"),
         ("experiment = eq8check\nmodel = global\n", "eq8check runs the symmetric model only"),
-        ("experiment = eq8check\nn_th = 0.2\n", "eq8check requires zero temperature"),
+        ("experiment = eq8check\nn_th = 0.2\n",
+         "eq8check requires symmetric parameters at zero temperature"),
     ], ids=["nmm-uncoupled", "sweep-uncoupled", "eq8check-unequal", "eq8check-full",
             "eq8check-global", "eq8check-warm"])
     def test_experiment_its_parameters_do_not_fit(self, text, message):
@@ -195,6 +196,17 @@ class TestConfigRanges:
         assert "configuration error: line 1: unknown key 'dt'" in capsys.readouterr().err
         assert not os.path.exists(out + "_inversion.csv")
 
+    # the f range is always log-spaced; any other grid is an f_list
+    def test_removed_spacing_key_exits_two(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="^line 1: unknown key 'log_spaced'"):
+            parse_config("log_spaced = true\n")
+        path = tmp_path / "spaced.cfg"
+        path.write_text("log_spaced = false\n")
+        out = str(tmp_path / "run")
+        assert cli.main(["nmm", "--config", str(path), "--out", out]) == 2
+        assert "configuration error: line 1: unknown key 'log_spaced'" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
+
     def test_removed_step_flag_exits_two(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         with pytest.raises(SystemExit) as exc:
@@ -261,11 +273,6 @@ class TestFValues:
         assert fs[-1] == pytest.approx(3.6554)
         ratios = [fs[i + 1] / fs[i] for i in range(14)]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
-
-    def test_linear_grid(self):
-        cfg = RunConfig(f_list="", f_min=1.0, f_max=2.0, n_points=3,
-                        log_spaced=False)
-        assert resolve_f_values(cfg) == pytest.approx([1.0, 1.5, 2.0])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
@@ -497,6 +504,14 @@ class TestSteadySweep:
         assert row["rho_dd_eq8"] == pytest.approx(20.4 / 24.8, abs=1e-12)
         assert row["logneg_markov_baseline"] <= 1e-6
         assert row["rho_dd_nullspace"] == row["singlet_overlap_ss"]
+
+    def test_warm_row_has_no_closed_form(self):
+        # the closed form holds at zero temperature only; the other cells
+        # are the steady state at n_th = 0.2
+        csv_text, _ = run_f_sweep(RunConfig(experiment="steady", f_list="0.1", n_th=0.2))
+        assert csv_text.splitlines()[1].split(",") == [
+            "1.00000000000e-01", "7.09915541503e-01", "nan", "5.05719302826e-01",
+            "7.09915541503e-01", "0.00000000000e+00"]
 
     def test_rows_sorted_by_f(self):
         cfg = RunConfig(experiment="steady", f_list="1, 0.1", n_fock=2)

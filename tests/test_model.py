@@ -1,5 +1,6 @@
 """Model constructors, the f-parametrization, and cross-model equivalence."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -370,3 +371,22 @@ class TestParamValidation:
         asym = ModelParams(omega1=0, omega2=0, J=1, Omega1=2, Omega2=2,
                            g1=1.0, g2=2.0, kappa1=20.0, kappa2=20.0, n_fock=3)
         assert not asym.is_symmetric
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("J", 0.0, "J must be > 0.0, got 0.0"),
+        ("J", float("nan"), "J must be > 0.0, got nan"),
+        ("n_fock", 1, "n_fock must be >= 2, got 1"),
+        ("n_th", -0.5, "n_th must be >= 0.0, got -0.5"),
+        ("kappa1", -1.0, "kappa1 must be >= 0.0, got -1.0"),
+        ("kappa2", float("nan"), "kappa2 must be >= 0.0, got nan"),
+    ], ids=["J", "J-nan", "n_fock", "n_th", "kappa1", "kappa2-nan"])
+    def test_bound_messages_start_with_the_key(self, key, bad, message):
+        with pytest.raises(DimerNMError, match=f"^{re.escape(message)}$"):
+            ModelParams(**{key: bad})
+
+    def test_closed_form_holds_for_symmetric_cold_parameters_only(self):
+        assert ModelParams.symmetric().has_closed_form
+        for p in (ModelParams(g2=2.0), ModelParams(omega1=0.3), ModelParams.symmetric(n_th=0.2)):
+            assert not p.has_closed_form
+            with pytest.raises(DimerNMError, match="^closed form is defined for"):
+                steady_state_dd_closed_form(p)
