@@ -42,22 +42,26 @@ D_NM is computed one way per shape, both on the grid
 :func:`dynamics.uniform_grid` (horizon, eps). One model goes through
 ``nm_measure(map_tomography(model, eps, horizon))``, which holds the
 model's whole map family, so it can be inspected. A stack of models of
-one dims, an f grid say, goes through :func:`nm_sweep`: one stacked
-propagation, whose blocks of maps go, per model, through the drift
-check and the rates before the next block is stepped, so no model's
-whole map family is held; a model keeps the rates of a block only if
-the block holds an invertible map. The results of one sweep share one
-tomography grid and one midpoint array, and each derives its skipped
-times from a bool per map. Every model gets exactly the numbers it gets
-alone. A model that fails drops out of the rates and the measure, not
-out of the stack.
+one dims, an f grid say, goes through :func:`nm_sweep`, which splits
+the models over the usable CPUs: one interleaved share per CPU, this
+process running one and a forked worker each other, and k = 1 forks
+nothing. Each share is one stacked propagation, whose blocks of maps
+go, per model, through the drift check and the rates before the next
+block is stepped, so no model's whole map family is held; a model keeps
+the rates of a block only if the block holds an invertible map. The
+workers send their rates back, and this process builds every result,
+so the results of one sweep share one tomography grid and one midpoint
+array, and each derives its skipped times from a bool per map. Every
+model gets exactly the numbers it gets alone, whatever the split. A
+model that fails drops out of the rates and the measure, not out of
+the stack.
 
 The measure knows no physical rate: NMResult reports the effective
 horizon, and whether it is short against 1 / gamma_eff is decided by
 the harness, which notes it.
 """
 
-import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,49 +290,120 @@ def nm_sweep(models, eps: float, horizon: float) -> list:
     """Tomography plus measure on :func:`uniform_grid` (horizon, eps) for a
     stack of models.
 
-    The models share dims; their tomography is one stacked propagation
-    (:func:`dynamics.propagate`), and each block of maps goes, per model,
-    through the drift check and the rates before the next is stepped, so
-    no model's whole map family is held. A block's maps from grid point
-    lo give the rates from lo on, and the next block starts at its last
-    map; a model keeps the rates of a block only if they hold an
-    invertible map. Returns a list with one entry per model, in order:
-    its NMResult, equal bit for bit to ``nm_measure(map_tomography(model,
-    eps, horizon))``, or the DimerNMError that stopped it. The results
-    share one grid and one midpoint array. A model's first error skips
-    its later blocks; the others run as they would alone.
+    The models share dims. The stack is cut into k = min(len(models),
+    usable CPUs) interleaved shares, ``models[j::k]``: this process runs
+    share 0, and each other share runs in a forked worker process
+    (:func:`_split_rates`); k = 1 forks nothing. Each share is one
+    stacked propagation (:func:`dynamics.propagate`), and each block of
+    maps goes, per model, through the drift check and the rates before
+    the next is stepped, so no model's whole map family is held. A
+    block's maps from grid point lo give the rates from lo on, and the
+    next block starts at its last map; a model keeps the rates of a
+    block only if they hold an invertible map. Returns a list with one
+    entry per model, in order: its NMResult, equal bit for bit to
+    ``nm_measure(map_tomography(model, eps, horizon))``, or the
+    DimerNMError that stopped it. This process builds every result, so
+    the results share one grid and one midpoint array. A model's first
+    error skips its later blocks; the others run as they would alone.
     """
     t_grid = uniform_grid(horizon, eps)
-    n = len(models)
-    if not n:
+    k = min(len(models), _usable_cpus())
+    if k > 1:
+        outcomes = _split_rates(models, t_grid, eps, k)
+    else:
+        outcomes = _sweep_rates(models, t_grid, eps)
+    mids = t_grid[:-1] + eps / 2.0
+    # the list holds every result at once, so each model's rates go as
+    # its result is built
+    for i, kept in enumerate(outcomes):
+        if isinstance(kept, list):
+            g = np.full(mids.shape[0], np.nan)
+            for lo, rates in kept:
+                g[lo:lo + rates.shape[0]] = rates
+            try:
+                outcomes[i] = _measure(t_grid, mids, eps, g)
+            except DimerNMError as exc:
+                outcomes[i] = exc
+    return outcomes
+
+
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one (Linux), else 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _sweep_rates(models, t_grid, eps):
+    """Per model, in order, the (lo, rates) of its blocks that hold an
+    invertible map, or the DimerNMError that stopped it: one stacked
+    tomography on t_grid, streamed block by block into the rates."""
+    if not models:
         return []
     sub_dts, blocks = _tomography(models, t_grid, eps)
-    kept = [[] for _ in models]  # per model, (lo, rates) of its blocks with an invertible map
-    results = [None] * n  # a model's error as soon as it has one
+    out = [[] for _ in models]
     for lo, block in blocks:
         for i, maps in enumerate(block):
-            if results[i] is None:
+            if isinstance(out[i], list):
                 try:
                     _check_maps(maps, t_grid[lo:], sub_dts[i])
                     g = _rates(maps, eps)
                 except DimerNMError as exc:
-                    results[i] = exc
+                    out[i] = exc
                 else:
                     if not np.isnan(g).all():
-                        kept[i].append((lo, g))
-    # the list holds every result at once, so what they replace goes
-    # first: the block buffer, which the last block views, and each
-    # model's rates as its result is built
-    del block, maps
-    mids = t_grid[:-1] + eps / 2.0
-    for i in range(n):
-        if results[i] is None:
-            g = np.full(mids.shape[0], np.nan)
-            for lo, rates in kept[i]:
-                g[lo:lo + rates.shape[0]] = rates
+                        out[i].append((lo, g))
+    return out
+
+
+def _split_rates(models, t_grid, eps, k):
+    """:func:`_sweep_rates` of models, share ``models[j::k]`` in a forked
+    worker for j = 1 .. k - 1 and share 0 in this process.
+
+    Each worker sends its outcomes, or the exception that stopped its
+    whole share, through a one-way pipe; this process receives each
+    before it joins the worker. A worker that exits without sending
+    raises DimerNMError with its exit code. On any error the workers
+    still running are terminated, and every worker is joined.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    outcomes = [None] * len(models)
+    workers = []
+    try:
+        for j in range(1, k):
+            recv, send = ctx.Pipe(duplex=False)
+            with send:
+                proc = ctx.Process(target=_send_rates, args=(send, models[j::k], t_grid, eps))
+                proc.start()
+            workers.append((proc, recv))
+        outcomes[0::k] = _sweep_rates(models[0::k], t_grid, eps)
+        for j, (proc, recv) in enumerate(workers, 1):
             try:
-                results[i] = _measure(t_grid, mids, eps, g)
-            except DimerNMError as exc:
-                results[i] = exc
-        kept[i] = None
-    return results
+                got = recv.recv()
+            except EOFError:
+                proc.join()
+                raise DimerNMError(f"the nm_sweep worker of share {j} of {k} exited with "
+                                   f"code {proc.exitcode} before sending its rates") from None
+            if isinstance(got, BaseException):
+                raise got
+            outcomes[j::k] = got
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in workers:
+            proc.join()
+            recv.close()
+    return outcomes
+
+
+def _send_rates(send, models, t_grid, eps):
+    """A worker's share of :func:`_split_rates`: send its outcomes, or the
+    exception that stopped the whole share."""
+    try:
+        got = _sweep_rates(models, t_grid, eps)
+    except Exception as exc:
+        got = exc
+    send.send(got)

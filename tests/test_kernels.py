@@ -92,25 +92,28 @@ class TestImport:
         # package and running small dense work (the memory measure of the
         # symmetric model, alone and as a stacked sweep, and a 50-step
         # trace on the engine the dimension picks, included) must not
-        # load it
+        # load it; nor may importing the package or a sweep that runs in
+        # one process load multiprocessing
         pkg_root = os.path.dirname(os.path.dirname(dimer_nm.__file__))
         path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
         script = (
             "import sys\n"
-            "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "def loaded(top='scipy'):\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
             "import dimer_nm\n"
             "from dimer_nm import cli, kernels\n"
             "from dimer_nm.harness import initial_state\n"
             "from dimer_nm.model import ModelParams, apply_f, build_symmetric_model\n"
             "from dimer_nm.nonmarkov import map_tomography, nm_measure, nm_sweep\n"
-            "print(loaded())\n"
+            "print(loaded(), loaded('multiprocessing'))\n"
             "m = build_symmetric_model(apply_f(0.1, ModelParams.symmetric()))\n"
             "dimer_nm.steady_state(m)\n"
             "dimer_nm.integrate(m, initial_state(m), 1.0, method='aggregated')\n"
             "nm_measure(map_tomography(m, 0.05, 2.0))\n"
             "fs = (0.1, 1.0, 3.6554)\n"
             "ms = [build_symmetric_model(apply_f(f, ModelParams.symmetric())) for f in fs]\n"
+            "assert nm_sweep(ms[:1], 0.05, 6.0)[0].d_nm >= 0.0\n"
+            "print(loaded('multiprocessing'))\n"
             "assert all(r.d_nm >= 0.0 for r in nm_sweep(ms, 0.05, 6.0))\n"
             "dimer_nm.integrate(m, initial_state(m), 0.05)\n"
             "print(loaded())\n"
@@ -121,4 +124,4 @@ class TestImport:
             [sys.executable, "-c", script], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=path), check=True,
         )
-        assert out.stdout.split("\n")[:3] == ["[]", "[]", "True"]
+        assert out.stdout.split("\n")[:4] == ["[] []", "[]", "[]", "True"]

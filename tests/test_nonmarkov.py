@@ -1,7 +1,11 @@
 """Dynamical-map tomography, intermediate maps, and the memory measure."""
 
+import contextlib
 import dataclasses
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -545,6 +549,36 @@ class TestInvertibleScreen:
 SWEEP_FS = (0.01, 1.0, 3.6554, 100.0)  # 10, 27, 37 and 1000 steps per eps of 0.01
 
 
+class Overran(Exception):
+    """A block outlived its deadline; not an OSError, which
+    multiprocessing's wait for a child swallows."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise Overran in the block after seconds, so a sweep that would
+    wait on its workers forever fails instead."""
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def split_ways(monkeypatch):
+    """Yield k = 1, 2 and 3 in turn while nm_sweep sees k usable CPUs, so
+    it splits its models k ways; no worker outlives the splits."""
+    for k in (1, 2, 3):
+        monkeypatch.setattr(nonmarkov, "_usable_cpus", lambda k=k: k)
+        yield k
+    assert multiprocessing.active_children() == []
+
+
 def assert_same_result(a, b):
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.g, b.g)
@@ -560,22 +594,24 @@ class TestSweep:
         # 1201 grid points: ten blocks at the default 128 marks, so the
         # rates cross nine block seams, and two blocks at 1024 marks
         assert dynamics._CHUNK == 128
-        self.check_bit_identical_to_solo_runs()
+        self.check_bit_identical_to_solo_runs(monkeypatch)
         monkeypatch.setattr(dynamics, "_CHUNK", 1024)
-        self.check_bit_identical_to_solo_runs()
+        self.check_bit_identical_to_solo_runs(monkeypatch)
 
     def test_bit_identical_to_solo_runs_across_short_blocks(self, monkeypatch):
         # 200 blocks of 7 marks, so the rates cross many block seams
         monkeypatch.setattr(dynamics, "_CHUNK", 7)
-        self.check_bit_identical_to_solo_runs()
+        self.check_bit_identical_to_solo_runs(monkeypatch)
 
     @staticmethod
-    def check_bit_identical_to_solo_runs():
+    def check_bit_identical_to_solo_runs(monkeypatch):
         models = [symmetric_model(f) for f in SWEEP_FS]
-        swept = nm_sweep(models, eps=0.01, horizon=12.0)
-        assert isinstance(swept, list) and len(swept) == len(models)
-        for model, res in zip(models, swept):
-            assert_same_result(res, nm_measure(map_tomography(model, 0.01, 12.0)))
+        solo = [nm_measure(map_tomography(model, 0.01, 12.0)) for model in models]
+        for _ in split_ways(monkeypatch):
+            swept = nm_sweep(models, eps=0.01, horizon=12.0)
+            assert isinstance(swept, list) and len(swept) == len(models)
+            for res, ref in zip(swept, solo):
+                assert_same_result(res, ref)
 
     def test_results_share_one_grid(self):
         models = [symmetric_model(f) for f in SWEEP_FS]
@@ -592,16 +628,67 @@ class TestSweep:
             assert np.array_equal(res.skipped_times, t_grid[:-1][~res.invertible])
         assert len(swept[1].skipped_times) > 0
 
-    def test_failing_model_drops_alone(self):
+    def test_failing_model_drops_alone(self, monkeypatch):
+        # model 1 is in a worker's share whenever the models split
         models = [symmetric_model(f) for f in SWEEP_FS]
         broken = dataclasses.replace(models[1], h_eff=np.full_like(models[1].h_eff, np.nan))
-        swept = nm_sweep([models[0], broken] + models[2:], eps=0.01, horizon=12.0)
-        assert isinstance(swept[1], NumericalDriftError)
         with pytest.raises(NumericalDriftError) as exc:
             map_tomography(broken, 0.01, 12.0)
-        assert str(swept[1]) == str(exc.value)
-        for i in (0, 2, 3):
-            assert_same_result(swept[i], nm_measure(map_tomography(models[i], 0.01, 12.0)))
+        solo = [nm_measure(map_tomography(model, 0.01, 12.0)) for model in models]
+        for _ in split_ways(monkeypatch):
+            swept = nm_sweep([models[0], broken] + models[2:], eps=0.01, horizon=12.0)
+            assert type(swept[1]) is NumericalDriftError
+            assert str(swept[1]) == str(exc.value)
+            for i in (0, 2, 3):
+                assert_same_result(swept[i], solo[i])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_worker_that_exits_without_sending_raises(self, k, monkeypatch):
+        monkeypatch.setattr(nonmarkov, "_usable_cpus", lambda: k)
+        parent, share = os.getpid(), nonmarkov._sweep_rates
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return share(*args)
+
+        monkeypatch.setattr(nonmarkov, "_sweep_rates", dying)
+        models = [symmetric_model(f) for f in SWEEP_FS]
+        with deadline(30), pytest.raises(DimerNMError, match="exited with code 3 before sending"):
+            nm_sweep(models, eps=0.01, horizon=2.0)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_share_error_is_raised_here(self, monkeypatch):
+        monkeypatch.setattr(nonmarkov, "_usable_cpus", lambda: 2)
+        parent, share = os.getpid(), nonmarkov._sweep_rates
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise SingularSystemError("worker share", cond=5.0)
+            return share(*args)
+
+        monkeypatch.setattr(nonmarkov, "_sweep_rates", failing)
+        models = [symmetric_model(f) for f in SWEEP_FS]
+        with deadline(30), pytest.raises(SingularSystemError, match="worker share") as exc:
+            nm_sweep(models, eps=0.01, horizon=2.0)
+        assert exc.value.cond == 5.0
+        assert multiprocessing.active_children() == []
+
+    def test_error_here_terminates_the_workers(self, monkeypatch):
+        monkeypatch.setattr(nonmarkov, "_usable_cpus", lambda: 3)
+        parent, share = os.getpid(), nonmarkov._sweep_rates
+
+        def stalled(*args):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+                return share(*args)
+            raise NumericalDriftError("parent share")
+
+        monkeypatch.setattr(nonmarkov, "_sweep_rates", stalled)
+        models = [symmetric_model(f) for f in SWEEP_FS]
+        with deadline(30), pytest.raises(NumericalDriftError, match="parent share"):
+            nm_sweep(models, eps=0.01, horizon=2.0)
+        assert multiprocessing.active_children() == []
 
     def test_failing_f_is_a_nan_row_with_its_note(self, monkeypatch, caplog):
         cfg = RunConfig(experiment="nmm", f_list="0.01,1,3.6554", eps=0.05, horizon=12.0)
