@@ -10,11 +10,11 @@ The reduction, the basis change and the three observables also take a
 stack of states (rho of shape (..., 2, 2)) and act on each.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import opalg
 from .errors import DimensionError, DimerNMError
 from .model import DELOCALIZE, DELOCALIZED_BASIS, SITE_BASIS
 
@@ -35,12 +35,20 @@ class DimerState:
 
 def reduce_to_dimer(rho, dims, basis: str) -> DimerState:
     """Trace out every mode slot of a state or of a stack (..., d, d) of
-    them, keeping the sector (slot 0)."""
+    them, keeping the sector (slot 0): one ``np.trace`` per mode, from
+    the last slot down."""
     dims = tuple(int(d) for d in dims)
     if not dims or dims[0] != 2:
         raise DimensionError(f"slot 0 must be the 2-dimensional sector, got dims {dims}")
-    reduced = opalg.partial_trace(np.asarray(rho, dtype=complex), dims, keep=(0,))
-    return DimerState(rho=reduced, basis=basis)
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d = math.prod(dims)
+    if rho.shape[-2:] != (d, d):
+        raise DimensionError(f"state shape {rho.shape} does not match dims {dims} (product {d})")
+    lead = rho.ndim - 2
+    t = rho.reshape(rho.shape[:-2] + dims + dims)
+    for s in range(len(dims) - 1, 0, -1):
+        t = np.trace(t, axis1=lead + s, axis2=lead + 2 * s + 1)
+    return DimerState(rho=np.ascontiguousarray(t), basis=basis)
 
 
 def basis_change(state: DimerState, target: str) -> DimerState:

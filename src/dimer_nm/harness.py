@@ -266,13 +266,11 @@ def _grid_of(cfg: RunConfig):
 
 def _fmt(x) -> str:
     """One CSV or .meta cell: a float to 12 significant digits (nan, inf,
-    -inf as such), a bool as true/false, an int in full, a str as is."""
+    -inf as such), an int in full, a str as is."""
     if type(x) is float:
         return f"{x:.11e}"
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.11e}"

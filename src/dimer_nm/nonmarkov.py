@@ -238,7 +238,7 @@ def _solve_invertible(a, b):
     if undecided.any():
         ok[idx[undecided]] = ~(opalg.condition_number(a[idx[undecided]]) > COND_MAX)
     if x is None:
-        return ok, opalg.solve_linear(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
+        return ok, np.linalg.solve(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
     return ok, x[ok[idx], :, :4]
 
 
@@ -307,11 +307,7 @@ def nm_sweep(models, eps: float, horizon: float) -> list:
     error skips its later blocks; the others run as they would alone.
     """
     t_grid = uniform_grid(horizon, eps)
-    k = min(len(models), _usable_cpus())
-    if k > 1:
-        outcomes = _split_rates(models, t_grid, eps, k)
-    else:
-        outcomes = _sweep_rates(models, t_grid, eps)
+    outcomes = _split_rates(models, t_grid, eps, max(1, min(len(models), _usable_cpus())))
     mids = t_grid[:-1] + eps / 2.0
     # the list holds every result at once, so each model's rates go as
     # its result is built
@@ -357,7 +353,8 @@ def _sweep_rates(models, t_grid, eps):
 
 def _split_rates(models, t_grid, eps, k):
     """:func:`_sweep_rates` of models, share ``models[j::k]`` in a forked
-    worker for j = 1 .. k - 1 and share 0 in this process.
+    worker for j = 1 .. k - 1 and share 0 in this process. k = 1 runs
+    share 0 alone: it forks nothing and loads no ``multiprocessing``.
 
     Each worker sends its outcomes, or the exception that stopped its
     whole share, through a one-way pipe; this process receives each
@@ -365,13 +362,13 @@ def _split_rates(models, t_grid, eps, k):
     raises DimerNMError with its exit code. On any error the workers
     still running are terminated, and every worker is joined.
     """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
     outcomes = [None] * len(models)
     workers = []
     try:
         for j in range(1, k):
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
             recv, send = ctx.Pipe(duplex=False)
             with send:
                 proc = ctx.Process(target=_send_rates, args=(send, models[j::k], t_grid, eps))

@@ -11,8 +11,12 @@ Conventions used everywhere in the package:
 
 Heavy factorizations delegate to LAPACK through numpy; the functions here
 add the shape/Hermiticity validation and error reporting the rest of the
-package relies on. :func:`one_blas_thread` runs the paths that gain
-nothing from more BLAS threads on one.
+package relies on. The norms, Hermiticity checks and condition estimates
+take one matrix or a stack (..., n, n); :func:`solve_linear` takes one
+system. There is no general partial trace here:
+:func:`dimer_nm.entanglement.reduce_to_dimer` traces out the modes
+itself. :func:`one_blas_thread` runs the paths that gain nothing from
+more BLAS threads on one.
 """
 
 import math
@@ -46,15 +50,6 @@ def _check_square(a, name="operator", stacked=False):
     """Require one square matrix, or with ``stacked`` a stack (..., n, n)."""
     if not (a.ndim >= 2 if stacked else a.ndim == 2) or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-
-
-def _check_dims(a, dims, name="operator"):
-    """Require a stack (..., d, d), or one (d, d), for d = prod(dims)."""
-    d = int(np.prod(dims))
-    if a.shape[-2:] != (d, d):
-        raise DimensionError(
-            f"{name} shape {a.shape} does not match dims {tuple(dims)} (product {d})"
-        )
 
 
 def hermiticity_defect(a):
@@ -128,30 +123,6 @@ def make_destroy(n_fock: int):
     return np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
 
 
-def partial_trace(rho, dims, keep):
-    """Trace out every slot not listed in ``keep``, of a state or of each
-    state in a stack (..., d, d).
-
-    The result is ordered by the original slot order of the kept
-    subsystems regardless of the order given in ``keep``.
-    """
-    dims = tuple(int(d) for d in dims)
-    rho = _as_complex(rho)
-    _check_dims(rho, dims, "state")
-    keep = sorted(set(int(k) for k in keep))
-    if keep and not (0 <= keep[0] and keep[-1] < len(dims)):
-        raise DimensionError(f"keep={keep} outside dims of length {len(dims)}")
-    n = len(dims)
-    lead = rho.shape[:-2]
-    t = rho.reshape(lead + dims + dims)
-    ndim_left = n
-    for slot in sorted((i for i in range(n) if i not in keep), reverse=True):
-        t = np.trace(t, axis1=len(lead) + slot, axis2=len(lead) + slot + ndim_left)
-        ndim_left -= 1
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return np.ascontiguousarray(t.reshape(lead + (d_keep, d_keep)))
-
-
 def trace_norm(a):
     """Sum of absolute eigenvalues of a Hermitian matrix (a float), or of
     each matrix in a stack (..., n, n) (an array).
@@ -170,32 +141,20 @@ def trace_norm(a):
 
 
 def solve_linear(a, b):
-    """Solve ``A x = b`` with a residual check, for one system or a stack.
+    """Solve ``A x = b`` for one system (n, n), with a residual check.
 
-    a is (n, n) or a stack (..., n, n). b follows numpy's rule: (n,) is
-    one right-hand side for every system, and (..., n, m) stacks m
-    right-hand sides per system. Raises SingularSystemError when a
-    system is singular or its residual exceeds
-    ``1e-9 * (||A|| ||x|| + ||b||)`` (Frobenius norms, per system); the
-    error carries the condition estimate of the failing system.
+    b is (n,) or (n, m). Raises SingularSystemError when the system is
+    singular or its residual exceeds ``1e-9 * (||A|| ||x|| + ||b||)``
+    (Frobenius norms); the error carries the condition estimate.
     """
     a = _as_complex(a)
-    _check_square(a, "coefficient matrix", stacked=True)
+    _check_square(a, "coefficient matrix")
     b = np.asarray(b, dtype=complex)
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        cond = np.ravel(condition_number(a))
-        k = int(np.argmax(cond))  # LAPACK does not say which; the worst-conditioned
-        where = f" (system {k} of the stack)" if a.ndim > 2 else ""
-        raise SingularSystemError(f"linear system is singular{where}",
-                                  cond=float(cond[k])) from exc
-    if a.ndim == 2:
-        check_residual(a, x, b)
-    elif b.ndim == 1:
-        check_residual(a, x[..., None], b[:, None], axis=(-2, -1))
-    else:
-        check_residual(a, x, b, axis=(-2, -1))
+        raise SingularSystemError("linear system is singular", cond=condition_number(a)) from exc
+    check_residual(a, x, b)
     return x
 
 

@@ -20,10 +20,14 @@ SINGLET_SITE = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
 LOG2_1P6 = 0.6780719051126377  # log2(1 + 2*0.3)
 
 
-def random_sector_state(rng):
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+def random_density(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def random_sector_state(rng):
+    return random_density(rng, 2)
 
 
 class TestReduceToDimer:
@@ -59,6 +63,55 @@ class TestReduceToDimer:
     def test_rejects_non_sector_leading_slot(self):
         with pytest.raises(DimensionError):
             reduce_to_dimer(np.eye(9) / 9.0, (3, 3), "site")
+
+    def test_random_product_state(self):
+        rng = np.random.default_rng(15)
+        rho_a = random_density(rng, 2)
+        full = opalg.kron(rho_a, random_density(rng, 3))
+        assert np.allclose(reduce_to_dimer(full, (2, 3), "site").rho, rho_a, atol=1e-12)
+
+    def test_unnormalized_mode_factor(self):
+        rng = np.random.default_rng(16)
+        rho_a = random_density(rng, 2)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        b = (a + a.conj().T) / 2.0
+        out = reduce_to_dimer(opalg.kron(rho_a, b), (2, 3), "site").rho
+        assert np.allclose(out, np.trace(b) * rho_a, atol=1e-12)
+
+    def test_matches_index_summation_over_two_modes(self):
+        rng = np.random.default_rng(18)
+        rho = random_density(rng, 12)
+        oracle = np.einsum("imnjmn->ij", rho.reshape(2, 3, 2, 2, 3, 2))
+        out = reduce_to_dimer(rho, (2, 3, 2), "site").rho
+        assert np.allclose(out, oracle, atol=1e-13)
+        assert np.trace(out) == pytest.approx(1.0, abs=1e-13)
+
+    def test_rejects_bad_dims(self):
+        for rho in (np.eye(5), np.zeros((4, 5, 5)), np.zeros(36)):
+            with pytest.raises(DimensionError, match="does not match dims"):
+                reduce_to_dimer(rho, (2, 3), "site")
+
+    def test_stack_matches_per_state(self):
+        rng = np.random.default_rng(19)
+        stack = np.stack([random_density(rng, 12) for _ in range(6)]).reshape(2, 3, 12, 12)
+        out = reduce_to_dimer(stack, (2, 3, 2), "site").rho
+        assert out.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], reduce_to_dimer(stack[idx], (2, 3, 2), "site").rho)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_full_model_stack(self, n):
+        # the full model's dims (2, n, n): bit for bit the per-state loop,
+        # and the index sum over both modes within 1e-15
+        rng = np.random.default_rng(20 + n)
+        d = 2 * n * n
+        stack = np.stack([random_density(rng, d) for _ in range(5)])
+        out = reduce_to_dimer(stack, (2, n, n), "site").rho
+        assert out.shape == (5, 2, 2)
+        for k in range(5):
+            assert np.array_equal(out[k], reduce_to_dimer(stack[k], (2, n, n), "site").rho)
+        oracle = np.einsum("kimnjmn->kij", stack.reshape(5, 2, n, n, 2, n, n))
+        assert np.abs(out - oracle).max() <= 1e-15
 
 
 class TestBasisChange:

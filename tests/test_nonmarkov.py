@@ -440,7 +440,7 @@ def svd_solved(a, b):
     """_solve_invertible by the per-point path's rules: the SVD's mask, and
     a solve of its own for the maps it holds."""
     ok = svd_mask(a)
-    return ok, opalg.solve_linear(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
+    return ok, np.linalg.solve(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
 
 
 def screened(maps, monkeypatch):

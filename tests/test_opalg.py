@@ -1,4 +1,4 @@
-"""Operator algebra layer: tensor construction, reductions, norms, solves."""
+"""Operator algebra layer: tensor construction, norms, solves."""
 
 import numpy as np
 import pytest
@@ -104,61 +104,6 @@ class TestMakeDestroy:
             opalg.make_destroy(1)
 
 
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(15)
-        rho_a = random_density(rng, 2)
-        rho_b = random_density(rng, 3)
-        full = opalg.kron(rho_a, rho_b)
-        assert np.allclose(opalg.partial_trace(full, (2, 3), {0}), rho_a, atol=1e-12)
-        assert np.allclose(opalg.partial_trace(full, (2, 3), {1}), rho_b, atol=1e-12)
-
-    def test_unnormalized_factor(self):
-        rng = np.random.default_rng(16)
-        rho_a = random_density(rng, 2)
-        b = random_hermitian(rng, 3)
-        out = opalg.partial_trace(opalg.kron(rho_a, b), (2, 3), {0})
-        assert np.allclose(out, np.trace(b) * rho_a, atol=1e-12)
-
-    def test_all_slots(self):
-        rng = np.random.default_rng(17)
-        rho = random_density(rng, 6)
-        out = opalg.partial_trace(rho, (2, 3), set())
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx(1.0, abs=1e-13)
-
-    def test_singlet_times_vacuum(self):
-        vac = np.zeros((3, 3), dtype=complex)
-        vac[0, 0] = 1.0
-        full = opalg.kron(SINGLET_2Q, vac)
-        out = opalg.partial_trace(full, (4, 3), {0})
-        assert np.allclose(out, SINGLET_2Q, atol=1e-14)
-
-    def test_matches_index_summation(self):
-        # brute-force oracle: keep slots 0 and 2 of a (2, 3, 2) space
-        rng = np.random.default_rng(18)
-        rho = random_density(rng, 12)
-        t = rho.reshape(2, 3, 2, 2, 3, 2)
-        oracle = np.einsum("imjkml->ijkl", t).reshape(4, 4)
-        out = opalg.partial_trace(rho, (2, 3, 2), {0, 2})
-        assert np.allclose(out, oracle, atol=1e-13)
-        assert np.trace(out) == pytest.approx(1.0, abs=1e-13)
-
-    def test_rejects_bad_dims(self):
-        with pytest.raises(DimensionError):
-            opalg.partial_trace(np.eye(5), (2, 3), {0})
-        with pytest.raises(DimensionError):
-            opalg.partial_trace(np.zeros((4, 5, 5)), (2, 3), {0})
-
-    @pytest.mark.parametrize("keep", [{0}, {1}, {0, 2}, {1, 2}, set()])
-    def test_stack_matches_per_state(self, keep):
-        rng = np.random.default_rng(19)
-        stack = np.stack([random_density(rng, 12) for _ in range(6)]).reshape(2, 3, 12, 12)
-        out = opalg.partial_trace(stack, (2, 3, 2), keep)
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(out[idx], opalg.partial_trace(stack[idx], (2, 3, 2), keep))
-
-
 class TestPartialTranspose:
     def test_product_state(self):
         rng = np.random.default_rng(19)
@@ -255,6 +200,21 @@ class TestSolveLinear:
             opalg.solve_linear(a, np.array([1.0, 1.0]))
         assert "condition" in str(exc.value)
 
+    def test_singular_system_reports_its_condition(self):
+        # a zero column: LAPACK stops at an exactly zero pivot, and the
+        # error carries the system's own estimate
+        rng = np.random.default_rng(31)
+        a = 4.0 * np.eye(3) + rng.standard_normal((3, 3))
+        a[:, 1] = 0.0
+        with pytest.raises(SingularSystemError) as exc:
+            opalg.solve_linear(a, np.ones((3, 1)))
+        assert exc.value.cond == opalg.condition_number(a)
+        assert exc.value.cond > 1e15
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionError):
+            opalg.solve_linear(np.stack([np.eye(3), np.eye(3)]), np.ones(3))
+
 
 class TestStacked:
     """A stack (..., n, n) gives the one-matrix calls' results, matrix by matrix."""
@@ -264,15 +224,6 @@ class TestStacked:
         a = 4.0 * np.eye(4) + (
             rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
         )
-        b = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
-        x = opalg.solve_linear(a, b)
-        for k in range(5):
-            assert np.array_equal(x[k], opalg.solve_linear(a[k], b[k]))
-        v = b[0, :, 0]  # one right-hand side for every system
-        x = opalg.solve_linear(a, v)
-        assert x.shape == (5, 4)
-        for k in range(5):
-            assert np.array_equal(x[k], opalg.solve_linear(a[k], v))
         a[2] = 0.0
         assert list(opalg.condition_number(a)) == [opalg.condition_number(m) for m in a]
         assert opalg.condition_number(a)[2] == np.inf
@@ -285,28 +236,13 @@ class TestStacked:
             opalg.trace_norm(stack)
 
     def test_residual_failure_raises(self, monkeypatch):
+        # check_residual per system of a stack, as the D_NM rates call it
         monkeypatch.setattr(opalg, "SOLVE_RESIDUAL_RTOL", 0.0)
         rng = np.random.default_rng(30)
         a = 4.0 * np.eye(6) + rng.standard_normal((3, 6, 6))
+        b = rng.standard_normal((3, 6, 2))
         with pytest.raises(SingularSystemError):
-            opalg.solve_linear(a, rng.standard_normal((3, 6, 2)))
-
-    def test_exactly_singular_system_raises(self):
-        a = np.stack([np.eye(3), np.zeros((3, 3))])
-        with pytest.raises(SingularSystemError):
-            opalg.solve_linear(a, np.ones((2, 3, 1)))
-
-    def test_singular_system_reports_its_condition(self):
-        # a zero column: LAPACK stops at an exactly zero pivot, and the
-        # error names that system with its own estimate
-        rng = np.random.default_rng(31)
-        a = 4.0 * np.eye(3) + rng.standard_normal((4, 3, 3))
-        a[2, :, 1] = 0.0
-        with pytest.raises(SingularSystemError) as exc:
-            opalg.solve_linear(a, np.ones((4, 3, 1)))
-        assert "system 2 of the stack" in str(exc.value)
-        assert exc.value.cond == opalg.condition_number(a[2])
-        assert exc.value.cond > 1e15
+            opalg.check_residual(a, np.linalg.solve(a, b), b, axis=(-2, -1))
 
 
 class TestVecConvention:
