@@ -848,6 +848,37 @@ class TestSparseSteadyState:
         whole = steady_state(dataclasses.replace(m, parity=None))
         assert np.max(np.abs(steady_state(m) - whole)) <= 1e-12
 
+    def test_one_sector_factor_alive_at_a_time(self, monkeypatch):
+        # each factor comes wrapped in a proxy that records when it is
+        # freed; the even sector's must be freed before the odd one's is made
+        import weakref
+
+        real, calls, freed = dynamics._sector_lu, [], []
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, *args, **kwargs):
+                return self.lu.solve(*args, **kwargs)
+
+        def spy(a, name):
+            calls.append((name, list(freed)))
+            factor = Factor(real(a, name))
+            weakref.finalize(factor, freed.append, name)
+            return factor
+
+        monkeypatch.setattr(dynamics, "_sector_lu", spy)
+        m = asymmetric_full_model(3)
+        assert m.dim >= dynamics.SPARSE_STEADY_MIN_DIM and m.parity is not None
+        steady_state(m)
+        assert calls == [("bordered even-sector", []),
+                         ("odd-sector", ["bordered even-sector"])]
+        # a model with no parity is one sector, factored once
+        calls.clear()
+        steady_state(dataclasses.replace(m, parity=None))
+        assert [name for name, _ in calls] == ["bordered even-sector"]
+
     def test_odd_second_null_vector_is_non_unique(self):
         # a site-basis sector dephased by sigma_z, with no Hamiltonian,
         # next to a damped mode it does not couple to: the identity and
@@ -1041,7 +1072,7 @@ class TestExpectation:
             expectation(stack, op + 1j * opalg.make_destroy(4))
 
 
-class TestQuantumState:
+class TestCheckedState:
     """The check steady_state ends with, dynamics._checked_state: trace and
     Hermiticity defects at most 1e-12, lowest eigenvalue at least EIG_FLOOR."""
 
