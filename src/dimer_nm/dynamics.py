@@ -33,6 +33,22 @@ Two engines, chosen by the Hilbert dimension alone (:func:`engine_for`):
 The two differ by the aggregated engine's RK4 error, about 1e-12 at
 f <= 0.1 and the base step; tests pin the agreement at 1e-10.
 
+MAX_SUPEROP_DIM, 32, is where the two cross. Measured on 2 vCPUs, one
+fresh process per run with scipy loaded, f = 0.1, the full model with
+g2 = 2 g1 unless named symmetric, wall seconds aggregated / direct: a
+short trace (every 100 steps to t = 2), a long one (every 10 steps to
+t = 50) and a D_NM run (horizon 20, eps 0.05):
+
+    d = 18               0.08 / 0.01    0.24 / 1.67    0.08 / 0.38
+    d = 32               0.63 / 0.04    2.24 / 2.21    1.01 / 1.18
+    d = 32, symmetric    0.75 / 0.03    2.23 / 3.34    1.16 / 1.07
+    d = 34, symmetric    1.21 / 0.04    3.05 / 3.46    1.45 / 1.26
+    d = 50               9.22 / 0.06    16.9 / 5.67    12.0 / 2.19
+
+Above 32 the aggregated engine's d^2 x d^2 products cost more than its
+amortization saves, and it holds more memory: 637 against 69 MB peak
+on the short d = 50 trace.
+
 Every trajectory, an :func:`integrate` run or the map tomography of
 :mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
 about it is made once: the grid it is sampled on (:func:`uniform_grid`,
@@ -103,7 +119,7 @@ from .errors import (
 )
 from .model import LindbladModel
 
-MAX_SUPEROP_DIM = 64
+MAX_SUPEROP_DIM = 32
 BASE_DT = 1e-3  # base RK4 step in dimer units, before stiff rates shrink it
 TRACE_ABORT_TOL = 1e-6
 EIG_FLOOR = -1e-8  # lowest eigenvalue a valid state may have
@@ -223,9 +239,9 @@ def sparse_generator(h_eff, jumps):
 def liouvillian_matrix(model: LindbladModel):
     """Dense vectorized generator, column-stacking convention.
 
-    A rho B maps to (B.T kron A) vec(rho). Guarded to Hilbert dimension
-    64 so the d^2 x d^2 dense matrix stays manageable; the direct engine
-    and the sparse steady state have no such cap.
+    A rho B maps to (B.T kron A) vec(rho). Refuses a Hilbert dimension
+    above MAX_SUPEROP_DIM, 32, where the direct engine takes over; the
+    direct engine and the sparse steady state have no such cap.
     """
     d = model.dim
     if d > MAX_SUPEROP_DIM:

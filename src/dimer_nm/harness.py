@@ -12,10 +12,10 @@ experiment's column groups, left to right. steady is the steady-state
 group, nmm the memory-measure group, sweep both, and eq8check the
 closed-form group; each group adds its own .meta derived keys. evolve
 and convergence store every run on one grid through :func:`_trace_runs`.
-A config an experiment cannot run, a grid past MAX_GRID_POINTS among
-them, is rejected by RunConfig before any f runs; a memory-measure f
-that fails, or whose effective horizon is short, is a note on the
-package logger.
+A config an experiment cannot run, an f list :func:`resolve_f_values`
+rejects or a grid past MAX_GRID_POINTS among them, is rejected by
+RunConfig when it is built; a memory-measure f that fails, or whose
+effective horizon is short, is a note on the package logger.
 """
 
 import logging
@@ -79,7 +79,6 @@ class RunConfig:
     store_every: int = 10  # steps at the base step size
     eps: float = 0.01
     horizon: float = 0.0  # 0 = 20 / gamma_eff
-    fock_list: str = "3,4"  # convergence experiment
     out: str = ""  # output basename; empty = experiment name
 
     def __post_init__(self):
@@ -98,22 +97,17 @@ class RunConfig:
         check_lower_bounds(self, _LOWER_BOUNDS, ConfigError)
         if self.n_points > MAX_GRID_POINTS:  # an f grid is capped as every grid is
             raise ConfigError(f"n_points must be <= {MAX_GRID_POINTS}, got {self.n_points}")
-        if not all(v >= 2 and v.is_integer() for v in _parse_float_list(self.fock_list, "fock")):
-            raise ConfigError(f"fock_list must be whole numbers >= 2, got {self.fock_list!r}")
+        resolve_f_values(self)
         # the builders alone know which parameters each model kind takes;
         # a model that builds at f = 1 builds at every f > 0, and
-        # ModelParams bounds the physics keys
+        # ModelParams bounds the physics keys. convergence also runs the
+        # refined cutoff n_fock + 1
         try:
             model_for(self, 1.0)
+            if self.experiment == "convergence":
+                model_for(self, 1.0, n_fock=self.n_fock + 1)
         except DimerNMError as exc:
             raise ConfigError(str(exc)) from exc
-        # convergence also builds a model at each fock_list entry
-        if self.experiment == "convergence":
-            try:
-                for nf in _parse_float_list(self.fock_list, "fock"):
-                    model_for(self, 1.0, n_fock=int(nf))
-            except DimerNMError as exc:
-                raise ConfigError(f"fock_list: {exc}") from exc
         # the memory measure's default horizon is 20 / gamma_eff, every
         # sampled run's grid is capped (grid_steps), and eq8check runs the
         # symmetric model where ModelParams.has_closed_form
@@ -189,13 +183,13 @@ def load_config(path: str, base: RunConfig = None, **overrides) -> RunConfig:
     return parse_config(text, base=base, **overrides)
 
 
-def _parse_float_list(raw: str, what: str):
+def _parse_float_list(raw: str):
     try:
         vals = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad {what} list {raw!r}: {exc}") from exc
+        raise ConfigError(f"bad f list {raw!r}: {exc}") from exc
     if not vals:
-        raise ConfigError(f"empty {what} list")
+        raise ConfigError("empty f list")
     return vals
 
 
@@ -204,10 +198,11 @@ def resolve_f_values(cfg: RunConfig):
 
     A repeated f would run twice, so it is a ConfigError. evolve heads
     each column with its f to 6 significant digits (:func:`_f_label`),
-    so its values must differ in that label too.
+    so its values must differ in that label too. RunConfig resolves its
+    grid when it is built, so every config resolves.
     """
     listed = bool(cfg.f_list.strip())
-    fs = _parse_float_list(cfg.f_list, "f") if listed else [cfg.f_min, cfg.f_max]
+    fs = _parse_float_list(cfg.f_list) if listed else [cfg.f_min, cfg.f_max]
     if not all(0.0 < f < math.inf for f in fs):  # nan fails too
         raise ConfigError(f"all f values must be finite and positive, got {fs}")
     if not listed:
@@ -446,28 +441,24 @@ def run_f_sweep(cfg: RunConfig):
 def run_convergence(cfg: RunConfig):
     """Truncation and step-size refinement at the most demanding f.
 
-    Block 'fock' varies the mode cutoff at the base step BASE_DT; block
-    'dt' halves the step at the base cutoff. delta_final_logneg is the
-    change from the previous row within a block.
+    Block 'fock' raises the mode cutoff from n_fock to n_fock + 1 at the
+    base step BASE_DT; block 'dt' halves the step at n_fock. The first
+    row of each block is the one base run, so the four rows take three
+    runs. delta_final_logneg is a second row's change from the base run.
     """
     f = resolve_f_values(cfg)[0]
-    tasks = [("fock", int(nf), BASE_DT) for nf in _parse_float_list(cfg.fock_list, "fock")]
-    tasks += [("dt", cfg.n_fock, BASE_DT / (2 ** i)) for i in range(2)]
-    # each distinct (n_fock, base step) runs once, so the fock row at
-    # n_fock shares the first dt row's run
-    runs = list(dict.fromkeys((nf, dt) for _, nf, dt in tasks))
-    times, results = _trace_runs(
-        cfg, [(model_for(cfg, f, n_fock=nf), dt) for nf, dt in runs],
+    nf = cfg.n_fock
+    times, (base, finer_fock, finer_dt) = _trace_runs(
+        cfg, [(model_for(cfg, f, n_fock=n), dt)
+              for n, dt in ((nf, BASE_DT), (nf + 1, BASE_DT), (nf, BASE_DT / 2))],
         ("log_negativity", "mode_excitation"))
-    observed = dict(zip(runs, results))
 
-    rows, prev_block, prev_val = [], None, None
-    for block, nf, dt in tasks:
-        obs = observed[nf, dt]
+    rows = []
+    for block, n, dt, obs in (("fock", nf, BASE_DT, base), ("fock", nf + 1, BASE_DT, finer_fock),
+                              ("dt", nf, BASE_DT, base), ("dt", nf, BASE_DT / 2, finer_dt)):
         logneg = obs["log_negativity"][-1]
-        delta = float("nan") if block != prev_block else logneg - prev_val
-        rows.append([block, nf, dt, logneg, float(obs["mode_excitation"].max()), delta])
-        prev_block, prev_val = block, logneg
+        delta = float("nan") if obs is base else logneg - base["log_negativity"][-1]
+        rows.append([block, n, dt, logneg, float(obs["mode_excitation"].max()), delta])
     header = ["block", "n_fock", "dt", "final_logneg",
               "max_mode_excitation", "delta_final_logneg"]
     derived = {"experiment": "convergence", "f": f, "t_end_effective": times[-1]}

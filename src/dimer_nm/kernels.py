@@ -4,7 +4,7 @@ For callers that hold a density matrix and the parts of a generator:
 :func:`rk4_lindblad_steps` builds the model and takes all its steps as
 one stride of :func:`dynamics.propagate` on the aggregated engine, so
 the package has one RK4 implementation. Like that engine, it takes
-Hilbert dimensions up to MAX_SUPEROP_DIM and raises DimensionError
+Hilbert dimensions up to MAX_SUPEROP_DIM, 32, and raises DimensionError
 above. There is one backend, ``"aggregated"``, and it loads no scipy.
 """
 

@@ -570,10 +570,13 @@ class TestPropagate:
         # the dimension alone decides: aggregated up to the dense cap,
         # direct above it, for a short run as for a long one
         m = symmetric_model(0.1)
-        at_cap, over_cap = symmetric_model(0.1, n_fock=32), symmetric_model(0.1, n_fock=33)
+        n_cap = MAX_SUPEROP_DIM // 2
+        at_cap, over_cap = (symmetric_model(0.1, n_fock=n) for n in (n_cap, n_cap + 1))
         assert at_cap.dim == MAX_SUPEROP_DIM < over_cap.dim
-        assert [engine_for(x) for x in (m, at_cap, over_cap, asymmetric_full_model(6))] == \
-            ["aggregated", "aggregated", "direct", "direct"]
+        full = [asymmetric_full_model(n) for n in (5, 6)]
+        assert [x.dim for x in full] == [50, 72]
+        assert [engine_for(x) for x in (m, at_cap, over_cap, *full)] == \
+            ["aggregated", "aggregated", "direct", "direct", "direct"]
         for t_end in (1e-3, 0.05, 5.0):  # 1, 50 and 5000 steps
             traj = integrate(m, initial_state(m), t_end, observables=[])
             assert traj.diagnostics["method"] == "aggregated"

@@ -151,7 +151,6 @@ OUT_OF_RANGE = [
     ("g1", ("nan", "inf", "-inf"), None),
     ("kappa1", ("0", "-5", "nan"), None),
     ("kappa2", ("-1", "nan"), None),
-    ("fock_list", ("1,3", "2.5", "3,nan"), None),
     ("observable", ("foo",), "--observable"),
 ]
 
@@ -182,7 +181,7 @@ class TestConfigRanges:
     def test_bounds_themselves_accepted(self):
         cfg = parse_config("store_every = 1\nn_points = 1\nn_fock = 2\n"
                            "horizon = 0\nt_end = 1e-9\neps = 1e-9\n"
-                           "n_th = 0\nkappa2 = 0\nfock_list = 2\n")
+                           "n_th = 0\nkappa2 = 0\n")
         assert (cfg.store_every, cfg.n_points, cfg.n_fock) == (1, 1, 2)
 
     # dynamics alone picks every step: no config key or flag sets it
@@ -308,6 +307,19 @@ class TestFValues:
         assert "configuration error: f value 0.1 is repeated" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["dup.cfg"]
 
+    def test_f_list_checked_when_the_config_is_built(self):
+        # every f-list error is parse_config's, before any run is set up
+        for text, message in (("f_list = abc", "^bad f list 'abc'"),
+                              ("f_list = ,", "^empty f list$"),
+                              ("f_list = 0.1, 0", "^all f values must be finite and positive"),
+                              ("f_min = 0", "^all f values must be finite and positive"),
+                              ("experiment = steady\nf_list = 0.1,0.1",
+                               "^f value 0.1 is repeated$"),
+                              ("experiment = evolve\nf_list = 0.1,0.1000001",
+                               "^two f values share the column label f=0.1$")):
+            with pytest.raises(ConfigError, match=message):
+                parse_config(text)
+
     def test_repeated_f_of_a_range_rejected(self):
         with pytest.raises(ConfigError, match="f value 0.5 is repeated"):
             resolve_f_values(RunConfig(experiment="steady", f_list="", f_min=0.5, f_max=0.5,
@@ -419,11 +431,10 @@ class TestTraceRuns:
 
     def test_f_values_that_print_alike_rejected_before_any_run(self, integrate_calls):
         # one CSV column per f, headed by f to 6 significant digits
-        cfg = RunConfig(experiment="evolve", f_list="0.1, 0.1000001, 0.1", t_end=0.3)
         with pytest.raises(ConfigError, match=r"column label f=0\.1$"):
-            run_experiment(cfg)
+            RunConfig(experiment="evolve", f_list="0.1, 0.1000001, 0.1", t_end=0.3)
         assert integrate_calls == []
-        apart = run_experiment(dataclasses.replace(cfg, f_list="0.1, 0.100001"))
+        apart = run_experiment(RunConfig(experiment="evolve", f_list="0.1, 0.100001", t_end=0.3))
         header = csv_rows(apart["evolve_inversion.csv"][0])[0]
         assert header == ["t", "inversion_f=0.1", "inversion_f=0.100001"]
 
@@ -566,13 +577,15 @@ class TestNmmSweep:
 
 class TestConvergence:
     def test_refinement_blocks(self):
-        cfg = RunConfig(experiment="convergence", f_list="0.1", t_end=2.0,
-                        fock_list="3,4")
+        cfg = RunConfig(experiment="convergence", f_list="0.1", t_end=2.0)
         csv_text, _ = run_convergence(cfg)
         header, rows = csv_rows(csv_text)
         assert header == ["block", "n_fock", "dt", "final_logneg",
                           "max_mode_excitation", "delta_final_logneg"]
-        assert [r[0] for r in rows] == ["fock", "fock", "dt", "dt"]
+        assert [r[:3] for r in rows] == [["fock", "3", "1.00000000000e-03"],
+                                         ["fock", "4", "1.00000000000e-03"],
+                                         ["dt", "3", "1.00000000000e-03"],
+                                         ["dt", "3", "5.00000000000e-04"]]
         assert rows[0][5] == "nan" and rows[2][5] == "nan"
         for r in rows:
             assert math.isfinite(float(r[3]))
@@ -582,20 +595,29 @@ class TestConvergence:
         assert fock_delta < 1e-3
         assert dt_delta < 1e-6
 
-    def test_fock_list_past_the_dimension_cap_exits_two(self, tmp_path, capsys):
-        # a model is built at each entry: d = 130 for the symmetric model at
-        # 65 and 162 for the full one at 9; both reach the cap, 128, below
-        for kind, fock_list in (("auto", "3,65"), ("full", "9,3")):
-            with pytest.raises(ConfigError, match="^fock_list: n_fock must be"):
-                parse_config(f"experiment = convergence\nmodel = {kind}\n"
-                             f"fock_list = {fock_list}\n")
-        RunConfig(experiment="convergence", fock_list="3,64")
-        RunConfig(experiment="convergence", model="full", fock_list="3,8")
-        path = tmp_path / "deep.cfg"
-        path.write_text("fock_list = 3,65\n")
+    def test_refined_cutoff_past_the_dimension_cap_exits_two(self, tmp_path, capsys):
+        # the fock block also builds n_fock + 1: d = 130 for the symmetric
+        # model at 65 and 162 for the full one at 9, both past the cap, 128
+        for kind, n_fock in (("auto", 64), ("full", 8)):
+            with pytest.raises(ConfigError, match="^n_fock must be small enough"):
+                parse_config(f"experiment = convergence\nmodel = {kind}\nn_fock = {n_fock}\n")
+            parse_config(f"experiment = steady\nmodel = {kind}\nn_fock = {n_fock}\n")
+        RunConfig(experiment="convergence", n_fock=63)
+        RunConfig(experiment="convergence", model="full", n_fock=7)
+        out = str(tmp_path / "run")
+        assert cli.main(["convergence", "--fock", "64", "--out", out]) == 2
+        assert "configuration error: n_fock must be small enough" in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
+
+    def test_removed_cutoff_list_key_exits_two(self, tmp_path, capsys):
+        # the fock block refines n_fock by one; no key lists its cutoffs
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'fock_list'"):
+            parse_config("experiment = convergence\nfock_list = 3,4\n")
+        path = tmp_path / "wide.cfg"
+        path.write_text("fock_list = 3,4\n")
         out = str(tmp_path / "run")
         assert cli.main(["convergence", "--config", str(path), "--out", out]) == 2
-        assert "configuration error: fock_list: n_fock must be" in capsys.readouterr().err
+        assert "configuration error: line 1: unknown key 'fock_list'" in capsys.readouterr().err
         assert not os.path.exists(out + ".csv")
 
     def test_each_distinct_run_integrates_once(self, integrate_calls):
