@@ -579,8 +579,15 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     functional and the system solved against the unit vector of that
     row, which is well posed exactly when the kernel is one-dimensional.
     Uniqueness is always tested: the second-smallest singular value
-    sigma_{n-1} of L must clear DEGENERACY_TOL, otherwise
-    NonUniqueSteadyStateError is raised.
+    sigma_{n-1} of L must clear DEGENERACY_TOL ||L||_F, relative to the
+    Frobenius norm of the summed generator (:func:`_frobenius`, on both
+    paths), otherwise NonUniqueSteadyStateError is raised. The bound is
+    relative so that a generator of huge entries, such as a bath at n_th
+    = 1e6, cannot pass a kernel degenerate to rounding. Measured
+    sigma_{n-1} / ||L||_F: at least 7.6e-6 on every non-degenerate
+    solve checked (the tests, the fig2 f range at n_th = 0 and 0.2, the
+    full model at d = 50 from f = 0.01 to 1), below 1e-14 on the
+    degenerate ones.
 
     Below SPARSE_STEADY_MIN_DIM the dense generator gets a full SVD and a
     LAPACK solve. From it on L is split by the model's parity Pi: S =
@@ -621,11 +628,20 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     return _checked_state(rho)
 
 
-def _non_unique(sigma):
-    return NonUniqueSteadyStateError(
-        f"second-smallest singular value {sigma:.3e} below "
-        f"{DEGENERACY_TOL:.0e}; the steady state is not unique"
-    )
+def _frobenius(a):
+    """||a||_F over the entries of a, each scaled by the largest first,
+    so that no square overflows; both steady paths take ||L||_F so."""
+    peak = np.abs(a).max(initial=0.0)
+    return peak * np.linalg.norm(a / peak) if peak else 0.0
+
+
+def _check_unique(sigma, l_norm):
+    """Raise NonUniqueSteadyStateError unless sigma_{n-1}(L) clears
+    DEGENERACY_TOL ||L||_F, l_norm = ||L||_F; a nan sigma fails too."""
+    if not sigma > DEGENERACY_TOL * l_norm:
+        raise NonUniqueSteadyStateError(
+            f"second-smallest singular value {sigma:.3e} below {DEGENERACY_TOL:.0e} "
+            f"x ||L||_F = {l_norm:.3e}; the steady state is not unique")
 
 
 def _steady_vec_dense(model):
@@ -635,8 +651,7 @@ def _steady_vec_dense(model):
         s = np.linalg.svd(lmat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"SVD of the generator failed: {exc}") from exc
-    if s[-2] < DEGENERACY_TOL:
-        raise _non_unique(s[-2])
+    _check_unique(s[-2], _frobenius(lmat))
     a = lmat.copy()
     a[0, :] = opalg.vec(np.eye(d, dtype=complex)).conj()
     b = np.zeros(d * d, dtype=complex)
@@ -694,6 +709,8 @@ def _steady_vec_sparse(model):
 
     even, odd = _sectors(model.dim, model.parity)
     triplets = generator_triplets(model.h_eff, model.jumps)
+    # ||L||_F of the summed entries, as the dense path takes it of lmat
+    l_norm = _frobenius(sparse.csr_matrix((triplets[2], triplets[:2])).data)
     folded = [_fold(*triplets, s) for s in (even, odd)]
     del triplets
     # both sectors are folded, and the full triplets dropped, before any
@@ -710,8 +727,7 @@ def _steady_vec_sparse(model):
                             "odd-sector")
         sigma = min(sigma, _sigma_min(n_odd, lu_odd.solve,
                                       lambda r: lu_odd.solve(r, trans="H")))
-    if sigma < DEGENERACY_TOL:
-        raise _non_unique(sigma)
+    _check_unique(sigma, l_norm)
     return vec
 
 

@@ -1,10 +1,14 @@
 """Experiment harness: flat-file run configs, sweeps, CSV emission.
 
 Configs are flat key=value text ('#' starts a comment); every key is a
-field of RunConfig and unknown keys are rejected. All numeric CSV cells
-are printed with 12 significant digits and '\n' line endings so reruns
-are byte-identical. Each CSV gets a '<name>.csv.meta' companion holding
-the fully resolved configuration and derived quantities.
+field of RunConfig and unknown keys are rejected. RunConfig is the f = 1
+ModelParams, whose fields are the physics keys, plus the run keys; it is
+frozen, so a run only sees a config its checks passed, and
+:func:`base_params` hands the physics on as a plain ModelParams. All
+numeric CSV cells are printed with 12 significant digits and '\n' line
+endings so reruns are byte-identical. Each CSV gets a '<name>.csv.meta'
+companion holding the fully resolved configuration, physics keys first,
+and derived quantities.
 
 Every experiment but evolve and convergence is one f sweep
 (:func:`run_f_sweep`): a row per f, the f column and then the
@@ -55,22 +59,13 @@ OBSERVABLES = ("inversion", "logneg", "both")  # evolve's traces
 HORIZON_WARN_FACTOR = 5.0
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(ModelParams):
+    """A run's keys: ModelParams's, inherited, at f = 1, then the run keys below."""
+
     experiment: str = "evolve"
     observable: str = "both"  # evolve only: one of OBSERVABLES
     model: str = "auto"  # auto | symmetric | full | global
-    omega1: float = 0.0
-    omega2: float = 0.0
-    J: float = 1.0
-    Omega1: float = 2.0
-    Omega2: float = 2.0
-    g1: float = 1.0  # couplings at f=1
-    g2: float = 1.0
-    kappa1: float = 20.0  # linewidths at f=1
-    kappa2: float = 20.0
-    n_fock: int = 3
-    n_th: float = 0.0
     f_list: str = ""  # comma-separated; empty -> use the range below
     f_min: float = 0.0035
     f_max: float = 3.6554
@@ -83,7 +78,8 @@ class RunConfig:
 
     def __post_init__(self):
         # every way a config is made (defaults, a file, CLI flags through
-        # replace) passes here
+        # replace) passes here. It stands in for ModelParams's own check,
+        # whose bounds reach it through model_for(self, 1.0) below
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.observable not in OBSERVABLES:
@@ -122,7 +118,7 @@ class RunConfig:
                 raise ConfigError(f"{keys}: {exc}") from exc
         if self.experiment == "eq8check" and self.model not in ("auto", "symmetric"):
             raise ConfigError(f"eq8check runs the symmetric model only, got {self.model!r}")
-        if self.experiment == "eq8check" and not base_params(self).has_closed_form:
+        if self.experiment == "eq8check" and not self.has_closed_form:
             raise ConfigError("eq8check requires symmetric parameters at zero temperature")
 
 
@@ -218,6 +214,8 @@ def resolve_f_values(cfg: RunConfig):
 
 
 def base_params(cfg: RunConfig) -> ModelParams:
+    """cfg's f = 1 physics as a plain ModelParams, so that apply_f and
+    replace build ModelParams and never re-run RunConfig's checks."""
     return ModelParams(**{f.name: getattr(cfg, f.name) for f in fields(ModelParams)})
 
 

@@ -804,6 +804,20 @@ class TestSteadyState:
         with pytest.raises(NonUniqueSteadyStateError):
             steady_state(m)
 
+    @pytest.mark.parametrize("build, n_th", [
+        (build_symmetric_model, 1e6), (build_symmetric_model, 1e20),
+        (build_symmetric_model, 1e300), (build_full_model, 1e6), (build_full_model, 1e20),
+    ], ids=["dense_d6-1e6", "dense_d6-1e20", "dense_d6-1e300", "sparse_d18-1e6",
+            "sparse_d18-1e20"])
+    def test_kernel_degenerate_to_rounding_reported(self, build, n_th):
+        # so hot a bath makes sigma_{n-1} tiny next to ||L||_F, and the
+        # bordered solve's answer meaningless; the rule is relative. At
+        # 1e300 the squares of L's entries would overflow unscaled
+        m = build(apply_f(0.1, ModelParams.symmetric(n_th=n_th)))
+        assert (m.dim < dynamics.SPARSE_STEADY_MIN_DIM) == (build is build_symmetric_model)
+        with pytest.raises(NonUniqueSteadyStateError, match=r"below 1e-10 x \|\|L\|\|_F = "):
+            steady_state(m)
+
     def test_validated_output(self):
         ss = steady_state(symmetric_model(0.1))
         assert abs(np.trace(ss) - 1.0) < 1e-12
@@ -811,7 +825,7 @@ class TestSteadyState:
         assert np.linalg.eigvalsh(ss).min() >= -1e-8
 
 
-# the models test_deflated_sigma_matches_dense_svd checks, by the ids it
+# the models test_sector_sigma_matches_dense_svd checks, by the ids it
 # gives them: a Hilbert dimension or a name, each model at f and whether
 # it declares a parity
 SIGMA_MODELS = {
@@ -829,18 +843,20 @@ SIGMA_MODELS = {
 class TestSparseSteadyState:
     @pytest.mark.parametrize("f", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("case", list(SIGMA_MODELS))
-    def test_deflated_sigma_matches_dense_svd(self, monkeypatch, case, f):
+    def test_sector_sigma_matches_dense_svd(self, monkeypatch, case, f):
         # sigma_{n-1} from the sector pseudo-inverses against the dense SVD
         build, has_parity = SIGMA_MODELS[case]
         m = build(f)
         assert (m.parity is not None) == has_parity
-        sigma = np.linalg.svd(liouvillian_matrix(m), compute_uv=False)[-2]
+        lmat = liouvillian_matrix(m)
+        ratio = np.linalg.svd(lmat, compute_uv=False)[-2] / np.linalg.norm(lmat)
         monkeypatch.setattr(dynamics, "SPARSE_STEADY_MIN_DIM", FORCE_SPARSE)
-        # the sparse sigma_{n-1} lies within 1e-8 relative of the dense one
-        # exactly when it clears the lower bracket and fails the upper one
-        monkeypatch.setattr(dynamics, "DEGENERACY_TOL", sigma * (1.0 - 1e-8))
+        # the sparse sigma_{n-1} / ||L||_F lies within 1e-8 relative of the
+        # dense one exactly when it clears the lower bracket and fails the
+        # upper one
+        monkeypatch.setattr(dynamics, "DEGENERACY_TOL", ratio * (1.0 - 1e-8))
         steady_state(m)
-        monkeypatch.setattr(dynamics, "DEGENERACY_TOL", sigma * (1.0 + 1e-8))
+        monkeypatch.setattr(dynamics, "DEGENERACY_TOL", ratio * (1.0 + 1e-8))
         with pytest.raises(NonUniqueSteadyStateError):
             steady_state(m)
 

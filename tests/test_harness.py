@@ -11,6 +11,7 @@ import pytest
 from dimer_nm import cli, harness
 from dimer_nm.dynamics import integrate, suggest_dt
 from dimer_nm.errors import ConfigError, DimerNMError
+from dimer_nm.model import ModelParams
 from dimer_nm.harness import (
     HORIZON_WARN_FACTOR,
     RunConfig,
@@ -61,6 +62,22 @@ class TestConfig:
     def test_round_trip_default(self):
         cfg = RunConfig()
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_frozen_behind_its_gate(self):
+        # a run only ever sees a config that RunConfig's checks passed
+        cfg = RunConfig()
+        for key in harness._FIELD_TYPES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, key, getattr(cfg, key))
+
+    def test_model_params_keys_are_inherited(self):
+        # each physics key is declared once, in ModelParams, at f = 1
+        own = set(RunConfig.__annotations__)
+        physics = [f.name for f in dataclasses.fields(ModelParams)]
+        assert issubclass(RunConfig, ModelParams) and own.isdisjoint(physics)
+        assert list(harness._FIELD_TYPES)[:len(physics)] == physics
+        assert len(harness._FIELD_TYPES) == 23
+        assert harness.base_params(RunConfig(g2=2.0)) == ModelParams(g2=2.0)
 
     def test_comments_and_blank_lines(self):
         text = """
@@ -287,7 +304,9 @@ class TestFValues:
             with pytest.raises(ConfigError, match=f"^{key} must be finite"):
                 parse_config(f"f_min = {f_min}\nf_max = {f_max}\n")
             cfg = RunConfig(f_list="")
-            cfg.f_min, cfg.f_max = float(f_min), float(f_max)  # past RunConfig's own check
+            # past RunConfig's own check, which freezes the config
+            object.__setattr__(cfg, "f_min", float(f_min))
+            object.__setattr__(cfg, "f_max", float(f_max))
             with pytest.raises(ConfigError, match="finite and positive"):
                 resolve_f_values(cfg)
 

@@ -708,7 +708,9 @@ class TestSweep:
 
     def test_sweep_level_error_fills_every_row(self, caplog):
         cfg = RunConfig(experiment="nmm", f_list="0.1,1", eps=0.01, horizon=2.0)
-        cfg.eps = -0.01  # set past RunConfig's own check, so nm_sweep rejects it
+        # set past RunConfig's own check, which freezes the config, so
+        # nm_sweep rejects it
+        object.__setattr__(cfg, "eps", -0.01)
         rows = [line.split(",") for line in run_f_sweep(cfg)[0].splitlines()[1:]]
         assert [row[1] for row in rows] == ["nan", "nan"]
         assert caplog.text.count("horizon and eps must be positive") == 2
