@@ -23,31 +23,37 @@ Two engines, chosen by the Hilbert dimension alone (:func:`engine_for`):
                   matrix is the RK4 stability polynomial of the
                   generator, not a matrix exponential), just amortized.
 * ``direct``      above it: applies the exact propagator exp(L tau) to
-                  vec(rho) with scipy's ``expm_multiply`` on the CSR
+                  vec(rho) as a truncated Taylor series on the CSR
                   generator (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-                  488 (2011)), one call per model and block. The
-                  generator has about 11 nonzeros per row, so the engine
-                  has no dimension cap, and its states do not depend on
-                  the step size, which only places the marks.
+                  488 (2011), Alg. 3.2), planned once per model and run
+                  for the one interval tau between marks
+                  (:func:`_taylor_plan`) and applied once per mark
+                  (:func:`_taylor_step`). The generator has about 11
+                  nonzeros per row, so the engine has no dimension cap,
+                  and its states do not depend on the step size, which
+                  only places the marks.
 
 The two differ by the aggregated engine's RK4 error, about 1e-12 at
 f <= 0.1 and the base step; tests pin the agreement at 1e-10.
 
 MAX_SUPEROP_DIM, 32, is where the two cross. Measured on 2 vCPUs, one
 fresh process per run with scipy loaded, f = 0.1, the full model with
-g2 = 2 g1 unless named symmetric, wall seconds aggregated / direct: a
-short trace (every 100 steps to t = 2), a long one (every 10 steps to
-t = 50) and a D_NM run (horizon 20, eps 0.05):
+g2 = 2 g1 unless named symmetric, median wall seconds of three runs,
+aggregated / direct: a short trace (every 100 steps to t = 2), a long
+one (every 10 steps to t = 50), both with every observable, and a D_NM
+run (horizon 20, eps 0.05):
 
-    d = 18               0.08 / 0.01    0.24 / 1.67    0.08 / 0.38
-    d = 32               0.63 / 0.04    2.24 / 2.21    1.01 / 1.18
-    d = 32, symmetric    0.75 / 0.03    2.23 / 3.34    1.16 / 1.07
-    d = 34, symmetric    1.21 / 0.04    3.05 / 3.46    1.45 / 1.26
-    d = 50               9.22 / 0.06    16.9 / 5.67    12.0 / 2.19
+    d = 18               0.52 / 0.02    0.27 / 2.15    0.09 / 0.43
+    d = 32               1.09 / 0.03    2.97 / 3.29    1.26 / 1.27
+    d = 32, symmetric    1.01 / 0.02    2.97 / 3.59    1.31 / 1.16
+    d = 34, symmetric    1.26 / 0.05    3.95 / 3.79    1.80 / 1.24
+    d = 50               12.7 / 0.06    21.5 / 6.64    14.6 / 2.47
 
-Above 32 the aggregated engine's d^2 x d^2 products cost more than its
-amortization saves, and it holds more memory: 637 against 69 MB peak
-on the short d = 50 trace.
+The short d = 18 run on the aggregated engine is bimodal, 0.06 to 0.53
+s over six runs, and 0.05 to 0.08 s on one BLAS thread. At 32 the direct engine still loses the long trace;
+above it the aggregated engine's d^2 x d^2 products cost more than
+their amortization saves, and they hold more memory: 638 against 68 MB
+peak on the short d = 50 trace, 639 against 65 MB on its D_NM run.
 
 Every trajectory, an :func:`integrate` run or the map tomography of
 :mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
@@ -74,19 +80,19 @@ is not a whole number of store intervals: a shorter last interval is a
 second :func:`propagate` call, and a run with no whole interval steps
 that last interval alone.
 
-_CHUNK, 128 marks, bounds every working set of a run. The aggregated
-engine's bits do not depend on where blocks end; the direct engine's
-blocks are a function of the mark count alone, so a model keeps the
-bits it gets in a stack of one. Measured on 2 vCPUs, the fig2 D_NM
-sweep peaks at 35.0 MB with 128-mark blocks against 38.7 MB with
+_CHUNK, 128 marks, bounds every working set of a run. No engine's bits
+depend on where blocks end, as each mark is one step from the mark
+before, nor on the stack a model runs in. Measured on 2 vCPUs, the fig2
+D_NM sweep peaks at 35.0 MB with 128-mark blocks against 38.7 MB with
 1024-mark ones, and a cold run takes about 5,600 minor page faults
 against 108,000; 64-mark blocks peak no lower and run slower, and
 256-mark ones peak 0.3 MB lower but take twice the faults.
 
-scipy is imported lazily, only by the direct engine and by the sparse
-steady-state solve, so ``import dimer_nm`` and the dense runs (every
-trajectory up to MAX_SUPEROP_DIM, steady states below
-SPARSE_STEADY_MIN_DIM) do not pay for it.
+scipy is imported lazily, so ``import dimer_nm`` and the dense runs
+(every trajectory up to MAX_SUPEROP_DIM, steady states below
+SPARSE_STEADY_MIN_DIM) do not pay for it: the direct engine loads
+``scipy.sparse`` alone, and only the sparse steady-state solve loads
+``scipy.sparse.linalg`` (SuperLU, ARPACK and scipy's OpenBLAS).
 
 The sparse steady-state solve (SuperLU and ARPACK), each block of the
 direct engine and the state checks and observables at the end of
@@ -390,25 +396,107 @@ def _direct(models, x, step_sizes, strides, spans, keep, out):
     """The direct engine's blocks for :func:`propagate`: writes every
     model's rows into out and yields each (lo, m) of spans.
 
-    Each model's CSR generator is built once, and each block of a model
-    is one ``expm_multiply`` call on the grid of its marks, so the model
-    gets the same bits as in a stack of one.
+    Each model's Taylor plan (:func:`_taylor_plan`) is made once, before
+    any model steps, for its one interval tau = stride x step, and each
+    mark is one :func:`_taylor_step` from the mark before. A model's
+    marks are thus the same bits in a stack of one and wherever the
+    blocks end.
     """
-    from scipy.sparse.linalg import expm_multiply
-
-    gens = [sparse_generator(m.h_eff, m.jumps) for m in models]
+    plans = [_taylor_plan(m, s * dt) for m, dt, s in zip(models, step_sizes, strides)]
     x = list(x)
     for lo, m in spans:
         # one BLAS thread per block, not across the yield, so the
         # caller's work between blocks keeps its threads
         with opalg.one_blas_thread():
-            for i, gen in enumerate(gens):
+            for i, plan in enumerate(plans):
                 out[i, 0] = _kept(keep, x[i])
-                stop = ((m - 1) * strides[i]) * step_sizes[i]
-                xs = expm_multiply(gen, x[i], start=0.0, stop=stop, num=m, endpoint=True)
-                x[i] = xs[-1]
-                out[i, 1:m] = _kept(keep, xs[1:])
+                for k in range(1, m):
+                    x[i] = _taylor_step(plan, x[i])
+                    out[i, k] = _kept(keep, x[i])
         yield lo, m
+
+
+# theta_m, the largest ||tau A||_1 for which m Taylor terms meet the
+# tolerance 2^-53: Higham, Functions of Matrices (SIAM, 2008), Table
+# A.3, for m <= 30, and Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+# (2011), Table 3.1, for m = 35 to 55
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_TAYLOR_TOL = 2.0 ** -53
+
+
+@dataclass(frozen=True)
+class _TaylorPlan:
+    """exp(tau L) = e^(tau mu) exp(tau A), A = L - mu I, mu = tr L / D,
+    taken as s sub-steps of a Taylor series of at most m terms."""
+
+    a: object  # scipy CSR matrix
+    tau: float
+    mu: complex
+    m: int
+    s: int
+
+
+def _taylor_plan(model, tau):
+    """The :class:`_TaylorPlan` of model's exact propagator over tau.
+
+    (m, s) minimizes m ceil(||tau A||_1 / theta_m) over _THETA, ties to
+    the smaller m (Al-Mohy & Higham 2011, Code Fragment 3.1, its branch
+    on the exact 1-norm); a zero A takes (0, 1). NumericalDriftError, before any step, when
+    ||tau A||_1 is not finite or s exceeds MAX_GRID_POINTS: a bath so hot
+    that a mark would take more sub-steps than a grid holds points.
+    """
+    from scipy import sparse
+
+    gen = sparse_generator(model.h_eff, model.jumps)
+    n = gen.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
+        mu = gen.trace() / float(n)
+        a = gen - mu * sparse.eye(n, n, dtype=gen.dtype, format="csr")
+        norm = tau * abs(a).sum(axis=0).max()
+    if norm == 0:
+        return _TaylorPlan(a, tau, mu, 0, 1)
+    # no pair takes fewer sub-steps than ||tau A||_1 / theta_55, so that
+    # bound is checked before the small thetas divide the norm, which
+    # overflows near 1e300
+    if norm / _THETA[55] <= MAX_GRID_POINTS:  # nan fails too
+        steps = {m: math.ceil(norm / theta) for m, theta in _THETA.items()}
+        m = min(steps, key=lambda m: m * steps[m])  # the first minimum: the smaller m
+        if steps[m] <= MAX_GRID_POINTS:
+            return _TaylorPlan(a, tau, mu, m, steps[m])
+    raise NumericalDriftError(
+        f"||tau (L - mu I)||_1 = {norm:.3e} at tau = {tau:.3e} would take more than "
+        f"{MAX_GRID_POINTS} Taylor sub-steps per mark")
+
+
+def _taylor_step(plan, b):
+    """exp(tau L) b for a (D, k) matrix b: the core of Al-Mohy & Higham
+    2011, Alg. 3.2, in scipy's order of operations. Each of the s
+    sub-steps sums Taylor terms until the last two together fall below
+    _TAYLOR_TOL of the sum, in matrix inf-norms, and then scales the sum
+    by e^(tau mu / s)."""
+    a, tau, s = plan.a, plan.tau, plan.s
+    f = b
+    eta = np.exp(tau * plan.mu / float(s))
+    for _ in range(s):
+        c1 = np.linalg.norm(b, np.inf)
+        for j in range(plan.m):
+            b = (tau / float(s * (j + 1))) * a.dot(b)
+            c2 = np.linalg.norm(b, np.inf)
+            f = f + b
+            if c1 + c2 <= _TAYLOR_TOL * np.linalg.norm(f, np.inf):
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
 
 
 def _kept(keep, x):
@@ -580,7 +668,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     row, which is well posed exactly when the kernel is one-dimensional.
     Uniqueness is always tested: the second-smallest singular value
     sigma_{n-1} of L must clear DEGENERACY_TOL ||L||_F, relative to the
-    Frobenius norm of the summed generator (:func:`_frobenius`, on both
+    Frobenius norm of the summed generator (:func:`opalg.frobenius`, on both
     paths), otherwise NonUniqueSteadyStateError is raised. The bound is
     relative so that a generator of huge entries, such as a bath at n_th
     = 1e6, cannot pass a kernel degenerate to rounding. Measured
@@ -628,13 +716,6 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     return _checked_state(rho)
 
 
-def _frobenius(a):
-    """||a||_F over the entries of a, each scaled by the largest first,
-    so that no square overflows; both steady paths take ||L||_F so."""
-    peak = np.abs(a).max(initial=0.0)
-    return peak * np.linalg.norm(a / peak) if peak else 0.0
-
-
 def _check_unique(sigma, l_norm):
     """Raise NonUniqueSteadyStateError unless sigma_{n-1}(L) clears
     DEGENERACY_TOL ||L||_F, l_norm = ||L||_F; a nan sigma fails too."""
@@ -651,7 +732,7 @@ def _steady_vec_dense(model):
         s = np.linalg.svd(lmat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"SVD of the generator failed: {exc}") from exc
-    _check_unique(s[-2], _frobenius(lmat))
+    _check_unique(s[-2], opalg.frobenius(lmat))
     a = lmat.copy()
     a[0, :] = opalg.vec(np.eye(d, dtype=complex)).conj()
     b = np.zeros(d * d, dtype=complex)
@@ -710,7 +791,7 @@ def _steady_vec_sparse(model):
     even, odd = _sectors(model.dim, model.parity)
     triplets = generator_triplets(model.h_eff, model.jumps)
     # ||L||_F of the summed entries, as the dense path takes it of lmat
-    l_norm = _frobenius(sparse.csr_matrix((triplets[2], triplets[:2])).data)
+    l_norm = opalg.frobenius(sparse.csr_matrix((triplets[2], triplets[:2])).data)
     folded = [_fold(*triplets, s) for s in (even, odd)]
     del triplets
     # both sectors are folded, and the full triplets dropped, before any
@@ -757,7 +838,7 @@ def _even_sector(d, sector, rows, cols, vals):
     e0 = np.zeros(n, dtype=complex)
     e0[r0] = 1.0
     x = lu.solve(e0)
-    opalg.check_residual(bordered, x, e0, a_norm=np.linalg.norm(bordered.data))
+    opalg.check_residual(bordered, x, e0, a_norm=opalg.frobenius(bordered.data))
 
     # L_even's pseudo-inverse from the LU of B: row r0 of L_even is
     # -(1/y_r0) sum_{i != r0} y_i row i (y_r0 != 0, as vec index 0 is a

@@ -162,22 +162,37 @@ def check_residual(a, x, b, axis=None, a_norm=None):
     """Raise SingularSystemError unless ``A x = b`` meets the bound of
     :func:`solve_linear`, per system of a stack when ``axis`` is given.
 
-    ``a`` may be a scipy sparse matrix when its Frobenius norm is passed
-    as ``a_norm``; the error then carries no condition estimate.
+    ``a`` may be a scipy sparse matrix of one system when its Frobenius
+    norm is passed as ``a_norm``; the error then carries no condition
+    estimate, and the norms are taken by :func:`frobenius`, so that a
+    matrix of huge entries overflows neither the residual nor its bound.
     """
-    resid = np.linalg.norm(a @ x - b, axis=axis)
     dense = a_norm is None
     if dense:
-        a_norm = np.linalg.norm(a, axis=axis)
-    bound = SOLVE_RESIDUAL_RTOL * (
-        a_norm * np.linalg.norm(x, axis=axis) + np.linalg.norm(b, axis=axis)
-    )
+        def norm(v):
+            return np.linalg.norm(v, axis=axis)
+        a_norm = norm(a)
+    else:
+        norm = frobenius
+    resid = np.asarray(norm(a @ x - b))
+    bound = np.asarray(SOLVE_RESIDUAL_RTOL * (a_norm * norm(x) + norm(b)))
     bad = ~np.isfinite(resid) | (resid > bound)
     if bad.any():
         k = int(np.argmax(bad))
         cond = float(np.broadcast_to(condition_number(a), bad.shape).flat[k]) if dense else None
         raise SingularSystemError(
             f"solve residual {resid.flat[k]:.3e} exceeds bound {bound.flat[k]:.3e}", cond=cond)
+
+
+def frobenius(a):
+    """||a||_F over the entries of a (a float), each scaled by the largest
+    first, so that no square overflows; the largest |entry| where that is
+    not finite, and 0 for no entries. As a float, a product of such norms
+    that overflows is inf without a warning."""
+    peak = float(np.abs(a).max(initial=0.0))
+    if not 0.0 < peak < math.inf:  # zero, inf or nan
+        return peak
+    return peak * float(np.linalg.norm(a / peak))
 
 
 def condition_number(a):

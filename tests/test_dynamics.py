@@ -1,6 +1,8 @@
 """Master-equation integration, the superoperator form, and steady states."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -605,9 +607,9 @@ class TestPropagate:
     def test_blocks_share_their_seam_mark(self, monkeypatch):
         # on either engine the seam mark is written twice with the same
         # bits; joined at the seams, the blocks are a run in one block,
-        # bit for bit on the aggregated engine, whose marks are products
-        # of one stride operator, and to rounding on the direct one, where
-        # expm_multiply fits its Taylor steps to each block's interval
+        # bit for bit: each mark is one step from the mark before, of one
+        # stride operator on the aggregated engine and of one Taylor plan
+        # on the direct one
         models = [symmetric_model(f) for f in (0.01, 1.0, 100.0)]
         dts, strides, n_marks = [1e-3, 5e-4, 1e-5], [3, 2, 10], 20
         rng = np.random.default_rng(46)
@@ -622,11 +624,7 @@ class TestPropagate:
             assert [b.shape[1] for b in blocks] == [7, 7, 7, 2]
             for before, after in zip(blocks, blocks[1:]):
                 assert np.array_equal(after[:, 0], before[:, -1])
-            joined = seamless(blocks, axis=1)
-            if method == "aggregated":
-                assert np.array_equal(joined, whole)
-            else:
-                assert np.max(np.abs(joined - whole)) <= 1e-13 * np.max(np.abs(whole))
+            assert np.array_equal(seamless(blocks, axis=1), whole)
 
     def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch):
         # different steps and strides in one stack, over several blocks,
@@ -753,6 +751,82 @@ class TestExactPropagator:
         finally:
             np.random.set_state(saved)
         assert np.array_equal(again.states, coarse.states)
+
+
+class TestTaylorKernel:
+    """The direct engine's plan (dynamics._taylor_plan) and the step it
+    takes per mark (dynamics._taylor_step)."""
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    @pytest.mark.parametrize("n_fock", [None, 3], ids=["d6", "d18"])
+    def test_step_matches_dense_exponential(self, n_fock, n_th):
+        # measured worst error 1.7e-14 of the largest entry (d = 18, n_th
+        # = 0, tau = 10, 29 sub-steps)
+        m = symmetric_model(0.1, n_th=n_th) if n_fock is None else \
+            asymmetric_full_model(n_fock, n_th=n_th)
+        lmat = liouvillian_matrix(m)
+        rng = np.random.default_rng(48)
+        v = rng.standard_normal((m.dim ** 2, 4)) + 1j * rng.standard_normal((m.dim ** 2, 4))
+        for tau in (1e-3, 0.1, 1.0, 10.0):
+            plan = dynamics._taylor_plan(m, tau)
+            expect = expm(lmat * tau) @ v
+            for k in (1, 4):
+                got = dynamics._taylor_step(plan, v[:, :k])
+                assert got.shape == (m.dim ** 2, k)
+                assert np.max(np.abs(got - expect[:, :k])) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_step_is_scipys_core_bit_for_bit(self):
+        # the kernel and its theta table mirror scipy's expm_multiply
+        # core operation for operation; skipped where scipy moved them
+        ref = pytest.importorskip("scipy.sparse.linalg._expm_multiply")
+        if not hasattr(ref, "_expm_multiply_simple_core"):
+            pytest.skip("scipy has no _expm_multiply_simple_core")
+        assert dynamics._THETA == ref._theta
+        m = asymmetric_full_model(3, n_th=0.2)
+        v = np.random.default_rng(50).standard_normal((m.dim ** 2, 4)) + 0j
+        for tau in (1e-3, 1.0, 10.0):
+            plan = dynamics._taylor_plan(m, tau)
+            expect = ref._expm_multiply_simple_core(plan.a, v, tau, plan.mu, plan.m, plan.s)
+            assert np.array_equal(dynamics._taylor_step(plan, v), expect)
+
+    def test_plan_takes_the_fewest_products(self):
+        # ||tau A||_1 from the dense generator, A = L - (tr L / D) I; the
+        # plan's m s is the least m ceil(||tau A||_1 / theta_m), at the
+        # smallest m that reaches it
+        thetas = dynamics._THETA
+        assert len(thetas) == 35 and list(thetas.values()) == sorted(thetas.values())
+        m = asymmetric_full_model(3, n_th=0.2)
+        lmat = liouvillian_matrix(m)
+        a = lmat - np.trace(lmat) / lmat.shape[0] * np.eye(lmat.shape[0])
+        for tau in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            norm = tau * np.abs(a).sum(axis=0).max()
+            cost = {k: k * math.ceil(norm / theta) for k, theta in thetas.items()}
+            least = min(cost.values())
+            plan = dynamics._taylor_plan(m, tau)
+            assert plan.tau == tau
+            assert (plan.m, plan.s) == (min(k for k in cost if cost[k] == least),
+                                        math.ceil(norm / thetas[plan.m]))
+            assert plan.m * plan.s == least
+
+    def test_zero_generator_steps_as_the_identity(self):
+        m = LindbladModel(h_eff=np.zeros((3, 3), dtype=complex), jumps=(), dims=(3,),
+                          basis=model_module.SITE_BASIS)
+        plan = dynamics._taylor_plan(m, 0.5)
+        assert (plan.m, plan.s, plan.mu) == (0, 1, 0.0)
+        v = np.random.default_rng(49).standard_normal((9, 2)) + 0j
+        assert np.array_equal(dynamics._taylor_step(plan, v), v)
+
+    @pytest.mark.parametrize("n_th", [1e12, 1e20, 1e300])
+    def test_hot_bath_fails_typed_before_a_step(self, monkeypatch, n_th):
+        # so hot a bath needs more Taylor sub-steps per mark than a grid
+        # holds points; at 1e300 ||tau A||_1 / theta_1 would overflow
+        m = asymmetric_full_model(6, n_th=n_th)
+        assert m.dim == 72
+        monkeypatch.setattr(dynamics, "_taylor_step", no_propagate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDriftError, match=r"more than 1000000 Taylor sub-steps"):
+                integrate(m, initial_state(m), 0.5, dt=1e-3, store_every=10, observables=[])
 
 
 class TestSuggestDt:
@@ -963,6 +1037,16 @@ class TestSparseSteadyState:
             with pytest.raises(SingularSystemError):
                 steady_state(bad)
 
+    def test_hot_bath_fails_typed(self):
+        # at n_th = 1e300 the squares in the bordered solve's residual and
+        # its bound would overflow unscaled, a RuntimeWarning
+        m = asymmetric_full_model(3, n_th=1e300)
+        assert m.dim >= dynamics.SPARSE_STEADY_MIN_DIM
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimerNMError):
+                steady_state(m)
+
     def test_unconverged_uniqueness_test_raises_typed_error(self, monkeypatch):
         from scipy.sparse import linalg as sla
 
@@ -985,7 +1069,7 @@ class TestBlasThreadScopes:
 
         seen, run = {}, ["build"]
         for owner, name in ((model_module, "LindbladModel"), (sla, "splu"), (sla, "svds"),
-                            (sla, "expm_multiply"), (dynamics, "_kept"),
+                            (dynamics, "_taylor_step"), (dynamics, "_kept"),
                             (dynamics, "check_drift")):
             def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
                 seen.setdefault((run[0], _name), []).append(set(blas_counts()))
@@ -1008,7 +1092,7 @@ class TestBlasThreadScopes:
         assert all(counts == {3} for counts in seen.pop(("aggregated", "_kept")))
         assert sorted(seen) == [
             ("aggregated", "check_drift"), ("build", "LindbladModel"),
-            ("direct", "_kept"), ("direct", "check_drift"), ("direct", "expm_multiply"),
+            ("direct", "_kept"), ("direct", "_taylor_step"), ("direct", "check_drift"),
             ("steady", "splu"), ("steady", "svds")]
         assert all(counts == {1} for calls in seen.values() for counts in calls)
 
@@ -1021,8 +1105,10 @@ class TestBlasThreadScopes:
             assert np.allclose(a, b, rtol=0.0, atol=1e-13)
 
     def test_scipy_loads_before_the_pin(self):
-        # in a fresh interpreter scipy, and with it its OpenBLAS, loads
-        # only on the sparse paths, and must load before they pin
+        # in a fresh interpreter scipy's OpenBLAS loads only with the
+        # sparse steady solve, and must load before it pins; the direct
+        # engine needs scipy.sparse alone, which loads no OpenBLAS, so
+        # its pin holds every library the run loads
         script = (
             "import dataclasses, sys\n"
             "from dimer_nm import dynamics, opalg\n"
@@ -1041,9 +1127,11 @@ class TestBlasThreadScopes:
             "    dynamics.steady_state(m)\n"
             "else:\n"
             "    dynamics.integrate(m, initial_state(m), 0.01, method='direct')\n"
+            "with opalg._blas_lock:\n"
+            "    ran = len(opalg._openblas_libs())\n"
             "import scipy.sparse.linalg\n"
             "with opalg._blas_lock:\n"
-            "    print(seen[0], len(opalg._openblas_libs()))\n"
+            "    print(seen[0], ran, len(opalg._openblas_libs()))\n"
         )
         import os
         import subprocess
@@ -1056,8 +1144,9 @@ class TestBlasThreadScopes:
             out = subprocess.run(
                 [sys.executable, "-c", script, run], capture_output=True, text=True,
                 env=dict(os.environ, PYTHONPATH=path), check=True)
-            first, loaded = out.stdout.split()
-            assert first == loaded
+            first, ran, loaded = map(int, out.stdout.split())
+            assert first == ran
+            assert (ran == loaded) if run == "steady" else (ran < loaded)
 
 
 class TestExpectation:

@@ -93,7 +93,8 @@ class TestImport:
         # symmetric model, alone and as a stacked sweep, and a 50-step
         # trace on the engine the dimension picks, included) must not
         # load it; nor may importing the package or a sweep that runs in
-        # one process load multiprocessing
+        # one process load multiprocessing. A direct-engine trace loads
+        # scipy.sparse and not scipy.sparse.linalg
         pkg_root = os.path.dirname(os.path.dirname(dimer_nm.__file__))
         path = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
         script = (
@@ -118,10 +119,10 @@ class TestImport:
             "dimer_nm.integrate(m, initial_state(m), 0.05)\n"
             "print(loaded())\n"
             "dimer_nm.integrate(m, initial_state(m), 0.01, method='direct')\n"
-            "print(bool(loaded()))\n"
+            "print('scipy.sparse' in loaded(), 'scipy.sparse.linalg' in loaded())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=path), check=True,
         )
-        assert out.stdout.split("\n")[:4] == ["[] []", "[]", "[]", "True"]
+        assert out.stdout.split("\n")[:4] == ["[] []", "[]", "[]", "True False"]

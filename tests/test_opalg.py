@@ -1,5 +1,7 @@
 """Operator algebra layer: tensor construction, norms, solves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,24 @@ class TestStacked:
         b = rng.standard_normal((3, 6, 2))
         with pytest.raises(SingularSystemError):
             opalg.check_residual(a, np.linalg.solve(a, b), b, axis=(-2, -1))
+
+    def test_sparse_residual_of_huge_entries(self):
+        # entries near 1e300, as a bath at n_th = 1e300 gives the sparse
+        # steady solve: the scaled norms square no entry, so neither the
+        # residual nor its bound overflows, and a good solve passes
+        from scipy import sparse
+
+        rng = np.random.default_rng(31)
+        m = 4.0 * np.eye(6) + rng.standard_normal((6, 6))
+        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        a = sparse.csr_matrix(1e300 * m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a_norm = opalg.frobenius(a.data)
+            assert a_norm == pytest.approx(1e300 * np.linalg.norm(m), rel=1e-14)
+            opalg.check_residual(a, x, a @ x, a_norm=a_norm)
+            cases = ([], [0.0], [3.0, -4.0], [1.0, np.inf])
+            assert [opalg.frobenius(np.array(v)) for v in cases] == [0.0, 0.0, 5.0, np.inf]
 
 
 class TestVecConvention:
