@@ -55,9 +55,9 @@ above it the aggregated engine's d^2 x d^2 products cost more than
 their amortization saves, and they hold more memory: 638 against 68 MB
 peak on the short d = 50 trace, 639 against 65 MB on its D_NM run.
 
-Every trajectory, an :func:`integrate` run or the map tomography of
-:mod:`dimer_nm.nonmarkov`, is stepped here, and each numerical decision
-about it is made once: the grid it is sampled on (:func:`uniform_grid`,
+Every trajectory, a trace (:func:`integrate`, :func:`trace_stack`) or
+the map tomography of :mod:`dimer_nm.nonmarkov`, is stepped here, and
+each numerical decision about it is made once: the grid it is sampled on (:func:`uniform_grid`,
 capped by :func:`grid_steps`), the steps of each sampling interval
 (:func:`substeps`: :func:`steps_over`, the fewest whole steps with none
 longer than :func:`suggest_dt` of the model from BASE_DT), the engine
@@ -68,17 +68,28 @@ the aggregated engine one stacked product per mark, and hands the
 samples over in blocks of at most _CHUNK marks, each starting at the
 last mark of the block before), the trace-drift abort
 (:func:`check_drift`), the state validity rule (:func:`_defects`, with
-the eigenvalue floor EIG_FLOOR, which :func:`integrate` applies to
-_CHUNK stored states at a time: one Cholesky factorization of the
-shifted Hermitian parts screens each chunk against the floor, and only a
-chunk that fails it takes its eigenvalues, to name the first state below
-the floor and its exact lowest eigenvalue; :func:`steady_state` applies
-it to its one state, with trace and Hermiticity defects of at most
-1e-12, in :func:`_checked_state`) and the observables, which it takes
-over the stored stack at once. :func:`integrate` alone steps a run that
-is not a whole number of store intervals: a shorter last interval is a
-second :func:`propagate` call, and a run with no whole interval steps
-that last interval alone.
+the eigenvalue floor EIG_FLOOR, which a trace applies to each block of
+states: one Cholesky factorization of the shifted Hermitian parts
+screens the block against the floor, and only a block that fails it
+takes its eigenvalues, to name the first state below the floor and its
+exact lowest eigenvalue; :func:`steady_state` applies it to its one
+state, with trace and Hermiticity defects of at most 1e-12, in
+:func:`_checked_state`) and the observables. A trace steps a stack of
+models of one dims (:func:`trace_stack`; :func:`integrate` is its stack
+of one that also stores the states) as one :func:`propagate` run, each
+model at its own step and stride, and takes each block from the
+block's own view, model by model: its states are checked and observed
+into per-model arrays of one value per mark, so only :func:`integrate`
+holds an (n_stored, d, d) stack. A trace alone steps a run that is not
+a whole number of store intervals: a shorter last interval is a second
+:func:`propagate` call, and a run with no whole interval steps that
+last interval alone. Measured on 2 vCPUs, fig1, fig3 and eq8 run back
+to back (the benchmark's traces workload, median of 10) peak at 34.25
+MB with the f values of each trace as one stack, against 37.04 MB with
+each f integrated and its states stored alone. On the aggregated
+engine a stack holds every model's stride operator at once, so at
+d = 32 a 4-f evolve grows the peak by 144 MB against 100 MB to t = 0.5,
+and by 146 against 116 MB to t = 50.
 
 _CHUNK, 128 marks, bounds every working set of a run. No engine's bits
 depend on where blocks end, as each mark is one step from the mark
@@ -95,8 +106,8 @@ SPARSE_STEADY_MIN_DIM) do not pay for it: the direct engine loads
 ``scipy.sparse.linalg`` (SuperLU, ARPACK and scipy's OpenBLAS).
 
 The sparse steady-state solve (SuperLU and ARPACK), each block of the
-direct engine and the state checks and observables at the end of
-:func:`integrate` run on one BLAS thread (:func:`opalg.one_blas_thread`),
+direct engine and the state checks and observables of each block of a
+trace run on one BLAS thread (:func:`opalg.one_blas_thread`),
 as do the model builds. Their BLAS calls are small or bound by memory,
 so a second thread mostly spins. Measured on 2 vCPUs, the d = 72 sparse
 steady solve of the full model (g2 = 2 g1, f = 0.1) took 1.9-2.5 s wall
@@ -132,8 +143,8 @@ EIG_FLOOR = -1e-8  # lowest eigenvalue a valid state may have
 # most points a grid of uniform_grid may hold, 50 times fig2's 20 000 per
 # f; map_tomography holds a 256-byte map per point, 256 MB at the cap
 MAX_GRID_POINTS = 1_000_000
-# marks per block propagate hands over, and stored states per validity
-# check of integrate; bounds every working set of a run
+# marks per block propagate hands over, each checked and observed as
+# one by a trace; bounds every working set of a run
 _CHUNK = 128
 DEGENERACY_TOL = 1e-10
 # steady_state solves Hilbert dimensions below this densely (full SVD,
@@ -189,10 +200,11 @@ def _checked_state(rho):
 
 @dataclass
 class Trajectory:
-    """Stored snapshots of one integration run."""
+    """One trace's marks, observables and diagnostics, and the states an
+    :func:`integrate` run stores; :func:`trace_stack` stores none."""
 
     times: np.ndarray
-    states: np.ndarray  # (n_stored, d, d)
+    states: np.ndarray  # (n_stored, d, d), or None
     observables: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
@@ -379,11 +391,15 @@ def _aggregated(models, x, step_sizes, strides, spans, keep, out):
     model's rows into out and yields each (lo, m) of spans.
 
     Each model's stride operator, the power of its transfer matrix, is
-    built once. The models advance together, one stacked product per
-    mark, which runs each model's product exactly as a stack of one would.
+    built once, straight into its slot of the stack, so no model's
+    operator is held twice. The models advance together, one stacked
+    product per mark, which runs each model's product exactly as a stack
+    of one would.
     """
-    g = np.stack([np.linalg.matrix_power(rk4_transfer_matrix(liouvillian_matrix(m), dt), int(s))
-                  for m, dt, s in zip(models, step_sizes, strides)])
+    n = x.shape[1]
+    g = np.empty((len(models), n, n), dtype=complex)
+    for i, (m, dt, s) in enumerate(zip(models, step_sizes, strides)):
+        g[i] = np.linalg.matrix_power(rk4_transfer_matrix(liouvillian_matrix(m), dt), int(s))
     for lo, m in spans:
         out[:, 0] = _kept(keep, x)
         for k in range(1, m):
@@ -516,15 +532,11 @@ def check_drift(defect, times, dt: float):
         )
 
 
-def _check_states(states, times, dt: float):
-    """Trace and Hermiticity defects of a stack of stored states, taken by
-    :func:`_defects` _CHUNK states at a time. Raises NumericalDriftError
-    at the first drifted or non-finite state (:func:`check_drift`), and
-    failing that at the first state with a lowest eigenvalue below
-    EIG_FLOOR, naming its eigenvalue and time."""
-    trace, herm, low = np.concatenate([
-        _defects(states[lo:lo + _CHUNK])
-        for lo in range(0, states.shape[0], _CHUNK)], axis=1)
+def _check_defects(trace, low, times, dt: float):
+    """Raise NumericalDriftError at the first drifted or non-finite state
+    of a run (:func:`check_drift`), and failing that at the first state
+    with a lowest eigenvalue below EIG_FLOOR, naming its eigenvalue and
+    time. trace and low are :func:`_defects`' of each stored state."""
     check_drift(trace, times, dt)
     negative = np.flatnonzero(low < EIG_FLOOR)
     if negative.size:
@@ -533,7 +545,6 @@ def _check_states(states, times, dt: float):
             f"lowest eigenvalue {low[k]:.3e} at t={times[k]:.6g} "
             f"(dt={dt:.3e})"
         )
-    return trace, herm
 
 
 def expectation(state, op):
@@ -545,9 +556,167 @@ def expectation(state, op):
     return val.real
 
 
+class _Run:
+    """One model's run in a stack of :func:`_stepped`: its stored marks,
+    and the defects and observables of the states it has taken."""
+
+    def __init__(self, model, rho0, t_end, dt, store_every, observables):
+        # integrate's checks, in its order, before anything is allocated
+        self.rho0 = np.asarray(rho0, dtype=complex)
+        d = model.dim
+        if self.rho0.shape != (d, d):
+            raise DimensionError(f"rho0 shape {self.rho0.shape} does not match dims {model.dims}")
+        if not 0 < t_end < math.inf:  # nan fails too
+            raise DimerNMError(f"t_end must be positive and finite, got {t_end}")
+        if dt is None:
+            dt = suggest_dt(model)
+        elif not dt > 0:  # nan fails too
+            raise DimerNMError(f"dt must be positive, got {dt}")
+        if not (store_every >= 1 and store_every % 1 == 0):  # nan, inf fail too
+            raise DimerNMError(f"store_every must be a whole number >= 1, got {store_every}")
+        if store_every > sys.float_info.max:  # an int, which no float holds
+            raise DimerNMError(f"store_every must be within float range, "
+                               f"got a {store_every.bit_length()}-bit integer")
+        self.stride = int(store_every)
+        modes = len(model.dims) > 1
+        if observables is None:
+            observables = (("inversion", "log_negativity", "singlet_overlap")
+                           + ("mode_excitation",) * modes)
+        for name in observables:
+            if name not in ("inversion", "log_negativity", "singlet_overlap", "mode_excitation"):
+                raise DimerNMError(f"unknown observable {name!r}")
+            if name == "mode_excitation" and not modes:
+                raise DimerNMError("mode_excitation requires a model with mode slots")
+        self.n_steps = steps_over(t_end, dt)
+        self.dt = t_end / self.n_steps
+        # whole store intervals, then a partial last one
+        self.n_whole, self.tail = divmod(self.n_steps, self.stride)
+        n_stored = self.n_whole + 1 + (self.tail > 0)
+        if n_stored > MAX_GRID_POINTS:
+            raise DimerNMError(f"t_end {t_end:.6g} at step {self.dt:.3e} stored every "
+                               f"{self.stride} steps would take {n_stored} states, "
+                               f"more than {MAX_GRID_POINTS}")
+        marks = np.append(self.stride * np.arange(self.n_whole + 1.0),
+                          [float(self.n_steps)] * (self.tail > 0))
+        self.times = self.dt * marks
+        self.model = model
+        self.trace, self.low = np.empty(n_stored), np.empty(n_stored)
+        self.herm = 0.0
+        self.obs = {name: np.empty(n_stored) for name in observables}
+        # the number operator of each mode slot, for mode_excitation
+        self.numbers = [opalg.embed(np.diag(np.arange(n, dtype=complex)), slot, model.dims)
+                        for slot, n in enumerate(model.dims)
+                        if slot and "mode_excitation" in self.obs]
+        self.observing = True
+        self.error = None  # an observable's DimerNMError, raised after the checks
+
+    def take(self, at, rho):
+        """Check the states rho (m, d, d), stored states at to at + m - 1,
+        and observe them until the run fails a check or an observable."""
+        span = slice(at, at + rho.shape[0])
+        trace, herm, low = _defects(rho)
+        self.trace[span], self.low[span] = trace, low
+        self.herm = max(self.herm, float(herm.max()))
+        if not self.observing:
+            return
+        if not ((trace <= TRACE_ABORT_TOL).all() and (low >= EIG_FLOOR).all()):
+            self.observing = False  # the run raises at its end
+            return
+        try:
+            self._observe(span, rho)
+        except DimerNMError as exc:
+            self.observing, self.error = False, exc
+
+    def _observe(self, span, rho):
+        if not self.obs:
+            return
+        model = self.model
+        reduced = entanglement.reduce_to_dimer(rho, model.dims, model.basis)
+        for name, values in self.obs.items():
+            if name == "inversion":
+                site = entanglement.basis_change(reduced, "site").rho
+                values[span] = (site[:, 1, 1] - site[:, 0, 0]).real
+            elif name == "log_negativity":
+                values[span] = entanglement.log_negativity(reduced)
+            elif name == "singlet_overlap":
+                values[span] = entanglement.singlet_overlap(reduced)
+            else:  # mode_excitation
+                # occupation of the most excited physical oscillator;
+                # model.mode_weight converts collective-mode quanta, and a
+                # dark center-of-mass mode adds its thermal share
+                w = model.mode_weight
+                values[span] = w * np.max([expectation(rho, n) for n in self.numbers], axis=0) \
+                    + (1.0 - w) * model.n_th
+
+    def result(self, method, states):
+        """The run's Trajectory, or the error of its first failed check
+        (:func:`_check_defects`), and failing that of its observables."""
+        _check_defects(self.trace, self.low, self.times, self.dt)
+        if self.error is not None:
+            raise self.error
+        diagnostics = {
+            "dt": self.dt,
+            "n_steps": self.n_steps,
+            "method": method,
+            "max_trace_defect": float(self.trace.max()),
+            "max_hermiticity_defect": self.herm,
+        }
+        return Trajectory(times=self.times, states=states, observables=self.obs,
+                          diagnostics=diagnostics)
+
+
+def _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store):
+    """Each model's :class:`Trajectory`, its states stored only with store
+    (a stack of one), from one stacked :func:`propagate` run.
+
+    Every run is checked (:class:`_Run`) before anything steps, and the
+    runs must share their number of whole store intervals and whether a
+    partial last one follows. The whole intervals are one propagate call
+    and the last interval a second, from the last whole-interval marks,
+    each model at its own step and stride. Each block is taken from its
+    own view, model by model, on one BLAS thread: its states are checked
+    (:func:`_defects`) and observed, each state once, and the block is
+    overwritten by the next.
+    """
+    runs = [_Run(model, rho0, t_end, dt, store_every, observables)
+            for model, rho0, dt, store_every in zip(models, rho0s, dts, store_everys, strict=True)]
+    if not runs:
+        return []
+    first = runs[0]
+    for i, run in enumerate(runs):
+        if (run.n_whole, run.tail > 0) != (first.n_whole, first.tail > 0):
+            raise DimerNMError(
+                f"stacked runs store at different marks: {run.n_whole} whole intervals and a "
+                f"tail of {run.tail} steps in run {i}, {first.n_whole} and {first.tail} in run 0")
+    method = engine_for(models[0], method)
+    d = models[0].dim
+    states = np.empty((first.times.shape[0], d, d), dtype=complex) if store else None
+    steps = [run.dt for run in runs]
+    v = [opalg.vec(run.rho0)[:, None] for run in runs]
+    whole = [([run.stride for run in runs], first.n_whole)] * (first.n_whole > 0)
+    last = [([run.tail for run in runs], 1)] * (first.tail > 0)
+    at = 0
+    for strides, n_intervals in whole + last:
+        for lo, block in propagate(models, v, steps, strides, n_intervals + 1, method=method):
+            # a block after the run's first starts at a mark already taken
+            seen = 1 if at + lo else 0
+            with opalg.one_blas_thread():
+                for run, rows in zip(runs, block[:, seen:, :, 0]):
+                    # vec is column stacking, so each row is a transposed state
+                    rho = rows.reshape(-1, d, d).transpose(0, 2, 1)
+                    if store:
+                        states[at + lo + seen:at + lo + block.shape[1]] = rho
+                    run.take(at + lo + seen, rho)
+        v = block[:, -1]
+        at += n_intervals
+    with opalg.one_blas_thread():
+        return [run.result(method, states) for run in runs]
+
+
 def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
               store_every: int = 10, observables=None, method: str = "auto") -> Trajectory:
-    """Evolution from rho0 over [0, t_end] through :func:`propagate`.
+    """Evolution from rho0 over [0, t_end] through :func:`propagate`, its
+    states stored: :func:`trace_stack` of one model that keeps them.
 
     t_end must be positive and finite. dt defaults to :func:`suggest_dt`
     and must be positive; the run takes :func:`steps_over` (t_end, dt)
@@ -559,105 +728,48 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     is rho0. The whole store intervals are one :func:`propagate` call,
     and a shorter last interval a second from the last whole-interval
     state; a run of no whole interval, store_every past the step count,
-    makes only the second, so it builds no stride operator. The states
-    are checked by :func:`_check_states`, _CHUNK at a time. A trace drift
-    beyond TRACE_ABORT_TOL or a non-finite state (:func:`check_drift`),
-    and failing that a lowest eigenvalue below EIG_FLOOR, raises
-    NumericalDriftError naming the first such time and the step size.
-    Each chunk is screened against the floor with one shifted Cholesky
-    factorization; only a chunk that fails the screen takes the
-    eigenvalues of its states, so the error reports the exact lowest
-    eigenvalue, and a run that passes knows only that every stored state
-    clears the floor.
+    makes only the second, so it builds no stride operator. Each block
+    of states is checked by :func:`_defects` as it is handed over. A
+    trace drift beyond TRACE_ABORT_TOL or a non-finite state
+    (:func:`check_drift`), and failing that a lowest eigenvalue below
+    EIG_FLOOR, raises NumericalDriftError naming the first such time and
+    the step size (:func:`_check_defects`). Each block is screened
+    against the floor with one shifted Cholesky factorization; only a
+    block that fails the screen takes the eigenvalues of its states, so
+    the error reports the exact lowest eigenvalue, and a run that passes
+    knows only that every stored state clears the floor.
 
     observables: names from {inversion, log_negativity, singlet_overlap,
-    mode_excitation}, each taken over the whole stored stack; default is
-    all that apply to the model. A name that is unknown or does not apply
-    raises DimerNMError before the run steps.
+    mode_excitation}, each taken block by block as the states are
+    checked, until a check fails; default is all that apply to the
+    model. A name that is unknown or does not apply raises DimerNMError
+    before the run steps. An observable that raises (an imaginary part
+    above 1e-10) does so after the checks, naming the largest in its
+    block.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    d = model.dim
-    if rho0.shape != (d, d):
-        raise DimensionError(f"rho0 shape {rho0.shape} does not match dims {model.dims}")
-    if not 0 < t_end < math.inf:  # nan fails too
-        raise DimerNMError(f"t_end must be positive and finite, got {t_end}")
-    if dt is None:
-        dt = suggest_dt(model)
-    elif not dt > 0:  # nan fails too
-        raise DimerNMError(f"dt must be positive, got {dt}")
-    if not (store_every >= 1 and store_every % 1 == 0):  # nan, inf fail too
-        raise DimerNMError(f"store_every must be a whole number >= 1, got {store_every}")
-    if store_every > sys.float_info.max:  # an int, which no float holds
-        raise DimerNMError(f"store_every must be within float range, "
-                           f"got a {store_every.bit_length()}-bit integer")
-    store_every = int(store_every)
-    modes = len(model.dims) > 1
-    if observables is None:
-        observables = (("inversion", "log_negativity", "singlet_overlap")
-                       + ("mode_excitation",) * modes)
-    for name in observables:  # before anything is allocated or stepped
-        if name not in ("inversion", "log_negativity", "singlet_overlap", "mode_excitation"):
-            raise DimerNMError(f"unknown observable {name!r}")
-        if name == "mode_excitation" and not modes:
-            raise DimerNMError("mode_excitation requires a model with mode slots")
-    n_steps = steps_over(t_end, dt)
-    dt_eff = t_end / n_steps
+    (traj,) = _stepped([model], [rho0], t_end, [dt], [store_every], observables, method,
+                       store=True)
+    return traj
 
-    # whole store intervals in one call and a partial last one in a
-    # second, from the last whole-interval state; a run of no interval,
-    # the start alone, makes no call
-    n_whole, tail = divmod(n_steps, store_every)
-    n_stored = n_whole + 1 + (tail > 0)
-    if n_stored > MAX_GRID_POINTS:
-        raise DimerNMError(f"t_end {t_end:.6g} at step {dt_eff:.3e} stored every {store_every} "
-                           f"steps would take {n_stored} states, more than {MAX_GRID_POINTS}")
 
-    method = engine_for(model, method)
-    states = np.empty((n_stored, d, d), dtype=complex)
-    states[0] = rho0
-    at = 0
-    for stride, n_intervals in [(store_every, n_whole)] * (n_whole > 0) + [(tail, 1)] * (tail > 0):
-        v = opalg.vec(states[at])[:, None]
-        for lo, block in propagate([model], [v], [dt_eff], [stride], n_intervals + 1,
-                                   method=method):
-            # vec is column stacking, so each row of block[0] is a transposed state
-            states[at + lo:at + lo + block.shape[1]] = \
-                block[0, ..., 0].reshape(-1, d, d).transpose(0, 2, 1)
-        at += n_intervals
-    marks = np.append(store_every * np.arange(n_whole + 1.0), [float(n_steps)] * (tail > 0))
-    times = dt_eff * marks
+def trace_stack(models, rho0s, t_end: float, dts, store_everys, observables=None,
+                method: str = "auto") -> list:
+    """:func:`integrate` of each model of a stack, its states not stored:
+    one Trajectory per model, in order, with states None.
 
-    with opalg.one_blas_thread():
-        trace, herm = _check_states(states, times, dt_eff)
-
-        reduced = entanglement.reduce_to_dimer(states, model.dims, model.basis)
-        obs = {}
-        for name in observables:
-            if name == "inversion":
-                site = entanglement.basis_change(reduced, "site").rho
-                obs[name] = (site[:, 1, 1] - site[:, 0, 0]).real
-            elif name == "log_negativity":
-                obs[name] = entanglement.log_negativity(reduced)
-            elif name == "singlet_overlap":
-                obs[name] = entanglement.singlet_overlap(reduced)
-            else:  # mode_excitation
-                # occupation of the most excited physical oscillator;
-                # model.mode_weight converts collective-mode quanta, and a
-                # dark center-of-mass mode adds its thermal share
-                numbers = [opalg.embed(np.diag(np.arange(d, dtype=complex)), slot, model.dims)
-                           for slot, d in enumerate(model.dims) if slot]
-                w = model.mode_weight
-                obs[name] = w * np.max([expectation(states, n) for n in numbers], axis=0) \
-                    + (1.0 - w) * model.n_th
-
-    diagnostics = {
-        "dt": dt_eff,
-        "n_steps": n_steps,
-        "method": method,
-        "max_trace_defect": float(trace.max()),
-        "max_hermiticity_defect": float(herm.max()),
-    }
-    return Trajectory(times=times, states=states, observables=obs, diagnostics=diagnostics)
+    The models share dims, and model i runs from rho0s[i] to t_end at
+    step dts[i] (None for :func:`suggest_dt`), stored every
+    store_everys[i] steps; the runs must share their number of whole
+    store intervals and whether a partial last one follows
+    (DimerNMError). Each input is checked as integrate checks it, run by
+    run, before anything steps. The stack is one :func:`propagate` run,
+    streamed block by block into each model's checks and observables, so
+    no (n_stored, d, d) stack is held: each model's times, observables
+    and diagnostics are the bits integrate gives it alone. A model that
+    fails raises the error integrate raises for it; where several fail,
+    the first in the stack wins.
+    """
+    return _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store=False)
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
@@ -797,7 +909,7 @@ def _steady_vec_sparse(model):
     # both sectors are folded, and the full triplets dropped, before any
     # LU is made; each LU dies with the scope that makes it, the even
     # one's when _even_sector returns, so the two are never alive together
-    vec, sigma = _even_sector(model.dim, even, *folded.pop(0))
+    vec, sigma = _even_sector(model.dim, even, *folded.pop(0), l_norm)
     # the odd sector holds no trace, so L_odd is nonsingular exactly when
     # the steady state is unique, and its smallest singular value is the
     # other candidate for sigma_{n-1} of L
@@ -807,15 +919,16 @@ def _steady_vec_sparse(model):
         lu_odd = _sector_lu(sparse.csc_matrix((o_vals, (o_rows, o_cols)), shape=(n_odd, n_odd)),
                             "odd-sector")
         sigma = min(sigma, _sigma_min(n_odd, lu_odd.solve,
-                                      lambda r: lu_odd.solve(r, trans="H")))
+                                      lambda r: lu_odd.solve(r, trans="H"), l_norm))
     _check_unique(sigma, l_norm)
     return vec
 
 
-def _even_sector(d, sector, rows, cols, vals):
+def _even_sector(d, sector, rows, cols, vals, l_norm):
     """(vec(rho), sigma) from the even sector's triplets (rows, cols,
     vals): the steady state, unnormalized, from the LU of the bordered
-    L_even, and sigma_{n-1}(L_even) = 1 / ||L_even^+||_2."""
+    L_even, and sigma_{n-1}(L_even) = 1 / ||L_even^+||_2, taken at the
+    scale l_norm = ||L||_F (:func:`_sigma_min`)."""
     from scipy import sparse
 
     pos, sgn, weight, n = sector
@@ -861,7 +974,7 @@ def _even_sector(d, sector, rows, cols, vals):
         s[r0] = 0.0
         return off(yh, s)
 
-    return np.where(pos >= 0, coef * x[pos], 0.0), _sigma_min(n, pinv, pinv_h)
+    return np.where(pos >= 0, coef * x[pos], 0.0), _sigma_min(n, pinv, pinv_h, l_norm)
 
 
 def _sector_lu(a, name):
@@ -878,21 +991,26 @@ def _sector_lu(a, name):
         ) from exc
 
 
-def _sigma_min(n, solve, solve_h):
-    """Smallest nonzero singular value of an n x n matrix M, one over the
-    largest of its (pseudo-)inverse, given solve: r -> M^+ r and solve_h:
-    r -> (M^+)^H r. ARPACK takes it for n > 2; a smaller M, below ARPACK's
-    smallest problem, takes the norm of M^+ from its n columns."""
+def _sigma_min(n, solve, solve_h, scale):
+    """Smallest nonzero singular value of an n x n matrix M, scale over the
+    largest of scale M^+, given solve: r -> M^+ r and solve_h: r -> (M^+)^H
+    r. scale is ||L||_F of the generator M is a block of, so the operator
+    ARPACK sees has a norm of ||L||_F / sigma however hot the bath: on M^+
+    alone, at n_th = 1e300, its products of entries near 1e-300 underflow
+    and it stops with a zero starting vector. ARPACK takes it for n > 2; a
+    smaller M, below ARPACK's smallest problem, takes the norm of scale
+    M^+ from its n columns."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-    op = LinearOperator((n, n), matvec=lambda r: solve(np.asarray(r, dtype=complex).ravel()),
-                        rmatvec=lambda r: solve_h(np.asarray(r, dtype=complex).ravel()),
+    op = LinearOperator((n, n),
+                        matvec=lambda r: scale * solve(np.asarray(r, dtype=complex).ravel()),
+                        rmatvec=lambda r: scale * solve_h(np.asarray(r, dtype=complex).ravel()),
                         dtype=complex)
     if n <= 2:
-        return 1.0 / np.linalg.norm(op.matmat(np.eye(n)), 2)
+        return scale / np.linalg.norm(op.matmat(np.eye(n)), 2)
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed: reproducible
     try:
         top = svds(op, k=1, v0=v0, return_singular_vectors=False)[0]
     except ArpackError as exc:
         raise DimerNMError(f"uniqueness test did not converge: {exc}") from exc
-    return 1.0 / top
+    return scale / top

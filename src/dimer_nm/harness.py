@@ -32,7 +32,7 @@ import numpy as np
 
 from . import entanglement, opalg
 from ._version import __version__
-from .dynamics import (BASE_DT, MAX_GRID_POINTS, grid_steps, integrate, steady_state, substeps,
+from .dynamics import (BASE_DT, MAX_GRID_POINTS, grid_steps, steady_state, substeps, trace_stack,
                        uniform_grid)
 from .errors import ConfigError, DimerNMError
 from .model import (
@@ -300,28 +300,32 @@ _OBS_KEY = {"inversion": "inversion", "logneg": "log_negativity"}
 
 def _trace_runs(cfg: RunConfig, runs, observables):
     """(grid, observables of each run): each (model, base step) of runs
-    integrated from the initial state and stored on the grid
+    stepped from the initial state and stored on the grid
     uniform_grid(t_end, store_dt), the t column. Each storage interval
     takes the steps :func:`dynamics.substeps` gives the model from its
-    base step, so stiff runs step finer."""
+    base step, so stiff runs step finer. The runs of equal dims are one
+    :func:`dynamics.trace_stack`, taken in the order of their first run."""
     _, t_end, store_dt = _grid_of(cfg)
     grid = uniform_grid(t_end, store_dt)
-
-    def run(m, base_dt):
-        # a run's states go as it returns, before the next run starts
-        dt, sub = substeps(m, store_dt, base_dt)
-        traj = integrate(m, initial_state(m), grid[-1], dt=dt, store_every=sub,
-                         observables=observables)
-        if traj.times.shape != grid.shape:
-            raise DimerNMError("trace runs disagree on the stored time grid")
-        return traj.observables
-
-    return grid, [run(m, base_dt) for m, base_dt in runs]
+    groups = {}
+    for k, (m, _) in enumerate(runs):
+        groups.setdefault(m.dims, []).append(k)
+    results = [None] * len(runs)
+    for group in groups.values():
+        models = [runs[k][0] for k in group]
+        dts, subs = zip(*(substeps(runs[k][0], store_dt, runs[k][1]) for k in group))
+        trajs = trace_stack(models, [initial_state(m) for m in models], grid[-1], dts, subs,
+                            observables=observables)
+        for k, traj in zip(group, trajs):
+            if traj.times.shape != grid.shape:
+                raise DimerNMError("trace runs disagree on the stored time grid")
+            results[k] = traj.observables
+    return grid, results
 
 
 def _traces(cfg: RunConfig, observables):
     """{observable: (csv, meta)}: time traces of the sector observables,
-    one column per f, all from one integration per f on the grid of
+    one column per f, all f stepped as one stack on the grid of
     :func:`_trace_runs`.
     """
     keys = tuple(_OBS_KEY[o] for o in observables)

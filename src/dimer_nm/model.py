@@ -15,7 +15,8 @@ mode; the hierarchy of models built here:
 All four are one system seen with two local modes, one mode or none:
 each names its sector Hamiltonian, its sector jumps and, per mode,
 (Omega, kappa, sector coupling operator), and ``_with_modes`` alone
-builds a model from them, refusing one above MAX_HILBERT_DIM. It also
+builds a model from them, refusing one above MAX_HILBERT_DIM or one
+whose jump rates or damping shift are past float range. It also
 declares the model's weak symmetry, when it has one: the site exchange
 times the parity of every mode (``LindbladModel.parity``). The two
 one-mode models are one construction, ``_one_mode``, with the sector in
@@ -248,9 +249,17 @@ def _with_modes(p: ModelParams, sector_h, modes, basis: str, mode_weight: float 
             jumps.append((ak, 2.0 * kappa * (1.0 + p.n_th)))
             if p.n_th > 0:
                 jumps.append((ak.conj().T, 2.0 * kappa * p.n_th))
+        # a bath so hot that a rate 2 kappa (1 + n_th), or the damping
+        # shift summed from finite rates, is past float range
+        for _, rate in jumps:
+            if not math.isfinite(rate):
+                raise DimerNMError(f"jump rate {rate} is not finite at n_th = {p.n_th:.3g}")
         shift = np.zeros_like(h)
-        for op, rate in jumps:
-            shift += rate * (op.conj().T @ op)
+        with np.errstate(over="ignore"):
+            for op, rate in jumps:
+                shift += rate * (op.conj().T @ op)
+        if not np.isfinite(shift).all():
+            raise DimerNMError(f"the damping shift is not finite at n_th = {p.n_th:.3g}")
         return LindbladModel(
             h_eff=h - 0.5j * shift, jumps=tuple(jumps), dims=dims,
             basis=basis, n_th=p.n_th, mode_weight=mode_weight,

@@ -26,6 +26,7 @@ from dimer_nm.dynamics import (
     steady_state,
     steps_over,
     suggest_dt,
+    trace_stack,
 )
 from dimer_nm.entanglement import log_negativity, reduce_to_dimer, singlet_overlap
 from dimer_nm.errors import (
@@ -394,6 +395,99 @@ class TestIntegrate:
                       observables=("mode_excitation",))
 
 
+class TestTraceStack:
+    """trace_stack steps its runs as one propagation and gives each model
+    the bits and the error integrate gives it alone."""
+
+    @pytest.mark.parametrize("method", ["aggregated", "direct"])
+    @pytest.mark.parametrize("t_end, tail", [(0.3, 0), (0.305, 5)])
+    def test_each_model_gets_its_solo_bits(self, monkeypatch, method, t_end, tail):
+        # 30 whole store intervals of 10, 20 and 40 steps, and with a tail
+        # a last one of 5, 10 and 20, over 7-mark blocks
+        monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        models = [symmetric_model(f) for f in (0.1, 1.0, 10.0)]
+        rho0s = [initial_state(m) for m in models]
+        dts, strides = [1e-3, 5e-4, 2.5e-4], [10, 20, 40]
+        stacked = trace_stack(models, rho0s, t_end, dts, strides, method=method)
+        for i, traj in enumerate(stacked):
+            alone = integrate(models[i], rho0s[i], t_end, dt=dts[i], store_every=strides[i],
+                              method=method)
+            assert traj.states is None
+            assert traj.diagnostics == alone.diagnostics
+            assert traj.diagnostics["n_steps"] == (300 + tail) * 2 ** i
+            assert np.array_equal(traj.times, alone.times)
+            assert set(traj.observables) == {
+                "inversion", "log_negativity", "singlet_overlap", "mode_excitation"}
+            for name, values in alone.observables.items():
+                assert np.array_equal(traj.observables[name], values)
+
+    def test_drifting_model_raises_its_solo_error(self, monkeypatch):
+        # f = 100 sits past the RK4 stability limit at this step and
+        # drifts past the first blocks (TestIntegrate); a model below the
+        # eigenvalue floor from the start fails first in the stack
+        monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        models = [symmetric_model(f) for f in (0.1, 100.0, 1.0)]
+        dt, t_end = 3.5e-4, 2500 * 3.5e-4
+        below = np.diag([1.0 - 2 * EIG_FLOOR, 2 * EIG_FLOOR, 0, 0, 0, 0]).astype(complex)
+        starts = [initial_state(m) for m in models]
+        for rho0s, failing, head in ((starts, 1, "trace drifted by "),
+                                     ([below] + starts[1:], 0, "lowest eigenvalue ")):
+            with pytest.raises(NumericalDriftError) as alone:
+                integrate(models[failing], rho0s[failing], t_end, dt=dt, store_every=1,
+                          method="aggregated")
+            with pytest.raises(NumericalDriftError) as stacked:
+                trace_stack(models, rho0s, t_end, [dt] * 3, [1] * 3, method="aggregated")
+            assert str(stacked.value) == str(alone.value)
+            assert str(alone.value).startswith(head)
+
+    @pytest.mark.parametrize("method", ["aggregated", "direct"])
+    def test_first_failing_model_wins(self, monkeypatch, method):
+        monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        m = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
+        good = np.diag([0.5, 0.5]).astype(complex)
+        lows = [np.diag([1.0 - k * EIG_FLOOR, k * EIG_FLOOR]).astype(complex) for k in (2, 3)]
+        with pytest.raises(NumericalDriftError) as alone:
+            integrate(m, lows[0], 0.1, method=method)
+        with pytest.raises(NumericalDriftError) as stacked:
+            trace_stack([m] * 3, [good] + lows, 0.1, [None] * 3, [10] * 3, method=method)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("lowest eigenvalue -2.000e-08 at t=0 ")
+
+    def test_observable_error_waits_for_the_checks(self, monkeypatch):
+        # an anti-Hermitian part on the sector's diagonal fails
+        # singlet_overlap's imaginary-part check from the first state on;
+        # a run that also fails a check in a later block raises that
+        # check's error, as checks come first
+        monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        m = symmetric_model(100.0)
+        rho0 = initial_state(m) + np.diag([1e-3j, 0, 0, -1e-3j, 0, 0])
+        with pytest.raises(DimerNMError, match="^overlap has imaginary part 1.000e-03$"):
+            integrate(m, rho0, 0.1)
+        dt, t_end = 3.5e-4, 2500 * 3.5e-4
+        with pytest.raises(NumericalDriftError) as alone:
+            integrate(m, rho0, t_end, dt=dt, store_every=1, method="aggregated")
+        assert str(alone.value).startswith("trace drifted by ")
+        fine = symmetric_model(0.1)
+        with pytest.raises(NumericalDriftError) as stacked:
+            trace_stack([fine, m], [initial_state(fine), rho0], t_end, [dt] * 2, [1] * 2,
+                        method="aggregated")
+        assert str(stacked.value) == str(alone.value)
+
+    def test_inputs_checked_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "propagate", no_propagate)
+        m = symmetric_model(0.1)
+        rho0 = initial_state(m)
+        with pytest.raises(DimensionError):
+            trace_stack([m, m], [rho0, np.eye(5)], 0.1, [None] * 2, [10] * 2)
+        with pytest.raises(DimerNMError, match="^unknown observable 'purity'$"):
+            trace_stack([m, m], [rho0] * 2, 0.1, [None] * 2, [10] * 2, observables=("purity",))
+        # 10 whole intervals against 5, and a tail of 5 steps against none
+        for strides in ([10, 20], [10, 15]):
+            with pytest.raises(DimerNMError, match="^stacked runs store at different marks: "):
+                trace_stack([m, m], [rho0] * 2, 0.1, [None] * 2, strides)
+        assert trace_stack([], [], 0.1, [], []) == []
+
+
 class TestStepsOver:
     def test_whole_multiples_take_no_extra_step(self):
         # the quotients land just off the integer, on either side:
@@ -509,8 +603,10 @@ class TestStateScreen:
         chunk = states[dynamics._CHUNK:2 * dynamics._CHUNK]
         assert np.flatnonzero(self.rejected(chunk)).tolist() == [77]
         times = dt * np.arange(n)
+        trace, _, low = np.concatenate([dynamics._defects(states[lo:lo + dynamics._CHUNK])
+                                        for lo in range(0, n, dynamics._CHUNK)], axis=1)
         with pytest.raises(NumericalDriftError) as exc:
-            dynamics._check_states(states, times, dt)
+            dynamics._check_defects(trace, low, times, dt)
         low = defects_by_eigenvalues(states[k])[2]
         assert str(exc.value) == f"lowest eigenvalue {low:.3e} at t={times[k]:.6g} (dt=1.000e-02)"
         assert low < EIG_FLOOR
@@ -1046,6 +1142,17 @@ class TestSparseSteadyState:
             warnings.simplefilter("error")
             with pytest.raises(DimerNMError):
                 steady_state(m)
+
+    @pytest.mark.parametrize("n_fock", [3, 5])
+    def test_hot_bath_kernel_degenerate_to_rounding_reported(self, n_fock):
+        # at n_th = 1e300 the entries of L_s^+ lie near 1e-300, and ARPACK's
+        # products of them underflowed to a zero starting vector; scaled
+        # by ||L||_F they are O(1), and the test reports the degenerate
+        # kernel as it does at n_th = 1e20
+        m = asymmetric_full_model(n_fock, n_th=1e300)
+        assert m.dim >= dynamics.SPARSE_STEADY_MIN_DIM
+        with pytest.raises(NonUniqueSteadyStateError, match=r"below 1e-10 x \|\|L\|\|_F = "):
+            steady_state(m)
 
     def test_unconverged_uniqueness_test_raises_typed_error(self, monkeypatch):
         from scipy.sparse import linalg as sla

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dimer_nm import cli, harness
-from dimer_nm.dynamics import integrate, suggest_dt
+from dimer_nm.dynamics import suggest_dt, trace_stack
 from dimer_nm.errors import ConfigError, DimerNMError
 from dimer_nm.model import ModelParams
 from dimer_nm.harness import (
@@ -32,16 +32,17 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
-def integrate_calls(monkeypatch):
-    """(model, trajectory) of every integrate call the harness makes."""
+def stack_calls(monkeypatch):
+    """Per trace_stack call the harness makes, the (model, trajectory) of
+    each run of its stack."""
     calls = []
 
-    def spy(model, *args, **kwargs):
-        traj = integrate(model, *args, **kwargs)
-        calls.append((model, traj))
-        return traj
+    def spy(models, *args, **kwargs):
+        trajs = trace_stack(models, *args, **kwargs)
+        calls.append(list(zip(models, trajs)))
+        return trajs
 
-    monkeypatch.setattr(harness, "integrate", spy)
+    monkeypatch.setattr(harness, "trace_stack", spy)
     return calls
 
 
@@ -436,10 +437,11 @@ class TestTraceRuns:
         with pytest.raises(ConfigError):
             run_experiment(RunConfig(observable="purity"))
 
-    def test_both_observables_integrate_each_f_once(self, integrate_calls):
+    def test_both_observables_integrate_each_f_once(self, stack_calls):
         cfg = RunConfig(experiment="evolve", f_list="0.1, 2", t_end=0.3)
         outputs = run_experiment(cfg)
-        assert len(integrate_calls) == 2
+        # one stack of one run per f
+        assert [len(call) for call in stack_calls] == [2]
         # a one-observable run records that observable as its configured one
         alone = {}
         for o in ("inversion", "logneg"):
@@ -448,11 +450,11 @@ class TestTraceRuns:
                 csv_text, meta.replace(f"\nobservable={o}\n", "\nobservable=both\n", 1))
         assert outputs == alone
 
-    def test_f_values_that_print_alike_rejected_before_any_run(self, integrate_calls):
+    def test_f_values_that_print_alike_rejected_before_any_run(self, stack_calls):
         # one CSV column per f, headed by f to 6 significant digits
         with pytest.raises(ConfigError, match=r"column label f=0\.1$"):
             RunConfig(experiment="evolve", f_list="0.1, 0.1000001, 0.1", t_end=0.3)
-        assert integrate_calls == []
+        assert stack_calls == []
         apart = run_experiment(RunConfig(experiment="evolve", f_list="0.1, 0.100001", t_end=0.3))
         header = csv_rows(apart["evolve_inversion.csv"][0])[0]
         assert header == ["t", "inversion_f=0.1", "inversion_f=0.100001"]
@@ -494,29 +496,25 @@ class TestTraceRuns:
             assert "\nt_end_effective=2.00000000000e-02\n" in meta
 
     def test_grids_of_unequal_length_are_a_numerical_failure(self, monkeypatch):
-        calls = []
+        def second_run_short(models, *args, **kwargs):
+            trajs = trace_stack(models, *args, **kwargs)
+            trajs[1].times = trajs[1].times[:-1]
+            return trajs
 
-        def second_run_short(model, *args, **kwargs):
-            traj = integrate(model, *args, **kwargs)
-            calls.append(model)
-            if len(calls) == 2:
-                traj.times = traj.times[:-1]
-            return traj
-
-        monkeypatch.setattr(harness, "integrate", second_run_short)
+        monkeypatch.setattr(harness, "trace_stack", second_run_short)
         cfg = RunConfig(experiment="evolve", f_list="0.1, 2", t_end=0.3)
         with pytest.raises(DimerNMError, match="disagree on the stored time grid"):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("f", [1.4, 100.0])
     @pytest.mark.parametrize("store_every", [1, 3])
-    def test_no_step_longer_than_suggest_dt(self, integrate_calls, f, store_every):
+    def test_no_step_longer_than_suggest_dt(self, stack_calls, f, store_every):
         # at f = 1.4 suggest_dt is 1e-3 / 1.4, so a storage interval of
         # one or three base steps is not a whole number of steps
         cfg = RunConfig(experiment="evolve", f_list=str(f), t_end=0.05,
                         store_every=store_every)
         trace_csv(cfg, "inversion")
-        (model, traj), = integrate_calls
+        ((model, traj),), = stack_calls
         assert traj.diagnostics["dt"] <= suggest_dt(model) * (1 + 1e-12)
 
 
@@ -639,12 +637,13 @@ class TestConvergence:
         assert "configuration error: line 1: unknown key 'fock_list'" in capsys.readouterr().err
         assert not os.path.exists(out + ".csv")
 
-    def test_each_distinct_run_integrates_once(self, integrate_calls):
-        # the fock row at n_fock = 3 and the first dt row are one run
+    def test_each_distinct_run_integrates_once(self, stack_calls):
+        # the fock row at n_fock = 3 and the first dt row are one run; the
+        # two n_fock = 3 runs are one stack and the n_fock = 4 run another
         cfg = RunConfig(experiment="convergence", f_list="0.1", t_end=1.0)
         csv_text, _ = run_convergence(cfg)
-        assert [(m.dims, traj.diagnostics["dt"]) for m, traj in integrate_calls] == [
-            ((2, 3), 1e-3), ((2, 4), 1e-3), ((2, 3), 5e-4)]
+        assert [[(m.dims, traj.diagnostics["dt"]) for m, traj in call]
+                for call in stack_calls] == [[((2, 3), 1e-3), ((2, 3), 5e-4)], [((2, 4), 1e-3)]]
         _, rows = csv_rows(csv_text)
         assert rows[0][3:5] == rows[2][3:5]
 
@@ -780,6 +779,20 @@ class TestCli:
                          "--out", str(tmp_path / "uncoupled")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_bath_past_float_range_exits_two_or_three(self, tmp_path, capsys):
+        # a config whose f = 1 model overflows is refused when it is built,
+        # exit 2; one whose larger f does only when that f is built, exit 3
+        for line, code, message in (
+                ("n_th = 1e307", 2, "configuration error: jump rate inf is not finite"),
+                ("n_th = 1e304\nf_list = 1,1000", 3, "numerical failure: jump rate inf")):
+            path = tmp_path / "hot.cfg"
+            path.write_text(line + "\n")
+            out = str(tmp_path / "hot")
+            assert cli.main(["evolve", "--model", "full", "--fock", "6", "--tmax", "0.5",
+                             "--config", str(path), "--out", out]) == code
+            assert f"dimer-nm: {message}" in capsys.readouterr().err
+            assert not os.path.exists(out + "_inversion.csv")
 
     @pytest.mark.parametrize("model, line, message", [
         ("symmetric", "g2 = 2", "symmetric model requires identical sites and modes"),

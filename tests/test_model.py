@@ -384,6 +384,19 @@ class TestParamValidation:
         with pytest.raises(DimerNMError, match=f"^{re.escape(message)}$"):
             ModelParams(**{key: bad})
 
+    @pytest.mark.parametrize("build", [build_symmetric_model, build_full_model,
+                                       build_global_mode_model])
+    def test_bath_past_float_range_refused(self, build):
+        # at f = 1 kappa = 20: 2 kappa (1 + n_th) overflows at n_th = 1e307,
+        # and at 1e306 the rates, 4e307, are finite but not the shift,
+        # their sum times L^dag L, up to 9 times a rate at n_fock = 6;
+        # neither warns on the way
+        for n_th, message in ((1e307, "jump rate inf is not finite at n_th = 1e+307"),
+                              (1e306, "the damping shift is not finite at n_th = 1e+306")):
+            with pytest.raises(DimerNMError, match=f"^{re.escape(message)}$"):
+                build(ModelParams.symmetric(n_fock=6, n_th=n_th))
+        assert np.isfinite(build(ModelParams.symmetric(n_fock=3, n_th=1e300)).h_eff).all()
+
     def test_closed_form_holds_for_symmetric_cold_parameters_only(self):
         assert ModelParams.symmetric().has_closed_form
         for p in (ModelParams(g2=2.0), ModelParams(omega1=0.3), ModelParams.symmetric(n_th=0.2)):
