@@ -57,10 +57,11 @@ peak on the short d = 50 trace, 639 against 65 MB on its D_NM run.
 
 Every trajectory, a trace (:func:`integrate`, :func:`trace_stack`) or
 the map tomography of :mod:`dimer_nm.nonmarkov`, is stepped here, and
-each numerical decision about it is made once: the grid it is sampled on (:func:`uniform_grid`,
-capped by :func:`grid_steps`), the steps of each sampling interval
-(:func:`substeps`: :func:`steps_over`, the fewest whole steps with none
-longer than :func:`suggest_dt` of the model from BASE_DT), the engine
+each numerical decision about it is made once: the grid it is sampled
+on (:func:`uniform_grid`, capped by :func:`grid_steps`), the steps of
+each sampling interval (:func:`substeps`: :func:`steps_over`, the
+fewest whole steps with none longer than :func:`suggest_dt` of the
+model from BASE_DT), the engine
 (:func:`engine_for`) and its stride loop (:func:`propagate`, which steps
 a stack of models together from (D, k) matrices of k vectorized states,
 each model at one stride of its own over at least one whole stride, on
@@ -87,9 +88,17 @@ last interval alone. Measured on 2 vCPUs, fig1, fig3 and eq8 run back
 to back (the benchmark's traces workload, median of 10) peak at 34.25
 MB with the f values of each trace as one stack, against 37.04 MB with
 each f integrated and its states stored alone. On the aggregated
-engine a stack holds every model's stride operator at once, so at
-d = 32 a 4-f evolve grows the peak by 144 MB against 100 MB to t = 0.5,
-and by 146 against 116 MB to t = 50.
+engine each model of a stack holds its d^2 x d^2 stride operator, and
+each mark's stacked product reads every operator of the stack, so a
+trace steps its stack in parts of at most _STACK_BYTES, 4 MiB, of
+operators. Measured on 2 vCPUs with 2 MiB of L2 cache each, seven f
+values stepped to t = 50 every 0.01 (median of 5): as one stack they
+took 26 % less wall time than one by one at d = 6 and 11 % less at
+d = 12, but 38 % more at d = 16 and 49 % more at d = 18, where two
+together took 2 % more and four 33 % more. At d = 32 each model steps
+alone, and a 4-f evolve grows the peak by 99 MB to t = 0.5 and by
+102 MB to t = 50, against 99 and 116 MB with each f integrated alone,
+and 146 and 143 MB with the four operators held at once.
 
 _CHUNK, 128 marks, bounds every working set of a run. No engine's bits
 depend on where blocks end, as each mark is one step from the mark
@@ -146,6 +155,9 @@ MAX_GRID_POINTS = 1_000_000
 # marks per block propagate hands over, each checked and observed as
 # one by a trace; bounds every working set of a run
 _CHUNK = 128
+# most bytes of stride operators one stacked product of the aggregated
+# engine reads per mark, so a trace's stack steps in parts (_stepped)
+_STACK_BYTES = 4 * 2**20
 DEGENERACY_TOL = 1e-10
 # steady_state solves Hilbert dimensions below this densely (full SVD,
 # LAPACK solve) and from it on with one sparse LU per parity sector.
@@ -391,15 +403,11 @@ def _aggregated(models, x, step_sizes, strides, spans, keep, out):
     model's rows into out and yields each (lo, m) of spans.
 
     Each model's stride operator, the power of its transfer matrix, is
-    built once, straight into its slot of the stack, so no model's
-    operator is held twice. The models advance together, one stacked
-    product per mark, which runs each model's product exactly as a stack
-    of one would.
+    built once. The models advance together, one stacked product per
+    mark, which runs each model's product exactly as a stack of one would.
     """
-    n = x.shape[1]
-    g = np.empty((len(models), n, n), dtype=complex)
-    for i, (m, dt, s) in enumerate(zip(models, step_sizes, strides)):
-        g[i] = np.linalg.matrix_power(rk4_transfer_matrix(liouvillian_matrix(m), dt), int(s))
+    g = np.stack([np.linalg.matrix_power(rk4_transfer_matrix(liouvillian_matrix(m), dt), int(s))
+                  for m, dt, s in zip(models, step_sizes, strides)])
     for lo, m in spans:
         out[:, 0] = _kept(keep, x)
         for k in range(1, m):
@@ -667,16 +675,16 @@ class _Run:
 
 def _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store):
     """Each model's :class:`Trajectory`, its states stored only with store
-    (a stack of one), from one stacked :func:`propagate` run.
+    (a stack of one), from stacked :func:`propagate` runs.
 
     Every run is checked (:class:`_Run`) before anything steps, and the
     runs must share their number of whole store intervals and whether a
-    partial last one follows. The whole intervals are one propagate call
-    and the last interval a second, from the last whole-interval marks,
-    each model at its own step and stride. Each block is taken from its
-    own view, model by model, on one BLAS thread: its states are checked
-    (:func:`_defects`) and observed, each state once, and the block is
-    overwritten by the next.
+    partial last one follows. On the aggregated engine each model holds
+    its d^2 x d^2 stride operator, so the stack steps in parts whose
+    operators together take at most _STACK_BYTES, or one model: 202 models
+    at d = 6, 2 at d = 18, 1 at d = 24 and 32. Each part is stepped by
+    :func:`_step`, and each run raises its error once every part has
+    stepped, in stack order.
     """
     runs = [_Run(model, rho0, t_end, dt, store_every, observables)
             for model, rho0, dt, store_every in zip(models, rho0s, dts, store_everys, strict=True)]
@@ -691,6 +699,26 @@ def _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store
     method = engine_for(models[0], method)
     d = models[0].dim
     states = np.empty((first.times.shape[0], d, d), dtype=complex) if store else None
+    size = len(runs) if method == "direct" else max(1, _STACK_BYTES // (16 * d ** 4))
+    for lo in range(0, len(runs), size):
+        _step(runs[lo:lo + size], method, states)
+    with opalg.one_blas_thread():
+        return [run.result(method, states) for run in runs]
+
+
+def _step(runs, method, states):
+    """Step runs, a part of :func:`_stepped`'s stack, and take their
+    states, storing them into states unless it is None (a stack of one).
+
+    The whole intervals are one propagate call and the last interval a
+    second, from the last whole-interval marks, each model at its own step
+    and stride. Each block is taken from its own view, model by model, on
+    one BLAS thread: its states are checked (:func:`_defects`) and
+    observed, each state once, and the block is overwritten by the next.
+    """
+    first = runs[0]
+    models = [run.model for run in runs]
+    d = first.model.dim
     steps = [run.dt for run in runs]
     v = [opalg.vec(run.rho0)[:, None] for run in runs]
     whole = [([run.stride for run in runs], first.n_whole)] * (first.n_whole > 0)
@@ -704,13 +732,11 @@ def _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store
                 for run, rows in zip(runs, block[:, seen:, :, 0]):
                     # vec is column stacking, so each row is a transposed state
                     rho = rows.reshape(-1, d, d).transpose(0, 2, 1)
-                    if store:
+                    if states is not None:
                         states[at + lo + seen:at + lo + block.shape[1]] = rho
                     run.take(at + lo + seen, rho)
         v = block[:, -1]
         at += n_intervals
-    with opalg.one_blas_thread():
-        return [run.result(method, states) for run in runs]
 
 
 def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
@@ -763,8 +789,10 @@ def trace_stack(models, rho0s, t_end: float, dts, store_everys, observables=None
     store intervals and whether a partial last one follows
     (DimerNMError). Each input is checked as integrate checks it, run by
     run, before anything steps. The stack is one :func:`propagate` run,
-    streamed block by block into each model's checks and observables, so
-    no (n_stored, d, d) stack is held: each model's times, observables
+    or on the aggregated engine one per part of at most _STACK_BYTES of
+    stride operators (:func:`_stepped`), streamed block by
+    block into each model's checks and observables, so no
+    (n_stored, d, d) stack is held: each model's times, observables
     and diagnostics are the bits integrate gives it alone. A model that
     fails raises the error integrate raises for it; where several fail,
     the first in the stack wins.

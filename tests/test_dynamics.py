@@ -421,6 +421,33 @@ class TestTraceStack:
             for name, values in alone.observables.items():
                 assert np.array_equal(traj.observables[name], values)
 
+    def test_aggregated_stack_steps_in_parts(self, monkeypatch):
+        # a part holds at most _STACK_BYTES of stride operators, 16 d^4
+        # bytes each: 3 at d = 6 under a cap of 70,000 bytes, so four
+        # models step as 3 and 1, whole intervals then tail in each; the
+        # direct engine holds no operator and steps all four as one
+        monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        monkeypatch.setattr(dynamics, "_STACK_BYTES", 70_000)
+        sizes = []
+        real = dynamics.propagate
+
+        def spy(models, *args, **kwargs):
+            sizes.append(len(models))
+            return real(models, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate", spy)
+        models = [symmetric_model(f) for f in (0.1, 0.3, 1.0, 3.0)]
+        rho0s = [initial_state(m) for m in models]
+        for method, parts in (("aggregated", [3, 3, 1, 1]), ("direct", [4, 4])):
+            sizes.clear()
+            stacked = trace_stack(models, rho0s, 0.305, [1e-3] * 4, [10] * 4, method=method)
+            assert sizes == parts
+            for model, rho0, traj in zip(models, rho0s, stacked):
+                alone = integrate(model, rho0, 0.305, dt=1e-3, store_every=10, method=method)
+                assert traj.diagnostics == alone.diagnostics
+                for name, values in alone.observables.items():
+                    assert np.array_equal(traj.observables[name], values)
+
     def test_drifting_model_raises_its_solo_error(self, monkeypatch):
         # f = 100 sits past the RK4 stability limit at this step and
         # drifts past the first blocks (TestIntegrate); a model below the
@@ -440,9 +467,13 @@ class TestTraceStack:
             assert str(stacked.value) == str(alone.value)
             assert str(alone.value).startswith(head)
 
-    @pytest.mark.parametrize("method", ["aggregated", "direct"])
-    def test_first_failing_model_wins(self, monkeypatch, method):
+    @pytest.mark.parametrize("method, stack_bytes", [("aggregated", 4 * 2**20),
+                                                     ("aggregated", 256), ("direct", 4 * 2**20)])
+    def test_first_failing_model_wins(self, monkeypatch, method, stack_bytes):
+        # under a cap of 256 bytes the aggregated engine steps each d = 2
+        # model alone
         monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        monkeypatch.setattr(dynamics, "_STACK_BYTES", stack_bytes)
         m = build_markovian_dephasing_model(GAMMA_EFF, ModelParams.symmetric())
         good = np.diag([0.5, 0.5]).astype(complex)
         lows = [np.diag([1.0 - k * EIG_FLOOR, k * EIG_FLOOR]).astype(complex) for k in (2, 3)]
