@@ -50,10 +50,12 @@ run (horizon 20, eps 0.05):
     d = 50               12.7 / 0.06    21.5 / 6.64    14.6 / 2.47
 
 The short d = 18 run on the aggregated engine is bimodal, 0.06 to 0.53
-s over six runs, and 0.05 to 0.08 s on one BLAS thread. At 32 the direct engine still loses the long trace;
-above it the aggregated engine's d^2 x d^2 products cost more than
-their amortization saves, and they hold more memory: 638 against 68 MB
-peak on the short d = 50 trace, 639 against 65 MB on its D_NM run.
+s over six runs, and 0.05 to 0.08 s on one BLAS thread.
+
+At 32 the direct engine still loses the long trace. Above it the
+aggregated engine's d^2 x d^2 products cost more than their
+amortization saves, and they hold more memory: 638 against 68 MB peak
+on the short d = 50 trace, 639 against 65 MB on its D_NM run.
 
 Every trajectory, a trace (:func:`integrate`, :func:`trace_stack`) or
 the map tomography of :mod:`dimer_nm.nonmarkov`, is stepped here, and
@@ -63,11 +65,12 @@ each sampling interval (:func:`substeps`: :func:`steps_over`, the
 fewest whole steps with none longer than :func:`suggest_dt` of the
 model from BASE_DT), the engine
 (:func:`engine_for`) and its stride loop (:func:`propagate`, which steps
-a stack of models together from (D, k) matrices of k vectorized states,
-each model at one stride of its own over at least one whole stride, on
-the aggregated engine one stacked product per mark, and hands the
-samples over in blocks of at most _CHUNK marks, each starting at the
-last mark of the block before), the trace-drift abort
+a stack of models from (D, k) matrices of k vectorized states, each
+model at one stride of its own over at least one whole stride, in parts
+that it cuts, on the aggregated engine one stacked product per mark,
+and hands the samples of each part over in blocks of at most _CHUNK
+marks, each starting at the last mark of the block before), the
+trace-drift abort
 (:func:`check_drift`), the state validity rule (:func:`_defects`, with
 the eigenvalue floor EIG_FLOOR, which a trace applies to each block of
 states: one Cholesky factorization of the shifted Hermitian parts
@@ -87,22 +90,34 @@ a whole number of store intervals: a shorter last interval is a second
 last interval alone. Measured on 2 vCPUs, fig1, fig3 and eq8 run back
 to back (the benchmark's traces workload, median of 10) peak at 34.25
 MB with the f values of each trace as one stack, against 37.04 MB with
-each f integrated and its states stored alone. On the aggregated
-engine each model of a stack holds its d^2 x d^2 stride operator, and
-each mark's stacked product reads every operator of the stack, so a
-trace steps its stack in parts of at most _STACK_BYTES, 4 MiB, of
-operators. Measured on 2 vCPUs with 2 MiB of L2 cache each, seven f
-values stepped to t = 50 every 0.01 (median of 5): as one stack they
-took 26 % less wall time than one by one at d = 6 and 11 % less at
-d = 12, but 38 % more at d = 16 and 49 % more at d = 18, where two
-together took 2 % more and four 33 % more. At d = 32 each model steps
-alone, and a 4-f evolve grows the peak by 99 MB to t = 0.5 and by
-102 MB to t = 50, against 99 and 116 MB with each f integrated alone,
-and 146 and 143 MB with the four operators held at once.
+each f integrated and its states stored alone.
+
+:func:`propagate` alone cuts a stack into parts, for a trace and for
+the tomography alike, and steps them one after the other. A part
+builds its operators and its block buffer as its first block is taken
+and drops them once its last block is, so one part's are alive at a
+time. On the aggregated engine each model of a part holds its d^2 x
+d^2 stride operator, and each mark's stacked product reads every
+operator of the part, so a part holds at most _STACK_BYTES, 4 MiB, of
+operators, or one model: 202 models at d = 6, 2 at d = 18, 1 at d = 24
+to 32. The direct engine takes no stacked product, so each of its parts
+is one model with one Taylor plan. Measured on 2 vCPUs with 2 MiB of
+L2 cache each, seven f values stepped to t = 50 every 0.01 (median of
+5): as one stack they took 26 % less wall time than one by one at d = 6
+and 11 % less at d = 12, but 38 % more at d = 16 and 49 % more at
+d = 18, where two together took 2 % more and four 33 % more. Peak RSS
+growth of four f values (0.01, 0.1, 1, 10) after a run of one, against
+one part of all four: a d = 32 full-model D_NM sweep (g2 = 2 g1,
+horizon 20, eps 0.05, on one CPU) 0.5-1.9 against 50 MB, and a d = 72
+full-model evolve (g2 = 2 g1, t_end 2, both observables) 37 against
+71 MB, the same bits. A 4-f d = 32 evolve grows the peak by 99 MB to
+t = 0.5 and by about 100 MB to t = 50, against 99 and 116 MB with each
+f integrated alone, and 146 and 143 MB with the four operators held at
+once.
 
 _CHUNK, 128 marks, bounds every working set of a run. No engine's bits
 depend on where blocks end, as each mark is one step from the mark
-before, nor on the stack a model runs in. Measured on 2 vCPUs, the fig2
+before, nor on the stack or the part a model runs in. Measured on 2 vCPUs, the fig2
 D_NM sweep peaks at 35.0 MB with 128-mark blocks against 38.7 MB with
 1024-mark ones, and a cold run takes about 5,600 minor page faults
 against 108,000; 64-mark blocks peak no lower and run slower, and
@@ -129,6 +144,7 @@ full`` run (horizon 20, eps 0.05) went from 0.11-0.12 s to 0.12-0.17 s
 wall, and a d = 32 evolve (t_end 50) from 3.8-4.2 s to 5.9-6.3 s.
 """
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -156,7 +172,7 @@ MAX_GRID_POINTS = 1_000_000
 # one by a trace; bounds every working set of a run
 _CHUNK = 128
 # most bytes of stride operators one stacked product of the aggregated
-# engine reads per mark, so a trace's stack steps in parts (_stepped)
+# engine reads per mark: propagate steps a stack in parts of at most this
 _STACK_BYTES = 4 * 2**20
 DEGENERACY_TOL = 1e-10
 # steady_state solves Hilbert dimensions below this densely (full SVD,
@@ -365,7 +381,7 @@ def engine_for(model: LindbladModel, method: str = "auto") -> str:
 
 
 def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = "auto"):
-    """Propagate a stack of models, handed over in blocks of marks.
+    """Propagate a stack of models in parts, each handed over in blocks of marks.
 
     The models share dims. Model i starts from v[i], a (D, k) matrix
     whose k columns are vectorized states, and is sampled n_marks >= 2
@@ -373,71 +389,81 @@ def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = 
     k * strides[i] * step_sizes[i]. One stride per model is the rule; a
     run with a shorter last interval makes a second call from its last
     state, and a run of no whole interval makes none (:func:`integrate`).
-    Yields (lo, block) for blocks of at most _CHUNK marks:
-    block[i, j] holds model i's v, or keep @ v, at mark lo + j. Each
-    block after the first starts at the last mark of the block before,
-    with the same bits, so a block of m marks spans m - 1 whole stride
-    intervals. Each block is a view of one buffer that the next block
-    overwrites, so the caller copies what it keeps.
+
+    Yields (first, blocks) for each part of the stack, in order: the
+    models from index first to the next part's first. On the aggregated
+    engine a part holds as many models as fit _STACK_BYTES of stride
+    operators, 16 d^4 bytes each, or one: 202 at d = 6, 2 at d = 18, 1 at
+    d = 24 to 32. On the direct engine, which takes no stacked product,
+    a part is one model. blocks yields (lo, block) for blocks of at most
+    _CHUNK marks: block[j, k] holds the part's model first + j's v, or
+    keep @ v, at mark lo + k. Each block after the first starts at the
+    last mark of the block before, with the same bits, so a block of m
+    marks spans m - 1 whole stride intervals. Each block is a view of
+    one buffer that the next block overwrites, so the caller copies
+    what it keeps. A part builds its operators and its buffer when its
+    first block is taken, and frees them once its blocks are exhausted,
+    so a caller that takes each part's blocks before the next part
+    holds one part's at a time; an error of a part's stepping, such as
+    a Taylor plan that fails, is raised as that part's blocks are taken.
 
     All models run on the one engine :func:`engine_for` gives. Each
     model runs exactly as it would in a stack of one.
     """
-    n = len(models)
     if any(m.dims != models[0].dims for m in models):
         raise DimensionError("propagate stacks models of equal dims only")
     if n_marks < 2:
         raise DimerNMError(f"propagate samples at least two marks, got {n_marks}")
     engine = engine_for(models[0], method)
-    x = np.array(v, dtype=complex)
     spans = [(lo, min(_CHUNK, n_marks - lo)) for lo in range(0, n_marks - 1, _CHUNK - 1)]
-    rows = x.shape[1] if keep is None else len(keep)
-    block = np.empty((n, spans[0][1], rows, x.shape[2]), dtype=complex)
-    blocks = _aggregated if engine == "aggregated" else _direct
-    for lo, m in blocks(models, x, step_sizes, strides, spans, keep, block):
-        yield lo, block[:, :m]
+    size = max(1, _STACK_BYTES // (16 * models[0].dim ** 4)) if engine == "aggregated" else 1
+    for first in range(0, len(models), size):
+        part = slice(first, first + size)
+        yield first, _blocks(engine, models[part], np.array(v[part], dtype=complex),
+                             step_sizes[part], strides[part], spans, keep)
 
 
-def _aggregated(models, x, step_sizes, strides, spans, keep, out):
-    """The aggregated engine's blocks for :func:`propagate`: writes every
-    model's rows into out and yields each (lo, m) of spans.
+def _blocks(engine, models, x, step_sizes, strides, spans, keep):
+    """The blocks of one part of :func:`propagate`, from its starts x.
 
-    Each model's stride operator, the power of its transfer matrix, is
-    built once. The models advance together, one stacked product per
-    mark, which runs each model's product exactly as a stack of one would.
+    The engine, :func:`_aggregated` or :func:`_direct`, first makes the
+    part's step, which takes every model of the part from one mark to
+    the next, and the scope each block is taken in. Each mark is one
+    step from the mark before, so a model's marks are the same bits in
+    a stack of one and wherever the blocks end. The scope holds a block,
+    not the yield, so the caller's work between blocks keeps its BLAS
+    threads.
     """
+    step, scope = (_aggregated if engine == "aggregated" else _direct)(models, step_sizes, strides)
+    rows = x.shape[1] if keep is None else len(keep)
+    out = np.empty((len(x), spans[0][1], rows, x.shape[2]), dtype=complex)
+    for lo, m in spans:
+        with scope():
+            out[:, 0] = _kept(keep, x)
+            for k in range(1, m):
+                x = step(x)
+                out[:, k] = _kept(keep, x)
+        yield lo, out[:, :m]
+
+
+def _aggregated(models, step_sizes, strides):
+    """The aggregated engine's (step, scope) of a part: each model's
+    stride operator, the power of its transfer matrix, built once, and
+    the models advanced together, one stacked product per mark, which
+    runs each model's product exactly as a stack of one would. Its dense
+    products gain from the default BLAS threads, so the scope is empty."""
     g = np.stack([np.linalg.matrix_power(rk4_transfer_matrix(liouvillian_matrix(m), dt), int(s))
                   for m, dt, s in zip(models, step_sizes, strides)])
-    for lo, m in spans:
-        out[:, 0] = _kept(keep, x)
-        for k in range(1, m):
-            x = g @ x
-            out[:, k] = _kept(keep, x)
-        yield lo, m
+    return (lambda x: g @ x), contextlib.nullcontext
 
 
-def _direct(models, x, step_sizes, strides, spans, keep, out):
-    """The direct engine's blocks for :func:`propagate`: writes every
-    model's rows into out and yields each (lo, m) of spans.
-
-    Each model's Taylor plan (:func:`_taylor_plan`) is made once, before
-    any model steps, for its one interval tau = stride x step, and each
-    mark is one :func:`_taylor_step` from the mark before. A model's
-    marks are thus the same bits in a stack of one and wherever the
-    blocks end.
-    """
-    plans = [_taylor_plan(m, s * dt) for m, dt, s in zip(models, step_sizes, strides)]
-    x = list(x)
-    for lo, m in spans:
-        # one BLAS thread per block, not across the yield, so the
-        # caller's work between blocks keeps its threads
-        with opalg.one_blas_thread():
-            for i, plan in enumerate(plans):
-                out[i, 0] = _kept(keep, x[i])
-                for k in range(1, m):
-                    x[i] = _taylor_step(plan, x[i])
-                    out[i, k] = _kept(keep, x[i])
-        yield lo, m
+def _direct(models, step_sizes, strides):
+    """The direct engine's (step, scope) of a part, one model: its
+    Taylor plan (:func:`_taylor_plan`) made once for its one interval
+    tau = stride x step, each mark one :func:`_taylor_step` from the
+    mark before, and each block on one BLAS thread."""
+    [plan] = [_taylor_plan(m, s * dt) for m, dt, s in zip(models, step_sizes, strides)]
+    return (lambda x: _taylor_step(plan, x[0])[None]), opalg.one_blas_thread
 
 
 # theta_m, the largest ||tau A||_1 for which m Taylor terms meet the
@@ -679,12 +705,15 @@ def _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store
 
     Every run is checked (:class:`_Run`) before anything steps, and the
     runs must share their number of whole store intervals and whether a
-    partial last one follows. On the aggregated engine each model holds
-    its d^2 x d^2 stride operator, so the stack steps in parts whose
-    operators together take at most _STACK_BYTES, or one model: 202 models
-    at d = 6, 2 at d = 18, 1 at d = 24 and 32. Each part is stepped by
-    :func:`_step`, and each run raises its error once every part has
-    stepped, in stack order.
+    partial last one follows. The whole intervals of the stack are one
+    propagate call and the last interval a second, from the last
+    whole-interval marks, each model at its own step and stride, in the
+    parts propagate cuts. Each block is taken from its own view, model
+    by model, on one BLAS thread: its states are checked
+    (:func:`_defects`) and observed, each state once, and the block is
+    overwritten by the next. A part that raises as it steps raises here;
+    each run raises the error of its checks once every part has stepped,
+    in stack order.
     """
     runs = [_Run(model, rho0, t_end, dt, store_every, observables)
             for model, rho0, dt, store_every in zip(models, rho0s, dts, store_everys, strict=True)]
@@ -699,44 +728,31 @@ def _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store
     method = engine_for(models[0], method)
     d = models[0].dim
     states = np.empty((first.times.shape[0], d, d), dtype=complex) if store else None
-    size = len(runs) if method == "direct" else max(1, _STACK_BYTES // (16 * d ** 4))
-    for lo in range(0, len(runs), size):
-        _step(runs[lo:lo + size], method, states)
-    with opalg.one_blas_thread():
-        return [run.result(method, states) for run in runs]
-
-
-def _step(runs, method, states):
-    """Step runs, a part of :func:`_stepped`'s stack, and take their
-    states, storing them into states unless it is None (a stack of one).
-
-    The whole intervals are one propagate call and the last interval a
-    second, from the last whole-interval marks, each model at its own step
-    and stride. Each block is taken from its own view, model by model, on
-    one BLAS thread: its states are checked (:func:`_defects`) and
-    observed, each state once, and the block is overwritten by the next.
-    """
-    first = runs[0]
-    models = [run.model for run in runs]
-    d = first.model.dim
     steps = [run.dt for run in runs]
-    v = [opalg.vec(run.rho0)[:, None] for run in runs]
+    v = np.stack([opalg.vec(run.rho0)[:, None] for run in runs])
     whole = [([run.stride for run in runs], first.n_whole)] * (first.n_whole > 0)
     last = [([run.tail for run in runs], 1)] * (first.tail > 0)
     at = 0
     for strides, n_intervals in whole + last:
-        for lo, block in propagate(models, v, steps, strides, n_intervals + 1, method=method):
-            # a block after the run's first starts at a mark already taken
-            seen = 1 if at + lo else 0
-            with opalg.one_blas_thread():
-                for run, rows in zip(runs, block[:, seen:, :, 0]):
-                    # vec is column stacking, so each row is a transposed state
-                    rho = rows.reshape(-1, d, d).transpose(0, 2, 1)
-                    if states is not None:
-                        states[at + lo + seen:at + lo + block.shape[1]] = rho
-                    run.take(at + lo + seen, rho)
-        v = block[:, -1]
+        # each part steps from a copy of its rows of v, which then take
+        # its last marks, the starts of the tail
+        for i, blocks in propagate(models, v, steps, strides, n_intervals + 1, method=method):
+            for lo, block in blocks:
+                # a block after the run's first starts at a mark already taken
+                seen = 1 if at + lo else 0
+                with opalg.one_blas_thread():
+                    for run, rows in zip(runs[i:], block[:, seen:, :, 0]):
+                        # vec is column stacking, so each row is a transposed state
+                        rho = rows.reshape(-1, d, d).transpose(0, 2, 1)
+                        if states is not None:
+                            states[at + lo + seen:at + lo + block.shape[1]] = rho
+                        run.take(at + lo + seen, rho)
+            v[i:i + len(block)] = block[:, -1]
+            # the views of the part's buffer go before the next part builds
+            del block, rows, rho
         at += n_intervals
+    with opalg.one_blas_thread():
+        return [run.result(method, states) for run in runs]
 
 
 def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
@@ -754,7 +770,9 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     is rho0. The whole store intervals are one :func:`propagate` call,
     and a shorter last interval a second from the last whole-interval
     state; a run of no whole interval, store_every past the step count,
-    makes only the second, so it builds no stride operator. Each block
+    makes only the second, so it builds no stride operator. Each call is
+    one part of propagate on either engine, so a Taylor plan that fails
+    on the direct engine raises before any step. Each block
     of states is checked by :func:`_defects` as it is handed over. A
     trace drift beyond TRACE_ABORT_TOL or a non-finite state
     (:func:`check_drift`), and failing that a lowest eigenvalue below
@@ -789,13 +807,14 @@ def trace_stack(models, rho0s, t_end: float, dts, store_everys, observables=None
     store intervals and whether a partial last one follows
     (DimerNMError). Each input is checked as integrate checks it, run by
     run, before anything steps. The stack is one :func:`propagate` run,
-    or on the aggregated engine one per part of at most _STACK_BYTES of
-    stride operators (:func:`_stepped`), streamed block by
-    block into each model's checks and observables, so no
-    (n_stored, d, d) stack is held: each model's times, observables
-    and diagnostics are the bits integrate gives it alone. A model that
-    fails raises the error integrate raises for it; where several fail,
-    the first in the stack wins.
+    stepped in the parts propagate cuts and streamed block by block into
+    each model's checks and observables, so no (n_stored, d, d) stack is
+    held: each model's times, observables and diagnostics are the bits
+    integrate gives it alone. A model that fails its checks raises the
+    error integrate raises for it; where several fail, the first in the
+    stack wins, once every part has stepped. An error raised as a part
+    steps, such as a Taylor plan that fails on the direct engine, is
+    raised when that part starts.
     """
     return _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store=False)
 

@@ -34,7 +34,7 @@ def rk4_lindblad_steps(rho, h_eff, jump_ops, rates, dt, n_steps):
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     model = LindbladModel(h_eff, tuple(zip(jump_ops, rates)), (h_eff.shape[0],), SITE_BASIS)
-    steps = max(int(n_steps), 0)
-    [(_, block)] = dynamics.propagate([model], [opalg.vec(rho)[:, None]], [dt], [steps], 2,
-                                      method="aggregated")
+    # one part of one block of two marks, rho and its last step
+    [(_, [(_, block)])] = dynamics.propagate([model], [opalg.vec(rho)[:, None]], [dt],
+                                             [max(int(n_steps), 0)], 2, method="aggregated")
     return opalg.unvec(block[0, -1, :, 0].copy())

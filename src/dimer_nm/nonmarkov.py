@@ -35,8 +35,9 @@ eps as it picks those of a trace's storage interval, decides its
 trace-drift abort (:func:`dynamics.uniform_grid`,
 :func:`dynamics.substeps`, :func:`dynamics.check_drift`), and steps it
 (:func:`dynamics.propagate`, the four basis states as the columns of
-one matrix) on either engine and at any dimension. No function here
-takes a step or decides one.
+one matrix) on either engine and at any dimension, in the parts that
+propagate cuts a stack into. No function here takes a step, decides
+one or cuts a stack.
 
 D_NM is computed one way per shape, both on the grid
 :func:`dynamics.uniform_grid` (horizon, eps). One model goes through
@@ -45,16 +46,18 @@ model's whole map family, so it can be inspected. A stack of models of
 one dims, an f grid say, goes through :func:`nm_sweep`, which splits
 the models over the usable CPUs: one interleaved share per CPU, this
 process running one and a forked worker each other, and k = 1 forks
-nothing. Each share is one stacked propagation, whose blocks of maps
-go, per model, through the drift check and the rates before the next
-block is stepped, so no model's whole map family is held; a model keeps
-the rates of a block only if the block holds an invertible map. The
-workers send their rates back, and this process builds every result,
-so the results of one sweep share one tomography grid and one midpoint
-array, and each derives its skipped times from a bool per map. Every
-model gets exactly the numbers it gets alone, whatever the split. A
-model that fails drops out of the rates and the measure, not out of
-the stack.
+nothing. Each share is one stacked propagation, stepped part by part,
+whose blocks of maps go, per model, through the drift check and the
+rates before the next block is stepped, so no model's whole map family
+is held; a model keeps the rates of a block only if the block holds an
+invertible map. The workers send their rates back, and this process
+builds every result, so the results of one sweep share one tomography
+grid and one midpoint array, and each derives its skipped times from a
+bool per map. Every model gets exactly the numbers it gets alone,
+whatever the split. A
+model that fails, or whose part fails as it steps (a Taylor plan
+refused on the direct engine, where each part is one model), drops out
+of the rates and the measure, not out of the stack.
 
 The measure knows no physical rate: NMResult reports the effective
 horizon, and whether it is short against 1 / gamma_eff is decided by
@@ -111,7 +114,7 @@ def map_tomography(model: LindbladModel, eps: float, horizon: float) -> Dynamica
     """
     t_grid = uniform_grid(horizon, eps)
     maps = np.empty((t_grid.shape[0], 4, 4), dtype=complex)
-    (sub_dt,), blocks = _tomography([model], t_grid, eps)
+    (sub_dt,), [(_, blocks)] = _tomography([model], t_grid, eps)
     for lo, block in blocks:
         _check_maps(block[0], t_grid[lo:], sub_dt)
         maps[lo:lo + block.shape[1]] = block[0]
@@ -119,11 +122,12 @@ def map_tomography(model: LindbladModel, eps: float, horizon: float) -> Dynamica
 
 
 def _tomography(models, t_grid, eps):
-    """(sub-steps, blocks): the sector maps of each model on t_grid, one stack.
+    """(sub-steps, parts): the sector maps of each model on t_grid, one stack.
 
-    blocks is :func:`dynamics.propagate`'s, with block[i, k] the map
-    Lambda(t_grid[lo + k], 0) of model i, not yet drift-checked. Each
-    model takes :func:`dynamics.substeps` (model, eps) per eps.
+    parts is :func:`dynamics.propagate`'s, with block[j, k] of the part
+    of first model i the map Lambda(t_grid[lo + k], 0) of model i + j,
+    not yet drift-checked. Each model takes :func:`dynamics.substeps`
+    (model, eps) per eps.
     """
     if any(m.dims[0] != 2 for m in models):
         raise DimerNMError("tomography expects the 2-dimensional sector at slot 0")
@@ -294,17 +298,20 @@ def nm_sweep(models, eps: float, horizon: float) -> list:
     usable CPUs) interleaved shares, ``models[j::k]``: this process runs
     share 0, and each other share runs in a forked worker process
     (:func:`_split_rates`); k = 1 forks nothing. Each share is one
-    stacked propagation (:func:`dynamics.propagate`), and each block of
-    maps goes, per model, through the drift check and the rates before
-    the next is stepped, so no model's whole map family is held. A
-    block's maps from grid point lo give the rates from lo on, and the
-    next block starts at its last map; a model keeps the rates of a
-    block only if they hold an invertible map. Returns a list with one
-    entry per model, in order: its NMResult, equal bit for bit to
+    stacked propagation (:func:`dynamics.propagate`), stepped in the
+    parts propagate cuts, and each block of maps goes, per model,
+    through the drift check and the rates before the next is stepped,
+    so no model's whole map family is held. A block's maps from grid
+    point lo give the rates from lo on, and the next block starts at
+    its last map; a model keeps the rates of a block only if they hold
+    an invertible map. Returns a list with one entry per model, in
+    order: its NMResult, equal bit for bit to
     ``nm_measure(map_tomography(model, eps, horizon))``, or the
     DimerNMError that stopped it. This process builds every result, so
     the results share one grid and one midpoint array. A model's first
-    error skips its later blocks; the others run as they would alone.
+    error skips its later blocks, and an error raised as a part steps
+    stops the models of that part that have not failed yet; the others
+    run as they would alone.
     """
     t_grid = uniform_grid(horizon, eps)
     outcomes = _split_rates(models, t_grid, eps, max(1, min(len(models), _usable_cpus())))
@@ -332,22 +339,30 @@ def _usable_cpus():
 def _sweep_rates(models, t_grid, eps):
     """Per model, in order, the (lo, rates) of its blocks that hold an
     invertible map, or the DimerNMError that stopped it: one stacked
-    tomography on t_grid, streamed block by block into the rates."""
+    tomography on t_grid, streamed part by part and block by block into
+    the rates. An error raised while a part steps stops that part's
+    models alone, and the next part steps on."""
     if not models:
         return []
-    sub_dts, blocks = _tomography(models, t_grid, eps)
+    sub_dts, parts = _tomography(models, t_grid, eps)
+    parts = list(parts)  # no part steps before its blocks are taken
+    ends = [first for first, _ in parts[1:]] + [len(models)]
     out = [[] for _ in models]
-    for lo, block in blocks:
-        for i, maps in enumerate(block):
-            if isinstance(out[i], list):
-                try:
-                    _check_maps(maps, t_grid[lo:], sub_dts[i])
-                    g = _rates(maps, eps)
-                except DimerNMError as exc:
-                    out[i] = exc
-                else:
-                    if not np.isnan(g).all():
-                        out[i].append((lo, g))
+    for (first, blocks), end in zip(parts, ends):
+        try:
+            for lo, block in blocks:
+                for i, maps in enumerate(block, first):
+                    if isinstance(out[i], list):
+                        try:
+                            _check_maps(maps, t_grid[lo:], sub_dts[i])
+                            g = _rates(maps, eps)
+                        except DimerNMError as exc:
+                            out[i] = exc
+                        else:
+                            if not np.isnan(g).all():
+                                out[i].append((lo, g))
+        except DimerNMError as exc:
+            out[first:end] = [o if isinstance(o, DimerNMError) else exc for o in out[first:end]]
     return out
 
 

@@ -422,23 +422,23 @@ class TestTraceStack:
                 assert np.array_equal(traj.observables[name], values)
 
     def test_aggregated_stack_steps_in_parts(self, monkeypatch):
-        # a part holds at most _STACK_BYTES of stride operators, 16 d^4
-        # bytes each: 3 at d = 6 under a cap of 70,000 bytes, so four
-        # models step as 3 and 1, whole intervals then tail in each; the
-        # direct engine holds no operator and steps all four as one
+        # propagate cuts the stack: on the aggregated engine a part holds
+        # at most _STACK_BYTES of stride operators, 16 d^4 bytes each, 3
+        # at d = 6 under a cap of 70,000 bytes, so four models step as 3
+        # and 1 for the whole intervals, then as 3 and 1 for the tail; the
+        # direct engine takes no stacked product and steps one per part
         monkeypatch.setattr(dynamics, "_CHUNK", 7)
         monkeypatch.setattr(dynamics, "_STACK_BYTES", 70_000)
         sizes = []
-        real = dynamics.propagate
+        for name in ("_aggregated", "_direct"):
+            def spy(models, *args, _real=getattr(dynamics, name)):
+                sizes.append(len(models))
+                return _real(models, *args)
 
-        def spy(models, *args, **kwargs):
-            sizes.append(len(models))
-            return real(models, *args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "propagate", spy)
+            monkeypatch.setattr(dynamics, name, spy)
         models = [symmetric_model(f) for f in (0.1, 0.3, 1.0, 3.0)]
         rho0s = [initial_state(m) for m in models]
-        for method, parts in (("aggregated", [3, 3, 1, 1]), ("direct", [4, 4])):
+        for method, parts in (("aggregated", [3, 1, 3, 1]), ("direct", [1] * 8)):
             sizes.clear()
             stacked = trace_stack(models, rho0s, 0.305, [1e-3] * 4, [10] * 4, method=method)
             assert sizes == parts
@@ -658,12 +658,24 @@ def seamless(blocks, axis=0):
                           axis=axis)
 
 
+def parts_of(*args, **kwargs):
+    """propagate's blocks, copied: one list of blocks per part, in stack
+    order."""
+    return [[block.copy() for _, block in blocks] for _, blocks in propagate(*args, **kwargs)]
+
+
+def propagated_stack(*args, **kwargs):
+    """propagate on a stack, each part's blocks joined at their seams and
+    the parts along the model axis."""
+    return np.concatenate([seamless(blocks, axis=1) for blocks in parts_of(*args, **kwargs)])
+
+
 def propagated(model, v0, dt, stride, n_marks, **kwargs):
     """propagate on a stack of one, its blocks joined at their seams; a
     vector v0 goes in as one column and comes out as a vector."""
     column = v0.ndim == 1
-    stack = seamless([block[0].copy() for _, block in propagate(
-        [model], [v0[:, None] if column else v0], [dt], [stride], n_marks, **kwargs)])
+    (stack,) = propagated_stack([model], [v0[:, None] if column else v0], [dt], [stride], n_marks,
+                                **kwargs)
     return stack[..., 0] if column else stack
 
 
@@ -723,7 +735,9 @@ class TestPropagate:
         v0 = opalg.vec(np.eye(2) / 2.0)[:, None]
         n_marks = 2 * dynamics._CHUNK + 5
         starts, sizes = [], []
-        for lo, block in propagate([m], [v0], [1e-3], [1], n_marks):
+        [(first, blocks)] = propagate([m], [v0], [1e-3], [1], n_marks)
+        assert first == 0
+        for lo, block in blocks:
             starts.append(lo)
             sizes.append(block.shape[1])
         # each later block starts at the last mark of the block before
@@ -742,16 +756,18 @@ class TestPropagate:
         rng = np.random.default_rng(46)
         v0 = rng.standard_normal((3, models[0].dim ** 2, 4)) + 0j
         for method in ("aggregated", "direct"):
-            (whole,) = [block.copy() for _, block in
-                        propagate(models, v0, dts, strides, n_marks, method=method)]
+            wholes = parts_of(models, v0, dts, strides, n_marks, method=method)
             monkeypatch.setattr(dynamics, "_CHUNK", 7)
-            blocks = [block.copy() for _, block in
-                      propagate(models, v0, dts, strides, n_marks, method=method)]
+            parts = parts_of(models, v0, dts, strides, n_marks, method=method)
             monkeypatch.undo()
-            assert [b.shape[1] for b in blocks] == [7, 7, 7, 2]
-            for before, after in zip(blocks, blocks[1:]):
-                assert np.array_equal(after[:, 0], before[:, -1])
-            assert np.array_equal(seamless(blocks, axis=1), whole)
+            # one part of three on the aggregated engine, three of one on
+            # the direct one
+            assert len(parts) == len(wholes) == {"aggregated": 1, "direct": 3}[method]
+            for (whole,), blocks in zip(wholes, parts):
+                assert [b.shape[1] for b in blocks] == [7, 7, 7, 2]
+                for before, after in zip(blocks, blocks[1:]):
+                    assert np.array_equal(after[:, 0], before[:, -1])
+                assert np.array_equal(seamless(blocks, axis=1), whole)
 
     def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch):
         # different steps and strides in one stack, over several blocks,
@@ -769,8 +785,7 @@ class TestPropagate:
             "direct": lambda m, dt, mark: expm(liouvillian_matrix(m) * (dt * mark)),
         }
         for method, oracle in oracles.items():
-            stacked = seamless([block.copy() for _, block in propagate(
-                models, v0, dts, strides, n_marks, keep=keep, method=method)], axis=1)
+            stacked = propagated_stack(models, v0, dts, strides, n_marks, keep=keep, method=method)
             for i in range(3):
                 alone = propagated(models[i], v0[i], dts[i], strides[i], n_marks, keep=keep,
                                    method=method)

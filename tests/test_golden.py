@@ -67,9 +67,11 @@ def test_fig2_rows_are_byte_identical():
     assert out == {"fig2.csv": "".join(expect)}
 
 
-def test_fig2_rows_do_not_depend_on_the_block_size(monkeypatch):
-    # 37-mark blocks put the rates' block seams elsewhere on the grid
-    monkeypatch.setattr(dynamics, "_CHUNK", 37)
+@pytest.mark.parametrize("name, value", [("_CHUNK", 37), ("_STACK_BYTES", 16 * 6 ** 4)])
+def test_fig2_rows_do_not_depend_on_the_block_size(monkeypatch, name, value):
+    # 37-mark blocks put the rates' block seams elsewhere on the grid, and
+    # parts of one d = 6 stride operator's bytes step each f alone
+    monkeypatch.setattr(dynamics, name, value)
     extra, fs, picked = fig2_three_rows()
     cfg = parse_config(f"{cli.preset_text('fig2')}\nout=fig2\n{extra}")
     lines = reference("fig2.csv").splitlines(keepends=True)

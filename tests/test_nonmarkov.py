@@ -597,6 +597,9 @@ class TestSweep:
         self.check_bit_identical_to_solo_runs(monkeypatch)
         monkeypatch.setattr(dynamics, "_CHUNK", 1024)
         self.check_bit_identical_to_solo_runs(monkeypatch)
+        # parts of one d = 6 stride operator's bytes: each model steps alone
+        monkeypatch.setattr(dynamics, "_STACK_BYTES", 16 * 6 ** 4)
+        self.check_bit_identical_to_solo_runs(monkeypatch, part=1)
 
     def test_bit_identical_to_solo_runs_across_short_blocks(self, monkeypatch):
         # 200 blocks of 7 marks, so the rates cross many block seams
@@ -604,11 +607,23 @@ class TestSweep:
         self.check_bit_identical_to_solo_runs(monkeypatch)
 
     @staticmethod
-    def check_bit_identical_to_solo_runs(monkeypatch):
+    def check_bit_identical_to_solo_runs(monkeypatch, part=len(SWEEP_FS)):
+        """Each split gives the solo results; a spy on the aggregated
+        engine sees this process's share step in parts of part models."""
         models = [symmetric_model(f) for f in SWEEP_FS]
         solo = [nm_measure(map_tomography(model, 0.01, 12.0)) for model in models]
-        for _ in split_ways(monkeypatch):
+        sizes, real = [], dynamics._aggregated
+
+        def spy(models, *args):
+            sizes.append(len(models))
+            return real(models, *args)
+
+        monkeypatch.setattr(dynamics, "_aggregated", spy)
+        for k in split_ways(monkeypatch):
+            sizes.clear()
             swept = nm_sweep(models, eps=0.01, horizon=12.0)
+            share = len(models[0::k])
+            assert sizes == [min(part, share - i) for i in range(0, share, part)]
             assert isinstance(swept, list) and len(swept) == len(models)
             for res, ref in zip(swept, solo):
                 assert_same_result(res, ref)
@@ -641,6 +656,24 @@ class TestSweep:
             assert str(swept[1]) == str(exc.value)
             for i in (0, 2, 3):
                 assert_same_result(swept[i], solo[i])
+
+    def test_failing_part_drops_its_models_alone(self, monkeypatch):
+        # at d = 34 the tomography runs on the direct engine, one model a
+        # part; under a cap of 1000 Taylor sub-steps per mark f = 1000's
+        # plan fails before it steps, while f = 0.01 and 0.1 take one
+        # sub-step a mark
+        monkeypatch.setattr(dynamics, "MAX_GRID_POINTS", 1000)
+        models = [symmetric_model(f, n_fock=17) for f in (0.01, 1000.0, 0.1)]
+        assert dynamics.engine_for(models[0]) == "direct"
+        with pytest.raises(NumericalDriftError, match="more than 1000 Taylor sub-steps") as exc:
+            map_tomography(models[1], 0.05, 2.0)
+        solo = [nm_measure(map_tomography(models[i], 0.05, 2.0)) for i in (0, 2)]
+        for _ in split_ways(monkeypatch):
+            swept = nm_sweep(models, eps=0.05, horizon=2.0)
+            assert type(swept[1]) is NumericalDriftError
+            assert str(swept[1]) == str(exc.value)
+            assert_same_result(swept[0], solo[0])
+            assert_same_result(swept[2], solo[1])
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_worker_that_exits_without_sending_raises(self, k, monkeypatch):
