@@ -78,16 +78,17 @@ screens the block against the floor, and only a block that fails it
 takes its eigenvalues, to name the first state below the floor and its
 exact lowest eigenvalue; :func:`steady_state` applies it to its one
 state, with trace and Hermiticity defects of at most 1e-12, in
-:func:`_checked_state`) and the observables. A trace steps a stack of
-models of one dims (:func:`trace_stack`; :func:`integrate` is its stack
-of one that also stores the states) as one :func:`propagate` run, each
-model at its own step and stride, and takes each block from the
-block's own view, model by model: its states are checked and observed
-into per-model arrays of one value per mark, so only :func:`integrate`
-holds an (n_stored, d, d) stack. A trace alone steps a run that is not
-a whole number of store intervals: a shorter last interval is a second
-:func:`propagate` call, and a run with no whole interval steps that
-last interval alone. Measured on 2 vCPUs, fig1, fig3 and eq8 run back
+:func:`_checked_state`) and the observables. Every trace is stored on
+one grid, uniform_grid(t_end, store interval), which covers t_end in at
+least two whole intervals, and its marks are the grid's points: each
+model steps every interval in sub equal steps of grid[-1] / (n sub), sub
+its own. A trace steps a stack of models of one dims
+(:func:`trace_stack`; :func:`integrate` is its stack of one that also
+stores the states) as one :func:`propagate` call, each model at its own
+step and stride, and takes each block from the block's own view, model
+by model: its states are checked and observed into per-model arrays of
+one value per mark, so only :func:`integrate` holds an (n_stored, d, d)
+stack. Measured on 2 vCPUs, fig1, fig3 and eq8 run back
 to back (the benchmark's traces workload, median of 10) peak at 34.25
 MB with the f values of each trace as one stack, against 37.04 MB with
 each f integrated and its states stored alone.
@@ -386,9 +387,8 @@ def propagate(models, v, step_sizes, strides, n_marks, keep=None, method: str = 
     The models share dims. Model i starts from v[i], a (D, k) matrix
     whose k columns are vectorized states, and is sampled n_marks >= 2
     times, every strides[i] steps of step_sizes[i]: mark k is at time
-    k * strides[i] * step_sizes[i]. One stride per model is the rule; a
-    run with a shorter last interval makes a second call from its last
-    state, and a run of no whole interval makes none (:func:`integrate`).
+    k * strides[i] * step_sizes[i]. One stride per model is the rule: a
+    trace is one call, its marks the points of its grid (:func:`_stepped`).
 
     Yields (first, blocks) for each part of the stack, in order: the
     models from index first to the next part's first. On the aggregated
@@ -591,27 +591,14 @@ def expectation(state, op):
 
 
 class _Run:
-    """One model's run in a stack of :func:`_stepped`: its stored marks,
-    and the defects and observables of the states it has taken."""
+    """One model's run in a stack of :func:`_stepped`: its grid, its
+    step, and the defects and observables of the states it has taken."""
 
-    def __init__(self, model, rho0, t_end, dt, store_every, observables):
-        # integrate's checks, in its order, before anything is allocated
+    def __init__(self, model, rho0, times, stride, observables):
         self.rho0 = np.asarray(rho0, dtype=complex)
         d = model.dim
         if self.rho0.shape != (d, d):
             raise DimensionError(f"rho0 shape {self.rho0.shape} does not match dims {model.dims}")
-        if not 0 < t_end < math.inf:  # nan fails too
-            raise DimerNMError(f"t_end must be positive and finite, got {t_end}")
-        if dt is None:
-            dt = suggest_dt(model)
-        elif not dt > 0:  # nan fails too
-            raise DimerNMError(f"dt must be positive, got {dt}")
-        if not (store_every >= 1 and store_every % 1 == 0):  # nan, inf fail too
-            raise DimerNMError(f"store_every must be a whole number >= 1, got {store_every}")
-        if store_every > sys.float_info.max:  # an int, which no float holds
-            raise DimerNMError(f"store_every must be within float range, "
-                               f"got a {store_every.bit_length()}-bit integer")
-        self.stride = int(store_every)
         modes = len(model.dims) > 1
         if observables is None:
             observables = (("inversion", "log_negativity", "singlet_overlap")
@@ -621,18 +608,10 @@ class _Run:
                 raise DimerNMError(f"unknown observable {name!r}")
             if name == "mode_excitation" and not modes:
                 raise DimerNMError("mode_excitation requires a model with mode slots")
-        self.n_steps = steps_over(t_end, dt)
-        self.dt = t_end / self.n_steps
-        # whole store intervals, then a partial last one
-        self.n_whole, self.tail = divmod(self.n_steps, self.stride)
-        n_stored = self.n_whole + 1 + (self.tail > 0)
-        if n_stored > MAX_GRID_POINTS:
-            raise DimerNMError(f"t_end {t_end:.6g} at step {self.dt:.3e} stored every "
-                               f"{self.stride} steps would take {n_stored} states, "
-                               f"more than {MAX_GRID_POINTS}")
-        marks = np.append(self.stride * np.arange(self.n_whole + 1.0),
-                          [float(self.n_steps)] * (self.tail > 0))
-        self.times = self.dt * marks
+        n_stored = times.shape[0]
+        self.times, self.stride = times, stride
+        self.n_steps = (n_stored - 1) * stride
+        self.dt = times[-1] / self.n_steps
         self.model = model
         self.trace, self.low = np.empty(n_stored), np.empty(n_stored)
         self.herm = 0.0
@@ -699,80 +678,68 @@ class _Run:
                           diagnostics=diagnostics)
 
 
-def _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store):
-    """Each model's :class:`Trajectory`, its states stored only with store
-    (a stack of one), from stacked :func:`propagate` runs.
+def _stepped(models, rho0s, grid, strides, observables, method, store):
+    """Each model's :class:`Trajectory` on grid, its states stored only
+    with store (a stack of one), from one stacked :func:`propagate` run.
 
-    Every run is checked (:class:`_Run`) before anything steps, and the
-    runs must share their number of whole store intervals and whether a
-    partial last one follows. The whole intervals of the stack are one
-    propagate call and the last interval a second, from the last
-    whole-interval marks, each model at its own step and stride, in the
-    parts propagate cuts. Each block is taken from its own view, model
-    by model, on one BLAS thread: its states are checked
-    (:func:`_defects`) and observed, each state once, and the block is
-    overwritten by the next. A part that raises as it steps raises here;
-    each run raises the error of its checks once every part has stepped,
-    in stack order.
+    Model i takes strides[i] equal steps of grid[-1] / (n strides[i]) in
+    each of the n intervals of grid. Every run is checked (:class:`_Run`)
+    before anything steps; on the direct engine, a stack of several
+    models also makes and drops each model's Taylor plan, in stack order,
+    so a plan that fails raises before any part steps. Each block is
+    taken from its own view, model by model, on one BLAS thread: its
+    states are checked (:func:`_defects`) and observed, each state once,
+    and the block is overwritten by the next. A part that raises as it
+    steps raises here; each run raises the error of its checks once
+    every part has stepped, in stack order.
     """
-    runs = [_Run(model, rho0, t_end, dt, store_every, observables)
-            for model, rho0, dt, store_every in zip(models, rho0s, dts, store_everys, strict=True)]
+    runs = [_Run(model, rho0, grid, stride, observables)
+            for model, rho0, stride in zip(models, rho0s, strides, strict=True)]
     if not runs:
         return []
-    first = runs[0]
-    for i, run in enumerate(runs):
-        if (run.n_whole, run.tail > 0) != (first.n_whole, first.tail > 0):
-            raise DimerNMError(
-                f"stacked runs store at different marks: {run.n_whole} whole intervals and a "
-                f"tail of {run.tail} steps in run {i}, {first.n_whole} and {first.tail} in run 0")
     method = engine_for(models[0], method)
+    if method == "direct" and len(runs) > 1:
+        for run in runs:
+            _taylor_plan(run.model, run.stride * run.dt)
     d = models[0].dim
-    states = np.empty((first.times.shape[0], d, d), dtype=complex) if store else None
-    steps = [run.dt for run in runs]
+    states = np.empty((grid.shape[0], d, d), dtype=complex) if store else None
     v = np.stack([opalg.vec(run.rho0)[:, None] for run in runs])
-    whole = [([run.stride for run in runs], first.n_whole)] * (first.n_whole > 0)
-    last = [([run.tail for run in runs], 1)] * (first.tail > 0)
-    at = 0
-    for strides, n_intervals in whole + last:
-        # each part steps from a copy of its rows of v, which then take
-        # its last marks, the starts of the tail
-        for i, blocks in propagate(models, v, steps, strides, n_intervals + 1, method=method):
-            for lo, block in blocks:
-                # a block after the run's first starts at a mark already taken
-                seen = 1 if at + lo else 0
-                with opalg.one_blas_thread():
-                    for run, rows in zip(runs[i:], block[:, seen:, :, 0]):
-                        # vec is column stacking, so each row is a transposed state
-                        rho = rows.reshape(-1, d, d).transpose(0, 2, 1)
-                        if states is not None:
-                            states[at + lo + seen:at + lo + block.shape[1]] = rho
-                        run.take(at + lo + seen, rho)
-            v[i:i + len(block)] = block[:, -1]
-            # the views of the part's buffer go before the next part builds
-            del block, rows, rho
-        at += n_intervals
+    for i, blocks in propagate(models, v, [run.dt for run in runs], strides, grid.shape[0],
+                               method=method):
+        for lo, block in blocks:
+            # a block after the first starts at a mark already taken
+            seen = 1 if lo else 0
+            with opalg.one_blas_thread():
+                for run, rows in zip(runs[i:], block[:, seen:, :, 0]):
+                    # vec is column stacking, so each row is a transposed state
+                    rho = rows.reshape(-1, d, d).transpose(0, 2, 1)
+                    if states is not None:
+                        states[lo + seen:lo + block.shape[1]] = rho
+                    run.take(lo + seen, rho)
+        # the views of the part's buffer go before the next part builds
+        del block, rows, rho
     with opalg.one_blas_thread():
         return [run.result(method, states) for run in runs]
 
 
 def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
               store_every: int = 10, observables=None, method: str = "auto") -> Trajectory:
-    """Evolution from rho0 over [0, t_end] through :func:`propagate`, its
-    states stored: :func:`trace_stack` of one model that keeps them.
+    """Evolution from rho0 through :func:`propagate`, its states stored
+    on uniform_grid(t_end, store_every dt), store_every steps per grid
+    interval: :func:`trace_stack`'s run of one model that keeps them.
 
     t_end must be positive and finite. dt defaults to :func:`suggest_dt`
-    and must be positive; the run takes :func:`steps_over` (t_end, dt)
-    equal steps, fixed-step RK4 on the aggregated engine and marks of the
-    exact propagator on the direct one.
-    States are stored every ``store_every`` steps (a whole number >= 1
-    within float range) plus the final step, at most MAX_GRID_POINTS of
-    them (DimerNMError, raised before anything is allocated). The first
-    is rho0. The whole store intervals are one :func:`propagate` call,
-    and a shorter last interval a second from the last whole-interval
-    state; a run of no whole interval, store_every past the step count,
-    makes only the second, so it builds no stride operator. Each call is
-    one part of propagate on either engine, so a Taylor plan that fails
-    on the direct engine raises before any step. Each block
+    and must be positive; store_every must be a whole number >= 1 within
+    float range. Each is checked before anything is allocated, and so is
+    the grid (:func:`grid_steps`: at least two intervals, at most
+    MAX_GRID_POINTS points), which covers t_end as every sampled run's
+    does, so its last mark may lie past t_end. The run takes store_every
+    equal steps of grid[-1] / (n store_every) in each of the n intervals,
+    fixed-step RK4 on the aggregated engine and marks of the exact
+    propagator on the direct one; a state at a chosen time t is the last
+    of a run whose two intervals end at t. The first state is rho0. The
+    run is one part of propagate on either engine, so a Taylor plan
+    that fails on the direct engine raises before any step. Each block
     of states is checked by :func:`_defects` as it is handed over. A
     trace drift beyond TRACE_ABORT_TOL or a non-finite state
     (:func:`check_drift`), and failing that a lowest eigenvalue below
@@ -791,32 +758,49 @@ def integrate(model: LindbladModel, rho0, t_end: float, dt=None,
     above 1e-10) does so after the checks, naming the largest in its
     block.
     """
-    (traj,) = _stepped([model], [rho0], t_end, [dt], [store_every], observables, method,
-                       store=True)
+    if not 0 < t_end < math.inf:  # nan fails too
+        raise DimerNMError(f"t_end must be positive and finite, got {t_end}")
+    if dt is None:
+        dt = suggest_dt(model)
+    elif not dt > 0:  # nan fails too
+        raise DimerNMError(f"dt must be positive, got {dt}")
+    if not (store_every >= 1 and store_every % 1 == 0):  # nan, inf fail too
+        raise DimerNMError(f"store_every must be a whole number >= 1, got {store_every}")
+    if store_every > sys.float_info.max:  # an int, which no float holds
+        raise DimerNMError(f"store_every must be within float range, "
+                           f"got a {store_every.bit_length()}-bit integer")
+    (traj,) = _stepped([model], [rho0], uniform_grid(t_end, store_every * dt),
+                       [int(store_every)], observables, method, store=True)
     return traj
 
 
-def trace_stack(models, rho0s, t_end: float, dts, store_everys, observables=None,
+def trace_stack(models, rho0s, t_end: float, store_dt: float, bases, observables=None,
                 method: str = "auto") -> list:
-    """:func:`integrate` of each model of a stack, its states not stored:
-    one Trajectory per model, in order, with states None.
+    """One Trajectory per model of a stack, in order, with states None,
+    each stored on uniform_grid(t_end, store_dt), the one array every
+    Trajectory.times holds.
 
-    The models share dims, and model i runs from rho0s[i] to t_end at
-    step dts[i] (None for :func:`suggest_dt`), stored every
-    store_everys[i] steps; the runs must share their number of whole
-    store intervals and whether a partial last one follows
-    (DimerNMError). Each input is checked as integrate checks it, run by
-    run, before anything steps. The stack is one :func:`propagate` run,
-    stepped in the parts propagate cuts and streamed block by block into
-    each model's checks and observables, so no (n_stored, d, d) stack is
-    held: each model's times, observables and diagnostics are the bits
-    integrate gives it alone. A model that fails its checks raises the
-    error integrate raises for it; where several fail, the first in the
-    stack wins, once every part has stepped. An error raised as a part
-    steps, such as a Taylor plan that fails on the direct engine, is
-    raised when that part starts.
+    The models share dims, and model i runs from rho0s[i], each grid
+    interval in the steps :func:`substeps` gives it from its base step
+    bases[i]: sub equal steps of grid[-1] / (n sub) over the n
+    intervals, so a stiff model steps finer. Each base must be positive
+    and finite, and each input is checked as :func:`integrate` checks
+    it, run by run, before anything steps (DimerNMError). The stack is
+    one :func:`propagate` run, stepped in the parts propagate cuts and
+    streamed block by block into each model's checks and observables,
+    so no (n_stored, d, d) stack is held: each model's observables and
+    diagnostics are the bits integrate gives it alone at its step and
+    stride. A model that fails its checks raises the error integrate
+    raises for it; where several fail, the first in the stack wins,
+    once every part has stepped. A Taylor plan that fails on the direct
+    engine raises before any part steps.
     """
-    return _stepped(models, rho0s, t_end, dts, store_everys, observables, method, store=False)
+    for base in bases:
+        if not 0 < base < math.inf:  # nan fails too
+            raise DimerNMError(f"base step must be positive and finite, got {base}")
+    grid = uniform_grid(t_end, store_dt)
+    strides = [substeps(m, store_dt, base)[1] for m, base in zip(models, bases, strict=True)]
+    return _stepped(models, rho0s, grid, strides, observables, method, store=False)
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:

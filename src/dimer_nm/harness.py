@@ -32,8 +32,7 @@ import numpy as np
 
 from . import entanglement, opalg
 from ._version import __version__
-from .dynamics import (BASE_DT, MAX_GRID_POINTS, grid_steps, steady_state, substeps, trace_stack,
-                       uniform_grid)
+from .dynamics import BASE_DT, MAX_GRID_POINTS, grid_steps, steady_state, trace_stack
 from .errors import ConfigError, DimerNMError
 from .model import (
     SITE_BASIS,
@@ -300,27 +299,24 @@ _OBS_KEY = {"inversion": "inversion", "logneg": "log_negativity"}
 
 def _trace_runs(cfg: RunConfig, runs, observables):
     """(grid, observables of each run): each (model, base step) of runs
-    stepped from the initial state and stored on the grid
-    uniform_grid(t_end, store_dt), the t column. Each storage interval
-    takes the steps :func:`dynamics.substeps` gives the model from its
-    base step, so stiff runs step finer. The runs of equal dims are one
-    :func:`dynamics.trace_stack`, taken in the order of their first run."""
+    stepped from the initial state by :func:`dynamics.trace_stack`, which
+    stores it on uniform_grid(t_end, store_dt), the t column, each
+    storage interval in the steps :func:`dynamics.substeps` gives the
+    model from its base step, so stiff runs step finer. The runs of
+    equal dims are one trace_stack, taken in the order of their first
+    run."""
     _, t_end, store_dt = _grid_of(cfg)
-    grid = uniform_grid(t_end, store_dt)
     groups = {}
     for k, (m, _) in enumerate(runs):
         groups.setdefault(m.dims, []).append(k)
     results = [None] * len(runs)
     for group in groups.values():
         models = [runs[k][0] for k in group]
-        dts, subs = zip(*(substeps(runs[k][0], store_dt, runs[k][1]) for k in group))
-        trajs = trace_stack(models, [initial_state(m) for m in models], grid[-1], dts, subs,
-                            observables=observables)
+        trajs = trace_stack(models, [initial_state(m) for m in models], t_end, store_dt,
+                            [runs[k][1] for k in group], observables=observables)
         for k, traj in zip(group, trajs):
-            if traj.times.shape != grid.shape:
-                raise DimerNMError("trace runs disagree on the stored time grid")
             results[k] = traj.observables
-    return grid, results
+    return trajs[0].times, results
 
 
 def _traces(cfg: RunConfig, observables):

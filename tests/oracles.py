@@ -18,6 +18,9 @@ way, and only tests call it:
   path: one map inverted at a time, after an SVD of it, with the rate
   clipped at 0; the package runs the stacked, screened rates of
   :func:`nonmarkov.nm_measure`.
+
+:func:`integrate_to` is no oracle but the one way the tests take a
+single state at a chosen time from :func:`dynamics.integrate`.
 """
 
 import math
@@ -25,6 +28,7 @@ import math
 import numpy as np
 
 from dimer_nm import opalg
+from dimer_nm.dynamics import integrate, steps_over, suggest_dt
 from dimer_nm.entanglement import basis_change
 from dimer_nm.errors import DimensionError, DimerNMError, SingularSystemError
 from dimer_nm.model import SITE_BASIS
@@ -136,3 +140,11 @@ def g_of_t(family, t: float, eps=None) -> float:
         eps = family.eps
     e = intermediate_map(family, t, eps)
     return max(0.0, (opalg.trace_norm(choi_matrix(e)) - 1.0) / eps)
+
+
+def integrate_to(model, rho0, t: float, dt=None, observables=()):
+    """integrate from rho0 on the grid [0, t/2, t], so the last state is
+    the one at t, in the fewest equal steps none longer than dt
+    (:func:`dynamics.suggest_dt` of the model when None)."""
+    n = steps_over(t / 2, suggest_dt(model) if dt is None else dt)
+    return integrate(model, rho0, t, dt=t / 2 / n, store_every=n, observables=observables)

@@ -33,7 +33,7 @@ from dimer_nm.model import (
 )
 from dimer_nm.nonmarkov import choi_matrix, map_tomography, nm_measure, nm_sweep
 from dimer_nm import opalg
-from oracles import apply_map, log_negativity_via_partial_transpose, rhs
+from oracles import apply_map, integrate_to, log_negativity_via_partial_transpose, rhs
 
 GAMMA_EFF = 0.1
 TRACE_FS = (0.01, 0.1, 1.0, 100.0)
@@ -149,9 +149,8 @@ def test_criterion_2_markovian_separability():
 
 def test_criterion_3_long_time_entanglement():
     model = build_symmetric_model(_symmetric(0.01))
-    traj = integrate(model, initial_state(model), 200.0 / GAMMA_EFF,
-                     store_every=10 ** 9,
-                     observables=("log_negativity", "singlet_overlap"))
+    traj = integrate_to(model, initial_state(model), 200.0 / GAMMA_EFF,
+                        observables=("log_negativity", "singlet_overlap"))
     ln = traj.observables["log_negativity"][-1]
     ov = traj.observables["singlet_overlap"][-1]
     ok = ln > 0.9 and ov > 0.95
@@ -172,8 +171,8 @@ def test_criterion_5_truncation_validity(paper_traces):
     peak = max(float(np.max(t.observables["mode_excitation"]))
                for t in paper_traces.values())
     fine = build_symmetric_model(_symmetric(0.01, n_fock=4))
-    traj4 = integrate(fine, initial_state(fine), TRACE_T_END,
-                      store_every=10 ** 9, observables=("log_negativity",))
+    traj4 = integrate_to(fine, initial_state(fine), TRACE_T_END,
+                         observables=("log_negativity",))
     delta = abs(paper_traces[0.01].observables["log_negativity"][-1]
                 - traj4.observables["log_negativity"][-1])
     ok = peak <= 0.1 and delta < 1e-3
@@ -238,8 +237,7 @@ def test_criterion_8_property_suite(paper_traces, tomo_family):
     exact = u @ rho0 @ u.conj().T
     errs = []
     for dt in (0.02, 0.01):
-        traj = integrate(order_model, rho0, 1.0, dt=dt, store_every=10 ** 9,
-                         observables=())
+        traj = integrate_to(order_model, rho0, 1.0, dt=dt)
         errs.append(float(np.max(np.abs(traj.states[-1] - exact))))
     order = math.log2(errs[0] / errs[1])
     if order < 3.5:
@@ -257,8 +255,7 @@ def test_criterion_8_property_suite(paper_traces, tomo_family):
     worst_map = 0.0
     for idx in (40, 200):
         t = family.times[idx]
-        traj = integrate(tomo_model, opalg.kron(sigma, env), t,
-                         store_every=10 ** 9, observables=())
+        traj = integrate_to(tomo_model, opalg.kron(sigma, env), t)
         direct = reduce_to_dimer(traj.states[-1], tomo_model.dims,
                                  tomo_model.basis).rho
         mapped = apply_map(family.maps[idx], sigma)

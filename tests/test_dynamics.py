@@ -27,6 +27,7 @@ from dimer_nm.dynamics import (
     steps_over,
     suggest_dt,
     trace_stack,
+    uniform_grid,
 )
 from dimer_nm.entanglement import log_negativity, reduce_to_dimer, singlet_overlap
 from dimer_nm.errors import (
@@ -46,7 +47,7 @@ from dimer_nm.model import (
     build_markovian_dephasing_model,
     build_symmetric_model,
 )
-from oracles import defects_by_eigenvalues, rhs
+from oracles import defects_by_eigenvalues, integrate_to, rhs
 
 GAMMA_EFF = 0.1  # 2 g^2 / kappa at the default parameters, any f
 
@@ -223,7 +224,7 @@ class TestIntegrate:
         exact = u @ rho0 @ u.conj().T
         errs = []
         for dt in (0.02, 0.01):
-            traj = integrate(m, rho0, 1.0, dt=dt, store_every=1000, observables=[])
+            traj = integrate_to(m, rho0, 1.0, dt=dt)
             errs.append(np.max(np.abs(traj.states[-1] - exact)))
         order = np.log2(errs[0] / errs[1])
         assert order >= 3.5
@@ -346,26 +347,17 @@ class TestIntegrate:
         with pytest.raises(DimerNMError, match="store_every must be within float range"):
             integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=10 ** 400)
 
-    def test_store_every_past_int64_stores_the_ends(self):
-        m = symmetric_model(0.1)
-        ends = integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=10 ** 300,
-                         observables=[])
-        assert np.array_equal(ends.times, [0.0, 0.01])
-        idiom = integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=10 ** 9,
-                          observables=[])
-        assert np.array_equal(ends.states, idiom.states)
-
     def test_caps_the_stored_states(self, monkeypatch):
-        # 1e12 steps stored every 10 would take 1e11 + 1 states; the cap
-        # is checked before anything is allocated
+        # 1e12 steps stored every 10 would take 1e11 + 1 states; the grid's
+        # cap is checked before anything is allocated
         m = symmetric_model(0.1)
-        with pytest.raises(DimerNMError, match=r"^t_end 1e\+09 at step 1\.000e-03 stored every "
-                                               r"10 steps would take 100000000001 states"):
+        with pytest.raises(DimerNMError, match=r"^1e\+11 steps would take more than 1000000 "
+                                               r"grid points$"):
             integrate(m, initial_state(m), 1e9)
-        # the count takes in the start and a partial last interval
+        # the count takes in the start and a last interval that covers t_end
         monkeypatch.setattr(dynamics, "MAX_GRID_POINTS", 5)
         assert integrate(m, initial_state(m), 0.04, dt=1e-3, observables=[]).times.shape == (5,)
-        with pytest.raises(DimerNMError, match="would take 6 states, more than 5"):
+        with pytest.raises(DimerNMError, match="^4.1 steps would take more than 5 grid points$"):
             integrate(m, initial_state(m), 0.041, dt=1e-3, observables=[])
 
     def test_rejects_non_finite_t_end(self):
@@ -377,7 +369,8 @@ class TestIntegrate:
     def test_whole_float_store_every_is_a_count(self):
         m = symmetric_model(0.1)
         traj = integrate(m, initial_state(m), 0.01, dt=1e-3, store_every=3.0, observables=[])
-        assert np.array_equal(traj.times, 1e-3 * np.array([0, 3, 6, 9, 10]))
+        assert np.array_equal(traj.times, uniform_grid(0.01, 3e-3))
+        assert traj.diagnostics["n_steps"] == 12
 
     def test_no_step_means_suggest_dt(self):
         m = symmetric_model(100.0)
@@ -396,25 +389,31 @@ class TestIntegrate:
 
 
 class TestTraceStack:
-    """trace_stack steps its runs as one propagation and gives each model
-    the bits and the error integrate gives it alone."""
+    """trace_stack steps its runs as one propagation on one grid and gives
+    each model the bits and the error integrate gives it alone."""
 
     @pytest.mark.parametrize("method", ["aggregated", "direct"])
     @pytest.mark.parametrize("t_end, tail", [(0.3, 0), (0.305, 5)])
     def test_each_model_gets_its_solo_bits(self, monkeypatch, method, t_end, tail):
-        # 30 whole store intervals of 10, 20 and 40 steps, and with a tail
-        # a last one of 5, 10 and 20, over 7-mark blocks
+        # base steps that take 10, 20 and 40 steps per store interval of
+        # 0.01, over 7-mark blocks; a t_end tail base steps past the 30th
+        # interval is covered by a 31st, as every grid covers its t_end
         monkeypatch.setattr(dynamics, "_CHUNK", 7)
         models = [symmetric_model(f) for f in (0.1, 1.0, 10.0)]
         rho0s = [initial_state(m) for m in models]
-        dts, strides = [1e-3, 5e-4, 2.5e-4], [10, 20, 40]
-        stacked = trace_stack(models, rho0s, t_end, dts, strides, method=method)
+        stacked = trace_stack(models, rho0s, t_end, 0.01, [1e-3, 5e-4, 2.5e-3], method=method)
+        grid = uniform_grid(t_end, 0.01)
+        assert grid.shape == (31 + (tail > 0),)
         for i, traj in enumerate(stacked):
-            alone = integrate(models[i], rho0s[i], t_end, dt=dts[i], store_every=strides[i],
-                              method=method)
+            sub = 10 * 2 ** i
+            assert traj.times is stacked[0].times
+            assert np.array_equal(traj.times, grid)
+            assert traj.diagnostics["dt"] == grid[-1] / ((grid.shape[0] - 1) * sub)
+            assert traj.diagnostics["n_steps"] == (grid.shape[0] - 1) * sub
+            alone = integrate(models[i], rho0s[i], t_end, dt=traj.diagnostics["dt"],
+                              store_every=sub, method=method)
             assert traj.states is None
             assert traj.diagnostics == alone.diagnostics
-            assert traj.diagnostics["n_steps"] == (300 + tail) * 2 ** i
             assert np.array_equal(traj.times, alone.times)
             assert set(traj.observables) == {
                 "inversion", "log_negativity", "singlet_overlap", "mode_excitation"}
@@ -425,8 +424,8 @@ class TestTraceStack:
         # propagate cuts the stack: on the aggregated engine a part holds
         # at most _STACK_BYTES of stride operators, 16 d^4 bytes each, 3
         # at d = 6 under a cap of 70,000 bytes, so four models step as 3
-        # and 1 for the whole intervals, then as 3 and 1 for the tail; the
-        # direct engine takes no stacked product and steps one per part
+        # and 1; the direct engine takes no stacked product and steps one
+        # per part
         monkeypatch.setattr(dynamics, "_CHUNK", 7)
         monkeypatch.setattr(dynamics, "_STACK_BYTES", 70_000)
         sizes = []
@@ -438,12 +437,13 @@ class TestTraceStack:
             monkeypatch.setattr(dynamics, name, spy)
         models = [symmetric_model(f) for f in (0.1, 0.3, 1.0, 3.0)]
         rho0s = [initial_state(m) for m in models]
-        for method, parts in (("aggregated", [3, 1, 3, 1]), ("direct", [1] * 8)):
+        for method, parts in (("aggregated", [3, 1]), ("direct", [1] * 4)):
             sizes.clear()
-            stacked = trace_stack(models, rho0s, 0.305, [1e-3] * 4, [10] * 4, method=method)
+            stacked = trace_stack(models, rho0s, 0.305, 0.01, [1e-3] * 4, method=method)
             assert sizes == parts
             for model, rho0, traj in zip(models, rho0s, stacked):
-                alone = integrate(model, rho0, 0.305, dt=1e-3, store_every=10, method=method)
+                alone = integrate(model, rho0, 0.305, dt=traj.diagnostics["dt"],
+                                  store_every=traj.diagnostics["n_steps"] // 31, method=method)
                 assert traj.diagnostics == alone.diagnostics
                 for name, values in alone.observables.items():
                     assert np.array_equal(traj.observables[name], values)
@@ -451,7 +451,8 @@ class TestTraceStack:
     def test_drifting_model_raises_its_solo_error(self, monkeypatch):
         # f = 100 sits past the RK4 stability limit at this step and
         # drifts past the first blocks (TestIntegrate); a model below the
-        # eigenvalue floor from the start fails first in the stack
+        # eigenvalue floor from the start fails first in the stack. A base
+        # step of 1 takes every model one step per interval
         monkeypatch.setattr(dynamics, "_CHUNK", 7)
         models = [symmetric_model(f) for f in (0.1, 100.0, 1.0)]
         dt, t_end = 3.5e-4, 2500 * 3.5e-4
@@ -463,7 +464,7 @@ class TestTraceStack:
                 integrate(models[failing], rho0s[failing], t_end, dt=dt, store_every=1,
                           method="aggregated")
             with pytest.raises(NumericalDriftError) as stacked:
-                trace_stack(models, rho0s, t_end, [dt] * 3, [1] * 3, method="aggregated")
+                trace_stack(models, rho0s, t_end, dt, [1.0] * 3, method="aggregated")
             assert str(stacked.value) == str(alone.value)
             assert str(alone.value).startswith(head)
 
@@ -480,9 +481,28 @@ class TestTraceStack:
         with pytest.raises(NumericalDriftError) as alone:
             integrate(m, lows[0], 0.1, method=method)
         with pytest.raises(NumericalDriftError) as stacked:
-            trace_stack([m] * 3, [good] + lows, 0.1, [None] * 3, [10] * 3, method=method)
+            trace_stack([m] * 3, [good] + lows, 0.1, 10 * suggest_dt(m), [BASE_DT] * 3,
+                        method=method)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).startswith("lowest eigenvalue -2.000e-08 at t=0 ")
+
+    def test_failing_plan_raises_before_any_step(self, monkeypatch):
+        # at d = 34 the stack runs on the direct engine, one model a part;
+        # under a cap of 1000 Taylor sub-steps per mark f = 1000's plan
+        # fails, and so the stack raises before f = 0.01's part steps
+        monkeypatch.setattr(dynamics, "MAX_GRID_POINTS", 1000)
+        steps = []
+
+        def spy(*args, _real=dynamics._taylor_step):
+            steps.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(dynamics, "_taylor_step", spy)
+        models = [symmetric_model(f, n_fock=17) for f in (0.01, 1000.0, 0.1)]
+        assert engine_for(models[0]) == "direct"
+        with pytest.raises(NumericalDriftError, match="more than 1000 Taylor sub-steps"):
+            trace_stack(models, [initial_state(m) for m in models], 0.1, 0.05, [BASE_DT] * 3)
+        assert steps == []
 
     def test_observable_error_waits_for_the_checks(self, monkeypatch):
         # an anti-Hermitian part on the sector's diagonal fails
@@ -500,7 +520,7 @@ class TestTraceStack:
         assert str(alone.value).startswith("trace drifted by ")
         fine = symmetric_model(0.1)
         with pytest.raises(NumericalDriftError) as stacked:
-            trace_stack([fine, m], [initial_state(fine), rho0], t_end, [dt] * 2, [1] * 2,
+            trace_stack([fine, m], [initial_state(fine), rho0], t_end, dt, [1.0] * 2,
                         method="aggregated")
         assert str(stacked.value) == str(alone.value)
 
@@ -509,14 +529,16 @@ class TestTraceStack:
         m = symmetric_model(0.1)
         rho0 = initial_state(m)
         with pytest.raises(DimensionError):
-            trace_stack([m, m], [rho0, np.eye(5)], 0.1, [None] * 2, [10] * 2)
+            trace_stack([m, m], [rho0, np.eye(5)], 0.1, 0.01, [BASE_DT] * 2)
         with pytest.raises(DimerNMError, match="^unknown observable 'purity'$"):
-            trace_stack([m, m], [rho0] * 2, 0.1, [None] * 2, [10] * 2, observables=("purity",))
-        # 10 whole intervals against 5, and a tail of 5 steps against none
-        for strides in ([10, 20], [10, 15]):
-            with pytest.raises(DimerNMError, match="^stacked runs store at different marks: "):
-                trace_stack([m, m], [rho0] * 2, 0.1, [None] * 2, strides)
-        assert trace_stack([], [], 0.1, [], []) == []
+            trace_stack([m, m], [rho0] * 2, 0.1, 0.01, [BASE_DT] * 2, observables=("purity",))
+        # a base step that is not positive and finite: substeps would
+        # step a negative or infinite one once per interval, and fail
+        # untyped on 0 and nan
+        for base in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(DimerNMError, match="^base step must be positive and finite, got "):
+                trace_stack([m, m], [rho0] * 2, 0.1, 0.01, [BASE_DT, base])
+        assert trace_stack([], [], 0.1, 0.01, []) == []
 
 
 class TestStepsOver:
@@ -795,10 +817,8 @@ class TestPropagate:
                 assert np.max(np.abs(stacked[i] - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_one_mark_run_builds_no_operator(self, monkeypatch):
-        # store_every past the step count, the final-state idiom, leaves
-        # integrate no whole store interval, so it steps the tail alone and
-        # builds no stride operator (the transfer matrix to the power 1e9
-        # here); propagate rejects a run of one mark before any build
+        # propagate rejects a run of one mark before it builds a stride
+        # operator (the transfer matrix to the power 1e9 here) or a plan
         built = []
         for name in ("rk4_transfer_matrix", "sparse_generator"):
             def spy(*args, _fn=getattr(dynamics, name), _name=name):
@@ -811,32 +831,12 @@ class TestPropagate:
             with pytest.raises(DimerNMError, match="at least two marks, got 1"):
                 next(propagate([m], [v0[:, None]], [1e-3], [10 ** 9], 1, method=method))
         assert built == []
-        traj = integrate(m, initial_state(m), 1.0, store_every=10 ** 9, observables=[],
-                         method="aggregated")
-        assert built == ["rk4_transfer_matrix"]  # the 1000-step tail's alone
-        # the start and the tail, the same bits as the tail stepped alone
-        expect = propagated(m, v0, traj.diagnostics["dt"], 1000, 2, method="aggregated")
-        assert np.array_equal(traj.states, expect.reshape(2, m.dim, m.dim).transpose(0, 2, 1))
 
     def test_rejects_models_of_different_dims(self):
         small, big = symmetric_model(0.1), symmetric_model(0.1, n_fock=4)
         vs = [opalg.vec(initial_state(m))[:, None] for m in (small, big)]
         with pytest.raises(DimensionError):
             next(propagate([small, big], vs, [1e-3] * 2, [100] * 2, 2))
-
-    def test_integrate_partial_last_interval_on_the_aggregated_engine(self):
-        # 20 whole store intervals plus a 50-step last one, each stored
-        # state the RK4 transfer matrix raised to its step count
-        m = symmetric_model(1.0)
-        rho0 = initial_state(m)
-        traj = integrate(m, rho0, 2.05, store_every=100, observables=[], method="aggregated")
-        assert traj.diagnostics["method"] == "aggregated"
-        assert traj.diagnostics["n_steps"] == 2050
-        assert traj.times[-1] == pytest.approx(2.05, rel=1e-15)
-        p = rk4_transfer_matrix(liouvillian_matrix(m), traj.diagnostics["dt"])
-        for mark, rho in zip(list(range(0, 2001, 100)) + [2050], traj.states):
-            expect = opalg.unvec(np.linalg.matrix_power(p, mark) @ opalg.vec(rho0))
-            assert np.max(np.abs(rho - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestExactPropagator:
@@ -858,20 +858,18 @@ class TestExactPropagator:
         m = symmetric_model(1.0) if n_fock is None else asymmetric_full_model(n_fock, f=1.0)
         lmat = liouvillian_matrix(m)
         rho0 = initial_state(m)
-        # the oracle steps exp(L 0.1) from rho0 and ends with one exp(L 0.05)
-        step, tail = expm(lmat * 0.1), expm(lmat * 0.05)
+        # the oracle steps exp(L 0.1) from rho0, 20 store intervals
+        step = expm(lmat * 0.1)
         marks = [opalg.vec(rho0)]
         for _ in range(20):
             marks.append(step @ marks[-1])
-        # 20 whole store intervals, then the same plus a 50-step last one
-        for t_end, expected in ((2.0, marks), (2.05, marks + [tail @ marks[-1]])):
-            traj = integrate(m, rho0, t_end, store_every=100, observables=[], method="direct")
-            assert traj.diagnostics["method"] == "direct"
-            assert traj.times[-1] == pytest.approx(t_end, rel=1e-15)
-            assert traj.times[:21] == pytest.approx(0.1 * np.arange(21), rel=1e-12)
-            for rho, v in zip(traj.states, expected, strict=True):
-                expect = opalg.unvec(v)
-                assert np.max(np.abs(rho - expect)) <= 1e-12 * np.max(np.abs(expect))
+        traj = integrate(m, rho0, 2.0, store_every=100, observables=[], method="direct")
+        assert traj.diagnostics["method"] == "direct"
+        assert traj.times[-1] == pytest.approx(2.0, rel=1e-15)
+        assert traj.times[:21] == pytest.approx(0.1 * np.arange(21), rel=1e-12)
+        for rho, v in zip(traj.states, marks, strict=True):
+            expect = opalg.unvec(v)
+            assert np.max(np.abs(rho - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_step_size_does_not_move_the_states(self):
         # the d = 72 trace of the full model, at dt and at dt / 2; the
@@ -1005,14 +1003,13 @@ class TestSteadyState:
         m = symmetric_model(0.1)
         ss = steady_state(m)
         horizon = 10.0 / GAMMA_EFF
-        traj = integrate(m, ss, horizon, store_every=10**9, observables=[])
+        traj = integrate_to(m, ss, horizon)
         assert np.max(np.abs(traj.states[-1] - ss)) <= 1e-8
 
     def test_matches_long_time_integration(self):
         m = symmetric_model(0.1)
         ss = steady_state(m)
-        traj = integrate(m, initial_state(m), 200.0 / GAMMA_EFF,
-                         store_every=10**9, observables=[])
+        traj = integrate_to(m, initial_state(m), 200.0 / GAMMA_EFF)
         assert np.max(np.abs(traj.states[-1] - ss)) <= 1e-6
 
     def test_non_unique_reported(self):

@@ -10,7 +10,7 @@ import pytest
 
 from dimer_nm import cli, harness
 from dimer_nm.dynamics import suggest_dt, trace_stack
-from dimer_nm.errors import ConfigError, DimerNMError
+from dimer_nm.errors import ConfigError
 from dimer_nm.model import ModelParams
 from dimer_nm.harness import (
     HORIZON_WARN_FACTOR,
@@ -494,17 +494,6 @@ class TestTraceRuns:
             _, rows = csv_rows(csv_text)
             assert [float(r[0]) for r in rows] == [0.0, 0.01, 0.02]
             assert "\nt_end_effective=2.00000000000e-02\n" in meta
-
-    def test_grids_of_unequal_length_are_a_numerical_failure(self, monkeypatch):
-        def second_run_short(models, *args, **kwargs):
-            trajs = trace_stack(models, *args, **kwargs)
-            trajs[1].times = trajs[1].times[:-1]
-            return trajs
-
-        monkeypatch.setattr(harness, "trace_stack", second_run_short)
-        cfg = RunConfig(experiment="evolve", f_list="0.1, 2", t_end=0.3)
-        with pytest.raises(DimerNMError, match="disagree on the stored time grid"):
-            run_experiment(cfg)
 
     @pytest.mark.parametrize("f", [1.4, 100.0])
     @pytest.mark.parametrize("store_every", [1, 3])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dimer_nm import cli, dynamics, nonmarkov, opalg
-from dimer_nm.dynamics import integrate, uniform_grid
+from dimer_nm.dynamics import uniform_grid
 from dimer_nm.entanglement import reduce_to_dimer
 from dimer_nm.errors import ConfigError, DimerNMError, NumericalDriftError, SingularSystemError
 from dimer_nm import harness
@@ -30,7 +30,7 @@ from dimer_nm.nonmarkov import (
     nm_measure,
     nm_sweep,
 )
-from oracles import SingularMapError, apply_map, g_of_t, intermediate_map
+from oracles import SingularMapError, apply_map, g_of_t, integrate_to, intermediate_map
 
 GAMMA_EFF = 0.1
 PHI = np.zeros((4, 4), dtype=complex)  # |Phi><Phi| for (|00>+|11>)/sqrt(2)
@@ -127,8 +127,7 @@ class TestTomography:
         for n in (3, 17, 60, 121, 200):
             t = fam.times[n]
             via_map = apply_map(fam.maps[n], rho)
-            traj = integrate(model, opalg.kron(rho, env), float(t),
-                             store_every=10**9, observables=[])
+            traj = integrate_to(model, opalg.kron(rho, env), float(t))
             direct = reduce_to_dimer(traj.states[-1], model.dims, model.basis).rho
             assert np.max(np.abs(via_map - direct)) <= 1e-8
 
@@ -145,8 +144,7 @@ class TestTomography:
         mix = 0.3 * rhos[0] + 0.7 * rhos[1]
         finals = []
         for r in (rhos[0], rhos[1], mix):
-            traj = integrate(model, opalg.kron(r, env), 2.0,
-                             store_every=10**9, observables=[])
+            traj = integrate_to(model, opalg.kron(r, env), 2.0)
             finals.append(reduce_to_dimer(traj.states[-1], model.dims, model.basis).rho)
         combined = 0.3 * finals[0] + 0.7 * finals[1]
         assert np.max(np.abs(finals[2] - combined)) <= 1e-10
